@@ -31,7 +31,7 @@ from .coefficients import scale_coefficients, verify_ellipticity
 from .config import StudyConfig
 from .errors import ConfigError, SolverError
 from .fd_ops import assemble_operator, hess_component
-from .fieldio import load_field, save_field
+from .fieldio import atomic_write, load_field, save_field
 from .grid import nested_family
 from .limit import solve_limit
 from .norms import (frechet_distance, l2_norm, norm_bundle,
@@ -45,9 +45,8 @@ __all__ = ["main"]
 
 
 def _write_json(path: Path, payload: dict) -> Path:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    tmp.replace(path)
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     return path
 
 

@@ -12,11 +12,17 @@ Layout, all little-endian, no padding:
 
 Node values include the boundary ring.  Writing the same field twice
 produces identical bytes; reading reconstructs grid and values exactly.
+
+``atomic_write`` is the package's one way of writing an output file: the
+bytes go to a ``.tmp`` sibling that replaces the target only once
+complete, so readers never see a half-written file, and a failed write
+leaves neither a partial target nor the ``.tmp`` file behind.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +30,27 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid, ScalarField
 
-__all__ = ["save_field", "load_field", "MAGIC"]
+__all__ = ["save_field", "load_field", "atomic_write", "MAGIC"]
 
 MAGIC = b"AFLD0001"
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open ``<path>.tmp`` for writing; move it onto ``path`` on success.
+
+    If the block raises, the temporary file is removed and the error
+    propagates; ``path`` keeps whatever it held before.
+    """
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_field(path, field: ScalarField) -> Path:
@@ -39,11 +63,9 @@ def save_field(path, field: ScalarField) -> Path:
     header += struct.pack(f"<{n}d", *grid.lo)
     header += struct.pack(f"<{n}d", *grid.hi)
     values = np.ascontiguousarray(field.values, dtype="<f8")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(values.tobytes(order="C"))
-    tmp.replace(path)
     return path
 
 

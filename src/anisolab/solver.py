@@ -1,9 +1,13 @@
 """Dirichlet solves on the assembled operators plus conditioning diagnostics.
 
 The primary route is a sparse direct factorization (reused across calls via
-the operator's cached LU); the secondary route is conjugate gradients with a
-diagonal preconditioner and a hard iteration cap of ``20 * sqrt(unknowns)``,
-kept around to expose how conditioning degrades as epsilon shrinks.
+the operator's cached LU).  Its ordering follows ``op.symmetric``: symmetric
+tables are factored in symmetric mode with minimum-degree ordering of
+``A + A^T`` and diagonal pivots, other tables with COLAMD and partial
+pivoting (see ``fd_ops.factor_matrix``).  The secondary route is conjugate
+gradients with a diagonal preconditioner and a hard iteration cap of
+``20 * sqrt(unknowns)``; it also serves the SPD floor probe, and it exposes
+how conditioning degrades as epsilon shrinks.
 """
 
 from __future__ import annotations
@@ -85,7 +89,12 @@ def solver_diagnostics(op: SparseOperator, rhs: ScalarField | None = None,
                        cg_tol: float = 1e-10) -> ConditioningReport:
     """Extremal eigenvalues (exact below ``dense_limit`` unknowns, Lanczos
     estimates above) and, when a forcing is supplied, the preconditioned CG
-    iteration count for it."""
+    iteration count for it.
+
+    The count is reported only for a converged CG run: one that stops at
+    the cap of ``20 * unknowns`` iterations raises SolverError carrying
+    the achieved residual.
+    """
     n = op.n_unknowns
     if n <= dense_limit:
         eigs = np.linalg.eigvalsh(op.matrix.toarray())
@@ -108,8 +117,13 @@ def solver_diagnostics(op: SparseOperator, rhs: ScalarField | None = None,
         diag = op.matrix.diagonal()
         M = spla.LinearOperator((n, n), matvec=lambda r: r / diag)
         b = rhs.interior_vector()
-        spla.cg(op.matrix, b, rtol=cg_tol, atol=0.0,
-                maxiter=20 * n, M=M, callback=cb)
+        x, info = spla.cg(op.matrix, b, rtol=cg_tol, atol=0.0,
+                          maxiter=20 * n, M=M, callback=cb)
+        if info != 0:
+            raise SolverError(
+                f"cg stopped after {count['n']} iterations without "
+                f"reaching {cg_tol:g} (code {info})",
+                residual=_residual(op.matrix, x, b))
         iters = count["n"]
     return ConditioningReport(
         n_unknowns=n, eig_min=eig_min, eig_max=eig_max,

@@ -5,6 +5,7 @@ import pytest
 
 from anisolab import (ConfigError, ScalarField, StudyConfig, forcing_field,
                       load_config, load_field, make_grid, save_field)
+from anisolab.fieldio import atomic_write
 
 from conftest import random_field
 
@@ -72,6 +73,16 @@ class TestFieldIO:
         save_field(tmp_path / "u.field", u)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["u.field"]
+
+    def test_failed_write_removes_temp_and_keeps_target(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="disk full"):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("disk full")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        assert path.read_text() == "old\n"
 
 
 class TestForcing:

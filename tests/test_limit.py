@@ -1,9 +1,37 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from anisolab import (ConfigError, ScalarField, coefficient_family,
-                      forcing_field, make_grid, solve_limit)
-from anisolab.limit import iter_slice_systems
+from anisolab import (ConfigError, ScalarField, SolverError,
+                      coefficient_family, forcing_field, make_grid,
+                      solve_limit)
+from anisolab.fd_ops import factor_matrix, symmetric_table
+from anisolab.limit import iter_slice_systems, limit_operator
+
+NONSYMMETRIC = [[2.0, 0.3, 0.1], [0.1, 1.5, 0.4], [0.2, -0.2, 1.2]]
+
+
+def block_cases():
+    """(grid, coefficients, forcing): 2-D q=1, 3-D q=2, and a 3-D q=1
+    constant table whose A22 block is not symmetric."""
+    g2 = make_grid([(0, 1), (0, 2)], (10, 12), q=1)
+    g3 = make_grid([(0, 1)] * 3, (5, 6, 8), q=2)
+    g3n = make_grid([(0, 1)] * 3, (5, 6, 7), q=1)
+    return [
+        (g2, coefficient_family("variable", g2),
+         forcing_field("sine_product", g2)),
+        (g3, coefficient_family("variable", g3),
+         forcing_field("constant", g3, value=1.0)),
+        (g3n, coefficient_family("constant", g3n, matrix=NONSYMMETRIC),
+         ScalarField.from_function(g3n, lambda x, y, z: 1.0 + x * y - z)),
+    ]
+
+
+def per_slice_limit(grid, coeffs, f):
+    out = np.zeros(grid.node_shape)
+    for _, matrix, rhs, scatter in iter_slice_systems(grid, coeffs, f):
+        scatter(spla.spsolve(matrix.tocsc(), rhs), out)
+    return out
 
 
 class TestSliceStructure:
@@ -39,6 +67,36 @@ class TestSliceStructure:
         f = forcing_field("constant", g2, value=1.0)
         with pytest.raises(ConfigError):
             list(iter_slice_systems(g, coeffs, f))
+
+
+class TestBlockOperator:
+    @pytest.mark.parametrize("case", range(3))
+    def test_matches_per_slice_solves(self, case):
+        g, coeffs, f = block_cases()[case]
+        ref = per_slice_limit(g, coeffs, f)
+        got = solve_limit(g, coeffs, f).values
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_nnz_is_sum_of_slices(self, case):
+        g, coeffs, f = block_cases()[case]
+        nnz = sum(m.nnz for _, m, _, _ in iter_slice_systems(g, coeffs, f))
+        assert limit_operator(g, coeffs).matrix.nnz == nnz
+
+    def test_ordering_follows_a22_symmetry(self):
+        flags = []
+        for g, c, _ in block_cases():
+            op = limit_operator(g, c)
+            flags.append(symmetric_table(c.x2_block()))
+            ref = factor_matrix(op.matrix, flags[-1])
+            assert np.array_equal(op.lu.perm_c, ref.perm_c)
+        assert flags == [True, True, False]
+
+    def test_slice_residual_gate_names_slice(self):
+        g, coeffs, f = block_cases()[1]
+        with pytest.raises(SolverError, match=r"slice \(\d+, \d+\)") as err:
+            solve_limit(g, coeffs, f, tol=0.0)
+        assert err.value.residual > 0.0
 
 
 class TestLimitField:

@@ -7,8 +7,24 @@ from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
                       make_grid, nonlinearity_family, picard_solve,
                       semilinear_limit, solve_dirichlet, solve_limit)
+from anisolab.limit import iter_slice_systems
 
 MID_VALUE = 1.0 - 1.0 / np.cosh(0.5)  # 0.11318111602992609
+
+
+def per_slice_picard(matrix, rhs, a, weight, damping, tol=1e-10,
+                     max_iter=200):
+    """Reference damped iteration on one slice system."""
+    solve = spla.splu(matrix.tocsc()).solve
+    u = solve(rhs + a(np.zeros_like(rhs)))
+    for m in range(1, max_iter + 1):
+        u_next = (1 - damping) * u + damping * solve(rhs + a(u))
+        inc = np.linalg.norm(u_next - u) * weight
+        done = inc <= tol * max(1.0, np.linalg.norm(u) * weight)
+        u = u_next
+        if done:
+            return u, m
+    raise AssertionError("reference iteration did not converge")
 
 
 def setup(n, family="identity"):
@@ -128,6 +144,32 @@ class TestSemilinearLimit:
                                nonlinearity_family("linear", kappa=1.0))
         mid = res.field.values[n // 2, n // 2]
         assert mid == pytest.approx(MID_VALUE, abs=0.02 / n ** 2)
+
+    def test_matches_per_slice_iterations(self):
+        g = make_grid([(0, 1), (0, 1), (0, 1)], (4, 5, 10), q=2)
+        coeffs = coefficient_family("variable", g)
+        f = forcing_field("sine_product", g)
+        a = nonlinearity_family("tanh")
+        weight = np.sqrt(g.spacing[2])
+        out = np.zeros(g.node_shape)
+        iters = []
+        for _, matrix, rhs, scatter in iter_slice_systems(g, coeffs, f):
+            u, m = per_slice_picard(matrix, 20 * rhs, a, weight, 0.7)
+            scatter(u, out)
+            iters.append(m)
+        res = semilinear_limit(g, coeffs, ScalarField(g, 20 * f.values), a,
+                               damping=0.7)
+        assert len(set(iters)) > 1  # slices really stop at different steps
+        assert res.iterations == max(iters)
+        assert len(res.increments) == max(iters)
+        assert np.abs(res.field.values - out).max() <= 1e-12 * np.abs(
+            out).max()
+
+    def test_exhausted_slice_named(self):
+        g, coeffs, _, f = setup(8)
+        a = nonlinearity_family("linear", kappa=30.0)
+        with pytest.raises(SolverError, match=r"^slice \(\d+,\): damped"):
+            semilinear_limit(g, coeffs, f, a, damping=1.0, max_iter=20)
 
     def test_worst_slice_reporting(self):
         g, coeffs, _, f = setup(8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
@@ -51,6 +52,19 @@ class TestDirect:
         g8 = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
         with pytest.raises(ConfigError):
             solve_dirichlet(op, ScalarField.zeros(g8))
+
+    def test_symmetric_ordering_matches_colamd(self):
+        g = make_grid([(0, 1), (0, 1)], (24, 24), q=1)
+        f = forcing_field("sine_product", g)
+        op = assemble_operator(
+            g, scale_coefficients(coefficient_family("variable", g), 0.1))
+        assert op.symmetric
+        got = solve_dirichlet(op, f).interior_vector()
+        colamd = spla.splu(op.matrix.tocsc(), permc_spec="COLAMD")
+        ref = colamd.solve(f.interior_vector())
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        lu = op.factor()
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
     def test_unknown_method_rejected(self):
         g, op = laplace_setup(4)
@@ -125,6 +139,20 @@ class TestDiagnostics:
             assert rep.cg_iterations is not None
             iters.append(rep.cg_iterations)
         assert iters[1] > iters[0]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_unconverged_cg_raises_with_residual(self):
+        # a zero tolerance is never met, so CG runs to its 20 * n cap, long
+        # past roundoff, where its recurrences break down (0/0)
+        g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
+        op = assemble_operator(g, coefficient_family("identity", g))
+        f = forcing_field("constant", g, value=1.0)
+        with pytest.raises(SolverError,
+                           match=f"after {20 * op.n_unknowns} iterations"
+                           ) as err:
+            solver_diagnostics(op, rhs=f, cg_tol=0.0)
+        assert err.value.residual is not None
+        assert not err.value.residual <= 0.0  # positive, or nan
 
     def test_condition_grows_as_eps_drops(self):
         g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)

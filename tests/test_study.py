@@ -39,6 +39,15 @@ class TestFloor:
         ratios = np.array(floors[:-1]) / np.array(floors[1:])
         assert np.all(np.abs(ratios - 4.0) < 0.5)
 
+    def test_cg_probe_matches_direct_solve(self):
+        g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
+        exact = forcing_field("sine_product", g)
+        f = ScalarField(g, 2 * np.pi ** 2 * exact.values)
+        op = assemble_operator(g, coefficient_family("identity", g))
+        direct = 10.0 * l2_norm(solve_dirichlet(op, f, method="direct")
+                                - exact)
+        assert discretization_floor(g) == pytest.approx(direct, rel=1e-12)
+
 
 class TestRunSweep:
     def test_rows_match_hand_computation(self):
