@@ -184,7 +184,7 @@ def cmd_fourier_check(args) -> int:
                          rep.r_cross, int(rep.passed)))
             all_pass = all_pass and rep.passed
     csv_path = out / "fourier.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with atomic_write(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("epsilon", "sample", "r_x2", "r_x1", "r_cross",
                          "passed"))
@@ -225,7 +225,7 @@ def cmd_metric(args) -> int:
         path = _write_json(out / "metric.json", payload)
     else:
         path = out / "metric.csv"
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("key", "value"))
             for key, value in payload.items():
@@ -265,7 +265,7 @@ def cmd_translation(args) -> int:
                 fields.append(hess_component(u, i, j))
     out = _out_dir(config)
     path = out / "translation.csv"
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("axis", "h_cells", "h_phys", "sigma"))
         for axis in range(grid.ndim):

@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coefficients import CoefficientField, ScaledCoefficientField
+from .coefficients import (CoefficientField, ScaledCoefficientField,
+                           scaling_factors)
 from .errors import ConfigError
 from .grid import Grid, ScalarField, grid_interior_slices
 
@@ -36,6 +37,8 @@ __all__ = [
     "hess_x1x2",
     "assemble_operator",
     "assemble_flux_matrix",
+    "operator_blocks",
+    "OperatorBlocks",
     "apply_nondivergence",
     "factor_matrix",
     "symmetric_table",
@@ -152,14 +155,17 @@ class SparseOperator:
     """Assembled operator over interior unknowns, row-major node order.
 
     ``note`` records the assembly route; ``symmetric`` reflects exact
-    symmetry of the entry table.  The LU factorization is computed lazily
-    and cached, so repeated solves (fixed-point iterations) reuse it.
+    symmetry of the entry table.  ``axis_means[d]`` is the node mean of
+    the diagonal entry a_dd: the constant table they form is what the CG
+    preconditioner inverts.  The LU factorization is computed lazily and
+    cached, so repeated solves (fixed-point iterations) reuse it.
     """
 
     matrix: sp.csr_matrix
     grid: Grid
     symmetric: bool
     note: str
+    axis_means: tuple[float, ...]
     _lu: spla.SuperLU | None = dc_field(default=None, repr=False)
 
     @property
@@ -291,6 +297,15 @@ def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
     return mat.tocsr()
 
 
+_FLUX_NOTE = ("flux form: face-averaged diagonal terms, "
+             "centered-composition mixed terms")
+
+
+def _axis_means(entries: np.ndarray) -> tuple[float, ...]:
+    return tuple(float(entries[d, d].mean())
+                 for d in range(entries.shape[0]))
+
+
 def assemble_operator(grid: Grid,
                       coeffs: CoefficientField | ScaledCoefficientField
                       ) -> SparseOperator:
@@ -299,11 +314,89 @@ def assemble_operator(grid: Grid,
         raise ConfigError("coefficients live on a different grid")
     entries = coeffs.entries
     matrix = assemble_flux_matrix(grid.cells, grid.spacing, entries)
-    symmetric = symmetric_table(entries)
-    note = ("flux form: face-averaged diagonal terms, "
-            "centered-composition mixed terms")
-    return SparseOperator(matrix=matrix, grid=grid, symmetric=symmetric,
-                          note=note)
+    return SparseOperator(matrix=matrix, grid=grid,
+                          symmetric=symmetric_table(entries), note=_FLUX_NOTE,
+                          axis_means=_axis_means(entries))
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorBlocks:
+    """The unscaled operator split by coefficient block on one pattern.
+
+    ``indptr`` and ``indices`` hold the pattern of the full operator, the
+    union of the patterns of the X1 x X1, mixed and X2 x X2 block
+    operators.  Block k stores only its own entries: ``values[k]`` at the
+    slots ``positions[k]`` of that pattern's data array.  Arrays are
+    shared by every operator ``at`` returns and are never written to.
+    """
+
+    grid: Grid
+    indptr: np.ndarray
+    indices: np.ndarray
+    positions: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+    symmetric: bool
+    axis_means: np.ndarray
+
+    def at(self, epsilon: float) -> SparseOperator:
+        """``eps^2 L11 + eps L12 + L22``, the operator of the scaled table."""
+        fac = scaling_factors(self.grid.ndim, self.grid.q, epsilon)
+        data = np.zeros(self.indices.size)
+        # a block's positions are distinct, so each += adds exactly once
+        for scale, pos, vals in zip((epsilon ** 2, epsilon, 1.0),
+                                    self.positions, self.values):
+            data[pos] += scale * vals
+        n = self.indptr.size - 1
+        matrix = sp.csr_matrix((data, self.indices, self.indptr),
+                               shape=(n, n))
+        means = tuple(float(m) for m in np.diag(fac) * self.axis_means)
+        return SparseOperator(matrix=matrix, grid=self.grid,
+                              symmetric=self.symmetric, note=_FLUX_NOTE,
+                              axis_means=means)
+
+
+def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
+    """Assemble the X1 x X1, mixed and X2 x X2 block operators once.
+
+    Each block is one ``assemble_flux_matrix`` call on the entry table
+    with the other blocks zeroed.  The union of their patterns is the
+    pattern ``assemble_operator`` gives for any epsilon, since scaling by
+    a positive epsilon leaves every nonzero table nonzero.
+    """
+    if coeffs.grid != grid:
+        raise ConfigError("coefficients live on a different grid")
+    entries = coeffs.entries
+    in_x1 = np.arange(grid.ndim) < grid.q
+    # 0 for X1 x X1 entries, 1 for mixed ones, 2 for X2 x X2
+    block = 2 - in_x1[:, None].astype(int) - in_x1[None, :]
+    expand = (1,) * grid.ndim
+    mats = [assemble_flux_matrix(
+                grid.cells, grid.spacing,
+                np.where((block == k).reshape(block.shape + expand),
+                         entries, 0.0))
+            for k in range(3)]
+    # an entry's key is its row-major position in the dense matrix
+    n = grid.n_interior
+    keys = []
+    for mat in mats:
+        mat.sort_indices()
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(mat.indptr))
+        keys.append(rows * n + mat.indices)
+    union = np.concatenate(keys)
+    union.sort()
+    union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+    # built once so that scipy picks the index dtype every ``at`` reuses
+    pattern = sp.csr_matrix(
+        (np.zeros(union.size), union % n,
+         np.searchsorted(union, np.arange(n + 1) * n)), shape=(n, n))
+    index_dtype = pattern.indices.dtype
+    positions = tuple(np.searchsorted(union, key).astype(index_dtype)
+                      for key in keys)
+    return OperatorBlocks(grid=grid, indptr=pattern.indptr,
+                          indices=pattern.indices, positions=positions,
+                          values=tuple(mat.data for mat in mats),
+                          symmetric=symmetric_table(entries),
+                          axis_means=np.array(_axis_means(entries)))
 
 
 def apply_nondivergence(coeffs: CoefficientField | ScaledCoefficientField,

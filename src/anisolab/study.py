@@ -34,7 +34,7 @@ import numpy as np
 from .coefficients import scale_coefficients, verify_ellipticity
 from .config import StudyConfig
 from .errors import ConfigError, SolverError
-from .fd_ops import assemble_operator
+from .fd_ops import OperatorBlocks, assemble_operator, operator_blocks
 from .fieldio import atomic_write, save_field
 from .forcing import forcing_field
 from .grid import Grid, ScalarField
@@ -116,13 +116,15 @@ def discretization_floor(grid: Grid, tol: float = 1e-10) -> float:
     exact solution, the standard second-order reference case.  The probe
     operator is the Laplacian, symmetric positive definite by
     construction, so it is always solved by conjugate gradients whatever
-    the study's solver method: the sine forcing is a discrete eigenvector
-    of it, so CG converges in a step or two, where a direct factorization
-    of a 3-D grid costs seconds and most of the study's memory.  That
-    property would also give the discrete solution in closed form, but
-    the probe is kept as a real solve on purpose: the floor is then what
-    the solver achieves on this grid, and it passes the residual gate of
-    ``solve_dirichlet`` like every other solve of the study.
+    the study's solver method.  The Laplacian is the constant diagonal
+    table that CG's fast-diagonalization preconditioner inverts exactly,
+    so CG converges in one step, where a direct factorization of a 3-D
+    grid costs seconds and most of the study's memory.  The discrete
+    solution is also known in closed form (the sine forcing is a discrete
+    eigenvector), but the probe is kept as a real solve on purpose: the
+    floor is then what the solver achieves on this grid, and it passes
+    the residual gate of ``solve_dirichlet`` like every other solve of
+    the study.
     """
     from .coefficients import coefficient_family
 
@@ -136,12 +138,11 @@ def discretization_floor(grid: Grid, tol: float = 1e-10) -> float:
     return 10.0 * l2_norm(u - exact)
 
 
-def _sweep_row(config: StudyConfig, grid: Grid, coeffs, f, u_limit,
+def _sweep_row(config: StudyConfig, blocks: OperatorBlocks, f, u_limit,
                mask, family, nonlinearity, epsilon: float
                ) -> tuple[SweepRow, ScalarField]:
     start = time.perf_counter()
-    scaled = scale_coefficients(coeffs, epsilon)
-    op = assemble_operator(grid, scaled)
+    op = blocks.at(epsilon)
     if nonlinearity is None:
         u = solve_dirichlet(op, f, tol=config.solver_tol,
                             method=config.solver_method,
@@ -169,9 +170,11 @@ def _sweep_row(config: StudyConfig, grid: Grid, coeffs, f, u_limit,
 def run_sweep(config: StudyConfig) -> SweepReport:
     """Full sweep: limit once, one scaled solve per epsilon, norm columns.
 
-    Rows always come out in the configured (decreasing) epsilon order even
-    when solves run on several workers.  A failed solve stops the sweep;
-    the report is returned with the finished prefix and flagged incomplete.
+    The coefficient blocks of the operator are assembled once per call,
+    and each epsilon's operator is formed from them.  Rows always come out
+    in the configured (decreasing) epsilon order even when solves run on
+    several workers.  A failed solve stops the sweep; the report is
+    returned with the finished prefix and flagged incomplete.
     """
     grid = config.build_grid()
     coeffs = config.build_coefficients(grid)
@@ -180,6 +183,7 @@ def run_sweep(config: StudyConfig) -> SweepReport:
     mask = config.build_mask(grid)
     family = config.build_family(grid)
     nonlinearity = config.build_nonlinearity()
+    blocks = operator_blocks(grid, coeffs)
 
     if nonlinearity is None:
         u_limit = solve_limit(grid, coeffs, f, tol=config.solver_tol)
@@ -187,11 +191,14 @@ def run_sweep(config: StudyConfig) -> SweepReport:
         u_limit = semilinear_limit(
             grid, coeffs, f, nonlinearity, damping=config.damping,
             tol=config.solver_tol, max_iter=config.picard_max_iter).field
+    # the rows need only the blocks; the tables would otherwise stay
+    # resident through every row's factorization
+    del coeffs
 
     floor = discretization_floor(grid, tol=config.solver_tol)
 
     def work(epsilon):
-        return _sweep_row(config, grid, coeffs, f, u_limit, mask, family,
+        return _sweep_row(config, blocks, f, u_limit, mask, family,
                           nonlinearity, epsilon)
 
     rows: list[SweepRow] = []

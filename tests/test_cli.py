@@ -284,3 +284,39 @@ class TestTranslation:
                    str(tmp_path / "out")])
         assert rc == 2
         assert "linear" in capsys.readouterr().err
+
+
+class _FailingWriter:
+    """Stands in for ``csv.writer``: writes part of a row, then fails."""
+
+    def __init__(self, fh, *args, **kwargs):
+        self.fh = fh
+
+    def writerow(self, row):
+        self.fh.write("partial")
+        raise RuntimeError("disk full")
+
+
+class TestAtomicCsv:
+    @pytest.mark.parametrize("command, config, target", [
+        ("fourier-check", FOURIER_CFG, "fourier.csv"),
+        ("metric", BASE_CFG, "metric.csv"),
+        ("translation", TRANSLATION_CFG, "translation.csv"),
+    ], ids=["fourier-check", "metric", "translation"])
+    def test_failed_write_keeps_old_target(self, tmp_path, monkeypatch,
+                                           command, config, target):
+        cfg = write_cfg(tmp_path, config)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / target).write_text("old\n")
+        args = [command, "--config", cfg, "--out", str(out)]
+        if command == "metric":
+            field = tmp_path / "u.field"
+            g = make_grid([(0, 1), (0, 1)], (12, 12), q=1)
+            save_field(field, ScalarField.from_function(g, lambda x, y: x))
+            args += ["--field", str(field)]
+        monkeypatch.setattr(csv, "writer", _FailingWriter)
+        with pytest.raises(RuntimeError, match="disk full"):
+            main(args)
+        assert (out / target).read_text() == "old\n"
+        assert not (out / (target + ".tmp")).exists()

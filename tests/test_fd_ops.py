@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from anisolab import (CoefficientField, ConfigError, ScalarField,
                       assemble_operator, coefficient_family, grad_x1, grad_x2,
                       hess_x1, hess_x1x2, hess_x2, make_grid,
                       scale_coefficients)
-from anisolab.fd_ops import apply_nondivergence, grad_axis, hess_component
+from anisolab.fd_ops import (apply_nondivergence, grad_axis, hess_component,
+                             operator_blocks)
 
 
 def sine_eigenvector(grid, i, j):
@@ -197,3 +199,50 @@ class TestDualRoute:
         inner = (slice(1, -1),) * 2
         assert np.allclose(flux.values[inner], nondiv.values[inner],
                            atol=1e-10)
+
+
+# (ndim, q, family parameters); the last table is not symmetric
+BLOCK_CASES = [
+    (2, 1, ("variable", {})),
+    (3, 1, ("variable", {})),
+    (3, 2, ("variable", {})),
+    (3, 1, ("constant", {"matrix": [[2.0, 0.3, 0.1], [0.2, 1.5, 0.4],
+                                      [0.0, 0.1, 1.0]], "lam": 0.5})),
+]
+
+
+class TestOperatorBlocks:
+    # eps^2 underflows to zero below ~1e-162; direct assembly would then
+    # drop the X1 x X1 table from the pattern, so eps stays above 1e-150
+    @given(st.sampled_from(BLOCK_CASES),
+           st.lists(st.integers(2, 6), min_size=3, max_size=3),
+           st.floats(1e-150, 1.0))
+    def test_at_matches_scaled_assembly(self, case, cells, eps):
+        ndim, q, (family, params) = case
+        g = make_grid([(0, 1)] * ndim, cells[:ndim], q=q)
+        coeffs = coefficient_family(family, g, **params)
+        got = operator_blocks(g, coeffs).at(eps)
+        ref = assemble_operator(g, scale_coefficients(coeffs, eps))
+        assert np.array_equal(got.matrix.indptr, ref.matrix.indptr)
+        assert np.array_equal(got.matrix.indices, ref.matrix.indices)
+        assert got.symmetric == ref.symmetric
+        scale = np.abs(ref.matrix.data).max()
+        assert np.abs(got.matrix.data - ref.matrix.data).max() \
+            <= 1e-15 * scale
+        assert np.allclose(got.axis_means, ref.axis_means, rtol=1e-15,
+                           atol=0.0)
+
+    def test_at_leaves_blocks_unchanged(self):
+        g = make_grid([(0, 1)] * 3, (5, 6, 4), q=2)
+        blocks = operator_blocks(g, coefficient_family("variable", g))
+        before = [v.copy() for v in blocks.values]
+        a, b = blocks.at(1.0), blocks.at(0.1)
+        assert not np.shares_memory(a.matrix.data, b.matrix.data)
+        for old, new in zip(before, blocks.values):
+            assert np.array_equal(old, new)
+
+    def test_rejects_epsilon_out_of_range(self, unit_square):
+        g = unit_square(4)
+        blocks = operator_blocks(g, coefficient_family("identity", g))
+        with pytest.raises(ConfigError):
+            blocks.at(0.0)

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse.linalg as spla
 
+import anisolab.solver
 from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
                       make_grid, scale_coefficients, solve_dirichlet,
                       solver_diagnostics)
+from anisolab.solver import fast_diagonal_preconditioner, sine_transform
 
 from test_fd_ops import sine_eigenvector
 
@@ -81,9 +86,11 @@ class TestCG:
         assert np.allclose(cg.values, direct.values, atol=1e-9)
 
     def test_iteration_cap_raises_with_residual(self):
-        # constant forcing excites many modes; an eigenvector forcing would
-        # converge in one preconditioned iteration and never hit the cap
-        g, op = laplace_setup(16)
+        # the preconditioner is exact for the Laplacian, so the variable
+        # table (about ten iterations) is needed for the cap of
+        # ceil(0.1 * 15) = 2 iterations to bind
+        g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
+        op = assemble_operator(g, coefficient_family("variable", g))
         f = forcing_field("constant", g, value=1.0)
         with pytest.raises(SolverError) as err:
             solve_dirichlet(op, f, tol=1e-14, method="cg",
@@ -102,6 +109,67 @@ class TestCG:
         op = assemble_operator(g, CoefficientField(g, entries, lam=0.5))
         with pytest.raises(ConfigError):
             solve_dirichlet(op, ScalarField.zeros(g), method="cg")
+
+
+class _CountingLinalg:
+    """Stands in for ``scipy.sparse.linalg`` inside ``anisolab.solver`` and
+    counts the CG iterations the solver runs."""
+
+    def __init__(self):
+        self.iterations = 0
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+    def cg(self, *args, callback=None, **kwargs):
+        def counting(xk):
+            self.iterations += 1
+        return spla.cg(*args, callback=counting, **kwargs)
+
+
+class TestFastDiagonalization:
+    @pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 6)])
+    def test_sine_transform_orthonormal_involution(self, shape, rng):
+        x = rng.standard_normal(shape)
+        y = sine_transform(x)
+        assert np.allclose(y, scipy.fft.dstn(x, type=1, norm="ortho"),
+                           rtol=0.0, atol=1e-13)
+        assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x),
+                                                  rel=1e-13)
+        assert np.allclose(sine_transform(y), x, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("cells, q, diag, eps", [
+        ((9, 12), 1, [2.0, 0.5], 1.0),
+        ((9, 12), 1, [2.0, 0.5], 0.01),
+        ((5, 6, 7), 2, [1.0, 3.0, 0.25], 0.1),
+    ])
+    def test_exact_inverse_for_constant_diagonal_table(self, cells, q, diag,
+                                                       eps, rng):
+        g = make_grid([(0, 1), (0, 2), (0, 1)][:len(cells)], cells, q=q)
+        coeffs = coefficient_family("constant", g, matrix=np.diag(diag))
+        op = assemble_operator(g, scale_coefficients(coeffs, eps))
+        x = rng.standard_normal(op.n_unknowns)
+        got = fast_diagonal_preconditioner(op) @ (op.matrix @ x)
+        assert np.allclose(got, x, rtol=0.0, atol=1e-12)
+
+    def test_nonpositive_means_rejected(self, unit_square):
+        g = unit_square(6)
+        op = assemble_operator(g, coefficient_family("identity", g))
+        bad = dataclasses.replace(op, axis_means=(1.0, -1.0))
+        with pytest.raises(SolverError, match="preconditioner"):
+            solve_dirichlet(bad, forcing_field("sine_product", g),
+                            method="cg")
+
+    def test_iterations_flat_in_epsilon(self, monkeypatch):
+        g = make_grid([(0, 1), (0, 1)], (64, 64), q=1)
+        coeffs = coefficient_family("variable", g)
+        f = forcing_field("sine_product", g)
+        for eps in (1.0, 0.1, 0.01, 0.001):
+            counter = _CountingLinalg()
+            monkeypatch.setattr(anisolab.solver, "spla", counter)
+            op = assemble_operator(g, scale_coefficients(coeffs, eps))
+            solve_dirichlet(op, f, method="cg")
+            assert 0 < counter.iterations <= 20, eps
 
 
 class TestDiagnostics:

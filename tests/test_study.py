@@ -89,6 +89,25 @@ class TestRunSweep:
         d = [r.frechet_d for r in rep.rows]
         assert all(a > b for a, b in zip(d, d[1:]))
 
+    def test_operator_blocks_built_once(self, monkeypatch):
+        import anisolab.study as study
+        calls = {"assemble_operator": 0, "operator_blocks": 0}
+
+        def counted(name):
+            real = getattr(study, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(study, name, wrapper)
+
+        counted("assemble_operator")
+        counted("operator_blocks")
+        rep = run_sweep(small_config(epsilons=[1.0, 0.5, 0.25, 0.125]))
+        assert rep.complete
+        # the one assembly left is the floor probe's
+        assert calls == {"assemble_operator": 1, "operator_blocks": 1}
+
     def test_parallel_rows_deterministic(self):
         serial = run_sweep(small_config(workers=1))
         parallel = run_sweep(small_config(workers=3))
@@ -108,8 +127,12 @@ class TestRunSweep:
         assert all(np.isfinite(r.l2_diff) for r in rep.rows)
 
     def test_failed_solve_flags_incomplete(self):
+        # variable table: the CG preconditioner is exact for the identity
+        # one, so CG would converge in its one allowed step and the
+        # failure would rest on how scipy reports that step
         cfg = small_config(solver_method="cg", solver_tol=1e-13,
                            maxiter_factor=0.05,
+                           coefficient_family="variable",
                            forcing_family="constant",
                            forcing_params={"value": 1.0})
         rep = run_sweep(cfg)
