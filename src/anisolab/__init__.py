@@ -14,8 +14,7 @@ from .coefficients import (CoefficientField, ScaledCoefficientField,
                            scale_coefficients, scaling_factors,
                            verify_ellipticity)
 from .errors import ConfigError, EllipticityError, ShiftError, SolverError
-from .fd_ops import (SparseOperator, assemble_operator, grad_x1, grad_x2,
-                     hess_x1, hess_x1x2, hess_x2)
+from .fd_ops import SparseOperator, assemble_operator
 from .fieldio import load_field, save_field
 from .forcing import forcing_field
 from .grid import (Grid, NestedFamily, ScalarField, SubdomainMask,
@@ -65,11 +64,6 @@ __all__ = [
     "estimate_rate",
     "forcing_field",
     "frechet_distance",
-    "grad_x1",
-    "grad_x2",
-    "hess_x1",
-    "hess_x1x2",
-    "hess_x2",
     "interior_subdomain",
     "l2_norm",
     "load_config",

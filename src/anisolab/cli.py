@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import scale_coefficients, verify_ellipticity
+from .coefficients import (constant_ellipticity, scale_coefficients,
+                           verify_ellipticity)
 from .config import StudyConfig
 from .errors import ConfigError, SolverError
 from .fd_ops import assemble_operator, hess_component
@@ -36,7 +37,7 @@ from .grid import nested_family
 from .limit import solve_limit
 from .norms import (frechet_distance, l2_norm, norm_bundle,
                     translation_modulus, v12_norm)
-from .solver import solve_dirichlet
+from .solver import relative_residual, solve_dirichlet
 from .spectral import (check_constant_bounds, check_laplacian_bounds,
                        random_zero_mean_forcing)
 from .study import FLOOR_NOTE, emit_report, run_sweep
@@ -82,9 +83,8 @@ def cmd_solve(args) -> int:
                         method=config.solver_method,
                         maxiter_factor=config.maxiter_factor)
     wall_ms = 1000.0 * (time.perf_counter() - start)
-    b = f.interior_vector()
-    res = float(np.linalg.norm(op.matrix @ u.interior_vector() - b)
-                / max(np.linalg.norm(b), 1e-300))
+    res = float(relative_residual(op.matrix, u.interior_vector(),
+                                  f.interior_vector())[0])
     out = _out_dir(config)
     field_path = save_field(out / "solution.field", u)
     _write_json(out / "solve.json", {
@@ -163,7 +163,7 @@ def cmd_fourier_check(args) -> int:
         matrix = np.asarray(config.coefficient_params["matrix"], float)
         lam = config.coefficient_params.get("lam")
         if lam is None:
-            lam = float(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0])
+            lam = constant_ellipticity(matrix)
     else:
         raise ConfigError(
             "fourier-check needs a constant coefficient table "

@@ -29,6 +29,7 @@ __all__ = [
     "verify_ellipticity",
     "observed_ellipticity",
     "coefficient_family",
+    "constant_ellipticity",
 ]
 
 
@@ -69,14 +70,10 @@ class CoefficientField:
     def ndim(self) -> int:
         return self.grid.ndim
 
-    def block(self, rows, cols) -> np.ndarray:
-        """Entry sub-table for the given axis groups."""
-        return self.entries[np.ix_(rows, cols)]
-
     def x2_block(self) -> np.ndarray:
         """The retained A22 block, entries a_ij for i, j > q."""
         x2 = self.grid.x2_axes
-        return self.block(x2, x2)
+        return self.entries[np.ix_(x2, x2)]
 
 
 def scaling_factors(ndim: int, q: int, epsilon: float) -> np.ndarray:
@@ -171,6 +168,18 @@ def _identity_field(grid: Grid) -> CoefficientField:
                             name="identity")
 
 
+def constant_ellipticity(matrix) -> float:
+    """Smallest eigenvalue of the symmetric part of a constant table.
+
+    It is the table's best ellipticity constant, and it must be positive.
+    """
+    mat = np.asarray(matrix, dtype=float)
+    lam = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
+    if lam <= 0:
+        raise ConfigError("constant table is not positive definite")
+    return lam
+
+
 def _constant_field(grid: Grid, matrix, lam: float | None = None
                     ) -> CoefficientField:
     mat = np.asarray(matrix, dtype=float)
@@ -179,9 +188,7 @@ def _constant_field(grid: Grid, matrix, lam: float | None = None
             f"constant table must be {grid.ndim} x {grid.ndim}, "
             f"got {mat.shape}")
     if lam is None:
-        lam = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-        if lam <= 0:
-            raise ConfigError("constant table is not positive definite")
+        lam = constant_ellipticity(mat)
     table = _constant_table(grid, mat)
     derivs = np.zeros_like(table)
     return CoefficientField(grid, table, lam=lam, derivs=derivs,

@@ -29,12 +29,7 @@ from .grid import Grid, ScalarField, grid_interior_slices
 __all__ = [
     "SparseOperator",
     "grad_axis",
-    "grad_x1",
-    "grad_x2",
     "hess_component",
-    "hess_x1",
-    "hess_x2",
-    "hess_x1x2",
     "assemble_operator",
     "assemble_flux_matrix",
     "operator_blocks",
@@ -66,16 +61,6 @@ def grad_axis(u: ScalarField, axis: int) -> ScalarField:
     sl_m[axis] = slice(0, n - 1)
     out[tuple(sl_c)] = (u.values[tuple(sl_p)] - u.values[tuple(sl_m)]) / (2 * h)
     return ScalarField(grid, out)
-
-
-def grad_x1(u: ScalarField) -> list[ScalarField]:
-    """Gradient components along the scaled axes (length q)."""
-    return [grad_axis(u, a) for a in u.grid.x1_axes]
-
-
-def grad_x2(u: ScalarField) -> list[ScalarField]:
-    """Gradient components along the retained axes (length N - q)."""
-    return [grad_axis(u, a) for a in u.grid.x2_axes]
 
 
 def hess_component(u: ScalarField, i: int, j: int) -> ScalarField:
@@ -132,30 +117,11 @@ def _offset(grid: Grid, base: tuple[slice, ...], e: np.ndarray
     return tuple(out)
 
 
-def hess_x1(u: ScalarField) -> list[list[ScalarField]]:
-    """q x q table of second differences along the scaled axes."""
-    axes = u.grid.x1_axes
-    return [[hess_component(u, i, j) for j in axes] for i in axes]
-
-
-def hess_x2(u: ScalarField) -> list[list[ScalarField]]:
-    """(N-q) x (N-q) table of second differences along the retained axes."""
-    axes = u.grid.x2_axes
-    return [[hess_component(u, i, j) for j in axes] for i in axes]
-
-
-def hess_x1x2(u: ScalarField) -> list[list[ScalarField]]:
-    """q x (N-q) table of mixed scaled/retained second differences."""
-    return [[hess_component(u, i, j) for j in u.grid.x2_axes]
-            for i in u.grid.x1_axes]
-
-
 @dataclass
 class SparseOperator:
     """Assembled operator over interior unknowns, row-major node order.
 
-    ``note`` records the assembly route; ``symmetric`` reflects exact
-    symmetry of the entry table.  ``axis_means[d]`` is the node mean of
+    ``symmetric`` reflects exact symmetry of the entry table.  ``axis_means[d]`` is the node mean of
     the diagonal entry a_dd: the constant table they form is what the CG
     preconditioner inverts.  The LU factorization is computed lazily and
     cached, so repeated solves (fixed-point iterations) reuse it.
@@ -164,7 +130,6 @@ class SparseOperator:
     matrix: sp.csr_matrix
     grid: Grid
     symmetric: bool
-    note: str
     axis_means: tuple[float, ...]
     _lu: spla.SuperLU | None = dc_field(default=None, repr=False)
 
@@ -297,10 +262,6 @@ def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
     return mat.tocsr()
 
 
-_FLUX_NOTE = ("flux form: face-averaged diagonal terms, "
-             "centered-composition mixed terms")
-
-
 def _axis_means(entries: np.ndarray) -> tuple[float, ...]:
     return tuple(float(entries[d, d].mean())
                  for d in range(entries.shape[0]))
@@ -315,7 +276,7 @@ def assemble_operator(grid: Grid,
     entries = coeffs.entries
     matrix = assemble_flux_matrix(grid.cells, grid.spacing, entries)
     return SparseOperator(matrix=matrix, grid=grid,
-                          symmetric=symmetric_table(entries), note=_FLUX_NOTE,
+                          symmetric=symmetric_table(entries),
                           axis_means=_axis_means(entries))
 
 
@@ -351,7 +312,7 @@ class OperatorBlocks:
                                shape=(n, n))
         means = tuple(float(m) for m in np.diag(fac) * self.axis_means)
         return SparseOperator(matrix=matrix, grid=self.grid,
-                              symmetric=self.symmetric, note=_FLUX_NOTE,
+                              symmetric=self.symmetric,
                               axis_means=means)
 
 

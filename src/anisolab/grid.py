@@ -104,16 +104,6 @@ class Grid:
         return tuple(self.lo[a] + index[a] * self.spacing[a]
                      for a in range(self.ndim))
 
-    def coordinate_index(self, point: Sequence[float]) -> tuple[int, ...]:
-        """Nearest node index for a point; inverse of node_coordinate on nodes."""
-        idx = []
-        for a in range(self.ndim):
-            i = int(round((point[a] - self.lo[a]) / self.spacing[a]))
-            if not 0 <= i <= self.cells[a]:
-                raise ConfigError(f"point {point} outside grid on axis {a}")
-            idx.append(i)
-        return tuple(idx)
-
 
 def make_grid(extents: Sequence[tuple[float, float]],
               cells: Sequence[int], q: int) -> Grid:

@@ -27,6 +27,7 @@ from .coefficients import CoefficientField
 from .errors import ConfigError, SolverError
 from .fd_ops import assemble_flux_matrix, factor_matrix, symmetric_table
 from .grid import Grid, ScalarField
+from .solver import relative_residual
 
 __all__ = ["solve_limit", "limit_operator", "LimitOperator",
            "iter_slice_systems"]
@@ -100,10 +101,6 @@ class LimitOperator:
         out[inner] = x.reshape(out[inner].shape)
         return ScalarField(self.grid, out)
 
-    def slice_norms(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean norm of each slice's part of a flat vector."""
-        return np.linalg.norm(x.reshape(self.n_slices, -1), axis=1)
-
     def slice_index(self, k: int) -> tuple[int, ...]:
         """X1 lattice index of slice number ``k``."""
         return tuple(int(i) for i in np.unravel_index(k, self.x1_nodes))
@@ -141,9 +138,7 @@ def solve_limit(grid: Grid, coeffs: CoefficientField, f: ScalarField,
     op = limit_operator(grid, coeffs)
     rhs = op.vector(f)
     x = op.lu.solve(rhs)
-    res = op.slice_norms(op.matrix @ x - rhs)
-    scale = op.slice_norms(rhs)
-    res = np.divide(res, scale, out=res, where=scale > 0)
+    res = relative_residual(op.matrix, x, rhs, op.n_slices)
     bad = np.flatnonzero(~(res <= tol))
     if bad.size:
         k = int(bad[0])

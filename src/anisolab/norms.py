@@ -3,23 +3,28 @@ interior-family metric.
 
 All norms are plain node sums weighted by the cell volume,
 ``sqrt(sum u_i^2 * prod h)``, over a mask (default: every interior node).
-The hierarchy is
+Every derivative seminorm is one ``block_seminorm(u, rows, cols, mask)``:
+the first differences along ``rows`` (``cols=None``) or the second
+differences over the ordered pairs ``rows x cols``; the named gradient
+and Hessian seminorms pick the X1, X2 or mixed block.  The hierarchy is
 
     l2  <=  v12 = (l2^2 + |grad_x2|^2)^(1/2)
         <=  v22(w) = (v12^2 + |hess_x2|^2_w)^(1/2)
 
 where only the Hessian block is mask-local; the lower-order terms are
-always taken over the whole interior.  The metric over a nested mask
-family sums 2^(-n) t_n / (1 + t_n) with t_n the v22 difference norm on
-mask n; with the default truncation depth of 20 the dropped tail is below
-2^(-19), and convergence in the metric is equivalent to convergence of the
-v22 norm on every mask of the family.
+always taken over the whole interior.  ``norm_bundle`` differences a
+field once and evaluates v22 on each distinct mask of a nested family
+once.  The metric sums 2^(-n) t_n / (1 + t_n) with t_n the v22 norm of
+the difference on mask n, read from the bundle of the difference; with
+the default truncation depth of 20 the dropped tail is below 2^(-19), and
+convergence in the metric is equivalent to convergence of the v22 norm on
+every mask of the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .grid import (NestedFamily, ScalarField, SubdomainMask,
 __all__ = [
     "l2_norm",
     "inner_product",
+    "block_seminorm",
     "grad_x1_seminorm",
     "grad_x2_seminorm",
     "hess_x1_seminorm",
@@ -64,47 +70,59 @@ def inner_product(u: ScalarField, v: ScalarField,
                  * u.grid.cell_volume)
 
 
-def _component_sq_sum(fields: Iterable[ScalarField],
-                      mask: SubdomainMask | None) -> float:
-    return sum(l2_norm(g, mask) ** 2 for g in fields)
+def _components(u: ScalarField, rows: Sequence[int],
+                cols: Sequence[int] | None) -> list[ScalarField]:
+    if cols is None:
+        return [grad_axis(u, a) for a in rows]
+    return [hess_component(u, i, j) for i in rows for j in cols]
+
+
+def _sq_sum(comps: Sequence[ScalarField],
+            mask: SubdomainMask | None) -> float:
+    return sum(l2_norm(g, mask) ** 2 for g in comps)
+
+
+def block_seminorm(u: ScalarField, rows: Sequence[int],
+                   cols: Sequence[int] | None,
+                   mask: SubdomainMask | None = None) -> float:
+    """Quadrature norm of one block of derivative components of ``u``.
+
+    With ``cols=None`` the components are the first differences along
+    ``rows``; otherwise the second differences over every ordered pair
+    in ``rows x cols``.  A square block (``rows == cols``) thus counts
+    both orders of each off-diagonal pair, a mixed block each pair once.
+    """
+    return float(np.sqrt(_sq_sum(_components(u, rows, cols), mask)))
 
 
 def grad_x1_seminorm(u: ScalarField,
                      mask: SubdomainMask | None = None) -> float:
     """sqrt(sum over scaled axes of |d_i u|^2)."""
-    comps = [grad_axis(u, a) for a in u.grid.x1_axes]
-    return float(np.sqrt(_component_sq_sum(comps, mask)))
+    return block_seminorm(u, u.grid.x1_axes, None, mask)
 
 
 def grad_x2_seminorm(u: ScalarField,
                      mask: SubdomainMask | None = None) -> float:
     """sqrt(sum over retained axes of |d_i u|^2)."""
-    comps = [grad_axis(u, a) for a in u.grid.x2_axes]
-    return float(np.sqrt(_component_sq_sum(comps, mask)))
+    return block_seminorm(u, u.grid.x2_axes, None, mask)
 
 
 def hess_x2_seminorm(u: ScalarField,
                      mask: SubdomainMask | None = None) -> float:
     """Full retained-axes Hessian block, ordered pairs both counted."""
-    axes = u.grid.x2_axes
-    comps = [hess_component(u, i, j) for i in axes for j in axes]
-    return float(np.sqrt(_component_sq_sum(comps, mask)))
+    return block_seminorm(u, u.grid.x2_axes, u.grid.x2_axes, mask)
 
 
 def hess_x1_seminorm(u: ScalarField,
                      mask: SubdomainMask | None = None) -> float:
     """Full scaled-axes Hessian block, ordered pairs both counted."""
-    axes = u.grid.x1_axes
-    comps = [hess_component(u, i, j) for i in axes for j in axes]
-    return float(np.sqrt(_component_sq_sum(comps, mask)))
+    return block_seminorm(u, u.grid.x1_axes, u.grid.x1_axes, mask)
 
 
 def hess_x1x2_seminorm(u: ScalarField,
                        mask: SubdomainMask | None = None) -> float:
     """Mixed block, each scaled/retained pair counted once."""
-    comps = [hess_component(u, i, j)
-             for i in u.grid.x1_axes for j in u.grid.x2_axes]
-    return float(np.sqrt(_component_sq_sum(comps, mask)))
+    return block_seminorm(u, u.grid.x1_axes, u.grid.x2_axes, mask)
 
 
 def v12_norm(u: ScalarField) -> float:
@@ -119,36 +137,39 @@ def v22_norm(u: ScalarField, mask: SubdomainMask) -> float:
 
 @dataclass
 class NormBundle:
-    """l2, v12 and the per-mask v22 values of one field."""
+    """l2, v12 and the v22 value on every distinct mask of a family."""
 
     l2: float
     v12: float
     v22_by_margin: dict[tuple[int, ...], float]
 
-    def max_v22(self) -> float:
-        return max(self.v22_by_margin.values())
-
 
 def norm_bundle(u: ScalarField, family: NestedFamily) -> NormBundle:
-    base_l2 = l2_norm(u)
+    """l2, v12 and the per-mask v22 values, each mask summed once.
+
+    The retained Hessian components are differenced once; a family that
+    repeats its largest mask adds no further quadrature.
+    """
     base_v12 = v12_norm(u)
     axes = u.grid.x2_axes
-    comps = [hess_component(u, i, j) for i in axes for j in axes]
-    v22 = {}
+    comps = _components(u, axes, axes)
+    v22: dict[tuple[int, ...], float] = {}
     for mask in family:
-        hess_sq = _component_sq_sum(comps, mask)
-        v22[mask.margins] = float(np.sqrt(base_v12 ** 2 + hess_sq))
-    return NormBundle(l2=base_l2, v12=base_v12, v22_by_margin=v22)
+        if mask.margins not in v22:
+            v22[mask.margins] = float(np.sqrt(
+                base_v12 ** 2 + _sq_sum(comps, mask)))
+    return NormBundle(l2=l2_norm(u), v12=base_v12, v22_by_margin=v22)
 
 
 def frechet_distance(u: ScalarField, v: ScalarField, family: NestedFamily,
                      n_max: int | None = None) -> float:
     """Truncated series  sum_n 2^(-n) t_n / (1 + t_n)  over the family.
 
-    ``t_n`` is the v22 norm of ``u - v`` on mask n.  When the family is
-    shorter than the truncation depth its largest mask repeats, matching
-    the constant tail of the standard exhaustion.  The dropped tail is
-    bounded by 2^(-n_max + 1).
+    ``t_n`` is the v22 norm of ``u - v`` on mask n, read from the norm
+    bundle of the difference.  When the family is shorter than the
+    truncation depth its largest mask repeats, matching the constant
+    tail of the standard exhaustion.  The dropped tail is bounded by
+    2^(-n_max + 1).
     """
     if v.grid != u.grid:
         raise ConfigError("fields live on different grids")
@@ -156,19 +177,9 @@ def frechet_distance(u: ScalarField, v: ScalarField, family: NestedFamily,
         n_max = max(len(family), 20)
     if n_max < 1:
         raise ConfigError(f"truncation depth must be >= 1, got {n_max}")
-    diff = u - v
-    lower_sq = v12_norm(diff) ** 2
-    axes = diff.grid.x2_axes
-    comps = [hess_component(diff, i, j) for i in axes for j in axes]
-    total = 0.0
-    t_last = None
-    for n in range(n_max):
-        if n < len(family):
-            t_last = float(np.sqrt(
-                lower_sq + _component_sq_sum(comps, family[n])))
-        t = t_last
-        total += 2.0 ** (-n) * t / (1.0 + t)
-    return total
+    v22 = norm_bundle(u - v, family).v22_by_margin
+    t = [v22[family[min(n, len(family) - 1)].margins] for n in range(n_max)]
+    return sum(2.0 ** (-n) * t_n / (1.0 + t_n) for n, t_n in enumerate(t))
 
 
 def translation_modulus(fields: Sequence[ScalarField], mask: SubdomainMask,

@@ -25,6 +25,7 @@ from .errors import ConfigError, SolverError
 from .fd_ops import SparseOperator
 from .grid import Grid, ScalarField
 from .limit import limit_operator
+from .solver import relative_residual
 
 __all__ = [
     "Nonlinearity",
@@ -123,11 +124,6 @@ def _picard_core(solve: Callable[[np.ndarray], np.ndarray],
         last_increment=float(increments[-1][k]) if increments else None)
 
 
-def _relative_residual(matrix, u: np.ndarray, rhs_total: np.ndarray) -> float:
-    scale = max(float(np.linalg.norm(rhs_total)), 1e-300)
-    return float(np.linalg.norm(matrix @ u - rhs_total)) / scale
-
-
 def picard_solve(op: SparseOperator, f: ScalarField, a: Nonlinearity,
                  damping: float = 0.5, tol: float = 1e-10,
                  max_iter: int = 200) -> PicardResult:
@@ -138,7 +134,7 @@ def picard_solve(op: SparseOperator, f: ScalarField, a: Nonlinearity,
     weight = float(np.sqrt(op.grid.cell_volume))
     u, iters, increments = _picard_core(
         op.factor().solve, rhs, a, weight, damping, tol, max_iter)
-    res = _relative_residual(op.matrix, u, rhs + a(u))
+    res = float(relative_residual(op.matrix, u, rhs + a(u))[0])
     return PicardResult(
         field=ScalarField.from_interior(op.grid, u),
         iterations=int(iters[0]), final_increment=float(increments[-1, 0]),
@@ -163,9 +159,7 @@ def semilinear_limit(grid: Grid, coeffs: CoefficientField, f: ScalarField,
     u, iters, increments = _picard_core(
         op.lu.solve, rhs, a, weight, damping, tol, max_iter,
         blocks=op.n_slices, where=lambda k: f"slice {op.slice_index(k)}: ")
-    total = rhs + a(u)
-    res = op.slice_norms(op.matrix @ u - total) / np.maximum(
-        op.slice_norms(total), 1e-300)
+    res = relative_residual(op.matrix, u, rhs + a(u), op.n_slices)
     worst = int(np.flatnonzero(iters == iters.max())[-1])
     final = increments[iters - 1, np.arange(op.n_slices)]
     return PicardResult(

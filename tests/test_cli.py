@@ -153,6 +153,29 @@ class TestFourierCheck:
         rc = main(["fourier-check", "--config", cfg, "--out", str(out)])
         assert rc == 0
 
+    def test_constant_lam_matches_coefficient_table(self, tmp_path,
+                                                    monkeypatch):
+        # without a declared lam, fourier-check and the coefficient table
+        # derive the same constant from the matrix
+        import anisolab.cli as cli
+        from anisolab import StudyConfig
+        cfg = write_cfg(tmp_path, FOURIER_CFG + "\n[coefficients]\n"
+                        "family = constant\nmatrix = 2 0.5 ; 0.5 1\n")
+        seen = set()
+        check = cli.check_constant_bounds
+
+        def recording(matrix, lam, *args, **kwargs):
+            seen.add(lam)
+            return check(matrix, lam, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_constant_bounds", recording)
+        assert main(["fourier-check", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 0
+        config = StudyConfig.from_file(cfg)
+        table = config.build_coefficients(config.build_grid())
+        assert seen == {table.lam}
+        assert table.lam == pytest.approx(1.5 - np.sqrt(0.5), rel=1e-15)
+
     def test_variable_family_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, FOURIER_CFG + "\n[coefficients]\n"
                         "family = variable\n")

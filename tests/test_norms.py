@@ -6,9 +6,11 @@ from anisolab import (ConfigError, NestedFamily, ScalarField, ShiftError,
                       frechet_distance, interior_subdomain, l2_norm,
                       make_grid, nested_family, norm_bundle,
                       translation_modulus, v12_norm, v22_norm)
-from anisolab.norms import (grad_x1_seminorm, grad_x2_seminorm,
-                            hess_x1_seminorm, hess_x1x2_seminorm,
-                            hess_x2_seminorm, inner_product)
+from anisolab.grid import SubdomainMask
+from anisolab.norms import (block_seminorm, grad_x1_seminorm,
+                            grad_x2_seminorm, hess_x1_seminorm,
+                            hess_x1x2_seminorm, hess_x2_seminorm,
+                            inner_product)
 
 from conftest import random_field
 
@@ -117,6 +119,30 @@ class TestSeminorms:
         assert hess_x1x2_seminorm(u) == pytest.approx(np.sqrt(sq),
                                                       rel=1e-12)
 
+    def test_block_seminorm_counts_ordered_pairs(self):
+        # 3-D, q=2: the X1 block sums all four ordered pairs, the mixed
+        # block the two (x1, x2) pairs, each named seminorm is one block
+        from anisolab.fd_ops import grad_axis, hess_component
+        g = make_grid([(0, 1)] * 3, (6, 6, 6), q=2)
+        u = seeded_field(g, 17)
+        m = interior_subdomain(g, 2)
+
+        def ref(comps, mask=None):
+            return np.sqrt(sum(l2_norm(c, mask) ** 2 for c in comps))
+
+        x1, x2 = g.x1_axes, g.x2_axes
+        hess = {(i, j): hess_component(u, i, j)
+                for i in range(3) for j in range(3)}
+        assert block_seminorm(u, x1, None) == ref(
+            [grad_axis(u, a) for a in x1]) == grad_x1_seminorm(u)
+        assert block_seminorm(u, x2, None) == grad_x2_seminorm(u)
+        assert block_seminorm(u, x1, x1, m) == ref(
+            [hess[0, 0], hess[0, 1], hess[1, 0], hess[1, 1]], m) \
+            == hess_x1_seminorm(u, m)
+        assert block_seminorm(u, x1, x2, m) == ref(
+            [hess[0, 2], hess[1, 2]], m) == hess_x1x2_seminorm(u, m)
+        assert block_seminorm(u, x2, x2, m) == hess_x2_seminorm(u, m)
+
     def test_hess_x1_is_scaled_axes_block(self, unit_square):
         g = unit_square(8)
         u = ScalarField.from_function(g, lambda x, y: x ** 2)
@@ -174,10 +200,49 @@ class TestCompositeNorms:
         for m in fam:
             assert b.v22_by_margin[m.margins] == pytest.approx(
                 v22_norm(u, m), rel=1e-13)
-        assert b.max_v22() == max(b.v22_by_margin.values())
+
+    def test_bundle_sums_each_distinct_mask_once(self, unit_square,
+                                                  monkeypatch):
+        # a 32-cell grid clamps the 20-mask family at margin 1 after
+        # three halvings: four distinct masks, each read once per
+        # retained Hessian component
+        g = unit_square(32)
+        fam = nested_family(g, 20)
+        assert len(fam) == 20 and len(set(fam.margins)) == 4
+        reads: dict = {}
+        extract = SubdomainMask.extract
+
+        def counting(mask, u):
+            reads[mask.margins] = reads.get(mask.margins, 0) + 1
+            return extract(mask, u)
+
+        monkeypatch.setattr(SubdomainMask, "extract", counting)
+        b = norm_bundle(seeded_field(g, 8), fam)
+        assert len(b.v22_by_margin) == 4
+        assert reads == {m.margins: len(g.x2_axes) ** 2 for m in fam}
 
 
 class TestFrechet:
+    def test_series_read_from_difference_bundle(self, unit_square,
+                                                monkeypatch):
+        # one bundle of u - v, no mask pass of its own, and the same sum
+        # in the same order as the series written out
+        import anisolab.norms as norms
+        g = unit_square(16)
+        u, v = seeded_field(g, 5), seeded_field(g, 55)
+        fam = nested_family(g, 3)
+        v22 = norm_bundle(u - v, fam).v22_by_margin
+        manual = 0.0
+        for n in range(7):
+            t = v22[fam[min(n, len(fam) - 1)].margins]
+            manual += 2.0 ** -n * t / (1.0 + t)
+        calls = []
+        bundle = norms.norm_bundle
+        monkeypatch.setattr(norms, "norm_bundle",
+                            lambda *a: calls.append(a) or bundle(*a))
+        assert frechet_distance(u, v, fam, n_max=7) == manual
+        assert len(calls) == 1
+
     def test_identical_fields_distance_zero(self, unit_square):
         g = unit_square(16)
         u = seeded_field(g, 2)

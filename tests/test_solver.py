@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 import anisolab.solver
@@ -10,7 +11,8 @@ from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
                       make_grid, scale_coefficients, solve_dirichlet,
                       solver_diagnostics)
-from anisolab.solver import fast_diagonal_preconditioner, sine_transform
+from anisolab.solver import (fast_diagonal_preconditioner, relative_residual,
+                             sine_transform)
 
 from test_fd_ops import sine_eigenvector
 
@@ -75,6 +77,25 @@ class TestDirect:
         g, op = laplace_setup(4)
         with pytest.raises(ConfigError):
             solve_dirichlet(op, ScalarField.zeros(g), method="gmres")
+
+
+class TestRelativeResidual:
+    def test_zero_rhs_block_is_absolute(self, rng):
+        # two blocks: the first has a zero right-hand side and keeps the
+        # absolute residual |A x|, the second is divided by |b|
+        g, op = laplace_setup(6)
+        n = op.n_unknowns
+        a = scipy.sparse.block_diag([op.matrix, op.matrix]).tocsr()
+        x = rng.standard_normal(2 * n)
+        b = np.concatenate([np.zeros(n), rng.standard_normal(n)])
+        r = a @ x - b
+        got = relative_residual(a, x, b, blocks=2)
+        assert got[0] == pytest.approx(np.linalg.norm(r[:n]), rel=1e-14)
+        assert got[1] == pytest.approx(
+            np.linalg.norm(r[n:]) / np.linalg.norm(b[n:]), rel=1e-14)
+        whole = relative_residual(a, x, np.zeros(2 * n))
+        assert whole.shape == (1,)
+        assert whole[0] == pytest.approx(np.linalg.norm(a @ x), rel=1e-14)
 
 
 class TestCG:

@@ -140,6 +140,33 @@ class TestRunSweep:
         assert rep.error is not None and "epsilon=1.0" in rep.error
         assert rep.rows == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_cancels_rows_not_started(self, monkeypatch, workers):
+        # the first row fails at once, every other row takes a while: only
+        # rows already running when the failure is read get solved
+        import time
+        import anisolab.study as study
+        from anisolab import SolverError
+        real = study._sweep_row
+        started = []
+
+        def row(config, blocks, f, u_limit, mask, family, nonlinearity,
+                epsilon):
+            started.append(epsilon)
+            if epsilon == 1.0:
+                raise SolverError("stub failure")
+            time.sleep(0.05)
+            return real(config, blocks, f, u_limit, mask, family,
+                        nonlinearity, epsilon)
+
+        monkeypatch.setattr(study, "_sweep_row", row)
+        eps = [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
+        rep = run_sweep(small_config(epsilons=eps, workers=workers))
+        assert not rep.complete and rep.rows == [] and rep.u_eps == []
+        assert rep.error == "epsilon=1.0: stub failure"
+        assert started[0] == 1.0
+        assert len(started) <= workers + 1 < len(eps)
+
     def test_metadata_recorded(self):
         rep = run_sweep(small_config(margin=3, nested=2))
         assert rep.mask_margin == 3
