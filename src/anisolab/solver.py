@@ -6,7 +6,9 @@ tables are factored in symmetric mode with minimum-degree ordering of
 ``A + A^T`` and diagonal pivots, other tables with COLAMD and partial
 pivoting (see ``fd_ops.factor_matrix``).  The secondary route is conjugate
 gradients with a hard iteration cap of ``20 * sqrt(unknowns)``; it also
-serves the SPD floor probe.
+serves the SPD floor probe.  scipy's CG stops on its recurrence residual;
+when the true residual misses ``tol`` there, CG restarts from the iterate
+with the iterations left.
 
 CG is preconditioned by fast diagonalization (Lynch, Rice & Thomas 1964):
 the preconditioner is the constant-coefficient operator whose table is
@@ -106,6 +108,33 @@ def fast_diagonal_preconditioner(op: SparseOperator) -> spla.LinearOperator:
     return spla.LinearOperator((n, n), matvec=solve)
 
 
+def _cg(op: SparseOperator, b: np.ndarray, tol: float,
+        maxiter_factor: float) -> tuple[np.ndarray, float]:
+    """Preconditioned CG within ``ceil(maxiter_factor * sqrt(n))`` steps;
+    returns the iterate and its true relative residual."""
+    maxiter = int(np.ceil(maxiter_factor * np.sqrt(op.n_unknowns)))
+    M = fast_diagonal_preconditioner(op)
+    x, used = None, 0
+
+    def count(_):
+        nonlocal used
+        used += 1
+
+    while True:
+        start = used
+        x, info = spla.cg(op.matrix, b, x0=x, rtol=tol, atol=0.0,
+                          maxiter=maxiter - used, M=M, callback=count)
+        if info < 0:
+            raise SolverError(f"cg failed with code {info}")
+        res = float(relative_residual(op.matrix, x, b)[0])
+        # a restart that takes no step cannot get any closer
+        if res <= tol or used == start:
+            return x, res
+        if info > 0:
+            raise SolverError(f"cg exhausted {maxiter} iterations",
+                              residual=res)
+
+
 def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
                     method: str = "direct",
                     maxiter_factor: float = 20.0) -> ScalarField:
@@ -120,23 +149,13 @@ def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
     b = f.interior_vector()
     if method == "direct":
         x = op.factor().solve(b)
+        res = float(relative_residual(op.matrix, x, b)[0])
     elif method == "cg":
         if not op.symmetric:
             raise ConfigError("cg path requires a symmetric operator")
-        n = op.n_unknowns
-        maxiter = int(np.ceil(maxiter_factor * np.sqrt(n)))
-        x, info = spla.cg(op.matrix, b, rtol=tol, atol=0.0,
-                          maxiter=maxiter,
-                          M=fast_diagonal_preconditioner(op))
-        if info > 0:
-            raise SolverError(
-                f"cg exhausted {maxiter} iterations",
-                residual=float(relative_residual(op.matrix, x, b)[0]))
-        if info < 0:
-            raise SolverError(f"cg failed with code {info}")
+        x, res = _cg(op, b, tol, maxiter_factor)
     else:
         raise ConfigError(f"unknown solver method '{method}'")
-    res = float(relative_residual(op.matrix, x, b)[0])
     if not res <= tol:
         raise SolverError(
             f"{method} solve missed tolerance {tol:g}", residual=res)

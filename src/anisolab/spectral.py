@@ -3,15 +3,20 @@
 Everything lives on a periodic lattice with integer frequencies (numpy fft
 layout) and the unitary DFT convention, so the lattice l2 norm of samples
 and coefficients agree exactly and every reported quantity is a clean
-norm ratio.  For the constant-coefficient operator with the anisotropic
-scaling the symbol is  s(xi) = sum_ij a_ij^eps xi_i xi_j  and the solve is
-a pointwise division; the three weighted ratios
+norm ratio.  Each axis's frequencies stay 1-D, shaped to broadcast.  For
+the constant-coefficient operator with the anisotropic scaling the symbol
+s(xi) = sum_ij a_ij^eps xi_i xi_j is summed over those axes (the identity
+table is the diagonal case) and the solve divides by it, with s = +inf at
+the origin; the three weighted ratios
 
     r_x2    = lam * |xi2|^2-weighted Hessian norm / forcing norm
     r_x1    = lam * eps^2 * |xi1|^2-weighted Hessian norm / forcing norm
     r_cross = lam * sqrt(2) * eps * mixed-weighted norm / forcing norm
 
-must each stay below one (lam = 1 for the pure Laplacian case).
+must each stay below one (lam = 1 for the pure Laplacian case).  Their
+squared Hessian norms weight |u|^2 by w2^2, w1^2 and w1 w2 (w1 = |xi1|^2,
+w2 = |xi2|^2); with |u|^2 as a matrix P over (X1 modes, X2 modes) they are
+colsum(P) . w2^2, w1^2 . rowsum(P) and w1 . P w2.
 """
 
 from __future__ import annotations
@@ -66,12 +71,12 @@ class SpectralField:
 
     def frequencies(self) -> list[np.ndarray]:
         """Signed integer frequency grid per axis, broadcast to full shape."""
-        axes = [np.fft.fftfreq(m) * m for m in self.shape]
-        return list(np.meshgrid(*axes, indexing="ij"))
+        return [np.broadcast_to(k, self.shape).copy()
+                for k in _frequencies(self.shape)]
 
     def norm(self) -> float:
         """Lattice l2 norm; equals the sample norm under the unitary DFT."""
-        return float(np.linalg.norm(self.coeffs))
+        return float(np.sqrt(np.vdot(self.coeffs, self.coeffs).real))
 
     def mean_mode(self) -> complex:
         return complex(self.coeffs[(0,) * self.ndim])
@@ -98,36 +103,37 @@ class SpectralField:
         return out.real
 
 
-def _split_weights(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """(|xi1|^2, |xi2|^2) on the lattice."""
-    freqs = field.frequencies()
-    w1 = np.zeros(field.shape)
-    w2 = np.zeros(field.shape)
-    for a in range(field.ndim):
-        if a < field.q:
-            w1 += freqs[a] ** 2
-        else:
-            w2 += freqs[a] ** 2
-    return w1, w2
+def _frequencies(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Signed integer frequencies per axis, 1-D and broadcastable (np.ix_)."""
+    return np.ix_(*(np.rint(np.fft.fftfreq(m) * m) for m in shape))
+
+
+def _split_weights(shape: tuple[int, ...],
+                   q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(|xi1|^2, |xi2|^2), broadcast over the X1 and the X2 axes."""
+    sq = [k ** 2 for k in _frequencies(shape)]
+    return sum(sq[:q]), sum(sq[q:])
 
 
 def _symbol(field: SpectralField, matrix: np.ndarray | None,
             epsilon: float) -> np.ndarray:
-    """Constant-coefficient operator symbol sum_ij a_ij^eps xi_i xi_j."""
-    if matrix is None:
-        w1, w2 = _split_weights(field)
-        return epsilon ** 2 * w1 + w2
+    """Operator symbol sum_ij a_ij^eps xi_i xi_j (None: identity table)."""
     ndim = field.ndim
-    mat = np.asarray(matrix, dtype=float)
+    mat = np.eye(ndim) if matrix is None else np.asarray(matrix, dtype=float)
     if mat.shape != (ndim, ndim):
         raise ConfigError(f"matrix must be {ndim} x {ndim}")
     scaled = mat * scaling_factors(ndim, field.q, epsilon)
-    freqs = field.frequencies()
-    sym = np.zeros(field.shape)
-    for i in range(ndim):
-        for j in range(ndim):
-            if scaled[i, j]:
-                sym += scaled[i, j] * freqs[i] * freqs[j]
+    # row d = a_dd xi_d + sum_{j<d} (a_jd + a_dj) xi_j spans axes 0..d, so
+    # only the last is full size; it is scaled and summed in place
+    k = _frequencies(field.shape)
+    sym = 0.0
+    for d in range(ndim):
+        row = scaled[d, d] * k[d]
+        for j in range(d):
+            row = row + (scaled[j, d] + scaled[d, j]) * k[j]
+        row *= k[d]
+        row += sym
+        sym = row
     return sym
 
 
@@ -142,14 +148,12 @@ def torus_solve(f: SpectralField, epsilon: float,
             "forcing has a nonzero mean mode; the periodic problem is "
             "only solvable with zero mean")
     sym = _symbol(f, matrix, epsilon)
-    origin = (0,) * f.ndim
-    off = np.ones(f.shape, dtype=bool)
-    off[origin] = False
-    if np.any(sym[off] <= 0):
+    if not np.isfinite(sym).all():
+        raise ConfigError("operator symbol is not finite")
+    sym[(0,) * f.ndim] = np.inf
+    if not sym.min() > 0:
         raise ConfigError("operator symbol is not positive off the origin")
-    u = np.zeros_like(f.coeffs)
-    u[off] = f.coeffs[off] / sym[off]
-    return SpectralField(u, f.q)
+    return SpectralField(f.coeffs * np.reciprocal(sym, out=sym), f.q)
 
 
 @dataclass
@@ -182,37 +186,37 @@ class BoundReport:
         return max(self.r_x2, self.r_x1, self.r_cross)
 
 
-def _bound_report(f: SpectralField, u: SpectralField, epsilon: float,
-                  lam: float, tol: float) -> BoundReport:
-    w1, w2 = _split_weights(f)
-    power = np.abs(u.coeffs) ** 2
+def _bound_report(f: SpectralField, epsilon: float, matrix: np.ndarray | None,
+                  lam: float, tol: float, strict: bool,
+                  label: str) -> BoundReport:
+    """Solve, then the ratio triple; ``strict`` raises on a failed bound."""
+    u = torus_solve(f, epsilon, matrix=matrix)
     f_norm = f.norm()
     if f_norm == 0.0:
         raise ConfigError("zero forcing has no bound ratio")
-    # block Hessian norms: sum over index pairs gives (|xi2|^2)^2, (|xi1|^2)^2
-    # and |xi1|^2 |xi2|^2 as spectral weights
-    hess_x2 = float(np.sqrt(np.sum(w2 ** 2 * power)))
-    hess_x1 = float(np.sqrt(np.sum(w1 ** 2 * power)))
-    hess_cr = float(np.sqrt(np.sum(w1 * w2 * power)))
-    return BoundReport(
+    w1, w2 = (w.ravel() for w in _split_weights(f.shape, f.q))
+    power = (np.abs(u.coeffs) ** 2).reshape(w1.size, -1)
+    hess_x2 = float(np.sqrt(power.sum(axis=0) @ w2 ** 2))
+    hess_x1 = float(np.sqrt(w1 ** 2 @ power.sum(axis=1)))
+    hess_cr = float(np.sqrt(w1 @ power @ w2))
+    report = BoundReport(
         epsilon=epsilon,
         r_x2=lam * hess_x2 / f_norm,
         r_x1=lam * epsilon ** 2 * hess_x1 / f_norm,
         r_cross=lam * np.sqrt(2.0) * epsilon * hess_cr / f_norm,
         tol=tol)
+    if strict and not report.passed:
+        raise BoundViolation(
+            f"{label} violated at epsilon={epsilon}: max ratio "
+            f"{report.max_ratio():.12f} > 1 + {tol:g}")
+    return report
 
 
 def check_laplacian_bounds(f: SpectralField, epsilon: float,
                            tol: float = DEFAULT_TOL,
                            strict: bool = True) -> BoundReport:
     """Bound triple for the pure anisotropic Laplacian (identity table)."""
-    u = torus_solve(f, epsilon)
-    report = _bound_report(f, u, epsilon, lam=1.0, tol=tol)
-    if strict and not report.passed:
-        raise BoundViolation(
-            f"bound violated at epsilon={epsilon}: max ratio "
-            f"{report.max_ratio():.12f} > 1 + {tol:g}")
-    return report
+    return _bound_report(f, epsilon, None, 1.0, tol, strict, "bound")
 
 
 def check_constant_bounds(matrix: np.ndarray, lam: float, f: SpectralField,
@@ -225,13 +229,8 @@ def check_constant_bounds(matrix: np.ndarray, lam: float, f: SpectralField,
     """
     if lam <= 0:
         raise ConfigError(f"ellipticity constant must be > 0, got {lam}")
-    u = torus_solve(f, epsilon, matrix=matrix)
-    report = _bound_report(f, u, epsilon, lam=lam, tol=tol)
-    if strict and not report.passed:
-        raise BoundViolation(
-            f"weighted bound violated at epsilon={epsilon}: max ratio "
-            f"{report.max_ratio():.12f} > 1 + {tol:g}")
-    return report
+    return _bound_report(f, epsilon, matrix, lam, tol, strict,
+                         "weighted bound")
 
 
 def random_zero_mean_forcing(shape: tuple[int, ...], q: int,
@@ -246,7 +245,7 @@ def random_zero_mean_forcing(shape: tuple[int, ...], q: int,
 
 def restrict_to_zero_x1(f: SpectralField) -> SpectralField:
     """Keep only modes with xi1 = 0 (tight case for the retained-axes bound)."""
-    w1, _ = _split_weights(f)
+    w1, _ = _split_weights(f.shape, f.q)
     coeffs = np.where(w1 == 0, f.coeffs, 0.0)
     out = SpectralField(coeffs, f.q)
     if out.norm() == 0.0:

@@ -148,6 +148,80 @@ class _CountingLinalg:
         return spla.cg(*args, callback=counting, **kwargs)
 
 
+class _DriftingLinalg:
+    """Stands in for ``scipy.sparse.linalg`` inside ``anisolab.solver``.
+
+    Its ``cg`` runs scipy's, then for the first ``drifting`` calls adds a
+    step of residual ``2 * rtol * |b|`` to the iterate, so a converged one
+    ends 1-3 times ``rtol`` from ``b``, as a drifting recurrence residual
+    can leave it.  With ``stall``, calls
+    after the first report convergence without a step.  It records each
+    ``x0``.
+    """
+
+    def __init__(self, drifting, stall=False):
+        self.drifting = drifting
+        self.stall = stall
+        self.x0s = []
+        self.iterations = 0
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+    def cg(self, A, b, x0=None, rtol=None, callback=None, **kwargs):
+        self.x0s.append(None if x0 is None else x0.copy())
+        if self.stall and x0 is not None:
+            return x0, 0
+
+        def counting(xk):
+            self.iterations += 1
+            callback(xk)
+        x, info = spla.cg(A, b, x0=x0, rtol=rtol, callback=counting,
+                          **kwargs)
+        if len(self.x0s) <= self.drifting:
+            e = np.zeros_like(x)
+            e[len(x) // 2] = 1.0
+            x = x + 2 * rtol * np.linalg.norm(b) / np.linalg.norm(A @ e) * e
+        return x, info
+
+
+class TestCGRestart:
+    def variable_setup(self, n):
+        g = make_grid([(0, 1), (0, 1)], (n, n), q=1)
+        op = assemble_operator(g, coefficient_family("variable", g))
+        return op, forcing_field("sine_product", g)
+
+    def test_drifted_iterate_is_continued(self, monkeypatch):
+        op, f = self.variable_setup(32)
+        fake = _DriftingLinalg(drifting=1)
+        monkeypatch.setattr(anisolab.solver, "spla", fake)
+        u = solve_dirichlet(op, f, tol=1e-10, method="cg")
+        assert len(fake.x0s) == 2 and fake.x0s[0] is None
+        b = f.interior_vector()
+        assert relative_residual(op.matrix, fake.x0s[1], b)[0] > 1e-10
+        assert relative_residual(op.matrix, u.interior_vector(), b)[0] \
+            <= 1e-10
+        assert fake.iterations <= np.ceil(20 * np.sqrt(op.n_unknowns))
+
+    def test_raises_once_budget_spent(self, monkeypatch):
+        op, f = self.variable_setup(16)
+        fake = _DriftingLinalg(drifting=np.inf)
+        monkeypatch.setattr(anisolab.solver, "spla", fake)
+        with pytest.raises(SolverError) as err:
+            solve_dirichlet(op, f, tol=1e-10, method="cg", maxiter_factor=2)
+        assert len(fake.x0s) > 2
+        assert fake.iterations == np.ceil(2 * np.sqrt(op.n_unknowns))
+        assert err.value.residual > 1e-10
+
+    def test_restart_without_a_step_stops(self, monkeypatch):
+        op, f = self.variable_setup(16)
+        fake = _DriftingLinalg(drifting=np.inf, stall=True)
+        monkeypatch.setattr(anisolab.solver, "spla", fake)
+        with pytest.raises(SolverError, match="missed tolerance"):
+            solve_dirichlet(op, f, tol=1e-10, method="cg")
+        assert len(fake.x0s) == 2
+
+
 class TestFastDiagonalization:
     @pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 6)])
     def test_sine_transform_orthonormal_involution(self, shape, rng):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from anisolab import (BoundViolation, ConfigError, SpectralField,
                       check_constant_bounds, check_laplacian_bounds,
                       random_zero_mean_forcing, restrict_to_zero_x1,
                       torus_solve)
+from anisolab.coefficients import scaling_factors
 
 MATRIX = np.array([[2.0, 0.5], [0.5, 1.0]])
 LAM = 1.5 - np.sqrt(0.5)  # smallest eigenvalue of MATRIX
@@ -77,6 +79,16 @@ class TestTorusSolve:
         f = random_zero_mean_forcing((12, 12), 1, rng)
         u = torus_solve(f, 0.1)
         u.to_physical()  # raises if the Hermitian symmetry broke
+
+    def test_nan_table_rejected(self, rng):
+        # NaN passes a "symbol <= 0" test, so it needs its own check
+        f = random_zero_mean_forcing((8, 8), 1, rng)
+        matrix = MATRIX.copy()
+        matrix[0, 1] = np.nan
+        with pytest.raises(ConfigError, match="not finite"):
+            torus_solve(f, 0.5, matrix=matrix)
+        with pytest.raises(ConfigError, match="not finite"):
+            check_constant_bounds(matrix, LAM, f, 0.5)
 
 
 class TestLaplacianBounds:
@@ -165,6 +177,73 @@ class TestConstantBounds:
         f = single_mode((8, 8), (1, 1))
         with pytest.raises(ConfigError):
             check_constant_bounds(MATRIX, 0.0, f, 0.5)
+
+
+def reference_symbol(shape, q, matrix, eps):
+    """Symbol on full meshgrids, the identity table by its own formula."""
+    freqs = np.meshgrid(*[np.fft.fftfreq(m) * m for m in shape],
+                        indexing="ij")
+    if matrix is None:
+        w1 = sum(freqs[a] ** 2 for a in range(q))
+        w2 = sum(freqs[a] ** 2 for a in range(q, len(shape)))
+        return eps ** 2 * w1 + w2
+    scaled = matrix * scaling_factors(len(shape), q, eps)
+    sym = np.zeros(shape)
+    for i in range(len(shape)):
+        for j in range(len(shape)):
+            if scaled[i, j]:
+                sym += scaled[i, j] * freqs[i] * freqs[j]
+    return sym
+
+
+def reference_solve(f, eps, matrix):
+    """Masked division off the origin, origin left at zero."""
+    sym = reference_symbol(f.shape, f.q, matrix, eps)
+    off = np.ones(f.shape, dtype=bool)
+    off[(0,) * f.ndim] = False
+    u = np.zeros_like(f.coeffs)
+    u[off] = f.coeffs[off] / sym[off]
+    return u
+
+
+def reference_ratios(f, u, eps, lam):
+    """(r_x2, r_x1, r_cross) from full weight arrays."""
+    freqs = np.meshgrid(*[np.fft.fftfreq(m) * m for m in f.shape],
+                        indexing="ij")
+    w1 = sum(freqs[a] ** 2 for a in range(f.q))
+    w2 = sum(freqs[a] ** 2 for a in range(f.q, f.ndim))
+    power = np.abs(u) ** 2
+    f_norm = np.linalg.norm(f.coeffs)
+    return (lam * np.sqrt(np.sum(w2 ** 2 * power)) / f_norm,
+            lam * eps ** 2 * np.sqrt(np.sum(w1 ** 2 * power)) / f_norm,
+            lam * np.sqrt(2.0) * eps * np.sqrt(np.sum(w1 * w2 * power))
+            / f_norm)
+
+
+class TestKernelMatchesReference:
+    """The broadcast kernel against the written-out meshgrid formulas."""
+
+    @given(st.sampled_from([(2, 1), (3, 1), (3, 2)]),
+           st.lists(st.integers(3, 10), min_size=3, max_size=3),
+           st.booleans(), st.floats(1e-3, 1.0), st.integers(0, 2 ** 32))
+    def test_solve_and_ratios(self, split, sizes, identity, eps, seed):
+        ndim, q = split
+        rng = np.random.default_rng(seed)
+        f = random_zero_mean_forcing(tuple(sizes[:ndim]), q, rng)
+        if identity:
+            matrix, lam = None, 1.0
+            rep = check_laplacian_bounds(f, eps, strict=False)
+        else:
+            b = rng.standard_normal((ndim, ndim))
+            matrix = b @ b.T + ndim * np.eye(ndim)
+            lam = float(np.linalg.eigvalsh(matrix)[0])
+            rep = check_constant_bounds(matrix, lam, f, eps, strict=False)
+        u = torus_solve(f, eps, matrix=matrix).coeffs
+        ref = reference_solve(f, eps, matrix)
+        assert np.abs(u - ref).max() <= 1e-14 * np.abs(ref).max()
+        got = (rep.r_x2, rep.r_x1, rep.r_cross)
+        for r, r_ref in zip(got, reference_ratios(f, ref, eps, lam)):
+            assert r == pytest.approx(r_ref, rel=1e-13, abs=0.0)
 
 
 class TestRandomForcing:
