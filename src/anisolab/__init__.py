@@ -9,10 +9,9 @@ that approach quantitatively, plus a CLI for scripted studies.
 """
 
 from .config import StudyConfig, load_config
-from .coefficients import (CoefficientField, ScaledCoefficientField,
-                           coefficient_family, observed_ellipticity,
-                           scale_coefficients, scaling_factors,
-                           verify_ellipticity)
+from .coefficients import (CoefficientField, coefficient_family,
+                           observed_ellipticity, scale_coefficients,
+                           scaling_factors, verify_ellipticity)
 from .errors import ConfigError, EllipticityError, ShiftError, SolverError
 from .fd_ops import SparseOperator, assemble_operator
 from .fieldio import load_field, save_field
@@ -47,7 +46,6 @@ __all__ = [
     "NormBundle",
     "PicardResult",
     "ScalarField",
-    "ScaledCoefficientField",
     "ShiftError",
     "SolverError",
     "SparseOperator",

@@ -27,19 +27,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import (constant_ellipticity, scale_coefficients,
-                           verify_ellipticity)
+from .coefficients import constant_ellipticity, verify_ellipticity
 from .config import StudyConfig
 from .errors import ConfigError, SolverError
-from .fd_ops import assemble_operator, hess_component
+from .fd_ops import hess_component, operator_blocks
 from .fieldio import atomic_write, load_field, save_field
 from .grid import nested_family
 from .limit import solve_limit
 from .norms import (frechet_distance, l2_norm, norm_bundle,
                     translation_modulus, v12_norm)
 from .solver import relative_residual, solve_dirichlet
-from .spectral import (check_constant_bounds, check_laplacian_bounds,
-                       random_zero_mean_forcing)
+from .spectral import check_constant_bounds, random_zero_mean_forcing
 from .study import FLOOR_NOTE, emit_report, run_sweep
 
 __all__ = ["main"]
@@ -78,7 +76,7 @@ def cmd_solve(args) -> int:
     verify_ellipticity(coeffs)
     f = config.build_forcing(grid)
     start = time.perf_counter()
-    op = assemble_operator(grid, scale_coefficients(coeffs, epsilon))
+    op = operator_blocks(grid, coeffs).at(epsilon)
     u = solve_dirichlet(op, f, tol=config.solver_tol,
                         method=config.solver_method,
                         maxiter_factor=config.maxiter_factor)
@@ -157,7 +155,7 @@ def cmd_fourier_check(args) -> int:
     ndim = len(config.cells)
     shape = (config.fourier_lattice,) * ndim
     if config.coefficient_family == "identity":
-        matrix = None
+        matrix = np.eye(ndim)
         lam = 1.0
     elif config.coefficient_family == "constant":
         matrix = np.asarray(config.coefficient_params["matrix"], float)
@@ -175,11 +173,8 @@ def cmd_fourier_check(args) -> int:
     for sample in range(config.fourier_samples):
         f = random_zero_mean_forcing(shape, config.q, rng)
         for epsilon in config.fourier_epsilons:
-            if matrix is None:
-                rep = check_laplacian_bounds(f, epsilon, strict=False)
-            else:
-                rep = check_constant_bounds(matrix, lam, f, epsilon,
-                                            strict=False)
+            rep = check_constant_bounds(matrix, lam, f, epsilon,
+                                        strict=False)
             rows.append((epsilon, sample, rep.r_x2, rep.r_x1,
                          rep.r_cross, int(rep.passed)))
             all_pass = all_pass and rep.passed

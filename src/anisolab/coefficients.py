@@ -9,12 +9,17 @@ multiplies entry (i, j) by
     1           if both axes are in the X2 group,
     epsilon     for mixed pairs (both orderings),
 
-which is the block form (eps^2 A11, eps A12; eps A21, A22).
+which is the block form (eps^2 A11, eps A12; eps A21, A22), that is
+D A D with D = diag(eps on X1, 1 on X2).  The scaled table is an ordinary
+coefficient field: it keeps the name and declares the constant
+eps^2 * lambda, which it meets, since
+
+    xi^T D A D xi >= lambda |D xi|^2 >= lambda eps^2 |xi|^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +28,6 @@ from .grid import Grid
 
 __all__ = [
     "CoefficientField",
-    "ScaledCoefficientField",
     "scale_coefficients",
     "scaling_factors",
     "verify_ellipticity",
@@ -37,17 +41,12 @@ __all__ = [
 class CoefficientField:
     """Per-node entry table with declared ellipticity constant.
 
-    ``entries[i, j]`` is the node array of a_ij; ``derivs[i, j]`` (optional)
-    is the node array of the partial derivative of a_ij along axis i, the
-    only derivative the first-order term of the expanded operator needs.
-    Derivative tables are expected to match centered differences of the
-    entries to second order.
+    ``entries[i, j]`` is the node array of a_ij.
     """
 
     grid: Grid
     entries: np.ndarray
     lam: float
-    derivs: np.ndarray | None = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -59,12 +58,6 @@ class CoefficientField:
                 f"entry table shape {self.entries.shape}, expected {shape}")
         if self.lam <= 0:
             raise ConfigError(f"ellipticity constant must be > 0, got {self.lam}")
-        if self.derivs is not None:
-            self.derivs = np.asarray(self.derivs, dtype=float)
-            if self.derivs.shape != shape:
-                raise ConfigError(
-                    f"derivative table shape {self.derivs.shape}, "
-                    f"expected {shape}")
 
     @property
     def ndim(self) -> int:
@@ -88,36 +81,14 @@ def scaling_factors(ndim: int, q: int, epsilon: float) -> np.ndarray:
     return fac
 
 
-@dataclass
-class ScaledCoefficientField:
-    """A coefficient field after the anisotropic entrywise scaling."""
-
-    base: CoefficientField
-    epsilon: float
-    entries: np.ndarray = field(init=False)
-    derivs: np.ndarray | None = field(init=False)
-
-    def __post_init__(self):
-        fac = scaling_factors(self.base.ndim, self.base.grid.q, self.epsilon)
-        expand = fac.reshape(fac.shape + (1,) * self.base.grid.ndim)
-        self.entries = self.base.entries * expand
-        self.derivs = (None if self.base.derivs is None
-                       else self.base.derivs * expand)
-
-    @property
-    def grid(self) -> Grid:
-        return self.base.grid
-
-    @property
-    def lam(self) -> float:
-        """Ellipticity constant of the unscaled table (the scaled field is
-        only coercive in the epsilon-weighted sense)."""
-        return self.base.lam
-
-
 def scale_coefficients(coeffs: CoefficientField,
-                       epsilon: float) -> ScaledCoefficientField:
-    return ScaledCoefficientField(coeffs, float(epsilon))
+                       epsilon: float) -> CoefficientField:
+    """The table D A D, declared elliptic with constant eps^2 * lambda."""
+    grid = coeffs.grid
+    fac = scaling_factors(grid.ndim, grid.q, epsilon)
+    entries = coeffs.entries * fac.reshape(fac.shape + (1,) * grid.ndim)
+    return CoefficientField(grid, entries, lam=epsilon ** 2 * coeffs.lam,
+                            name=coeffs.name)
 
 
 def observed_ellipticity(entries: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -163,9 +134,7 @@ def _constant_table(grid: Grid, matrix: np.ndarray) -> np.ndarray:
 
 def _identity_field(grid: Grid) -> CoefficientField:
     table = _constant_table(grid, np.eye(grid.ndim))
-    derivs = np.zeros_like(table)
-    return CoefficientField(grid, table, lam=1.0, derivs=derivs,
-                            name="identity")
+    return CoefficientField(grid, table, lam=1.0, name="identity")
 
 
 def constant_ellipticity(matrix) -> float:
@@ -189,14 +158,12 @@ def _constant_field(grid: Grid, matrix, lam: float | None = None
             f"got {mat.shape}")
     if lam is None:
         lam = constant_ellipticity(mat)
-    table = _constant_table(grid, mat)
-    derivs = np.zeros_like(table)
-    return CoefficientField(grid, table, lam=lam, derivs=derivs,
+    return CoefficientField(grid, _constant_table(grid, mat), lam=lam,
                             name="constant")
 
 
 def _variable_field(grid: Grid) -> CoefficientField:
-    """Smooth fully populated table with exact closed-form derivatives.
+    """Smooth fully populated table, a polynomial of degree 2 per axis.
 
     Diagonal: a_ii = 1 + x_s^2 / 2 with s the next axis cyclically, so every
     diagonal entry genuinely varies.  Off-diagonal: a_ij = g * x_i * x_j with
@@ -209,18 +176,12 @@ def _variable_field(grid: Grid) -> CoefficientField:
                       for lo, hi in zip(grid.lo, grid.hi))
     g = 0.25 / ((ndim - 1) * coord_bound ** 2)
     table = np.empty((ndim, ndim) + grid.node_shape)
-    derivs = np.zeros_like(table)
     for i in range(ndim):
-        s = (i + 1) % ndim
-        # a_ii varies only along axis s != i, so d a_ii / d x_i = 0
-        table[i, i] = 1.0 + 0.5 * mesh[s] ** 2
+        table[i, i] = 1.0 + 0.5 * mesh[(i + 1) % ndim] ** 2
         for j in range(ndim):
-            if j == i:
-                continue
-            table[i, j] = g * mesh[i] * mesh[j]
-            derivs[i, j] = g * mesh[j]
-    return CoefficientField(grid, table, lam=0.75, derivs=derivs,
-                            name="variable")
+            if j != i:
+                table[i, j] = g * mesh[i] * mesh[j]
+    return CoefficientField(grid, table, lam=0.75, name="variable")
 
 
 def coefficient_family(name: str, grid: Grid, **params) -> CoefficientField:

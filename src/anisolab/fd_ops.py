@@ -21,8 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coefficients import (CoefficientField, ScaledCoefficientField,
-                           scaling_factors)
+from .coefficients import CoefficientField, scaling_factors
 from .errors import ConfigError
 from .grid import Grid, ScalarField, grid_interior_slices
 
@@ -267,9 +266,7 @@ def _axis_means(entries: np.ndarray) -> tuple[float, ...]:
                  for d in range(entries.shape[0]))
 
 
-def assemble_operator(grid: Grid,
-                      coeffs: CoefficientField | ScaledCoefficientField
-                      ) -> SparseOperator:
+def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
     """Divergence-form operator for the given (possibly scaled) table."""
     if coeffs.grid != grid:
         raise ConfigError("coefficients live on a different grid")
@@ -360,25 +357,23 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
                           axis_means=np.array(_axis_means(entries)))
 
 
-def apply_nondivergence(coeffs: CoefficientField | ScaledCoefficientField,
+def apply_nondivergence(coeffs: CoefficientField,
                         u: ScalarField) -> ScalarField:
     """Expanded-form action  -sum a_ij d2_ij u - sum (d_i a_ij) d_j u.
 
-    Needs the coefficient derivative tables; used to cross-check the
-    divergence-form assembly on smooth fields, never to solve.
+    The coefficient derivatives d_i a_ij are centered differences of the
+    entry table (``grad_axis``), so any table works.  Used to cross-check
+    the divergence-form assembly on smooth fields, never to solve.
     """
     grid = u.grid
     if coeffs.grid != grid:
         raise ConfigError("coefficients live on a different grid")
-    if coeffs.derivs is None:
-        raise ConfigError(
-            "expanded-form action needs coefficient derivative tables")
     acc = np.zeros(grid.node_shape)
     for j in range(grid.ndim):
         gj = grad_axis(u, j).values
-        drift = np.sum(coeffs.derivs[:, j], axis=0)
-        acc -= drift * gj
         for i in range(grid.ndim):
+            a_ij = ScalarField(grid, coeffs.entries[i, j])
+            acc -= grad_axis(a_ij, i).values * gj
             acc -= coeffs.entries[i, j] * hess_component(u, i, j).values
     out = np.zeros(grid.node_shape)
     ints = grid_interior_slices(grid)

@@ -122,6 +122,9 @@ def _symbol(field: SpectralField, matrix: np.ndarray | None,
     mat = np.eye(ndim) if matrix is None else np.asarray(matrix, dtype=float)
     if mat.shape != (ndim, ndim):
         raise ConfigError(f"matrix must be {ndim} x {ndim}")
+    # inf times the zero frequency would warn before the symbol check
+    if not np.isfinite(mat).all():
+        raise ConfigError("coefficient table is not finite")
     scaled = mat * scaling_factors(ndim, field.q, epsilon)
     # row d = a_dd xi_d + sum_{j<d} (a_jd + a_dj) xi_j spans axes 0..d, so
     # only the last is full size; it is scaled and summed in place

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from anisolab import (ScalarField, load_field, make_grid, save_field,
+from anisolab import (ScalarField, check_laplacian_bounds, load_field,
+                      make_grid, random_zero_mean_forcing, save_field,
                       solve_limit, coefficient_family, forcing_field)
 from anisolab.cli import main
 
@@ -48,6 +49,21 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         meta = json.loads((out / "solve.json").read_text())
         assert meta["epsilon"] == 1.0
+
+    @pytest.mark.parametrize("family", ["identity", "variable"])
+    def test_field_matches_sweep_row(self, tmp_path, family):
+        # one operator path: solve at a configured epsilon writes the
+        # sweep's field for that row, bit for bit
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[coefficients]\n"
+                        f"family = {family}\n")
+        sweep_out, solve_out = tmp_path / "sweep", tmp_path / "solve"
+        assert main(["sweep", "--config", cfg, "--out",
+                     str(sweep_out)]) == 0
+        for i, eps in enumerate(("1.0", "0.5", "0.25")):
+            assert main(["solve", "--config", cfg, "--out", str(solve_out),
+                         "--epsilon", eps]) == 0
+            assert (solve_out / "solution.field").read_bytes() == \
+                (sweep_out / "fields" / f"u_eps_{i:03d}.field").read_bytes()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.cfg")])
@@ -145,6 +161,16 @@ class TestFourierCheck:
         assert len(rows) == 1 + 3 * 2
         assert all(r[-1] == "1" for r in rows[1:])
         assert all(float(r[2]) <= 1.0 + 1e-9 for r in rows[1:])
+        # the identity table as a constant matrix gives the Laplacian's
+        # ratios exactly
+        rng = np.random.default_rng(11)
+        expect = []
+        for sample in range(3):
+            f = random_zero_mean_forcing((16, 16), 1, rng)
+            for eps in (1.0, 0.1):
+                rep = check_laplacian_bounds(f, eps, strict=False)
+                expect.append([rep.r_x2, rep.r_x1, rep.r_cross])
+        assert [[float(v) for v in r[2:5]] for r in rows[1:]] == expect
 
     def test_constant_matrix_branch(self, tmp_path):
         cfg = write_cfg(tmp_path, FOURIER_CFG + "\n[coefficients]\n"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from anisolab import (ConfigError, EllipticityError, coefficient_family,
-                      make_grid, observed_ellipticity, scale_coefficients,
-                      scaling_factors, verify_ellipticity)
+from anisolab import (ConfigError, EllipticityError, ScalarField,
+                      coefficient_family, make_grid, observed_ellipticity,
+                      scale_coefficients, scaling_factors,
+                      verify_ellipticity)
+from anisolab.fd_ops import apply_nondivergence, grad_axis, hess_component
 
 
 class TestScalingFactors:
@@ -54,16 +56,6 @@ class TestScaledField:
             sc = scale_coefficients(base, eps)
             lo, _ = observed_ellipticity(sc.entries)
             assert lo == pytest.approx(eps ** 2, rel=1e-12)
-
-    def test_derivs_scale_with_entries(self, unit_square):
-        g = unit_square(4)
-        base = coefficient_family("variable", g)
-        sc = scale_coefficients(base, 0.5)
-        # d_i a^eps_ij carries the same factor as a^eps_ij itself
-        assert np.allclose(sc.derivs[0, 1], 0.5 * base.derivs[0, 1])
-        assert np.allclose(sc.derivs[1, 1], base.derivs[1, 1])
-        assert np.allclose(sc.derivs[0, 0], 0.25 * base.derivs[0, 0])
-        assert np.any(base.derivs[0, 1] != 0.0)
 
 
 class TestEllipticity:
@@ -125,17 +117,34 @@ class TestVariableFamily:
         assert np.allclose(f.entries[0, 1], g_cpl * x[0] * x[1])
         assert np.array_equal(f.entries[0, 1], f.entries[1, 0])
 
-    def test_derivs_match_centered_differences(self, unit_square):
-        g = unit_square(16)
+    @pytest.mark.parametrize("bounds, cells, q", [
+        ([(0, 1), (0, 1)], (16, 16), 1),
+        ([(-1, 1), (0, 1), (0, 2)], (8, 10, 6), 1),
+        ([(-1, 1), (0, 1), (0, 2)], (8, 10, 6), 2),
+    ], ids=["2d", "3d-q1", "3d-q2"])
+    def test_nondivergence_matches_closed_form_derivatives(self, bounds,
+                                                           cells, q):
+        # d_i a_ii = 0 and d_i a_ij = g x_j: the written-out expanded
+        # action with these exact drifts equals apply_nondivergence, whose
+        # centered differences are exact on the degree-2 entries
+        g = make_grid(bounds, cells, q=q)
         f = coefficient_family("variable", g)
-        h = g.spacing
-        # derivs[i, j] holds d a_ij / d x_i; entries are degree <= 2
-        # polynomials per axis, so second order differences are exact
-        for i in range(2):
-            for j in range(2):
-                num = np.gradient(f.entries[i, j], h[i], axis=i,
-                                  edge_order=2)
-                assert np.allclose(f.derivs[i, j], num, atol=1e-12)
+        x = g.meshgrid()
+        coord_bound = max(max(abs(lo), abs(hi)) for lo, hi in bounds)
+        g_cpl = 0.25 / ((g.ndim - 1) * coord_bound ** 2)
+        u = ScalarField.from_function(
+            g, lambda *xs: np.prod([np.sin(1.0 + k + xk)
+                                    for k, xk in enumerate(xs)], axis=0))
+        ref = np.zeros(g.node_shape)
+        for j in range(g.ndim):
+            drift = (g.ndim - 1) * g_cpl * x[j]
+            ref -= drift * grad_axis(u, j).values
+            for i in range(g.ndim):
+                ref -= f.entries[i, j] * hess_component(u, i, j).values
+        inner = tuple(slice(1, n) for n in g.cells)
+        got = apply_nondivergence(f, u).values[inner]
+        assert np.abs(got - ref[inner]).max() \
+            <= 1e-13 * np.abs(ref[inner]).max()
 
     def test_unknown_family_rejected(self, unit_square):
         with pytest.raises(ConfigError):
@@ -147,4 +156,3 @@ class TestVariableFamily:
         assert f.lam == 1.0
         assert np.allclose(f.entries[0, 0], 1.0)
         assert np.allclose(f.entries[0, 1], 0.0)
-        assert all(np.count_nonzero(d) == 0 for d in f.derivs)

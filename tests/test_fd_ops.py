@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from anisolab import (CoefficientField, ConfigError, ScalarField,
                       assemble_operator, coefficient_family, make_grid,
-                      scale_coefficients)
+                      scale_coefficients, verify_ellipticity)
 from anisolab.fd_ops import (apply_nondivergence, grad_axis, hess_component,
                              operator_blocks)
 
@@ -173,12 +173,22 @@ class TestAssembly:
             op.apply(ScalarField.zeros(unit_square(8)))
 
 
+def direct_table(g):
+    """A smooth symmetric table built without a family; lambda >= 3/4."""
+    x, y = g.meshgrid()
+    entries = np.empty((2, 2) + g.node_shape)
+    entries[0, 0] = 2.0 + y * np.sin(2 * np.pi * x)
+    entries[1, 1] = 1.0 + 0.5 * np.exp(x * y)
+    entries[0, 1] = entries[1, 0] = 0.25 * np.cos(np.pi * x * y)
+    return CoefficientField(g, entries, lam=0.5)
+
+
 class TestDualRoute:
-    def rates(self, name):
+    def rates(self, build):
         errs = []
         for n in (16, 32, 64):
             g = make_grid([(0, 1), (0, 1)], (n, n), q=1)
-            coeffs = coefficient_family(name, g)
+            coeffs = build(g)
             op = assemble_operator(g, coeffs)
             u = ScalarField.from_function(
                 g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
@@ -190,7 +200,12 @@ class TestDualRoute:
         return errs
 
     def test_flux_matches_nondivergence_at_second_order(self):
-        errs = self.rates("variable")
+        errs = self.rates(lambda g: coefficient_family("variable", g))
+        slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(slopes > 1.7)
+
+    def test_direct_table_matches_nondivergence_at_second_order(self):
+        errs = self.rates(direct_table)
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(slopes > 1.7)
 
@@ -251,3 +266,26 @@ class TestOperatorBlocks:
         blocks = operator_blocks(g, coefficient_family("identity", g))
         with pytest.raises(ConfigError):
             blocks.at(0.0)
+
+
+class TestScaledTable:
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    @given(st.floats(1e-150, 1.0))
+    def test_scaled_table_is_a_certified_field(self, case, eps):
+        ndim, q, (family, params) = case
+        g = make_grid([(0, 1)] * ndim, (4, 5, 3)[:ndim], q=q)
+        base = coefficient_family(family, g, **params)
+        sc = scale_coefficients(base, eps)
+        assert type(sc) is CoefficientField
+        assert sc.name == base.name
+        assert sc.lam == eps ** 2 * base.lam
+        verify_ellipticity(sc)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_underflowing_constant_rejected(self, case):
+        # eps^2 * lambda underflows to zero, which no field may declare
+        ndim, q, (family, params) = case
+        g = make_grid([(0, 1)] * ndim, (4, 5, 3)[:ndim], q=q)
+        with pytest.raises(ConfigError):
+            scale_coefficients(coefficient_family(family, g, **params),
+                               1e-170)

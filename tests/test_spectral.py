@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +91,15 @@ class TestTorusSolve:
             torus_solve(f, 0.5, matrix=matrix)
         with pytest.raises(ConfigError, match="not finite"):
             check_constant_bounds(matrix, LAM, f, 0.5)
+
+    def test_inf_table_rejected_without_warning(self, rng):
+        f = random_zero_mean_forcing((8, 8), 1, rng)
+        matrix = MATRIX.copy()
+        matrix[1, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="not finite"):
+                torus_solve(f, 0.5, matrix=matrix)
 
 
 class TestLaplacianBounds:
