@@ -36,7 +36,7 @@ from .grid import nested_family
 from .limit import solve_limit
 from .norms import (frechet_distance, l2_norm, norm_bundle,
                     translation_modulus, v12_norm)
-from .solver import relative_residual, solve_dirichlet
+from .solver import relative_residual, resolve_method, solve_dirichlet
 from .spectral import check_constant_bounds, random_zero_mean_forcing
 from .study import FLOOR_NOTE, emit_report, run_sweep
 
@@ -87,7 +87,7 @@ def cmd_solve(args) -> int:
     field_path = save_field(out / "solution.field", u)
     _write_json(out / "solve.json", {
         "epsilon": epsilon,
-        "method": config.solver_method,
+        "method": resolve_method(op, config.solver_method),
         "residual": res,
         "l2": l2_norm(u),
         "v12": v12_norm(u),

@@ -107,14 +107,25 @@ def observed_ellipticity(entries: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(eigs[worst_flat]), worst
 
 
+# roundoff allowance of verify_ellipticity, in units of machine epsilon
+# times the largest table entry; the shipped families, scaled down to
+# eps = 1e-8 in 2-D and 3-D, observe less than 1.5 such units below lambda
+ELLIPTICITY_ULPS = 16
+
+
 def verify_ellipticity(coeffs: CoefficientField) -> float:
     """Check min_x lambda_min(sym A(x)) >= declared lambda; return the minimum.
 
-    A small floating-point cushion keeps exact-boundary families (identity,
-    tight constant tables) from failing on roundoff.
+    The observed eigenvalue may miss the exact one by roundoff, which by
+    Weyl's inequality is a few units of machine epsilon times the size of
+    the table.  The check allows ``ELLIPTICITY_ULPS`` such units of the
+    largest |a_ij|, so exact-boundary families (identity, tight constant
+    tables) pass while a declared constant that rests on roundoff fails,
+    at every scale of the table.
     """
     lam_obs, worst = observed_ellipticity(coeffs.entries)
-    cushion = 1e-12 * max(1.0, abs(coeffs.lam))
+    cushion = (ELLIPTICITY_ULPS * np.finfo(float).eps
+               * float(np.abs(coeffs.entries).max()))
     if lam_obs < coeffs.lam - cushion:
         raise EllipticityError(
             f"coefficient field '{coeffs.name}': smallest symmetric "

@@ -63,7 +63,7 @@ class StudyConfig:
     nested: int = 20
     workers: int = 1
     # solver
-    solver_method: str = "direct"
+    solver_method: str = "auto"
     solver_tol: float = 1e-10
     maxiter_factor: float = 20.0
     # optional nonlinearity
@@ -107,7 +107,7 @@ class StudyConfig:
             raise ConfigError(f"nested depth must be >= 1, got {self.nested}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.solver_method not in ("direct", "cg"):
+        if self.solver_method not in ("auto", "direct", "cg"):
             raise ConfigError(f"unknown solver method '{self.solver_method}'")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, "

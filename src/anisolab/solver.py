@@ -1,30 +1,34 @@
 """Dirichlet solves on the assembled operators plus conditioning diagnostics.
 
-The primary route is a sparse direct factorization (reused across calls via
-the operator's cached LU).  Its ordering follows ``op.symmetric``: symmetric
-tables are factored in symmetric mode with minimum-degree ordering of
-``A + A^T`` and diagonal pivots, other tables with COLAMD and partial
-pivoting (see ``fd_ops.factor_matrix``).  The secondary route is conjugate
-gradients with a hard iteration cap of ``20 * sqrt(unknowns)``; it also
-serves the SPD floor probe.  scipy's CG stops on its recurrence residual;
-when the true residual misses ``tol`` there, CG restarts from the iterate
-with the iterations left.
+``solve_dirichlet`` has two routes, and ``method = "auto"`` (the study
+default) picks between them by ``op.symmetric`` (``resolve_method``).
+Symmetric tables run by preconditioned conjugate gradients with a hard
+iteration cap of ``20 * sqrt(unknowns)``; the SPD floor probe runs the
+same way.  scipy's CG stops on its recurrence residual; when the true
+residual misses ``tol`` there, CG restarts from the iterate with the
+iterations left.  Other tables get a sparse direct factorization (reused
+across calls via the operator's cached LU) with COLAMD ordering and
+partial pivoting.  ``method = "direct"``, ``solve_dirichlet``'s own
+default, factors symmetric tables too, in symmetric mode with
+minimum-degree ordering of ``A + A^T`` and diagonal pivots (see
+``fd_ops.factor_matrix``).
 
 CG is preconditioned by fast diagonalization (Lynch, Rice & Thomas 1964):
 the preconditioner is the constant-coefficient operator whose table is
 diagonal, entry d being the node mean of the scaled a_dd
 (``op.axis_means``).  On the uniform Dirichlet box the orthonormal DST-I
 diagonalizes it exactly, so its inverse costs two sine transforms and a
-division.  It carries the epsilon scaling of the operator, so the
-iteration count stays nearly flat as epsilon shrinks, where diagonal
-(Jacobi) scaling needs hundreds of iterations.  ``solver_diagnostics``
-keeps the Jacobi count on purpose: it measures how conditioning degrades
-as epsilon shrinks.
+division; the sine matrices are built once per size and shared.  It
+carries the epsilon scaling of the operator, so the iteration count stays
+nearly flat as epsilon shrinks, where diagonal (Jacobi) scaling needs
+hundreds of iterations.  ``solver_diagnostics`` keeps the Jacobi count on
+purpose: it measures how conditioning degrades as epsilon shrinks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,8 +38,8 @@ from .errors import ConfigError, SolverError
 from .fd_ops import SparseOperator
 from .grid import ScalarField
 
-__all__ = ["solve_dirichlet", "solver_diagnostics", "ConditioningReport",
-           "relative_residual", "sine_transform",
+__all__ = ["solve_dirichlet", "resolve_method", "solver_diagnostics",
+           "ConditioningReport", "relative_residual", "sine_transform",
            "fast_diagonal_preconditioner"]
 
 
@@ -52,14 +56,21 @@ def relative_residual(matrix, x: np.ndarray, b: np.ndarray,
     return np.divide(res, scale, out=res, where=scale > 0)
 
 
+@lru_cache(maxsize=8)
+def _sine_matrix(m: int) -> np.ndarray:
+    """Orthonormal DST-I matrix of size m, sqrt(2/(m+1)) sin(pi j k / (m+1)).
+
+    Built once per size and read-only, so solves on several threads share
+    it.
+    """
+    k = np.arange(1, m + 1)
+    mat = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    mat.flags.writeable = False
+    return mat
+
+
 def _sine_matrices(shape) -> list[np.ndarray]:
-    """Orthonormal DST-I matrices, sqrt(2/(m+1)) sin(pi j k / (m+1))."""
-    out = []
-    for m in shape:
-        k = np.arange(1, m + 1)
-        out.append(np.sqrt(2.0 / (m + 1))
-                   * np.sin(np.pi * np.outer(k, k) / (m + 1)))
-    return out
+    return [_sine_matrix(int(m)) for m in shape]
 
 
 def _apply_sines(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
@@ -135,17 +146,27 @@ def _cg(op: SparseOperator, b: np.ndarray, tol: float,
                               residual=res)
 
 
+def resolve_method(op: SparseOperator, method: str) -> str:
+    """The route ``solve_dirichlet`` runs for ``method`` on ``op``:
+    ``auto`` is CG on a symmetric operator and direct otherwise."""
+    if method == "auto":
+        return "cg" if op.symmetric else "direct"
+    return method
+
+
 def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
                     method: str = "direct",
                     maxiter_factor: float = 20.0) -> ScalarField:
     """Solve ``L u = f`` over interior unknowns, boundary held at zero.
 
+    ``method`` is ``direct``, ``cg`` or ``auto`` (see ``resolve_method``).
     The returned field carries exact zeros on the boundary.  The relative
     residual is always checked against ``tol``; a solve that misses it
     raises SolverError carrying the achieved residual.
     """
     if f.grid != op.grid:
         raise ConfigError("forcing lives on a different grid")
+    method = resolve_method(op, method)
     b = f.interior_vector()
     if method == "direct":
         x = op.factor().solve(b)

@@ -194,7 +194,7 @@ def run_sweep(config: StudyConfig) -> SweepReport:
             grid, coeffs, f, nonlinearity, damping=config.damping,
             tol=config.solver_tol, max_iter=config.picard_max_iter).field
     # the rows need only the blocks; the tables would otherwise stay
-    # resident through every row's factorization
+    # resident through every row's solve
     del coeffs
 
     floor = discretization_floor(grid, tol=config.solver_tol)

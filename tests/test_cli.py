@@ -43,6 +43,18 @@ class TestSolve:
         assert u.grid.cells == (12, 12)
         assert np.all(u.values[0] == 0.0)
 
+    @pytest.mark.parametrize("family, ran", [
+        ("variable", "cg"),
+        ("constant\nmatrix = 2.0 0.3 ; 0.0 1.0", "direct"),
+    ])
+    def test_report_names_the_method_that_ran(self, tmp_path, family, ran):
+        # the default method is auto; the report records what it became
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[coefficients]\n"
+                        f"family = {family}\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "solve.json").read_text())["method"] == ran
+
     def test_default_epsilon_is_first_configured(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"

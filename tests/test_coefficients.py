@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from anisolab import (ConfigError, EllipticityError, ScalarField,
-                      coefficient_family, make_grid, observed_ellipticity,
-                      scale_coefficients, scaling_factors,
-                      verify_ellipticity)
+from anisolab import (CoefficientField, ConfigError, EllipticityError,
+                      ScalarField, coefficient_family, make_grid,
+                      observed_ellipticity, scale_coefficients,
+                      scaling_factors, verify_ellipticity)
 from anisolab.fd_ops import apply_nondivergence, grad_axis, hess_component
 
 
@@ -74,6 +74,23 @@ class TestEllipticity:
         with pytest.raises(EllipticityError) as err:
             verify_ellipticity(f)
         assert "0.6" in str(err.value)
+
+    def test_constant_resting_on_roundoff_rejected(self, unit_square):
+        # smallest eigenvalue 0: a declared 1e-13 is no roundoff allowance
+        g = unit_square(4)
+        entries = np.zeros((2, 2) + g.node_shape)
+        entries[1, 1] = 1.0
+        f = CoefficientField(g, entries, lam=1e-13)
+        with pytest.raises(EllipticityError):
+            verify_ellipticity(f)
+
+    def test_allowance_scales_with_table(self, unit_square):
+        # the same tight table passes at every scale
+        g = unit_square(4)
+        m = np.array([[1.0, 0.5], [0.5, 1.0]])
+        for scale in (1e-12, 1.0, 1e12):
+            f = coefficient_family("constant", g, matrix=scale * m)
+            verify_ellipticity(f)
 
     def test_nonelliptic_matrix_rejected(self, unit_square):
         g = unit_square(4)

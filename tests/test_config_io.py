@@ -260,7 +260,21 @@ class TestConfigFile:
         cfg = load_config(path)
         assert cfg.cells == [16, 16]
         assert cfg.epsilons == [1.0, 0.5, 0.25, 0.125]
-        assert cfg.solver_method == "direct"
+        assert cfg.solver_method == "auto"
+
+    @pytest.mark.parametrize("method", ["auto", "direct", "cg"])
+    def test_solver_methods_parse(self, tmp_path, method):
+        path = tmp_path / "solver.cfg"
+        path.write_text(f"[grid]\ncells = 8, 8\n"
+                        f"[solver]\nmethod = {method}\n")
+        assert load_config(path).solver_method == method
+
+    def test_unknown_solver_method_rejected(self, tmp_path):
+        path = tmp_path / "solver.cfg"
+        path.write_text("[grid]\ncells = 8, 8\n"
+                        "[solver]\nmethod = multigrid\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

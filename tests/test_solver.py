@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
                       make_grid, scale_coefficients, solve_dirichlet,
                       solver_diagnostics)
+from anisolab.fd_ops import SparseOperator
 from anisolab.solver import (fast_diagonal_preconditioner, relative_residual,
-                             sine_transform)
+                             resolve_method, sine_transform)
 
-from test_fd_ops import sine_eigenvector
+from test_fd_ops import BLOCK_CASES, sine_eigenvector
 
 
 def laplace_setup(n):
@@ -222,6 +225,45 @@ class TestCGRestart:
         assert len(fake.x0s) == 2
 
 
+class TestAuto:
+    def count_factor(self, monkeypatch):
+        calls = []
+        real = SparseOperator.factor
+
+        def factor(op):
+            calls.append(op)
+            return real(op)
+        monkeypatch.setattr(SparseOperator, "factor", factor)
+        return calls
+
+    def test_symmetric_operator_runs_cg_without_factoring(self,
+                                                          monkeypatch):
+        calls = self.count_factor(monkeypatch)
+        counter = _CountingLinalg()
+        monkeypatch.setattr(anisolab.solver, "spla", counter)
+        g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
+        op = assemble_operator(
+            g, scale_coefficients(coefficient_family("variable", g), 0.1))
+        assert op.symmetric and resolve_method(op, "auto") == "cg"
+        f = forcing_field("sine_product", g)
+        u = solve_dirichlet(op, f, method="auto")
+        assert counter.iterations > 0 and calls == []
+        cg = solve_dirichlet(op, f, method="cg")
+        assert np.array_equal(u.values, cg.values)
+
+    def test_nonsymmetric_operator_factors(self, monkeypatch):
+        ndim, q, (family, params) = BLOCK_CASES[-1]
+        g = make_grid([(0, 1)] * ndim, (5, 6, 4), q=q)
+        op = assemble_operator(g, coefficient_family(family, g, **params))
+        assert not op.symmetric and resolve_method(op, "auto") == "direct"
+        calls = self.count_factor(monkeypatch)
+        f = forcing_field("sine_product", g)
+        u = solve_dirichlet(op, f, method="auto")
+        assert calls == [op]
+        direct = solve_dirichlet(op, f, method="direct")
+        assert np.array_equal(u.values, direct.values)
+
+
 class TestFastDiagonalization:
     @pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 6)])
     def test_sine_transform_orthonormal_involution(self, shape, rng):
@@ -232,6 +274,40 @@ class TestFastDiagonalization:
         assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x),
                                                   rel=1e-13)
         assert np.allclose(sine_transform(y), x, rtol=0.0, atol=1e-13)
+
+    def test_sine_matrices_shared_and_read_only(self):
+        # a square grid's two axes share one matrix, built by the formula
+        a, b = anisolab.solver._sine_matrices((9, 9))
+        assert a is b
+        assert a is anisolab.solver._sine_matrices((9, 4))[0]
+        assert not a.flags.writeable
+        k = np.arange(1, 10)
+        assert np.array_equal(
+            a, np.sqrt(2.0 / 10) * np.sin(np.pi * np.outer(k, k) / 10))
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+    def test_threads_share_the_cached_matrices(self):
+        # more threads than cores build the matrices and solve with them
+        # at once; every solve matches its serial twin bit for bit
+        g = make_grid([(0, 1), (0, 1)], (24, 24), q=1)
+        coeffs = coefficient_family("variable", g)
+        f = forcing_field("sine_product", g)
+        ops = [assemble_operator(g, scale_coefficients(coeffs, eps))
+               for eps in (1.0, 0.3, 0.1, 0.03)] * 3
+        serial = [solve_dirichlet(op, f, method="cg").values for op in ops]
+        anisolab.solver._sine_matrix.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(
+                    lambda op: solve_dirichlet(op, f, method="cg").values,
+                    ops, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, serial, strict=True):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("cells, q, diag, eps", [
         ((9, 12), 1, [2.0, 0.5], 1.0),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -107,6 +108,32 @@ class TestRunSweep:
         assert rep.complete
         # the one assembly left is the floor probe's
         assert calls == {"assemble_operator": 1, "operator_blocks": 1}
+
+    def test_default_method_solves_rows_without_factoring(self,
+                                                          monkeypatch):
+        # the default method is auto: the symmetric variable table runs
+        # CG on every row, and the limit's own LU is not an operator's
+        from anisolab.fd_ops import SparseOperator
+        calls = []
+        real = SparseOperator.factor
+
+        def factor(op):
+            calls.append(op)
+            return real(op)
+        monkeypatch.setattr(SparseOperator, "factor", factor)
+        cfg = small_config(cells=[32, 32], coefficient_family="variable",
+                           epsilons=[1.0, 0.5, 0.25, 0.125, 0.0625])
+        assert cfg.solver_method == "auto"
+        auto = run_sweep(cfg)
+        assert calls == []
+        direct = run_sweep(dataclasses.replace(cfg, solver_method="direct"))
+        assert len(calls) == len(cfg.epsilons)
+        assert auto.complete and direct.complete
+        for a, d in zip(auto.rows, direct.rows):
+            for col in CSV_COLUMNS[1:-1]:
+                assert getattr(a, col) == pytest.approx(getattr(d, col),
+                                                        rel=1e-8), col
+        assert auto.floor_warnings() == direct.floor_warnings()
 
     def test_parallel_rows_deterministic(self):
         serial = run_sweep(small_config(workers=1))
