@@ -6,6 +6,10 @@ diagnostic into a single output directory, so one invocation regenerates
 every artifact the report discusses:
 
     python3 scripts/reproduce_study.py configs/convergence.cfg --out out/full
+
+A config with a ``[nonlinearity]`` section runs the ``semilinear`` sweep
+instead, and skips the translation diagnostic, which runs on linear
+sweeps only.
 """
 
 import argparse
@@ -27,9 +31,13 @@ def main(argv=None):
     if args.seed is not None:
         common += ["--seed", str(args.seed)]
 
+    config = load_config(args.config)
     steps = ["sweep", "fourier-check", "translation"]
-    if load_config(args.config).coefficient_family not in (
-            "identity", "constant"):
+    if config.nonlinearity is not None:
+        steps[0] = "semilinear"
+        print("skipping translation: it runs on linear sweeps only")
+        steps.remove("translation")
+    if config.coefficient_family not in ("identity", "constant"):
         # the symbol-side verification only exists for constant tables
         print("skipping fourier-check: coefficient table is not constant")
         steps.remove("fourier-check")

@@ -10,6 +10,7 @@ so reports can embed the exact configuration as JSON.
 from __future__ import annotations
 
 import configparser
+import logging
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from .grid import (Grid, NestedFamily, ScalarField, SubdomainMask,
 from .semilinear import Nonlinearity, nonlinearity_family
 
 __all__ = ["StudyConfig", "load_config"]
+
+log = logging.getLogger(__name__)
 
 
 def _floats(text: str) -> list[float]:
@@ -69,6 +72,8 @@ class StudyConfig:
     # optional nonlinearity
     nonlinearity: str | None = None
     nonlinearity_params: dict = field(default_factory=dict)
+    # deprecated: still parsed and validated, so old configs load, but
+    # the semilinear solves run Newton with a line search and ignore it
     damping: float = 0.5
     picard_max_iter: int = 200
     # fourier-check settings
@@ -225,6 +230,10 @@ class StudyConfig:
                     parser.get("nonlinearity", "kappa"))[0]
             if params:
                 data["nonlinearity_params"] = params
+            if parser.has_option("nonlinearity", "damping"):
+                log.warning("%s: [nonlinearity] damping is deprecated and "
+                            "ignored; the semilinear solves run Newton "
+                            "with a line search", path)
             take("nonlinearity", "damping", lambda s: _floats(s)[0])
             take("nonlinearity", "max_iter", lambda s: _ints(s)[0],
                  "picard_max_iter")

@@ -14,14 +14,11 @@ class ShiftError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A linear or fixed-point solve did not reach its tolerance.
+    """A linear or Newton solve did not reach its tolerance.
 
-    Carries the last residual (and, for fixed-point iterations, the last
-    increment) so callers can report how far the solve got.
+    Carries the last residual so callers can report how far the solve got.
     """
 
-    def __init__(self, message: str, residual: float | None = None,
-                 last_increment: float | None = None):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.last_increment = last_increment

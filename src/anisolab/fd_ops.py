@@ -123,7 +123,7 @@ class SparseOperator:
     ``symmetric`` reflects exact symmetry of the entry table.  ``axis_means[d]`` is the node mean of
     the diagonal entry a_dd: the constant table they form is what the CG
     preconditioner inverts.  The LU factorization is computed lazily and
-    cached, so repeated solves (fixed-point iterations) reuse it.
+    cached, so repeated solves on one operator reuse it.
     """
 
     matrix: sp.csr_matrix

@@ -68,11 +68,13 @@ class LimitOperator:
 
     Unknowns are ordered slice-major: X1 node (row-major over all X1
     nodes, faces included), then the slice's interior X2 nodes.  ``lu``
-    factors the whole matrix once.
+    factors the whole matrix once; ``symmetric`` is the A22 table's
+    symmetry, which picks the ordering of every factorization.
     """
 
     matrix: sp.csr_matrix
     grid: Grid
+    symmetric: bool
     lu: spla.SuperLU
 
     @property
@@ -122,8 +124,9 @@ def limit_operator(grid: Grid, coeffs: CoefficientField) -> LimitOperator:
     inner = tuple(slice(1, -1) if a < q else slice(None) for a in range(n))
     entries[(slice(q, None), slice(q, None)) + inner] = coeffs.x2_block()
     matrix = assemble_flux_matrix(cells, grid.spacing, entries)
-    return LimitOperator(matrix=matrix, grid=grid,
-                         lu=factor_matrix(matrix, symmetric_table(entries)))
+    symmetric = symmetric_table(entries)
+    return LimitOperator(matrix=matrix, grid=grid, symmetric=symmetric,
+                         lu=factor_matrix(matrix, symmetric))
 
 
 def solve_limit(grid: Grid, coeffs: CoefficientField, f: ScalarField,

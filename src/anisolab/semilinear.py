@@ -1,16 +1,30 @@
-"""Semilinear problems  -div(A_eps grad u) = a(u) + f  via damped iteration.
+"""Semilinear problems  -div(A_eps grad u) = a(u) + f  by inexact Newton.
 
 The nonlinearities are continuous, nonincreasing and of at most linear
-growth |a(x)| <= c (1 + |x|); monotonicity keeps the fixed-point map
-well-behaved without any smallness assumption on f.  The iteration is
+growth |a(x)| <= c (1 + |x|), and each declares its derivative a' <= 0.
+The residual is F(u) = L u - a(u) - f and its Jacobian
+J = L + diag(-a'(u)) is the operator plus a nonnegative diagonal, so it is
+symmetric positive definite whenever L is, without any smallness
+assumption on f (Kelley, *Iterative Methods for Linear and Nonlinear
+Equations*, SIAM 1995, ch. 6).
 
-    u_{m+1} = (1 - d) u_m + d * Linv(a(u_m) + f)
+Every Newton step solves J du = -F, then halves the step until |F|
+decreases by the Armijo rule (c = 1e-4).  The iteration stops on the
+residual, not on the step: once |F| / |f + a(u)| is at most ``tol``.  A
+solve that has not met it after ``max_iter`` steps raises SolverError
+carrying the residual.
 
-with a single factorization of the linear operator reused across steps.
-The limit problem runs the same iteration on the block-diagonal limit
-operator, every slice at once, each slice with its own stopping rule.
-The start iterate is the linear solve with a(0) folded in, so a vanishing
-nonlinearity converges in one step and reproduces the linear answer.
+On the full grid Newton starts from u = 0 and each step runs the linear
+route ``solver.resolve_method`` picks: CG with the operator's
+fast-diagonalization preconditioner, to the Eisenstat-Walker forcing
+term min(1e-2, |F| / |f + a(u)|), or one LU of J.  The limit problem
+runs the same iteration on the block-diagonal limit operator, every slice
+at once: it starts from the linear limit back-solve of f + a(0), factors
+the block-diagonal Jacobian once per step, and every slice keeps its own
+residual gate and line search and is frozen once it meets its gate.
+
+``picard_solve`` and ``PicardResult`` keep the names of the damped
+fixed-point iteration this replaced.
 """
 
 from __future__ import annotations
@@ -19,13 +33,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coefficients import CoefficientField
 from .errors import ConfigError, SolverError
-from .fd_ops import SparseOperator
+from .fd_ops import SparseOperator, factor_matrix
 from .grid import Grid, ScalarField
 from .limit import limit_operator
-from .solver import relative_residual
+from .solver import linear_solve
 
 __all__ = [
     "Nonlinearity",
@@ -35,13 +50,21 @@ __all__ = [
     "semilinear_limit",
 ]
 
+# Armijo sufficient-decrease constant and the most halvings of one step
+ARMIJO = 1e-4
+MAX_HALVINGS = 30
+# the largest forcing term of a CG Newton step
+MAX_FORCING = 1e-2
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Nonincreasing reaction term with declared linear-growth constant."""
+    """Nonincreasing reaction term, its derivative (<= 0) and its
+    declared linear-growth constant."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
+    deriv: Callable[[np.ndarray], np.ndarray]
     growth: float
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -54,28 +77,38 @@ def nonlinearity_family(name: str, **params) -> Nonlinearity:
     if name == "zero":
         if params:
             raise ConfigError("zero nonlinearity takes no parameters")
-        return Nonlinearity("zero", lambda x: np.zeros_like(x), 0.0)
+        return Nonlinearity("zero", np.zeros_like, np.zeros_like, 0.0)
     if name == "linear":
         kappa = float(params.pop("kappa", 1.0))
         if params:
             raise ConfigError(f"unknown parameters {sorted(params)}")
         if kappa < 0:
             raise ConfigError("kappa must be >= 0 to stay nonincreasing")
-        return Nonlinearity("linear", lambda x: -kappa * x, kappa)
+        return Nonlinearity("linear", lambda x: -kappa * x,
+                            lambda x: np.full(np.shape(x), -kappa), kappa)
     if name == "tanh":
         if params:
             raise ConfigError("tanh nonlinearity takes no parameters")
-        return Nonlinearity("tanh", lambda x: -np.tanh(x), 1.0)
+        # -sech^2 x, written so that it neither overflows nor warns
+        return Nonlinearity("tanh", lambda x: -np.tanh(x),
+                            lambda x: np.tanh(x) ** 2 - 1.0, 1.0)
     if name == "rational":
         if params:
             raise ConfigError("rational nonlinearity takes no parameters")
-        return Nonlinearity("rational", lambda x: -x / (1.0 + np.abs(x)), 1.0)
+        return Nonlinearity("rational", lambda x: -x / (1.0 + np.abs(x)),
+                            lambda x: -1.0 / (1.0 + np.abs(x)) ** 2, 1.0)
     raise ConfigError(f"unknown nonlinearity '{name}'")
 
 
 @dataclass
 class PicardResult:
-    """Converged iterate plus how the iteration went."""
+    """Converged Newton iterate plus how the iteration went.
+
+    ``iterations`` counts Newton steps; ``increments`` holds the weighted
+    (quadrature l2) norm of each step actually taken, after its line
+    search, and ``final_increment`` the last of them (0 when no step was
+    needed).
+    """
 
     field: ScalarField
     iterations: int
@@ -84,85 +117,139 @@ class PicardResult:
     increments: tuple[float, ...]
 
 
-def _picard_core(solve: Callable[[np.ndarray], np.ndarray],
-                 rhs: np.ndarray, a: Nonlinearity,
-                 weight: float, damping: float, tol: float, max_iter: int,
-                 blocks: int = 1,
-                 where: Callable[[int], str] = lambda k: ""
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped iteration on flat interior vectors.
+def jacobian(matrix: sp.csr_matrix, a: Nonlinearity,
+             u: np.ndarray) -> sp.csr_matrix:
+    """``L + diag(-a'(u))`` on a copy of ``L``: symmetric when ``L`` is."""
+    J = matrix.copy()
+    J.setdiag(matrix.diagonal() - a.deriv(u))
+    return J
 
-    The unknowns split into ``blocks`` equal, decoupled systems (one for a
-    full grid, one per slice for the limit) and ``solve`` must keep them
-    decoupled.  Each block stops on its own rule and is frozen from then
-    on.  ``weight`` converts the flat euclidean norm into the quadrature l2
-    norm for the stopping rule.  Returns the iterate, the iterations per
-    block and the increments, one row per step and one column per block;
-    a block's row entries after it stopped are not meaningful.
+
+def _newton(matrix: sp.spmatrix, rhs: np.ndarray, a: Nonlinearity,
+            u: np.ndarray,
+            step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+            weight: float, tol: float, max_iter: int, blocks: int = 1,
+            where: Callable[[int], str] = lambda k: ""
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Residual-gated Newton for ``matrix u = a(u) + rhs`` from ``u``.
+
+    The unknowns split into ``blocks`` equal, decoupled systems (one for
+    a full grid, one per slice for the limit).  ``step(u, F, rel)`` must
+    return an approximate solution of ``J du = -F`` that keeps the blocks
+    decoupled; ``rel`` holds each block's relative residual, from which a
+    Krylov step takes its forcing term.  Each block has its own residual
+    gate and line search and is frozen once it meets its gate.  ``weight``
+    converts the flat euclidean norm into the quadrature l2 norm.  Returns
+    the iterate, the steps taken per block, the weighted step norms (one
+    row per step, one column per block; zero for a frozen block) and the
+    final relative residuals.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ConfigError(f"damping must lie in (0, 1], got {damping}")
-    rhs = rhs.reshape(blocks, -1)
-    u = solve((rhs + a(np.zeros_like(rhs))).ravel()).reshape(blocks, -1)
+    def residual(u):
+        b = rhs + a(u)
+        F = matrix @ u - b
+        return (F, np.linalg.norm(F.reshape(blocks, -1), axis=1),
+                np.linalg.norm(b.reshape(blocks, -1), axis=1))
+
+    F, norm_F, norm_b = residual(u)
     iters = np.zeros(blocks, dtype=int)
-    active = np.ones(blocks, dtype=bool)
-    increments: list[np.ndarray] = []
-    for m in range(1, max_iter + 1):
-        u_next = (1.0 - damping) * u + damping * solve(
-            (rhs + a(u)).ravel()).reshape(blocks, -1)
-        inc = np.linalg.norm(u_next - u, axis=1) * weight
-        increments.append(inc)
-        u_prev_norm = np.linalg.norm(u, axis=1) * weight
-        u[active] = u_next[active]
-        iters[active] = m
-        active &= ~(inc <= tol * np.maximum(1.0, u_prev_norm))
+    steps: list[np.ndarray] = []
+    m = 0
+    while True:
+        # relative to |b| as solver.relative_residual: absolute where b = 0
+        rel = np.divide(norm_F, norm_b, out=norm_F.copy(),
+                        where=norm_b > 0)
+        active = ~(rel <= tol)
         if not active.any():
-            return u.ravel(), iters, np.array(increments)
-    k = int(np.flatnonzero(active)[0])
-    raise SolverError(
-        f"{where(k)}damped iteration exhausted {max_iter} steps",
-        last_increment=float(increments[-1][k]) if increments else None)
+            return u, iters, np.array(steps).reshape(-1, blocks), rel
+        if m == max_iter:
+            k = int(np.flatnonzero(active)[0])
+            raise SolverError(
+                f"{where(k)}Newton exhausted {max_iter} steps at residual "
+                f"{rel[k]:.3e}", residual=float(rel[k]))
+        du = step(u, F, rel).reshape(blocks, -1)
+        t = active.astype(float)
+        for _ in range(MAX_HALVINGS):
+            u_trial = u + (t[:, None] * du).ravel()
+            trial = residual(u_trial)
+            short = trial[1] > (1.0 - ARMIJO * t) * norm_F
+            if not short.any():
+                break
+            t[short] /= 2.0
+        else:
+            k = int(np.flatnonzero(short)[0])
+            raise SolverError(
+                f"{where(k)}Newton line search found no decrease in "
+                f"{MAX_HALVINGS} halvings at residual {rel[k]:.3e}",
+                residual=float(rel[k]))
+        u = u_trial
+        F, norm_F, norm_b = trial
+        steps.append(weight * t * np.linalg.norm(du, axis=1))
+        m += 1
+        iters[active] = m
 
 
 def picard_solve(op: SparseOperator, f: ScalarField, a: Nonlinearity,
-                 damping: float = 0.5, tol: float = 1e-10,
-                 max_iter: int = 200) -> PicardResult:
-    """Solve the semilinear Dirichlet problem on the full grid."""
+                 tol: float = 1e-10, max_iter: int = 200,
+                 method: str = "auto",
+                 maxiter_factor: float = 20.0) -> PicardResult:
+    """Solve the semilinear Dirichlet problem on the full grid by Newton.
+
+    ``method`` and ``maxiter_factor`` choose and cap each step's linear
+    solve as in ``solve_dirichlet``; a CG step stops at the forcing term
+    ``min(1e-2, relative residual)``.
+    """
     if f.grid != op.grid:
         raise ConfigError("forcing lives on a different grid")
     rhs = f.interior_vector()
+
+    def step(u, F, rel):
+        # J keeps L's symmetry and axis means, hence its preconditioner
+        J = SparseOperator(jacobian(op.matrix, a, u), op.grid,
+                           op.symmetric, op.axis_means)
+        return linear_solve(J, -F, min(MAX_FORCING, float(rel[0])),
+                            method, maxiter_factor)[0]
+
     weight = float(np.sqrt(op.grid.cell_volume))
-    u, iters, increments = _picard_core(
-        op.factor().solve, rhs, a, weight, damping, tol, max_iter)
-    res = float(relative_residual(op.matrix, u, rhs + a(u))[0])
+    u, iters, steps, rel = _newton(op.matrix, rhs, a, np.zeros_like(rhs),
+                                   step, weight, tol, max_iter)
     return PicardResult(
         field=ScalarField.from_interior(op.grid, u),
-        iterations=int(iters[0]), final_increment=float(increments[-1, 0]),
-        residual=res, increments=tuple(increments[:, 0].tolist()))
+        iterations=int(iters[0]),
+        final_increment=float(steps[-1, 0]) if len(steps) else 0.0,
+        residual=float(rel[0]), increments=tuple(steps[:, 0].tolist()))
 
 
 def semilinear_limit(grid: Grid, coeffs: CoefficientField, f: ScalarField,
-                     a: Nonlinearity, damping: float = 0.5,
-                     tol: float = 1e-10, max_iter: int = 200) -> PicardResult:
-    """Limit field of the semilinear problem: one damped iteration over
+                     a: Nonlinearity, tol: float = 1e-10,
+                     max_iter: int = 200) -> PicardResult:
+    """Limit field of the semilinear problem: one Newton iteration over
     all slices of the block-diagonal limit operator.
 
-    Every X1 lattice node's retained-axes system keeps its own stopping
-    rule and is frozen once it meets it; reported iteration and residual
-    figures are the worst over all slices, and ``increments`` is the
-    history of the last slice among those that needed the most steps.
+    Every X1 lattice node's retained-axes system keeps its own residual
+    gate, measured against its own right-hand side as ``solve_limit``
+    does; a slice that misses it raises SolverError naming the slice.
+    Reported iteration and residual figures are the worst over all
+    slices, and ``increments`` is the step history of the last slice
+    among those that needed the most steps.
     """
     op = limit_operator(grid, coeffs)
     rhs = op.vector(f)
     weight = float(np.sqrt(
         np.prod([grid.spacing[ax] for ax in grid.x2_axes])))
-    u, iters, increments = _picard_core(
-        op.lu.solve, rhs, a, weight, damping, tol, max_iter,
-        blocks=op.n_slices, where=lambda k: f"slice {op.slice_index(k)}: ")
-    res = relative_residual(op.matrix, u, rhs + a(u), op.n_slices)
+
+    def step(u, F, rel):
+        return factor_matrix(jacobian(op.matrix, a, u),
+                             op.symmetric).solve(-F)
+
+    u, iters, steps, rel = _newton(
+        op.matrix, rhs, a, op.lu.solve(rhs + a(np.zeros_like(rhs))), step,
+        weight, tol, max_iter, blocks=op.n_slices,
+        where=lambda k: f"slice {op.slice_index(k)}: ")
     worst = int(np.flatnonzero(iters == iters.max())[-1])
-    final = increments[iters - 1, np.arange(op.n_slices)]
     return PicardResult(
         field=op.field(u), iterations=int(iters[worst]),
-        final_increment=float(final.max()), residual=float(res.max()),
-        increments=tuple(increments[:iters[worst], worst].tolist()))
+        final_increment=max((float(steps[n - 1, k])
+                             for k, n in enumerate(iters) if n),
+                            default=0.0),
+        residual=float(rel.max()),
+        increments=tuple(steps[:iters[worst], worst].tolist()))

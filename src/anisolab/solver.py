@@ -11,7 +11,8 @@ across calls via the operator's cached LU) with COLAMD ordering and
 partial pivoting.  ``method = "direct"``, ``solve_dirichlet``'s own
 default, factors symmetric tables too, in symmetric mode with
 minimum-degree ordering of ``A + A^T`` and diagonal pivots (see
-``fd_ops.factor_matrix``).
+``fd_ops.factor_matrix``).  ``linear_solve`` is the two routes without
+the residual gate; the semilinear Newton steps run through it.
 
 CG is preconditioned by fast diagonalization (Lynch, Rice & Thomas 1964):
 the preconditioner is the constant-coefficient operator whose table is
@@ -38,9 +39,9 @@ from .errors import ConfigError, SolverError
 from .fd_ops import SparseOperator
 from .grid import ScalarField
 
-__all__ = ["solve_dirichlet", "resolve_method", "solver_diagnostics",
-           "ConditioningReport", "relative_residual", "sine_transform",
-           "fast_diagonal_preconditioner"]
+__all__ = ["solve_dirichlet", "linear_solve", "resolve_method",
+           "solver_diagnostics", "ConditioningReport", "relative_residual",
+           "sine_transform", "fast_diagonal_preconditioner"]
 
 
 def relative_residual(matrix, x: np.ndarray, b: np.ndarray,
@@ -116,7 +117,9 @@ def fast_diagonal_preconditioner(op: SparseOperator) -> spla.LinearOperator:
                             mats).ravel()
 
     n = op.n_unknowns
-    return spla.LinearOperator((n, n), matvec=solve)
+    # a declared dtype keeps scipy from applying the inverse once just to
+    # find it out
+    return spla.LinearOperator((n, n), matvec=solve, dtype=float)
 
 
 def _cg(op: SparseOperator, b: np.ndarray, tol: float,
@@ -154,6 +157,26 @@ def resolve_method(op: SparseOperator, method: str) -> str:
     return method
 
 
+def linear_solve(op: SparseOperator, b: np.ndarray, tol: float,
+                 method: str, maxiter_factor: float = 20.0
+                 ) -> tuple[np.ndarray, float]:
+    """``L x = b`` over interior vectors by the route ``method`` names.
+
+    Returns the solution and its relative residual, ungated: CG stops
+    once it is at most ``tol`` (or raises at its cap), the direct route
+    takes what the factorization gives.
+    """
+    method = resolve_method(op, method)
+    if method == "direct":
+        x = op.factor().solve(b)
+        return x, float(relative_residual(op.matrix, x, b)[0])
+    if method == "cg":
+        if not op.symmetric:
+            raise ConfigError("cg path requires a symmetric operator")
+        return _cg(op, b, tol, maxiter_factor)
+    raise ConfigError(f"unknown solver method '{method}'")
+
+
 def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
                     method: str = "direct",
                     maxiter_factor: float = 20.0) -> ScalarField:
@@ -167,16 +190,8 @@ def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
     if f.grid != op.grid:
         raise ConfigError("forcing lives on a different grid")
     method = resolve_method(op, method)
-    b = f.interior_vector()
-    if method == "direct":
-        x = op.factor().solve(b)
-        res = float(relative_residual(op.matrix, x, b)[0])
-    elif method == "cg":
-        if not op.symmetric:
-            raise ConfigError("cg path requires a symmetric operator")
-        x, res = _cg(op, b, tol, maxiter_factor)
-    else:
-        raise ConfigError(f"unknown solver method '{method}'")
+    x, res = linear_solve(op, f.interior_vector(), tol, method,
+                          maxiter_factor)
     if not res <= tol:
         raise SolverError(
             f"{method} solve missed tolerance {tol:g}", residual=res)

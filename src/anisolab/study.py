@@ -148,9 +148,10 @@ def _sweep_row(config: StudyConfig, blocks: OperatorBlocks, f, u_limit,
                             method=config.solver_method,
                             maxiter_factor=config.maxiter_factor)
     else:
-        u = picard_solve(op, f, nonlinearity, damping=config.damping,
-                         tol=config.solver_tol,
-                         max_iter=config.picard_max_iter).field
+        u = picard_solve(op, f, nonlinearity, tol=config.solver_tol,
+                         max_iter=config.picard_max_iter,
+                         method=config.solver_method,
+                         maxiter_factor=config.maxiter_factor).field
     diff = u - u_limit
     row = SweepRow(
         epsilon=epsilon,
@@ -191,8 +192,8 @@ def run_sweep(config: StudyConfig) -> SweepReport:
         u_limit = solve_limit(grid, coeffs, f, tol=config.solver_tol)
     else:
         u_limit = semilinear_limit(
-            grid, coeffs, f, nonlinearity, damping=config.damping,
-            tol=config.solver_tol, max_iter=config.picard_max_iter).field
+            grid, coeffs, f, nonlinearity, tol=config.solver_tol,
+            max_iter=config.picard_max_iter).field
     # the rows need only the blocks; the tables would otherwise stay
     # resident through every row's solve
     del coeffs

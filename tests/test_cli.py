@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,36 @@ class TestSemilinear:
         payload = json.loads((out / "report.json").read_text())
         assert payload["config"]["nonlinearity"] == "tanh"
         assert payload["complete"] is True
+
+
+class TestReproduceScript:
+    @staticmethod
+    def script():
+        path = (Path(__file__).resolve().parent.parent / "scripts"
+                / "reproduce_study.py")
+        spec = importlib.util.spec_from_file_location("reproduce_study",
+                                                      path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_semilinear_config_runs_semilinear(self, tmp_path, capsys):
+        # the shipped semilinear config at 24^2 instead of 96^2
+        shipped = (Path(__file__).resolve().parent.parent / "configs"
+                   / "semilinear.cfg").read_text()
+        assert "cells = 96, 96" in shipped
+        cfg = write_cfg(tmp_path, shipped.replace("cells = 96, 96",
+                                                  "cells = 24, 24"))
+        out = tmp_path / "out"
+        assert self.script().main([cfg, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "== semilinear ==" in printed
+        assert "skipping translation" in printed
+        assert "== sweep ==" not in printed
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["complete"] is True
+        assert payload["config"]["nonlinearity"] == "tanh"
+        assert not (out / "translation.csv").exists()
 
 
 FOURIER_CFG = """

@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import numpy as np
@@ -253,6 +254,21 @@ class TestConfigFile:
         assert cfg.translation_levels == 2
         assert cfg.out_dir == "results" and cfg.out_format == "json"
         assert cfg.seed == 42
+
+    def test_damping_deprecated(self, tmp_path, caplog):
+        # still parsed and validated, so old configs load, with a notice
+        path = tmp_path / "study.cfg"
+        path.write_text(INI_TEXT)
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            cfg = load_config(path)
+        assert cfg.damping == 0.8
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "damping is deprecated" in caplog.records[0].getMessage()
+        caplog.clear()
+        path.write_text(INI_TEXT.replace("damping = 0.8\n", ""))
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            assert load_config(path).damping == 0.5
+        assert caplog.records == []
 
     def test_minimal_file_keeps_defaults(self, tmp_path):
         path = tmp_path / "min.cfg"

@@ -2,29 +2,41 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, strategies as st
 
 from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
                       make_grid, nonlinearity_family, picard_solve,
                       semilinear_limit, solve_dirichlet, solve_limit)
 from anisolab.limit import iter_slice_systems
+from anisolab.semilinear import ARMIJO, jacobian
 
 MID_VALUE = 1.0 - 1.0 / np.cosh(0.5)  # 0.11318111602992609
+FAMILIES = ("zero", "linear", "tanh", "rational")
 
 
-def per_slice_picard(matrix, rhs, a, weight, damping, tol=1e-10,
-                     max_iter=200):
-    """Reference damped iteration on one slice system."""
-    solve = spla.splu(matrix.tocsc()).solve
-    u = solve(rhs + a(np.zeros_like(rhs)))
-    for m in range(1, max_iter + 1):
-        u_next = (1 - damping) * u + damping * solve(rhs + a(u))
-        inc = np.linalg.norm(u_next - u) * weight
-        done = inc <= tol * max(1.0, np.linalg.norm(u) * weight)
-        u = u_next
-        if done:
-            return u, m
-    raise AssertionError("reference iteration did not converge")
+def per_slice_newton(matrix, rhs, a, tol=1e-10, max_iter=200):
+    """Reference Newton on one slice system: spsolve steps, halved until
+    the Armijo rule holds.  Returns the iterate, the steps and the number
+    of halvings."""
+    def residual(u):
+        return matrix @ u - (rhs + a(u))
+
+    u = spla.spsolve(matrix.tocsc(), rhs + a(np.zeros_like(rhs)))
+    halvings = 0
+    for m in range(max_iter + 1):
+        F = residual(u)
+        if np.linalg.norm(F) <= tol * np.linalg.norm(rhs + a(u)):
+            return u, m, halvings
+        J = matrix + sp.diags(-a.deriv(u))
+        du = spla.spsolve(J.tocsc(), -F)
+        t = 1.0
+        while (np.linalg.norm(residual(u + t * du))
+               > (1 - ARMIJO * t) * np.linalg.norm(F)):
+            t /= 2
+            halvings += 1
+        u = u + t * du
+    raise AssertionError("reference Newton did not converge")
 
 
 def setup(n, family="identity"):
@@ -50,6 +62,7 @@ class TestNonlinearityFamily:
         for a in (zero, lin, tanh, rat):
             vals = a(x)
             assert np.all(np.diff(vals) <= 1e-15)
+            assert a.deriv(x).shape == x.shape
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigError):
@@ -59,17 +72,51 @@ class TestNonlinearityFamily:
         with pytest.raises(ConfigError):
             nonlinearity_family("cubic")
 
+    @given(st.sampled_from(FAMILIES), st.floats(0.0, 10.0),
+           st.floats(-50.0, 50.0))
+    def test_derivative_matches_central_difference(self, name, kappa, x):
+        a = nonlinearity_family(name, **({"kappa": kappa}
+                                         if name == "linear" else {}))
+        h = 1e-6 * max(1.0, abs(x))
+        pts = np.array([x - h, x, x + h])
+        central = (a(pts[2:]) - a(pts[:1]))[0] / (2 * h)
+        deriv = a.deriv(pts[1:2])[0]
+        assert deriv <= 0.0
+        assert abs(deriv - central) <= 1e-5 * (1.0 + a.growth)
+
+    def test_tanh_derivative_finite_far_out(self):
+        d = nonlinearity_family("tanh").deriv(np.array([-1e4, 0.0, 1e4]))
+        assert np.array_equal(d, [0.0, -1.0, 0.0])
+
+    def test_jacobian_symmetric_for_symmetric_table(self):
+        g, _, op, _ = setup(8, family="variable")
+        assert op.symmetric
+        u = np.random.default_rng(3).standard_normal(op.n_unknowns)
+        J = jacobian(op.matrix, nonlinearity_family("tanh"), u)
+        assert abs(J - J.T).max() == 0.0
+        assert np.array_equal(J.diagonal(),
+                              op.matrix.diagonal() + 1 / np.cosh(u) ** 2)
+        assert (J - op.matrix).nnz <= op.n_unknowns
+
 
 class TestPicard:
     def test_zero_term_is_one_linear_step(self):
-        _, _, op, f = setup(16)
-        res = picard_solve(op, f, nonlinearity_family("zero"))
-        assert res.iterations == 1
+        _, _, op, f = setup(16, family="variable")
+        zero = nonlinearity_family("zero")
         linear = solve_dirichlet(op, f)
+        # an exact step: the first Newton step is the linear solve
+        res = picard_solve(op, f, zero, method="direct")
+        assert res.iterations == 1
         assert np.array_equal(res.field.values, linear.values)
         assert res.residual < 1e-12
         assert len(res.increments) == res.iterations
         assert res.final_increment == res.increments[-1]
+        # CG steps stop at their forcing terms, so Newton takes several
+        res = picard_solve(op, f, zero, method="cg", tol=1e-10)
+        assert res.residual <= 1e-10
+        assert np.abs(res.field.values - linear.values).max() <= (
+            1e-10 * np.abs(linear.values).max())
+        assert len(res.increments) == res.iterations
 
     def test_linear_term_matches_shifted_system(self):
         # a(u) = -kappa u folds into the matrix: (L + kappa I) u = f
@@ -78,6 +125,7 @@ class TestPicard:
         res = picard_solve(op, f, nonlinearity_family("linear",
                                                       kappa=kappa),
                            tol=1e-12)
+        assert res.residual <= 1e-12
         shifted = op.matrix + kappa * sp.eye(op.n_unknowns, format="csr")
         direct = spla.spsolve(shifted.tocsc(), f.interior_vector())
         assert np.allclose(res.field.interior_vector(), direct, atol=1e-10)
@@ -85,27 +133,48 @@ class TestPicard:
     def test_bounded_terms_converge_with_small_residual(self):
         _, _, op, f = setup(16)
         for name in ("tanh", "rational"):
-            res = picard_solve(op, f, nonlinearity_family(name))
-            assert res.residual < 1e-8
-            assert res.iterations < 60
+            a = nonlinearity_family(name)
+            for method in ("cg", "direct"):
+                res = picard_solve(op, f, a, method=method)
+                assert res.residual <= 1e-10
+                assert res.iterations < 10
+                # the reported residual is the true one
+                u = res.field.interior_vector()
+                rhs = f.interior_vector() + a(u)
+                assert res.residual == pytest.approx(
+                    np.linalg.norm(op.matrix @ u - rhs)
+                    / np.linalg.norm(rhs), rel=1e-12)
 
-    def test_undamped_expansion_exhausts_iterations(self):
-        # kappa above the smallest operator eigenvalue (~2 pi^2) makes the
-        # undamped map expansive; damping 0.5 would still tame it
-        _, _, op, f = setup(16)
-        a = nonlinearity_family("linear", kappa=30.0)
-        with pytest.raises(SolverError) as err:
-            picard_solve(op, f, a, damping=1.0, max_iter=30)
-        assert err.value.last_increment is not None
-        assert err.value.last_increment > 1.0
-        res = picard_solve(op, f, a, damping=0.5)
-        assert res.residual < 1e-6
+    def test_max_iter_too_small_raises_with_residual(self):
+        _, _, op, f = setup(16, family="variable")
+        a = nonlinearity_family("tanh")
+        with pytest.raises(SolverError, match="Newton exhausted 1 steps") \
+                as err:
+            picard_solve(op, f, a, max_iter=1)
+        assert err.value.residual is not None
+        assert err.value.residual > 1e-10
+        res = picard_solve(op, f, a)
+        assert res.residual <= 1e-10 and res.iterations > 1
 
-    def test_damping_validated(self):
-        _, _, op, f = setup(8)
-        for d in (0.0, -0.5, 1.5):
-            with pytest.raises(ConfigError):
-                picard_solve(op, f, nonlinearity_family("zero"), damping=d)
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    def test_unreachable_tol_raises_with_residual(self, method):
+        # below roundoff no step can decrease |F|: the line search gives
+        # up and reports the residual reached instead of looping on
+        _, _, op, f = setup(16, family="variable")
+        with pytest.raises(SolverError, match="line search") as err:
+            picard_solve(op, f, nonlinearity_family("tanh"), tol=1e-20,
+                         method=method)
+        assert 0 < err.value.residual < 1e-13
+
+    def test_cg_route_needs_symmetric_operator(self):
+        g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
+        op = assemble_operator(g, coefficient_family(
+            "constant", g, matrix=[[2.0, 0.5], [0.3, 1.0]], lam=0.5))
+        f = forcing_field("constant", g, value=1.0)
+        a = nonlinearity_family("tanh")
+        with pytest.raises(ConfigError, match="symmetric"):
+            picard_solve(op, f, a, method="cg")
+        assert picard_solve(op, f, a).residual <= 1e-10  # auto: direct
 
     def test_wrong_grid_rejected(self):
         _, _, op, _ = setup(8)
@@ -117,11 +186,13 @@ class TestPicard:
 
 class TestSemilinearLimit:
     def test_zero_term_equals_linear_limit(self):
+        # the start iterate is the linear limit, so no step is needed
         g, coeffs, _, f = setup(12, family="variable")
         res = semilinear_limit(g, coeffs, f, nonlinearity_family("zero"))
         linear = solve_limit(g, coeffs, f)
         assert np.allclose(res.field.values, linear.values, atol=1e-12)
-        assert res.iterations == 1
+        assert res.iterations == 0
+        assert res.increments == () and res.final_increment == 0.0
 
     def test_cosh_profile_second_order(self):
         # per slice: -u'' = 1 - u, so u = 1 - cosh(y - 1/2)/cosh(1/2)
@@ -145,35 +216,68 @@ class TestSemilinearLimit:
         mid = res.field.values[n // 2, n // 2]
         assert mid == pytest.approx(MID_VALUE, abs=0.02 / n ** 2)
 
-    def test_matches_per_slice_iterations(self):
-        g = make_grid([(0, 1), (0, 1), (0, 1)], (4, 5, 10), q=2)
+    @staticmethod
+    def per_slice_reference(extent, scale):
+        g = make_grid([(0, 1), (0, 1), (0, extent)], (4, 5, 10), q=2)
         coeffs = coefficient_family("variable", g)
-        f = forcing_field("sine_product", g)
+        f = ScalarField(g, scale * forcing_field("sine_product", g).values)
         a = nonlinearity_family("tanh")
-        weight = np.sqrt(g.spacing[2])
         out = np.zeros(g.node_shape)
-        iters = []
+        iters, halvings = [], 0
         for _, matrix, rhs, scatter in iter_slice_systems(g, coeffs, f):
-            u, m = per_slice_picard(matrix, 20 * rhs, a, weight, 0.7)
+            u, m, h = per_slice_newton(matrix, rhs, a)
             scatter(u, out)
             iters.append(m)
-        res = semilinear_limit(g, coeffs, ScalarField(g, 20 * f.values), a,
-                               damping=0.7)
-        assert len(set(iters)) > 1  # slices really stop at different steps
-        assert res.iterations == max(iters)
-        assert len(res.increments) == max(iters)
-        assert np.abs(res.field.values - out).max() <= 1e-12 * np.abs(
-            out).max()
+            halvings += h
+        return semilinear_limit(g, coeffs, f, a), out, iters, halvings
+
+    def test_matches_per_slice_iterations(self):
+        # 20x forcing on the unit cube; unit forcing on a 10-long X2 axis,
+        # where the slice operators are weak against tanh' and full
+        # Newton steps from the linear start overshoot
+        for extent, scale, backtracks in ((1.0, 20.0, False),
+                                          (10.0, 1.0, True)):
+            res, out, iters, halvings = self.per_slice_reference(extent,
+                                                                 scale)
+            assert (halvings > 0) == backtracks
+            assert len(set(iters)) > 1  # slices stop at different steps
+            assert res.iterations == max(iters)
+            assert len(res.increments) == max(iters)
+            assert res.residual <= 1e-10
+            assert np.abs(res.field.values - out).max() <= 1e-12 * np.abs(
+                out).max()
 
     def test_exhausted_slice_named(self):
         g, coeffs, _, f = setup(8)
-        a = nonlinearity_family("linear", kappa=30.0)
-        with pytest.raises(SolverError, match=r"^slice \(\d+,\): damped"):
-            semilinear_limit(g, coeffs, f, a, damping=1.0, max_iter=20)
+        f = ScalarField(g, 20 * f.values)
+        a = nonlinearity_family("tanh")
+        with pytest.raises(SolverError,
+                           match=r"^slice \(\d+,\): Newton exhausted") as err:
+            semilinear_limit(g, coeffs, f, a, max_iter=1)
+        assert err.value.residual > 1e-10
 
     def test_worst_slice_reporting(self):
         g, coeffs, _, f = setup(8)
         res = semilinear_limit(g, coeffs, f, nonlinearity_family("tanh"))
         assert res.iterations >= 1
-        assert res.residual < 1e-8
+        assert res.residual <= 1e-10
         assert len(res.increments) == res.iterations
+
+    def test_every_slice_gated_on_its_own_rhs(self):
+        # sine forcing nearly vanishes on the X1 faces (|b| ~ 1e-16 there):
+        # those slices are still held to tol relative to their own b
+        g = make_grid([(0, 1), (0, 1)], (24, 24), q=1)
+        coeffs = coefficient_family("variable", g)
+        f = forcing_field("sine_product", g)
+        a = nonlinearity_family("tanh")
+        res = semilinear_limit(g, coeffs, f, a)
+        interior = slice(1, g.cells[1])
+        worst = 0.0
+        for x1_index, matrix, rhs, _ in iter_slice_systems(g, coeffs, f):
+            x = res.field.values[x1_index][interior]
+            b = rhs + a(x)
+            r = np.linalg.norm(matrix @ x - b)
+            worst = max(worst, r / np.linalg.norm(b) if b.any() else r)
+        assert 0 < np.abs(f.values[-1]).max() < 1e-15
+        assert worst <= 1e-10
+        assert res.residual == pytest.approx(worst, rel=1e-6)

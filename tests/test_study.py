@@ -153,6 +153,36 @@ class TestRunSweep:
         assert rep.complete
         assert all(np.isfinite(r.l2_diff) for r in rep.rows)
 
+    def test_semilinear_rows_follow_solver_method(self, monkeypatch):
+        # auto runs every Newton step of the symmetric table by CG; direct
+        # factors each step's Jacobian once (the limit's LUs are not an
+        # operator's)
+        from anisolab.fd_ops import SparseOperator
+        calls = []
+        real = SparseOperator.factor
+
+        def factor(op):
+            calls.append(op)
+            return real(op)
+        monkeypatch.setattr(SparseOperator, "factor", factor)
+        cfg = small_config(nonlinearity="tanh",
+                           coefficient_family="variable")
+        auto = run_sweep(cfg)
+        assert calls == []
+        direct = run_sweep(dataclasses.replace(cfg, solver_method="direct"))
+        assert len(calls) >= len(cfg.epsilons)
+        assert auto.complete and direct.complete
+        for a, d in zip(auto.rows, direct.rows):
+            for col in CSV_COLUMNS[1:-1]:
+                assert getattr(a, col) == pytest.approx(getattr(d, col),
+                                                        rel=1e-8), col
+
+    def test_damping_steers_nothing(self):
+        reps = [run_sweep(small_config(nonlinearity="tanh", damping=d))
+                for d in (0.3, 1.0)]
+        assert [dataclasses.replace(r, wall_ms=0.0) for r in reps[0].rows] \
+            == [dataclasses.replace(r, wall_ms=0.0) for r in reps[1].rows]
+
     def test_failed_solve_flags_incomplete(self):
         # variable table: the CG preconditioner is exact for the identity
         # one, so CG would converge in its one allowed step and the
