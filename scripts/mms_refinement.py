@@ -15,17 +15,18 @@ import sys
 
 import numpy as np
 
-from anisolab import (ScalarField, assemble_operator, coefficient_family,
-                      forcing_field, l2_norm, make_grid, scale_coefficients,
-                      solve_dirichlet)
+from anisolab import (ScalarField, coefficient_family, forcing_field,
+                      l2_norm, make_grid, solve_dirichlet)
+from anisolab.fd_ops import operator_blocks
 
 
 def error_at(n, epsilon):
     grid = make_grid([(0, 1), (0, 1)], (n, n), q=1)
     exact = forcing_field("sine_product", grid)
     f = ScalarField(grid, np.pi ** 2 * (epsilon ** 2 + 1.0) * exact.values)
-    coeffs = scale_coefficients(coefficient_family("identity", grid), epsilon)
-    u = solve_dirichlet(assemble_operator(grid, coeffs), f)
+    # the eps-operator every sweep row and ``anisolab solve`` build
+    blocks = operator_blocks(grid, coefficient_family("identity", grid))
+    u = solve_dirichlet(blocks.at(epsilon), f)
     return l2_norm(u - exact)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import logging
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -112,6 +113,16 @@ class StudyConfig:
             raise ConfigError(f"nested depth must be >= 1, got {self.nested}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not 0.0 < self.solver_tol < 1.0:
+            raise ConfigError(
+                f"solver tol must lie in (0, 1), got {self.solver_tol}")
+        if not (math.isfinite(self.maxiter_factor)
+                and self.maxiter_factor > 0.0):
+            raise ConfigError(f"maxiter factor must be finite and > 0, "
+                              f"got {self.maxiter_factor}")
+        if self.picard_max_iter < 1:
+            raise ConfigError(f"picard max iter must be >= 1, "
+                              f"got {self.picard_max_iter}")
         if self.solver_method not in ("auto", "direct", "cg"):
             raise ConfigError(f"unknown solver method '{self.solver_method}'")
         if self.out_format not in ("csv", "json"):

@@ -14,7 +14,7 @@ matrix is symmetric by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -116,21 +116,20 @@ def _offset(grid: Grid, base: tuple[slice, ...], e: np.ndarray
     return tuple(out)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SparseOperator:
     """Assembled operator over interior unknowns, row-major node order.
 
-    ``symmetric`` reflects exact symmetry of the entry table.  ``axis_means[d]`` is the node mean of
-    the diagonal entry a_dd: the constant table they form is what the CG
-    preconditioner inverts.  The LU factorization is computed lazily and
-    cached, so repeated solves on one operator reuse it.
+    ``symmetric`` reflects exact symmetry of the entry table.
+    ``axis_means[d]`` is the node mean of the diagonal entry a_dd: the
+    constant table they form is what the CG preconditioner inverts.
+    ``factor`` returns a fresh LU on every call.
     """
 
     matrix: sp.csr_matrix
     grid: Grid
     symmetric: bool
     axis_means: tuple[float, ...]
-    _lu: spla.SuperLU | None = dc_field(default=None, repr=False)
 
     @property
     def n_unknowns(self) -> int:
@@ -144,9 +143,7 @@ class SparseOperator:
         return ScalarField.from_interior(self.grid, out)
 
     def factor(self) -> spla.SuperLU:
-        if self._lu is None:
-            self._lu = factor_matrix(self.matrix, self.symmetric)
-        return self._lu
+        return factor_matrix(self.matrix, self.symmetric)
 
     def symmetry_defect(self) -> float:
         """max |L - L^T| / max |L| over stored entries."""
@@ -279,34 +276,24 @@ def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
 
 @dataclass(frozen=True, eq=False)
 class OperatorBlocks:
-    """The unscaled operator split by coefficient block on one pattern.
+    """The unscaled operator split by coefficient block.
 
-    ``indptr`` and ``indices`` hold the pattern of the full operator, the
-    union of the patterns of the X1 x X1, mixed and X2 x X2 block
-    operators.  Block k stores only its own entries: ``values[k]`` at the
-    slots ``positions[k]`` of that pattern's data array.  Arrays are
-    shared by every operator ``at`` returns and are never written to.
+    ``L11``, ``L12`` and ``L22`` are the X1 x X1, mixed and X2 x X2 block
+    operators in canonical CSR, as ``assemble_flux_matrix`` returns them.
+    They are shared by every operator ``at`` returns and never written to.
     """
 
     grid: Grid
-    indptr: np.ndarray
-    indices: np.ndarray
-    positions: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
+    L11: sp.csr_matrix
+    L12: sp.csr_matrix
+    L22: sp.csr_matrix
     symmetric: bool
     axis_means: np.ndarray
 
     def at(self, epsilon: float) -> SparseOperator:
         """``eps^2 L11 + eps L12 + L22``, the operator of the scaled table."""
         fac = scaling_factors(self.grid.ndim, self.grid.q, epsilon)
-        data = np.zeros(self.indices.size)
-        # a block's positions are distinct, so each += adds exactly once
-        for scale, pos, vals in zip((epsilon ** 2, epsilon, 1.0),
-                                    self.positions, self.values):
-            data[pos] += scale * vals
-        n = self.indptr.size - 1
-        matrix = sp.csr_matrix((data, self.indices, self.indptr),
-                               shape=(n, n))
+        matrix = epsilon ** 2 * self.L11 + epsilon * self.L12 + self.L22
         means = tuple(float(m) for m in np.diag(fac) * self.axis_means)
         return SparseOperator(matrix=matrix, grid=self.grid,
                               symmetric=self.symmetric,
@@ -317,9 +304,8 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
     """Assemble the X1 x X1, mixed and X2 x X2 block operators once.
 
     Each block is one ``assemble_flux_matrix`` call on the entry table
-    with the other blocks zeroed.  The union of their patterns is the
-    pattern ``assemble_operator`` gives for any epsilon, since scaling by
-    a positive epsilon leaves every nonzero table nonzero.
+    with the other blocks zeroed.  The operator is linear in its table, so
+    the scaled operator is the sum of the blocks times eps^2, eps and 1.
     """
     if coeffs.grid != grid:
         raise ConfigError("coefficients live on a different grid")
@@ -328,31 +314,12 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
     # 0 for X1 x X1 entries, 1 for mixed ones, 2 for X2 x X2
     block = 2 - in_x1[:, None].astype(int) - in_x1[None, :]
     expand = (1,) * grid.ndim
-    mats = [assemble_flux_matrix(
-                grid.cells, grid.spacing,
-                np.where((block == k).reshape(block.shape + expand),
-                         entries, 0.0))
-            for k in range(3)]
-    # an entry's key is its row-major position in the dense matrix
-    n = grid.n_interior
-    keys = []
-    for mat in mats:
-        mat.sort_indices()
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(mat.indptr))
-        keys.append(rows * n + mat.indices)
-    union = np.concatenate(keys)
-    union.sort()
-    union = union[np.concatenate(([True], union[1:] != union[:-1]))]
-    # built once so that scipy picks the index dtype every ``at`` reuses
-    pattern = sp.csr_matrix(
-        (np.zeros(union.size), union % n,
-         np.searchsorted(union, np.arange(n + 1) * n)), shape=(n, n))
-    index_dtype = pattern.indices.dtype
-    positions = tuple(np.searchsorted(union, key).astype(index_dtype)
-                      for key in keys)
-    return OperatorBlocks(grid=grid, indptr=pattern.indptr,
-                          indices=pattern.indices, positions=positions,
-                          values=tuple(mat.data for mat in mats),
+    L11, L12, L22 = (assemble_flux_matrix(
+                         grid.cells, grid.spacing,
+                         np.where((block == k).reshape(block.shape + expand),
+                                  entries, 0.0))
+                     for k in range(3))
+    return OperatorBlocks(grid=grid, L11=L11, L12=L12, L22=L22,
                           symmetric=symmetric_table(entries),
                           axis_means=np.array(_axis_means(entries)))
 

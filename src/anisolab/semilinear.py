@@ -142,8 +142,11 @@ def _newton(matrix: sp.spmatrix, rhs: np.ndarray, a: Nonlinearity,
     converts the flat euclidean norm into the quadrature l2 norm.  Returns
     the iterate, the steps taken per block, the weighted step norms (one
     row per step, one column per block; zero for a frozen block) and the
-    final relative residuals.
+    final relative residuals.  ``max_iter`` must be at least 1.
     """
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+
     def residual(u):
         b = rhs + a(u)
         F = matrix @ u - b

@@ -6,13 +6,14 @@ Symmetric tables run by preconditioned conjugate gradients with a hard
 iteration cap of ``20 * sqrt(unknowns)``; the SPD floor probe runs the
 same way.  scipy's CG stops on its recurrence residual; when the true
 residual misses ``tol`` there, CG restarts from the iterate with the
-iterations left.  Other tables get a sparse direct factorization (reused
-across calls via the operator's cached LU) with COLAMD ordering and
-partial pivoting.  ``method = "direct"``, ``solve_dirichlet``'s own
-default, factors symmetric tables too, in symmetric mode with
-minimum-degree ordering of ``A + A^T`` and diagonal pivots (see
-``fd_ops.factor_matrix``).  ``linear_solve`` is the two routes without
-the residual gate; the semilinear Newton steps run through it.
+iterations left.  Other tables get a sparse direct factorization, one
+per solve (every sweep row and Newton step builds a fresh operator),
+with COLAMD ordering and partial pivoting.  ``method = "direct"``,
+``solve_dirichlet``'s own default, factors symmetric tables too, in
+symmetric mode with minimum-degree ordering of ``A + A^T`` and diagonal
+pivots (see ``fd_ops.factor_matrix``).  ``linear_solve`` is the two
+routes without the residual gate; the semilinear Newton steps run
+through it.
 
 CG is preconditioned by fast diagonalization (Lynch, Rice & Thomas 1964):
 the preconditioner is the constant-coefficient operator whose table is

@@ -153,6 +153,15 @@ class TestStudyConfig:
         {"damping": 0.0},
         {"translation_levels": 0},
         {"fourier_lattice": 1},
+        {"solver_tol": 0.0},
+        {"solver_tol": -1.0},
+        {"solver_tol": 1.0},
+        {"solver_tol": float("nan")},
+        {"maxiter_factor": 0.0},
+        {"maxiter_factor": float("nan")},
+        {"maxiter_factor": float("inf")},
+        {"picard_max_iter": 0},
+        {"picard_max_iter": -1},
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -253,13 +256,31 @@ class TestOperatorBlocks:
                            atol=0.0)
 
     def test_at_leaves_blocks_unchanged(self):
+        # the sweep's thread pool calls ``at`` on one shared OperatorBlocks,
+        # so the arithmetic must never sort or rewrite a block in place
         g = make_grid([(0, 1)] * 3, (5, 6, 4), q=2)
         blocks = operator_blocks(g, coefficient_family("variable", g))
-        before = [v.copy() for v in blocks.values]
+        mats = (blocks.L11, blocks.L12, blocks.L22)
+        before = [(m.data.copy(), m.indices.copy(), m.indptr.copy())
+                  for m in mats]
         a, b = blocks.at(1.0), blocks.at(0.1)
         assert not np.shares_memory(a.matrix.data, b.matrix.data)
-        for old, new in zip(before, blocks.values):
-            assert np.array_equal(old, new)
+        epsilons = [1.0, 0.5, 0.1, 0.03, 1e-3, 1e-6] * 4
+        serial = [blocks.at(eps).matrix for eps in epsilons]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda eps: blocks.at(eps).matrix,
+                                    epsilons, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for x, y in zip(got, serial, strict=True):
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(x, attr), getattr(y, attr))
+        for old, m in zip(before, mats, strict=True):
+            for arr, now in zip(old, (m.data, m.indices, m.indptr)):
+                assert np.array_equal(arr, now)
 
     def test_rejects_epsilon_out_of_range(self, unit_square):
         g = unit_square(4)

@@ -156,6 +156,16 @@ class TestPicard:
         res = picard_solve(op, f, a)
         assert res.residual <= 1e-10 and res.iterations > 1
 
+    def test_negative_max_iter_rejected(self):
+        # a negative cap never equals the step count, so Newton would run
+        # without one
+        g, coeffs, op, f = setup(16, family="variable")
+        a = nonlinearity_family("tanh")
+        with pytest.raises(ConfigError, match="max_iter"):
+            picard_solve(op, f, a, max_iter=-1)
+        with pytest.raises(ConfigError, match="max_iter"):
+            semilinear_limit(g, coeffs, f, a, max_iter=-1)
+
     @pytest.mark.parametrize("method", ["cg", "direct"])
     def test_unreachable_tol_raises_with_residual(self, method):
         # below roundoff no step can decrease |F|: the line search gives
