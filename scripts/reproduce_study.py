@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the full study pipeline for one config file.
 
-Chains the sweep, the Fourier bound check, and the translation-modulus
+Chains the sweep, the metric of the last saved solution against the
+limit field, the Fourier bound check, and the translation-modulus
 diagnostic into a single output directory, so one invocation regenerates
 every artifact the report discusses:
 
@@ -14,6 +15,7 @@ sweeps only.
 
 import argparse
 import sys
+from pathlib import Path
 
 from anisolab.cli import main as cli
 from anisolab.config import load_config
@@ -32,7 +34,7 @@ def main(argv=None):
         common += ["--seed", str(args.seed)]
 
     config = load_config(args.config)
-    steps = ["sweep", "fourier-check", "translation"]
+    steps = ["sweep", "metric", "fourier-check", "translation"]
     if config.nonlinearity is not None:
         steps[0] = "semilinear"
         print("skipping translation: it runs on linear sweeps only")
@@ -42,10 +44,19 @@ def main(argv=None):
         print("skipping fourier-check: coefficient table is not constant")
         steps.remove("fourier-check")
 
+    fields = Path(args.out) / "fields"
     worst = 0
     for step in steps:
+        extra = []
+        if step == "metric":
+            saved = sorted(fields.glob("u_eps_*.field"))
+            if not saved:
+                print("skipping metric: the sweep saved no solution field")
+                continue
+            extra = ["--field", str(saved[-1]),
+                     "--field-b", str(fields / "u_limit.field")]
         print(f"== {step} ==", flush=True)
-        rc = cli([step] + common)
+        rc = cli([step] + common + extra)
         worst = max(worst, rc)
         if rc >= 2:
             # config or solver trouble: later steps would hit it too

@@ -34,8 +34,7 @@ from .fd_ops import hess_component, operator_blocks
 from .fieldio import atomic_write, load_field, save_field
 from .grid import nested_family
 from .limit import solve_limit
-from .norms import (frechet_distance, l2_norm, norm_bundle,
-                    translation_modulus, v12_norm)
+from .norms import l2_norm, norm_bundle, translation_modulus, v12_norm
 from .solver import relative_residual, resolve_method, solve_dirichlet
 from .spectral import check_constant_bounds, random_zero_mean_forcing
 from .study import FLOOR_NOTE, emit_report, run_sweep
@@ -210,11 +209,11 @@ def cmd_metric(args) -> int:
         v = load_field(args.field_b)
         if v.grid != u.grid:
             raise ConfigError("fields live on different grids")
+        diff = norm_bundle(u - v, family)
         payload["field_b"] = str(args.field_b)
-        payload["distance"] = frechet_distance(u, v, family,
-                                               n_max=config.nested)
-        payload["l2_diff"] = l2_norm(u - v)
-        payload["v12_diff"] = v12_norm(u - v)
+        payload["distance"] = diff.metric(family, n_max=config.nested)
+        payload["l2_diff"] = diff.l2
+        payload["v12_diff"] = diff.v12
     out = _out_dir(config)
     if config.out_format == "json":
         path = _write_json(out / "metric.json", payload)

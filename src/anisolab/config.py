@@ -104,6 +104,8 @@ class StudyConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError(
                 f"epsilon list must be strictly decreasing, got {eps}")
+        if not self.fourier_epsilons:
+            raise ConfigError("fourier epsilon list is empty")
         for e in self.fourier_epsilons:
             if not 0.0 < e <= 1.0:
                 raise ConfigError(f"fourier epsilon {e} outside (0, 1]")

@@ -46,19 +46,53 @@ def _node_block(node_shape: Sequence[int], offset: Sequence[int]
                  for o, n in zip(offset, node_shape))
 
 
+def _flat_stencil(u: ScalarField, reach: int):
+    """Output array and flat windows for a stencil of flat ``reach``.
+
+    In C order a whole-node offset along axis a is a fixed step of
+    ``stride_a`` flat positions, so every stencil term is one contiguous
+    slice of the flattened field: ``at(k)`` is the field moved by k flat
+    positions, aligned with the output window ``o``.  Window positions
+    whose stencil wraps past a face of a differentiated axis are face
+    nodes; the caller clears them with ``_zero_faces``.
+    """
+    v = np.ascontiguousarray(u.values).reshape(-1)
+    n = v.size
+    out = np.zeros(u.grid.node_shape)
+
+    def at(k: int) -> np.ndarray:
+        return v[reach + k:n - reach + k]
+
+    return out, out.reshape(-1)[reach:n - reach], at
+
+
+def _node_strides(grid: Grid) -> tuple[int, ...]:
+    """Flat (C-order) step of one node along each axis."""
+    return tuple(int(np.prod(grid.node_shape[a + 1:]))
+                 for a in range(grid.ndim))
+
+
+def _zero_faces(out: np.ndarray, axes) -> None:
+    """Zero both boundary faces of ``out`` along each of ``axes``."""
+    for a in axes:
+        for end in (0, -1):
+            face = [slice(None)] * out.ndim
+            face[a] = end
+            out[tuple(face)] = 0.0
+
+
 def grad_axis(u: ScalarField, axis: int) -> ScalarField:
-    """Centered first difference along one axis."""
+    """Centered first difference along one axis.
+
+    The stencil is written straight into the output, one contiguous
+    flat window per term, in the order ``(u[+1] - u[-1]) / (2 h)``.
+    """
     grid = u.grid
-    h = grid.spacing[axis]
-    out = np.zeros(grid.node_shape)
-    sl_c = [slice(None)] * grid.ndim
-    sl_p = [slice(None)] * grid.ndim
-    sl_m = [slice(None)] * grid.ndim
-    n = grid.cells[axis]
-    sl_c[axis] = slice(1, n)
-    sl_p[axis] = slice(2, n + 1)
-    sl_m[axis] = slice(0, n - 1)
-    out[tuple(sl_c)] = (u.values[tuple(sl_p)] - u.values[tuple(sl_m)]) / (2 * h)
+    s = _node_strides(grid)[axis]
+    out, o, at = _flat_stencil(u, s)
+    np.subtract(at(s), at(-s), out=o)
+    o /= 2 * grid.spacing[axis]
+    _zero_faces(out, (axis,))
     return ScalarField(grid, out)
 
 
@@ -68,52 +102,29 @@ def hess_component(u: ScalarField, i: int, j: int) -> ScalarField:
     Pure components use the 3-point stencil, mixed ones the 4-point cross
     of centered first differences.  Nodes one cell off a face read the
     stored boundary values, so solution fields (boundary zero) stay
-    consistent with the assembled operator.
+    consistent with the assembled operator.  The stencil is accumulated
+    in the output array itself, one contiguous flat window per term, in
+    the order written ``(u[+e] - 2 u + u[-e]) / h^2`` and ``(u[++] -
+    u[+-] - u[-+] + u[--]) / (4 h_i h_j)``, so for a C-ordered field the
+    only full-field allocation is the result.
     """
     grid = u.grid
-    v = u.values
-    out = np.zeros(grid.node_shape)
+    strides = _node_strides(grid)
+    si, sj = strides[i], strides[j]
     if i == j:
-        h = grid.spacing[i]
-        e = np.zeros(grid.ndim, dtype=int)
-        e[i] = 1
-        c = _axis_limited(grid, [i])
-        out[c] = (v[_offset(grid, c, e)] - 2 * v[c]
-                  + v[_offset(grid, c, -e)]) / h ** 2
-        return ScalarField(grid, out)
-    hi, hj = grid.spacing[i], grid.spacing[j]
-    ei = np.zeros(grid.ndim, dtype=int)
-    ej = np.zeros(grid.ndim, dtype=int)
-    ei[i] = 1
-    ej[j] = 1
-    c = _axis_limited(grid, [i, j])
-    out[c] = (v[_offset(grid, c, ei + ej)] - v[_offset(grid, c, ei - ej)]
-              - v[_offset(grid, c, -ei + ej)]
-              + v[_offset(grid, c, -ei - ej)]) / (4 * hi * hj)
+        out, o, at = _flat_stencil(u, si)
+        np.multiply(at(0), 2, out=o)
+        np.subtract(at(si), o, out=o)
+        o += at(-si)
+        o /= grid.spacing[i] ** 2
+    else:
+        out, o, at = _flat_stencil(u, si + sj)
+        np.subtract(at(si + sj), at(si - sj), out=o)
+        o -= at(-si + sj)
+        o += at(-si - sj)
+        o /= 4 * grid.spacing[i] * grid.spacing[j]
+    _zero_faces(out, {i, j})
     return ScalarField(grid, out)
-
-
-def _axis_limited(grid: Grid, axes: Sequence[int]) -> tuple[slice, ...]:
-    """All nodes, except interior-only along the listed axes."""
-    sl = [slice(None)] * grid.ndim
-    for a in axes:
-        sl[a] = slice(1, grid.cells[a])
-    return tuple(sl)
-
-
-def _offset(grid: Grid, base: tuple[slice, ...], e: np.ndarray
-            ) -> tuple[slice, ...]:
-    out = []
-    for a, s in enumerate(base):
-        o = int(e[a])
-        if o == 0:
-            out.append(s)
-        else:
-            start = (s.start or 0) + o
-            stop = (s.stop if s.stop is not None
-                    else grid.node_shape[a]) + o
-            out.append(slice(start, stop))
-    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -118,8 +118,8 @@ class ScalarField:
     """Grid function: one value per node, boundary nodes included.
 
     Solution fields of the Dirichlet problems carry exact zeros on the
-    boundary; derived fields (differences, derivatives) may not.  Values
-    are never mutated in place by library code.
+    boundary; derived fields (differences, derivatives) may not.  Library
+    code never mutates the values of a field it did not create itself.
     """
 
     grid: Grid

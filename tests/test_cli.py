@@ -178,6 +178,17 @@ class TestReproduceScript:
         assert payload["complete"] is True
         assert payload["config"]["nonlinearity"] == "tanh"
         assert not (out / "translation.csv").exists()
+        # the metric step reads the last saved row against the limit
+        assert "== metric ==" in printed
+        with open(out / "metric.csv", newline="") as fh:
+            metric = dict(csv.reader(fh))
+        last = payload["rows"][-1]
+        assert metric["field"].endswith(
+            f"u_eps_{len(payload['rows']) - 1:03d}.field")
+        assert metric["field_b"].endswith("u_limit.field")
+        assert float(metric["l2_diff"]) == last["l2_diff"]
+        assert float(metric["distance"]) == pytest.approx(
+            last["frechet_d"], rel=1e-13)
 
 
 FOURIER_CFG = """
@@ -253,6 +264,17 @@ class TestFourierCheck:
                    str(tmp_path / "out")])
         assert rc == 2
         assert "constant" in capsys.readouterr().err
+
+    def test_empty_epsilon_list_is_a_config_error(self, tmp_path, capsys):
+        # a check over no epsilon checks nothing: it must not report
+        # success with a header-only table
+        cfg = write_cfg(tmp_path, FOURIER_CFG.replace(
+            "epsilons = 1.0 0.1", "epsilons ="))
+        out = tmp_path / "out"
+        rc = main(["fourier-check", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "fourier epsilon list is empty" in capsys.readouterr().err
+        assert not (out / "fourier.csv").exists()
 
     def test_seed_reproducible(self, tmp_path):
         cfg = write_cfg(tmp_path, FOURIER_CFG)

@@ -143,6 +143,7 @@ class TestStudyConfig:
         {"epsilons": [1.5, 0.5]},
         {"epsilons": [1.0, 1.0]},
         {"fourier_epsilons": [2.0]},
+        {"fourier_epsilons": []},
         {"margin": 0},
         {"nested": 0},
         {"workers": 0},

@@ -74,6 +74,51 @@ class TestPointOperators:
                 assert np.allclose(d[inner], exact.get((i, j), 0.0),
                                    atol=1e-10)
 
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_in_place_kernels_match_out_of_place_expressions(self, rng, q):
+        # the stencils as plain array expressions on a 3-D grid with
+        # unequal spacings; the kernels must reproduce them bit for bit
+        g = make_grid([(0, 1), (0, 1.3), (0, 0.7)], (7, 9, 6), q=q)
+        v = rng.standard_normal(g.node_shape)
+        u = ScalarField(g, v)
+        n = g.cells
+
+        def block(sel):
+            # per axis: None keeps every node, else the interior shifted
+            # by the given offset
+            return tuple(slice(None) if o is None else slice(1 + o, n[a] + o)
+                         for a, o in enumerate(sel))
+
+        for a in range(3):
+            want = np.zeros(g.node_shape)
+            c, p, m = [None] * 3, [None] * 3, [None] * 3
+            c[a], p[a], m[a] = 0, 1, -1
+            want[block(c)] = (v[block(p)] - v[block(m)]) / (2 * g.spacing[a])
+            assert np.array_equal(grad_axis(u, a).values, want)
+        for i in range(3):
+            for j in range(3):
+                want = np.zeros(g.node_shape)
+                if i == j:
+                    c, p, m = [None] * 3, [None] * 3, [None] * 3
+                    c[i], p[i], m[i] = 0, 1, -1
+                    want[block(c)] = (v[block(p)] - 2 * v[block(c)]
+                                      + v[block(m)]) / g.spacing[i] ** 2
+                else:
+                    def at(oi, oj):
+                        sel = [None] * 3
+                        sel[i], sel[j] = oi, oj
+                        return block(sel)
+                    want[at(0, 0)] = (v[at(1, 1)] - v[at(1, -1)]
+                                      - v[at(-1, 1)] + v[at(-1, -1)]) / (
+                        4 * g.spacing[i] * g.spacing[j])
+                assert np.array_equal(hess_component(u, i, j).values,
+                                      want), (i, j)
+        # the kernels read a flattened copy of a non-C-ordered field
+        f = ScalarField(g, np.asfortranarray(v))
+        assert np.array_equal(grad_axis(f, 2).values, grad_axis(u, 2).values)
+        assert np.array_equal(hess_component(f, 0, 2).values,
+                              hess_component(u, 0, 2).values)
+
 
 class TestAssembly:
     def test_five_point_row(self, unit_square):

@@ -6,7 +6,7 @@ from anisolab import (ConfigError, NestedFamily, ScalarField, ShiftError,
                       frechet_distance, interior_subdomain, l2_norm,
                       make_grid, nested_family, norm_bundle,
                       translation_modulus, v12_norm, v22_norm)
-from anisolab.grid import SubdomainMask
+from anisolab.grid import SubdomainMask, shift_field
 from anisolab.norms import (block_seminorm, grad_x1_seminorm,
                             grad_x2_seminorm, hess_x1_seminorm,
                             hess_x1x2_seminorm, hess_x2_seminorm,
@@ -201,12 +201,13 @@ class TestCompositeNorms:
             assert b.v22_by_margin[m.margins] == pytest.approx(
                 v22_norm(u, m), rel=1e-13)
 
-    def test_bundle_sums_each_distinct_mask_once(self, unit_square,
-                                                  monkeypatch):
+    def test_bundle_sums_each_distinct_mask_once(self, monkeypatch):
         # a 32-cell grid clamps the 20-mask family at margin 1 after
-        # three halvings: four distinct masks, each read once per
-        # retained Hessian component
-        g = unit_square(32)
+        # three halvings: four distinct masks.  X2 has two axes, so four
+        # Hessian components, but each mask is read once, from their
+        # summed square
+        g = make_grid([(0, 1)] * 3, (32, 32, 32), q=1)
+        assert len(g.x2_axes) == 2
         fam = nested_family(g, 20)
         assert len(fam) == 20 and len(set(fam.margins)) == 4
         reads: dict = {}
@@ -219,7 +220,30 @@ class TestCompositeNorms:
         monkeypatch.setattr(SubdomainMask, "extract", counting)
         b = norm_bundle(seeded_field(g, 8), fam)
         assert len(b.v22_by_margin) == 4
-        assert reads == {m.margins: len(g.x2_axes) ** 2 for m in fam}
+        assert reads == {m.margins: 1 for m in fam}
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_bundle_matches_direct_calls_3d(self, q):
+        # with q = 1 X2 has two axes, so the squares sum over four
+        # Hessian components and two gradients; the extra mask is no
+        # member of the family
+        g = make_grid([(0, 1), (0, 1.5), (0, 0.8)], (16, 20, 12), q=q)
+        u = seeded_field(g, 31 + q)
+        fam = nested_family(g, 5)
+        extra = interior_subdomain(g, (2, 5, 3))
+        assert extra.margins not in set(m.margins for m in fam)
+        b = norm_bundle(u, (*fam, extra))
+        assert b.l2 == l2_norm(u)
+        assert b.v12 == pytest.approx(v12_norm(u), rel=1e-13)
+        assert set(b.v22_by_margin) == set(b.hess_x2_by_margin) == (
+            {m.margins for m in fam} | {extra.margins})
+        for m in (*fam, extra):
+            assert b.v22_by_margin[m.margins] == pytest.approx(
+                v22_norm(u, m), rel=1e-13)
+            assert b.hess_x2_by_margin[m.margins] == pytest.approx(
+                hess_x2_seminorm(u, m), rel=1e-13)
+        assert b.metric(fam) == pytest.approx(
+            frechet_distance(u, ScalarField.zeros(g), fam), rel=1e-13)
 
 
 class TestFrechet:
@@ -357,6 +381,36 @@ class TestTranslationModulus:
         with pytest.raises(ConfigError):
             translation_modulus([], interior_subdomain(unit_square(8), 2),
                                 [(0, 0)])
+
+    @pytest.mark.parametrize("grid", [
+        make_grid([(0, 1), (0, 1)], (24, 20), q=1),
+        make_grid([(0, 1), (0, 1.2), (0, 0.9)], (14, 12, 16), q=1),
+        make_grid([(0, 1), (0, 1.2), (0, 0.9)], (14, 12, 16), q=2),
+    ])
+    def test_equals_shift_field_definition(self, grid):
+        # tau_h v read from a shifted copy, as the definition reads it;
+        # the largest admissible shift is margin - 1 on every axis
+        m = interior_subdomain(grid, 4)
+        fields = [seeded_field(grid, s, boundary_zero=False)
+                  for s in range(3)]
+        shifts = [(0,) * grid.ndim, (1,) + (0,) * (grid.ndim - 1),
+                  (0,) * (grid.ndim - 1) + (-2,), (-3,) * grid.ndim,
+                  tuple((-1) ** a * (a + 1) for a in range(grid.ndim))]
+        out = translation_modulus(fields, m, shifts)
+        assert list(out) == shifts
+        for h in shifts:
+            want = max(float(np.sqrt(np.sum(
+                (m.extract(shift_field(v, h, mask=m)) - m.extract(v)) ** 2)
+                * grid.cell_volume)) for v in fields)
+            assert out[h] == want
+        for a in range(grid.ndim):
+            h = [0] * grid.ndim
+            h[a] = 4
+            with pytest.raises(ShiftError):
+                translation_modulus(fields, m, [h])
+            h[a] = -4
+            with pytest.raises(ShiftError):
+                translation_modulus(fields, m, [h])
 
     def test_smooth_field_modulus_shrinks_with_shift(self, unit_square):
         g = unit_square(64)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +83,29 @@ class TestRunSweep:
             frechet_distance(u, u_limit, family, n_max=cfg.nested),
             rel=1e-12)
         assert row.wall_ms >= 0.0
+
+    def test_quickstart_rows_read_one_difference_bundle(self):
+        # quickstart's row margin 5 is no member of its family (8, 4, 2,
+        # 1), so the shared bundle must take the row mask on its own
+        cfg = StudyConfig.from_file(
+            Path(__file__).resolve().parent.parent / "configs"
+            / "quickstart.cfg")
+        rep = run_sweep(cfg)
+        assert rep.complete
+        grid = rep.u_limit.grid
+        mask = cfg.build_mask(grid)
+        family = cfg.build_family(grid)
+        assert mask.margins == (5, 5)
+        assert 5 not in family.margins
+        for row, u in zip(rep.rows, rep.u_eps):
+            diff = u - rep.u_limit
+            assert row.l2_diff == l2_norm(diff)
+            assert row.v12_diff == pytest.approx(v12_norm(diff), rel=1e-13)
+            assert row.hess_x2_diff_omega == pytest.approx(
+                hess_x2_seminorm(diff, mask), rel=1e-13)
+            assert row.frechet_d == pytest.approx(
+                frechet_distance(u, rep.u_limit, family, n_max=cfg.nested),
+                rel=1e-13)
 
     def test_difference_columns_shrink(self):
         rep = run_sweep(small_config(epsilons=[1.0, 0.5, 0.25, 0.125]))
