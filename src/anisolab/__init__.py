@@ -23,7 +23,7 @@ from .norms import (NormBundle, frechet_distance, l2_norm, norm_bundle,
                     translation_modulus, v12_norm, v22_norm)
 from .semilinear import (Nonlinearity, PicardResult, nonlinearity_family,
                          picard_solve, semilinear_limit)
-from .solver import ConditioningReport, solve_dirichlet, solver_diagnostics
+from .solver import solve_dirichlet
 from .spectral import (BoundReport, BoundViolation, SpectralField,
                        check_constant_bounds, check_laplacian_bounds,
                        random_zero_mean_forcing, restrict_to_zero_x1,
@@ -37,7 +37,6 @@ __all__ = [
     "BoundReport",
     "BoundViolation",
     "CoefficientField",
-    "ConditioningReport",
     "ConfigError",
     "EllipticityError",
     "Grid",
@@ -82,7 +81,6 @@ __all__ = [
     "shift_field",
     "solve_dirichlet",
     "solve_limit",
-    "solver_diagnostics",
     "torus_solve",
     "translation_modulus",
     "v12_norm",

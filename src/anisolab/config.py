@@ -65,6 +65,8 @@ class StudyConfig:
         default_factory=lambda: [1.0, 0.5, 0.25, 0.125])
     margin: int | None = None
     nested: int = 20
+    # still parsed and validated, so configs that set it load, but the
+    # sweep runs its rows one after another and ignores it
     workers: int = 1
     # solver
     solver_method: str = "auto"
@@ -230,6 +232,10 @@ class StudyConfig:
         take("sweep", "margin", lambda s: _ints(s)[0])
         take("sweep", "nested", lambda s: _ints(s)[0])
         take("sweep", "workers", lambda s: _ints(s)[0])
+        if data.get("workers", 1) > 1:
+            log.warning("%s: [sweep] workers = %d is ignored; the sweep "
+                        "runs its rows one after another", path,
+                        data["workers"])
 
         take("solver", "method", str.strip, "solver_method")
         take("solver", "tol", lambda s: _floats(s)[0], "solver_tol")

@@ -9,7 +9,10 @@ interior unknowns only, with homogeneous Dirichlet data folded in by
 dropping links to boundary nodes: diagonal terms use arithmetic face
 averages of a_ii on half-integer faces, mixed terms use the composition of
 centered first differences.  For a symmetric entry table the assembled
-matrix is symmetric by construction.
+matrix is symmetric by construction, and so is it for any constant table:
+only a_ij + a_ji reaches each corner coupling.  So an operator's
+``symmetric`` flag is read off its assembled matrix (``is_symmetric``),
+not off the table; the flag picks CG under ``auto`` and the LU ordering.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ __all__ = [
     "OperatorBlocks",
     "apply_nondivergence",
     "factor_matrix",
-    "symmetric_table",
+    "is_symmetric",
 ]
 
 
@@ -131,7 +134,7 @@ def hess_component(u: ScalarField, i: int, j: int) -> ScalarField:
 class SparseOperator:
     """Assembled operator over interior unknowns, row-major node order.
 
-    ``symmetric`` reflects exact symmetry of the entry table.
+    ``symmetric`` is exact symmetry of ``matrix`` (``is_symmetric``).
     ``axis_means[d]`` is the node mean of the diagonal entry a_dd: the
     constant table they form is what the CG preconditioner inverts.
     ``factor`` returns a fresh LU on every call.
@@ -156,29 +159,21 @@ class SparseOperator:
     def factor(self) -> spla.SuperLU:
         return factor_matrix(self.matrix, self.symmetric)
 
-    def symmetry_defect(self) -> float:
-        """max |L - L^T| / max |L| over stored entries."""
-        diff = (self.matrix - self.matrix.T).tocoo()
-        top = np.abs(diff.data).max() if diff.nnz else 0.0
-        scale = np.abs(self.matrix.data).max()
-        return float(top / scale)
 
-
-def symmetric_table(entries: np.ndarray) -> bool:
-    """Exact symmetry of an (m, m, ...) entry table, hence of its matrix."""
-    m = entries.shape[0]
-    return all(np.array_equal(entries[i, j], entries[j, i])
-               for i in range(m) for j in range(i + 1, m))
+def is_symmetric(matrix: sp.spmatrix) -> bool:
+    """Exact symmetry of an assembled matrix: no entry differs from its
+    transpose."""
+    return (matrix != matrix.T).nnz == 0
 
 
 def factor_matrix(matrix: sp.spmatrix, symmetric: bool) -> spla.SuperLU:
     """Sparse LU with the ordering chosen by the matrix's symmetry.
 
-    A symmetric table gives a symmetric positive definite operator, so it
+    A symmetric matrix of an elliptic table is positive definite, so it
     is factored in SuperLU's symmetric mode: minimum-degree ordering of
     ``A + A^T`` and diagonal pivots, the standard choice for SPD systems
     (about a third less fill than COLAMD on the 2-D operators).  Other
-    tables keep the COLAMD column ordering with partial pivoting.  Both
+    matrices keep the COLAMD column ordering with partial pivoting.  Both
     orderings are pinned, so factorizations are reproducible.
     """
     if symmetric:
@@ -281,7 +276,7 @@ def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
     entries = coeffs.entries
     matrix = assemble_flux_matrix(grid.cells, grid.spacing, entries)
     return SparseOperator(matrix=matrix, grid=grid,
-                          symmetric=symmetric_table(entries),
+                          symmetric=is_symmetric(matrix),
                           axis_means=_axis_means(entries))
 
 
@@ -292,6 +287,8 @@ class OperatorBlocks:
     ``L11``, ``L12`` and ``L22`` are the X1 x X1, mixed and X2 x X2 block
     operators in canonical CSR, as ``assemble_flux_matrix`` returns them.
     They are shared by every operator ``at`` returns and never written to.
+    ``symmetric`` holds when each block is exactly symmetric, so every
+    ``at(eps)`` sum is too.
     """
 
     grid: Grid
@@ -331,7 +328,7 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
                                   entries, 0.0))
                      for k in range(3))
     return OperatorBlocks(grid=grid, L11=L11, L12=L12, L22=L22,
-                          symmetric=symmetric_table(entries),
+                          symmetric=all(map(is_symmetric, (L11, L12, L22))),
                           axis_means=np.array(_axis_means(entries)))
 
 

@@ -74,9 +74,14 @@ def load_field(path) -> ScalarField:
     raw = path.read_bytes()
     if raw[:8] != MAGIC:
         raise ConfigError(f"{path}: not a field file (bad magic)")
-    off = 8
-    n, q = struct.unpack_from("<II", raw, off)
-    off += 8
+    if len(raw) < 16:
+        raise ConfigError(f"{path}: header is {len(raw)} bytes, "
+                          f"expected at least 16")
+    n, q = struct.unpack_from("<II", raw, 8)
+    off = 16
+    if len(raw) < off + 24 * n:
+        raise ConfigError(f"{path}: header is {len(raw)} bytes, "
+                          f"expected {off + 24 * n} for {n} axes")
     cells = struct.unpack_from(f"<{n}Q", raw, off)
     off += 8 * n
     lo = struct.unpack_from(f"<{n}d", raw, off)

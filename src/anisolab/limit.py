@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientField
 from .errors import ConfigError, SolverError
-from .fd_ops import assemble_flux_matrix, factor_matrix, symmetric_table
+from .fd_ops import assemble_flux_matrix, factor_matrix, is_symmetric
 from .grid import Grid, ScalarField
 from .solver import relative_residual
 
@@ -68,8 +68,8 @@ class LimitOperator:
 
     Unknowns are ordered slice-major: X1 node (row-major over all X1
     nodes, faces included), then the slice's interior X2 nodes.  ``lu``
-    factors the whole matrix once; ``symmetric`` is the A22 table's
-    symmetry, which picks the ordering of every factorization.
+    factors the whole matrix once; ``symmetric`` is exact symmetry of
+    ``matrix``, which picks the ordering of every factorization.
     """
 
     matrix: sp.csr_matrix
@@ -124,7 +124,7 @@ def limit_operator(grid: Grid, coeffs: CoefficientField) -> LimitOperator:
     inner = tuple(slice(1, -1) if a < q else slice(None) for a in range(n))
     entries[(slice(q, None), slice(q, None)) + inner] = coeffs.x2_block()
     matrix = assemble_flux_matrix(cells, grid.spacing, entries)
-    symmetric = symmetric_table(entries)
+    symmetric = is_symmetric(matrix)
     return LimitOperator(matrix=matrix, grid=grid, symmetric=symmetric,
                          lu=factor_matrix(matrix, symmetric))
 

@@ -1,15 +1,16 @@
-"""Dirichlet solves on the assembled operators plus conditioning diagnostics.
+"""Dirichlet solves on the assembled operators.
 
 ``solve_dirichlet`` has two routes, and ``method = "auto"`` (the study
-default) picks between them by ``op.symmetric`` (``resolve_method``).
-Symmetric tables run by preconditioned conjugate gradients with a hard
-iteration cap of ``20 * sqrt(unknowns)``; the SPD floor probe runs the
-same way.  scipy's CG stops on its recurrence residual; when the true
-residual misses ``tol`` there, CG restarts from the iterate with the
-iterations left.  Other tables get a sparse direct factorization, one
-per solve (every sweep row and Newton step builds a fresh operator),
+default) picks between them by ``op.symmetric``, the exact symmetry of
+the assembled matrix (``resolve_method``).  Symmetric operators run by
+preconditioned conjugate gradients with a hard iteration cap of
+``maxiter_factor * sqrt(unknowns)`` (default 20); the SPD floor probe
+runs the same way.  scipy's CG stops on its recurrence residual; when the
+true residual misses ``tol`` there, CG restarts from the iterate with the
+iterations left.  Other operators get a sparse direct factorization,
+one per solve (every sweep row and Newton step builds a fresh operator),
 with COLAMD ordering and partial pivoting.  ``method = "direct"``,
-``solve_dirichlet``'s own default, factors symmetric tables too, in
+``solve_dirichlet``'s own default, factors symmetric operators too, in
 symmetric mode with minimum-degree ordering of ``A + A^T`` and diagonal
 pivots (see ``fd_ops.factor_matrix``).  ``linear_solve`` is the two
 routes without the residual gate; the semilinear Newton steps run
@@ -23,17 +24,14 @@ diagonalizes it exactly, so its inverse costs two sine transforms and a
 division; the sine matrices are built once per size and shared.  It
 carries the epsilon scaling of the operator, so the iteration count stays
 nearly flat as epsilon shrinks, where diagonal (Jacobi) scaling needs
-hundreds of iterations.  ``solver_diagnostics`` keeps the Jacobi count on
-purpose: it measures how conditioning degrades as epsilon shrinks.
+hundreds of iterations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
@@ -41,8 +39,8 @@ from .fd_ops import SparseOperator
 from .grid import ScalarField
 
 __all__ = ["solve_dirichlet", "linear_solve", "resolve_method",
-           "solver_diagnostics", "ConditioningReport", "relative_residual",
-           "sine_transform", "fast_diagonal_preconditioner"]
+           "relative_residual", "sine_transform",
+           "fast_diagonal_preconditioner"]
 
 
 def relative_residual(matrix, x: np.ndarray, b: np.ndarray,
@@ -197,65 +195,3 @@ def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
         raise SolverError(
             f"{method} solve missed tolerance {tol:g}", residual=res)
     return ScalarField.from_interior(op.grid, x)
-
-
-@dataclass
-class ConditioningReport:
-    """Extremal eigenvalue estimates for an assembled operator."""
-
-    n_unknowns: int
-    eig_min: float
-    eig_max: float
-    condition: float
-    exact: bool
-    cg_iterations: int | None = None
-
-
-def solver_diagnostics(op: SparseOperator, rhs: ScalarField | None = None,
-                       dense_limit: int = 3000,
-                       cg_tol: float = 1e-10) -> ConditioningReport:
-    """Extremal eigenvalues (exact below ``dense_limit`` unknowns, Lanczos
-    estimates above) and, when a forcing is supplied, the CG iteration
-    count for it.
-
-    The count is that of Jacobi (diagonally scaled) CG, not of the
-    fast-diagonalization CG ``solve_dirichlet`` runs: it is a measure of
-    conditioning, and grows as epsilon shrinks where the solver's does not.
-
-    The count is reported only for a converged CG run: one that stops at
-    the cap of ``20 * unknowns`` iterations raises SolverError carrying
-    the achieved residual.
-    """
-    n = op.n_unknowns
-    if n <= dense_limit:
-        eigs = np.linalg.eigvalsh(op.matrix.toarray())
-        eig_min, eig_max = float(eigs[0]), float(eigs[-1])
-        exact = True
-    else:
-        a = op.matrix.tocsc()
-        eig_max = float(spla.eigsh(a, k=1, which="LA",
-                                   return_eigenvectors=False)[0])
-        eig_min = float(spla.eigsh(a, k=1, sigma=0, which="LM",
-                                   return_eigenvectors=False)[0])
-        exact = False
-    iters = None
-    if rhs is not None:
-        count = {"n": 0}
-
-        def cb(_):
-            count["n"] += 1
-
-        diag = op.matrix.diagonal()
-        M = spla.LinearOperator((n, n), matvec=lambda r: r / diag)
-        b = rhs.interior_vector()
-        x, info = spla.cg(op.matrix, b, rtol=cg_tol, atol=0.0,
-                          maxiter=20 * n, M=M, callback=cb)
-        if info != 0:
-            raise SolverError(
-                f"cg stopped after {count['n']} iterations without "
-                f"reaching {cg_tol:g} (code {info})",
-                residual=float(relative_residual(op.matrix, x, b)[0]))
-        iters = count["n"]
-    return ConditioningReport(
-        n_unknowns=n, eig_min=eig_min, eig_max=eig_max,
-        condition=eig_max / eig_min, exact=exact, cg_iterations=iters)

@@ -25,7 +25,6 @@ import csv
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -177,12 +176,13 @@ def run_sweep(config: StudyConfig) -> SweepReport:
     """Full sweep: limit once, one scaled solve per epsilon, norm columns.
 
     The coefficient blocks of the operator are assembled once per call,
-    and each epsilon's operator is formed from them.  Rows run on a pool
-    of ``config.workers`` threads (one worker: on the calling thread) and
-    always come out in the configured (decreasing) epsilon order.  A
-    failed solve stops the sweep: rows not yet started are never solved,
-    and the report is returned with the finished prefix and flagged
-    incomplete.
+    and each epsilon's operator is formed from them.  Rows run one after
+    another on the calling thread, in the configured (decreasing) epsilon
+    order; ``config.workers`` is ignored.  Under ``auto`` the rows solve
+    by CG when the assembled blocks are exactly symmetric, and by LU
+    otherwise.  A failed solve stops the sweep: later rows are never
+    solved, and the report is returned with the finished prefix and
+    flagged incomplete.
     """
     grid = config.build_grid()
     coeffs = config.build_coefficients(grid)
@@ -205,33 +205,18 @@ def run_sweep(config: StudyConfig) -> SweepReport:
 
     floor = discretization_floor(grid, tol=config.solver_tol)
 
-    def work(epsilon):
-        return _sweep_row(config, blocks, f, u_limit, mask, family,
-                          nonlinearity, epsilon)
-
     rows: list[SweepRow] = []
     fields: list[ScalarField] = []
     error: str | None = None
-    # one worker solves the rows lazily on this thread: a pool thread
-    # would allocate from a malloc arena of its own, beside this
-    # thread's (5-7% more peak memory on the benchmark's sweeps)
-    pool = (ThreadPoolExecutor(max_workers=config.workers)
-            if config.workers > 1 else None)
-    results = (map(work, config.epsilons) if pool is None
-               else pool.map(work, config.epsilons))
-    try:
-        for epsilon in config.epsilons:
-            try:
-                row, u = next(results)
-            except SolverError as err:
-                error = f"epsilon={epsilon}: {err}"
-                break
-            rows.append(row)
-            fields.append(u)
-    finally:
-        if pool is not None:
-            # rows not yet started after a failure are never solved
-            pool.shutdown(cancel_futures=True)
+    for epsilon in config.epsilons:
+        try:
+            row, u = _sweep_row(config, blocks, f, u_limit, mask, family,
+                                nonlinearity, epsilon)
+        except SolverError as err:
+            error = f"epsilon={epsilon}: {err}"
+            break
+        rows.append(row)
+        fields.append(u)
 
     rates: dict[str, float | None] = {}
     for col in RATE_COLUMNS:

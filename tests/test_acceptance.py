@@ -126,7 +126,6 @@ def convergence_sweep():
         coefficient_family="variable",
         forcing_family="sine_product",
         epsilons=[2.0 ** -k for k in range(7)],
-        workers=4,
     )
     t0 = time.perf_counter()
     report = run_sweep(config)

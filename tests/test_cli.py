@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("family, ran", [
         ("variable", "cg"),
-        ("constant\nmatrix = 2.0 0.3 ; 0.0 1.0", "direct"),
+        # a constant table assembles symmetric whatever its symmetry
+        ("constant\nmatrix = 2.0 0.3 ; 0.0 1.0", "cg"),
+        ("variable\n[solver]\nmethod = direct", "direct"),
     ])
     def test_report_names_the_method_that_ran(self, tmp_path, family, ran):
         # the default method is auto; the report records what it became
@@ -345,6 +348,15 @@ class TestMetric:
                    "--field-b", str(b)])
         assert rc == 2
         assert "different grids" in capsys.readouterr().err
+
+    def test_truncated_header_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        field = tmp_path / "short.field"
+        field.write_bytes(b"AFLD0001" + struct.pack("<I", 2))
+        rc = main(["metric", "--config", cfg, "--out",
+                   str(tmp_path / "out"), "--field", str(field)])
+        assert rc == 2
+        assert "short.field: header" in capsys.readouterr().err
 
 
 TRANSLATION_CFG = """

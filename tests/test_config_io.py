@@ -60,6 +60,17 @@ class TestFieldIO:
         with pytest.raises(ConfigError):
             load_field(path)
 
+    @pytest.mark.parametrize("keep", [12, 16, 40])
+    def test_truncated_header_rejected(self, tmp_path, unit_square, rng,
+                                       keep):
+        # 12 bytes: the magic and N but no q; 16: no cells; 40: cut in lo
+        u = random_field(unit_square(4), rng)
+        path = tmp_path / "u.field"
+        save_field(path, u)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ConfigError, match="u.field: header"):
+            load_field(path)
+
     def test_truncated_payload_rejected(self, tmp_path, unit_square, rng):
         u = random_field(unit_square(4), rng)
         path = tmp_path / "u.field"
@@ -268,16 +279,33 @@ class TestConfigFile:
     def test_damping_deprecated(self, tmp_path, caplog):
         # still parsed and validated, so old configs load, with a notice
         path = tmp_path / "study.cfg"
-        path.write_text(INI_TEXT)
+        # workers = 1 keeps the workers notice out of the records
+        text = INI_TEXT.replace("workers = 2\n", "workers = 1\n")
+        path.write_text(text)
         with caplog.at_level(logging.WARNING, logger="anisolab.config"):
             cfg = load_config(path)
         assert cfg.damping == 0.8
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "damping is deprecated" in caplog.records[0].getMessage()
         caplog.clear()
-        path.write_text(INI_TEXT.replace("damping = 0.8\n", ""))
+        path.write_text(text.replace("damping = 0.8\n", ""))
         with caplog.at_level(logging.WARNING, logger="anisolab.config"):
             assert load_config(path).damping == 0.5
+        assert caplog.records == []
+
+    def test_workers_ignored(self, tmp_path, caplog):
+        # parsed and validated, so configs that set it load; above 1 the
+        # file gets a notice, since rows run one after another
+        path = tmp_path / "study.cfg"
+        path.write_text("[sweep]\nworkers = 2\n")
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            assert load_config(path).workers == 2
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "workers = 2 is ignored" in caplog.records[0].getMessage()
+        caplog.clear()
+        path.write_text("[sweep]\nworkers = 1\n")
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            assert load_config(path).workers == 1
         assert caplog.records == []
 
     def test_minimal_file_keeps_defaults(self, tmp_path):

@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -178,8 +175,8 @@ class TestAssembly:
             coeffs = scale_coefficients(
                 coefficient_family("variable", g), eps)
             op = assemble_operator(g, coeffs)
-            assert op.symmetric
-            assert op.symmetry_defect() == 0.0
+            dense = op.matrix.toarray()
+            assert op.symmetric and np.array_equal(dense, dense.T)
 
     def test_asymmetric_table_flagged(self, unit_square):
         # constant asymmetric entries still assemble to a symmetric matrix
@@ -194,19 +191,24 @@ class TestAssembly:
         entries[1, 0] = 0.1 * y
         coeffs = CoefficientField(g, entries, lam=0.1)
         op = assemble_operator(g, coeffs)
-        assert not op.symmetric
-        assert op.symmetry_defect() > 0.0
+        dense = op.matrix.toarray()
+        assert not op.symmetric and not np.array_equal(dense, dense.T)
+        blocks = operator_blocks(g, coeffs)
+        assert not blocks.symmetric and not blocks.at(0.5).symmetric
 
     def test_constant_asymmetric_table_assembles_symmetric(self, unit_square):
+        # the flag reflects the matrix, not the table
         g = unit_square(4)
         entries = np.zeros((2, 2) + g.node_shape)
         entries[0, 0] = 1.0
         entries[1, 1] = 1.0
         entries[0, 1] = 0.3
         entries[1, 0] = 0.1
-        op = assemble_operator(g, CoefficientField(g, entries, lam=0.1))
-        assert not op.symmetric  # flag reflects the table, not the matrix
-        assert op.symmetry_defect() == 0.0
+        coeffs = CoefficientField(g, entries, lam=0.1)
+        op = assemble_operator(g, coeffs)
+        dense = op.matrix.toarray()
+        assert op.symmetric and np.array_equal(dense, dense.T)
+        assert operator_blocks(g, coeffs).at(0.5).symmetric
 
     def test_positive_definite(self, unit_square):
         g = unit_square(8)
@@ -269,7 +271,25 @@ class TestDualRoute:
                            atol=1e-10)
 
 
-# (ndim, q, family parameters); the last table is not symmetric
+def varying_asymmetric(grid, matrix, lam):
+    """The constant ``matrix`` with every entry above the diagonal scaled
+    by 1 + (sum of the coordinates) / 2.
+
+    A constant table assembles to a symmetric matrix whatever its own
+    symmetry (only a_ij + a_ji reaches each corner coupling); this one's
+    asymmetry varies along every axis, X2 included, so both the full
+    operator and every limit slice assemble non-symmetric.
+    """
+    m = np.asarray(matrix, dtype=float)
+    scale = 1.0 + sum(grid.meshgrid()) / 2
+    entries = np.zeros(m.shape + grid.node_shape)
+    for i, j in np.ndindex(*m.shape):
+        entries[i, j] = m[i, j] * (scale if j > i else 1.0)
+    return CoefficientField(grid, entries, lam=lam)
+
+
+# (ndim, q, family parameters); the last table is not symmetric, but
+# being constant it assembles to a symmetric matrix
 BLOCK_CASES = [
     (2, 1, ("variable", {})),
     (3, 1, ("variable", {})),
@@ -301,8 +321,8 @@ class TestOperatorBlocks:
                            atol=0.0)
 
     def test_at_leaves_blocks_unchanged(self):
-        # the sweep's thread pool calls ``at`` on one shared OperatorBlocks,
-        # so the arithmetic must never sort or rewrite a block in place
+        # every sweep row calls ``at`` on one shared OperatorBlocks, so the
+        # arithmetic must never sort or rewrite a block in place
         g = make_grid([(0, 1)] * 3, (5, 6, 4), q=2)
         blocks = operator_blocks(g, coefficient_family("variable", g))
         mats = (blocks.L11, blocks.L12, blocks.L22)
@@ -310,19 +330,8 @@ class TestOperatorBlocks:
                   for m in mats]
         a, b = blocks.at(1.0), blocks.at(0.1)
         assert not np.shares_memory(a.matrix.data, b.matrix.data)
-        epsilons = [1.0, 0.5, 0.1, 0.03, 1e-3, 1e-6] * 4
-        serial = [blocks.at(eps).matrix for eps in epsilons]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(lambda eps: blocks.at(eps).matrix,
-                                    epsilons, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        for x, y in zip(got, serial, strict=True):
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(x, attr), getattr(y, attr))
+        for eps in (1.0, 0.5, 0.1, 0.03, 1e-3, 1e-6):
+            blocks.at(eps)
         for old, m in zip(before, mats, strict=True):
             for arr, now in zip(old, (m.data, m.indices, m.indptr)):
                 assert np.array_equal(arr, now)

@@ -5,25 +5,29 @@ import scipy.sparse.linalg as spla
 from anisolab import (ConfigError, ScalarField, SolverError,
                       coefficient_family, forcing_field, make_grid,
                       solve_limit)
-from anisolab.fd_ops import factor_matrix, symmetric_table
+from anisolab.fd_ops import factor_matrix
 from anisolab.limit import iter_slice_systems, limit_operator
+
+from test_fd_ops import varying_asymmetric
 
 NONSYMMETRIC = [[2.0, 0.3, 0.1], [0.1, 1.5, 0.4], [0.2, -0.2, 1.2]]
 
 
 def block_cases():
-    """(grid, coefficients, forcing): 2-D q=1, 3-D q=2, and a 3-D q=1
-    constant table whose A22 block is not symmetric."""
+    """(grid, coefficients, forcing): 2-D q=1, 3-D q=2, a 3-D q=1
+    constant table whose A22 block is not symmetric, and the same table
+    with its asymmetry varying in space."""
     g2 = make_grid([(0, 1), (0, 2)], (10, 12), q=1)
     g3 = make_grid([(0, 1)] * 3, (5, 6, 8), q=2)
     g3n = make_grid([(0, 1)] * 3, (5, 6, 7), q=1)
+    f3n = ScalarField.from_function(g3n, lambda x, y, z: 1.0 + x * y - z)
     return [
         (g2, coefficient_family("variable", g2),
          forcing_field("sine_product", g2)),
         (g3, coefficient_family("variable", g3),
          forcing_field("constant", g3, value=1.0)),
-        (g3n, coefficient_family("constant", g3n, matrix=NONSYMMETRIC),
-         ScalarField.from_function(g3n, lambda x, y, z: 1.0 + x * y - z)),
+        (g3n, coefficient_family("constant", g3n, matrix=NONSYMMETRIC), f3n),
+        (g3n, varying_asymmetric(g3n, NONSYMMETRIC, lam=0.5), f3n),
     ]
 
 
@@ -70,27 +74,31 @@ class TestSliceStructure:
 
 
 class TestBlockOperator:
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(4))
     def test_matches_per_slice_solves(self, case):
         g, coeffs, f = block_cases()[case]
         ref = per_slice_limit(g, coeffs, f)
         got = solve_limit(g, coeffs, f).values
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(4))
     def test_nnz_is_sum_of_slices(self, case):
         g, coeffs, f = block_cases()[case]
         nnz = sum(m.nnz for _, m, _, _ in iter_slice_systems(g, coeffs, f))
         assert limit_operator(g, coeffs).matrix.nnz == nnz
 
     def test_ordering_follows_a22_symmetry(self):
+        # the flag, hence the ordering, follows the assembled matrix: the
+        # constant asymmetric A22 assembles symmetric, the varying one not
         flags = []
         for g, c, _ in block_cases():
             op = limit_operator(g, c)
-            flags.append(symmetric_table(c.x2_block()))
-            ref = factor_matrix(op.matrix, flags[-1])
+            dense = op.matrix.toarray()
+            assert op.symmetric == np.array_equal(dense, dense.T)
+            flags.append(op.symmetric)
+            ref = factor_matrix(op.matrix, op.symmetric)
             assert np.array_equal(op.lu.perm_c, ref.perm_c)
-        assert flags == [True, True, False]
+        assert flags == [True, True, True, False]
 
     def test_slice_residual_gate_names_slice(self):
         g, coeffs, f = block_cases()[1]

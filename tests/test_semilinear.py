@@ -11,6 +11,8 @@ from anisolab import (ConfigError, ScalarField, SolverError,
 from anisolab.limit import iter_slice_systems
 from anisolab.semilinear import ARMIJO, jacobian
 
+from test_fd_ops import varying_asymmetric
+
 MID_VALUE = 1.0 - 1.0 / np.cosh(0.5)  # 0.11318111602992609
 FAMILIES = ("zero", "linear", "tanh", "rational")
 
@@ -178,10 +180,14 @@ class TestPicard:
 
     def test_cg_route_needs_symmetric_operator(self):
         g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
-        op = assemble_operator(g, coefficient_family(
-            "constant", g, matrix=[[2.0, 0.5], [0.3, 1.0]], lam=0.5))
+        matrix = [[2.0, 0.5], [0.3, 1.0]]
         f = forcing_field("constant", g, value=1.0)
         a = nonlinearity_family("tanh")
+        # a constant asymmetric table assembles symmetric: CG takes it
+        op = assemble_operator(g, coefficient_family(
+            "constant", g, matrix=matrix, lam=0.5))
+        assert picard_solve(op, f, a, method="cg").residual <= 1e-10
+        op = assemble_operator(g, varying_asymmetric(g, matrix, lam=0.5))
         with pytest.raises(ConfigError, match="symmetric"):
             picard_solve(op, f, a, method="cg")
         assert picard_solve(op, f, a).residual <= 1e-10  # auto: direct

@@ -11,13 +11,12 @@ import scipy.sparse.linalg as spla
 import anisolab.solver
 from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
-                      make_grid, scale_coefficients, solve_dirichlet,
-                      solver_diagnostics)
+                      make_grid, scale_coefficients, solve_dirichlet)
 from anisolab.fd_ops import SparseOperator
 from anisolab.solver import (fast_diagonal_preconditioner, relative_residual,
                              resolve_method, sine_transform)
 
-from test_fd_ops import BLOCK_CASES, sine_eigenvector
+from test_fd_ops import BLOCK_CASES, sine_eigenvector, varying_asymmetric
 
 
 def laplace_setup(n):
@@ -254,7 +253,10 @@ class TestAuto:
     def test_nonsymmetric_operator_factors(self, monkeypatch):
         ndim, q, (family, params) = BLOCK_CASES[-1]
         g = make_grid([(0, 1)] * ndim, (5, 6, 4), q=q)
+        # the constant asymmetric table assembles symmetric and runs by CG
         op = assemble_operator(g, coefficient_family(family, g, **params))
+        assert op.symmetric and resolve_method(op, "auto") == "cg"
+        op = assemble_operator(g, varying_asymmetric(g, **params))
         assert not op.symmetric and resolve_method(op, "auto") == "direct"
         calls = self.count_factor(monkeypatch)
         f = forcing_field("sine_product", g)
@@ -341,62 +343,3 @@ class TestFastDiagonalization:
             op = assemble_operator(g, scale_coefficients(coeffs, eps))
             solve_dirichlet(op, f, method="cg")
             assert 0 < counter.iterations <= 20, eps
-
-
-class TestDiagnostics:
-    def test_dense_eigenvalues_match_closed_form(self):
-        n = 8
-        g, op = laplace_setup(n)
-        h = 1.0 / n
-        modes = [(4 / h ** 2) * (np.sin(i * np.pi * h / 2) ** 2
-                                 + np.sin(j * np.pi * h / 2) ** 2)
-                 for i in range(1, n) for j in range(1, n)]
-        rep = solver_diagnostics(op)
-        assert rep.exact
-        assert rep.n_unknowns == (n - 1) ** 2
-        assert rep.eig_min == pytest.approx(min(modes), rel=1e-12)
-        assert rep.eig_max == pytest.approx(max(modes), rel=1e-12)
-        assert rep.condition == pytest.approx(max(modes) / min(modes),
-                                              rel=1e-12)
-
-    def test_lanczos_path_agrees_with_dense(self):
-        g, op = laplace_setup(12)
-        dense = solver_diagnostics(op)
-        lanczos = solver_diagnostics(op, dense_limit=10)
-        assert not lanczos.exact
-        assert lanczos.eig_min == pytest.approx(dense.eig_min, rel=1e-6)
-        assert lanczos.eig_max == pytest.approx(dense.eig_max, rel=1e-6)
-
-    def test_cg_iterations_reported_and_grow_as_eps_drops(self):
-        g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
-        f = forcing_field("constant", g, value=1.0)
-        base = coefficient_family("identity", g)
-        iters = []
-        for eps in (1.0, 0.05):
-            op = assemble_operator(g, scale_coefficients(base, eps))
-            rep = solver_diagnostics(op, rhs=f)
-            assert rep.cg_iterations is not None
-            iters.append(rep.cg_iterations)
-        assert iters[1] > iters[0]
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_unconverged_cg_raises_with_residual(self):
-        # a zero tolerance is never met, so CG runs to its 20 * n cap, long
-        # past roundoff, where its recurrences break down (0/0)
-        g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
-        op = assemble_operator(g, coefficient_family("identity", g))
-        f = forcing_field("constant", g, value=1.0)
-        with pytest.raises(SolverError,
-                           match=f"after {20 * op.n_unknowns} iterations"
-                           ) as err:
-            solver_diagnostics(op, rhs=f, cg_tol=0.0)
-        assert err.value.residual is not None
-        assert not err.value.residual <= 0.0  # positive, or nan
-
-    def test_condition_grows_as_eps_drops(self):
-        g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
-        base = coefficient_family("identity", g)
-        conds = [solver_diagnostics(
-            assemble_operator(g, scale_coefficients(base, eps))).condition
-            for eps in (1.0, 0.1, 0.01)]
-        assert conds[0] < conds[1] < conds[2]
