@@ -9,8 +9,7 @@ every artifact the report discusses:
     python3 scripts/reproduce_study.py configs/convergence.cfg --out out/full
 
 A config with a ``[nonlinearity]`` section runs the ``semilinear`` sweep
-instead, and skips the translation diagnostic, which runs on linear
-sweeps only.
+instead; the later steps read the fields it saved either way.
 """
 
 import argparse
@@ -37,8 +36,6 @@ def main(argv=None):
     steps = ["sweep", "metric", "fourier-check", "translation"]
     if config.nonlinearity is not None:
         steps[0] = "semilinear"
-        print("skipping translation: it runs on linear sweeps only")
-        steps.remove("translation")
     if config.coefficient_family not in ("identity", "constant"):
         # the symbol-side verification only exists for constant tables
         print("skipping fourier-check: coefficient table is not constant")

@@ -18,11 +18,11 @@ from .fieldio import load_field, save_field
 from .forcing import forcing_field
 from .grid import (Grid, NestedFamily, ScalarField, SubdomainMask,
                    interior_subdomain, make_grid, nested_family, shift_field)
-from .limit import solve_limit
+from .limit import semilinear_limit, solve_limit
 from .norms import (NormBundle, frechet_distance, l2_norm, norm_bundle,
                     translation_modulus, v12_norm, v22_norm)
 from .semilinear import (Nonlinearity, PicardResult, nonlinearity_family,
-                         picard_solve, semilinear_limit)
+                         picard_solve)
 from .solver import solve_dirichlet
 from .spectral import (BoundReport, BoundViolation, SpectralField,
                        check_constant_bounds, check_laplacian_bounds,

@@ -8,7 +8,8 @@ Subcommands:
     semilinear    the same sweep with the configured nonlinearity
     fourier-check periodic-lattice verification of the Hessian bounds
     metric        norms / metric distance of stored field files
-    translation   translation-defect diagnostic sigma(h) on dyadic shifts
+    translation   translation-defect diagnostic sigma(h) on dyadic shifts,
+                  read from the fields a sweep saved under --out
 
 Shared flags: --config <path>, --out <dir>, --seed <u64>,
 --format csv|json.  Every subcommand reads the same configuration format
@@ -29,7 +30,7 @@ import numpy as np
 
 from .coefficients import constant_ellipticity, verify_ellipticity
 from .config import StudyConfig
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, EllipticityError, SolverError
 from .fd_ops import hess_component, operator_blocks
 from .fieldio import atomic_write, load_field, save_field
 from .grid import nested_family
@@ -236,28 +237,42 @@ def cmd_metric(args) -> int:
 
 def cmd_translation(args) -> int:
     config = _load(args)
-    if config.nonlinearity is not None:
-        raise ConfigError("translation diagnostic runs on linear sweeps")
-    report = run_sweep(config)
-    if not report.complete:
-        print(f"sweep incomplete: {report.error}", file=sys.stderr)
-        return 1
-    grid = report.u_limit.grid
+    grid = config.build_grid()
     mask = config.build_mask(grid)
     margin = min(mask.margins)
     h0 = 1
     while 2 * h0 <= margin - 1:
         h0 *= 2
     levels = config.translation_levels
-    if h0 >> (levels - 1) < 1:
+    if margin < h0 + 1 or h0 >> (levels - 1) < 1:
         raise ConfigError(
             f"margin {margin} too small for {levels} dyadic levels")
+    out = Path(config.out_dir)
+    report_path = out / "report.json"
+    if not report_path.is_file():
+        raise FileNotFoundError(
+            f"{report_path}: no saved sweep; run sweep or semilinear "
+            "with this --out first")
+    try:
+        saved = json.loads(report_path.read_text())
+        saved_eps, complete = saved["config"]["epsilons"], saved["complete"]
+    except (ValueError, KeyError, TypeError) as err:
+        raise ConfigError(f"{report_path}: not a sweep report") from err
+    if saved_eps != list(config.epsilons):
+        raise ConfigError(f"{report_path}: saved sweep has epsilons "
+                          f"{saved_eps}, the config {config.epsilons}")
+    if not complete:
+        print(f"sweep incomplete: {saved.get('error')}", file=sys.stderr)
+        return 1
     fields = []
-    for u in report.u_eps:
-        for i in grid.x2_axes:
-            for j in grid.x2_axes:
-                fields.append(hess_component(u, i, j))
-    out = _out_dir(config)
+    for k in range(len(config.epsilons)):
+        field_path = out / "fields" / f"u_eps_{k:03d}.field"
+        u = load_field(field_path)
+        if u.grid != grid:
+            raise ConfigError(
+                f"{field_path}: field grid differs from the config's")
+        fields += [hess_component(u, i, j)
+                   for i in grid.x2_axes for j in grid.x2_axes]
     path = out / "translation.csv"
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
@@ -337,7 +352,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SolverError, FileNotFoundError) as err:
+    except (ConfigError, EllipticityError, SolverError,
+            FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

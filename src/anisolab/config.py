@@ -35,10 +35,24 @@ def _floats(text: str) -> list[float]:
 def _ints(text: str) -> list[int]:
     out = []
     for x in _floats(text):
-        if x != int(x):
+        if not math.isfinite(x) or x != int(x):
             raise ConfigError(f"expected integer, got {x}")
         out.append(int(x))
     return out
+
+
+def _float(text: str) -> float:
+    values = _floats(text)
+    if not values:
+        raise ConfigError("expected a number, got nothing")
+    return values[0]
+
+
+def _int(text: str) -> int:
+    values = _ints(text)
+    if not values:
+        raise ConfigError("expected an integer, got nothing")
+    return values[0]
 
 
 def _matrix(text: str) -> list[list[float]]:
@@ -195,26 +209,29 @@ class StudyConfig:
             raise ConfigError(f"cannot parse {path}: {err}") from err
         data: dict = {}
 
+        def read(section, key, conv):
+            try:
+                return conv(parser.get(section, key))
+            except ValueError as err:
+                raise ConfigError(f"[{section}] {key}: {err}") from err
+
         def take(section, key, conv, dest=None):
             if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                data[dest or key] = conv(raw)
+                data[dest or key] = read(section, key, conv)
 
         take("grid", "lo", _floats)
         take("grid", "hi", _floats)
         take("grid", "cells", _ints)
-        take("grid", "q", lambda s: _ints(s)[0])
+        take("grid", "q", _int)
 
         if parser.has_section("coefficients"):
             take("coefficients", "family", str.strip,
                  "coefficient_family")
             params: dict = {}
             if parser.has_option("coefficients", "matrix"):
-                params["matrix"] = _matrix(
-                    parser.get("coefficients", "matrix"))
+                params["matrix"] = read("coefficients", "matrix", _matrix)
             if parser.has_option("coefficients", "lam"):
-                params["lam"] = _floats(
-                    parser.get("coefficients", "lam"))[0]
+                params["lam"] = read("coefficients", "lam", _float)
             if params:
                 data["coefficient_params"] = params
 
@@ -222,51 +239,48 @@ class StudyConfig:
             take("forcing", "family", str.strip, "forcing_family")
             params = {}
             if parser.has_option("forcing", "value"):
-                params["value"] = _floats(parser.get("forcing", "value"))[0]
+                params["value"] = read("forcing", "value", _float)
             if parser.has_option("forcing", "modes"):
-                params["modes"] = _ints(parser.get("forcing", "modes"))
+                params["modes"] = read("forcing", "modes", _ints)
             if params:
                 data["forcing_params"] = params
 
         take("sweep", "epsilons", _floats)
-        take("sweep", "margin", lambda s: _ints(s)[0])
-        take("sweep", "nested", lambda s: _ints(s)[0])
-        take("sweep", "workers", lambda s: _ints(s)[0])
+        take("sweep", "margin", _int)
+        take("sweep", "nested", _int)
+        take("sweep", "workers", _int)
         if data.get("workers", 1) > 1:
             log.warning("%s: [sweep] workers = %d is ignored; the sweep "
                         "runs its rows one after another", path,
                         data["workers"])
 
         take("solver", "method", str.strip, "solver_method")
-        take("solver", "tol", lambda s: _floats(s)[0], "solver_tol")
-        take("solver", "maxiter_factor", lambda s: _floats(s)[0])
+        take("solver", "tol", _float, "solver_tol")
+        take("solver", "maxiter_factor", _float)
 
         if parser.has_section("nonlinearity"):
             take("nonlinearity", "family", str.strip, "nonlinearity")
             params = {}
             if parser.has_option("nonlinearity", "kappa"):
-                params["kappa"] = _floats(
-                    parser.get("nonlinearity", "kappa"))[0]
+                params["kappa"] = read("nonlinearity", "kappa", _float)
             if params:
                 data["nonlinearity_params"] = params
             if parser.has_option("nonlinearity", "damping"):
                 log.warning("%s: [nonlinearity] damping is deprecated and "
                             "ignored; the semilinear solves run Newton "
                             "with a line search", path)
-            take("nonlinearity", "damping", lambda s: _floats(s)[0])
-            take("nonlinearity", "max_iter", lambda s: _ints(s)[0],
-                 "picard_max_iter")
+            take("nonlinearity", "damping", _float)
+            take("nonlinearity", "max_iter", _int, "picard_max_iter")
 
-        take("fourier", "lattice", lambda s: _ints(s)[0], "fourier_lattice")
-        take("fourier", "samples", lambda s: _ints(s)[0], "fourier_samples")
+        take("fourier", "lattice", _int, "fourier_lattice")
+        take("fourier", "samples", _int, "fourier_samples")
         take("fourier", "epsilons", _floats, "fourier_epsilons")
 
-        take("translation", "levels", lambda s: _ints(s)[0],
-             "translation_levels")
+        take("translation", "levels", _int, "translation_levels")
 
         take("output", "dir", str.strip, "out_dir")
         take("output", "format", str.strip, "out_format")
-        take("random", "seed", lambda s: _ints(s)[0], "seed")
+        take("random", "seed", _int, "seed")
 
         known_sections = {"grid", "coefficients", "forcing", "sweep",
                           "solver", "nonlinearity", "fourier",

@@ -12,16 +12,17 @@ and Hessian seminorms pick the X1, X2 or mixed block.  The hierarchy is
         <=  v22(w) = (v12^2 + |hess_x2|^2_w)^(1/2)
 
 where only the Hessian block is mask-local; the lower-order terms are
-always taken over the whole interior.  A block's components are squared
-in place and summed node by node into one array before any quadrature.
+always taken over the whole interior.  ``block_seminorm`` sums the
+squared l2 norms of a block's components, one quadrature per component.
 ``norm_bundle`` differences a field once: it takes l2 and the retained
-gradient once, sums the squared retained Hessian components once, and
-reads the Hessian and v22 values of each distinct mask as one view sum
-of that array.  The metric sums 2^(-n) t_n / (1 + t_n) with t_n the v22
-norm of the difference on mask n, read by ``NormBundle.metric`` from the
-bundle of the difference; with the default truncation depth of 20 the
-dropped tail is below 2^(-19), and convergence in the metric is
-equivalent to convergence of the v22 norm on every mask of the family.
+gradient once, squares the retained Hessian components in place and sums
+them node by node into one array, and reads the Hessian and v22 values
+of each distinct mask as one view sum of that array.  The metric sums
+2^(-n) t_n / (1 + t_n) with t_n the v22 norm of the difference on mask n,
+read by ``NormBundle.metric`` from the bundle of the difference; with
+the default truncation depth of 20 the dropped tail is below 2^(-19), and
+convergence in the metric is equivalent to convergence of the v22 norm
+on every mask of the family.
 """
 
 from __future__ import annotations

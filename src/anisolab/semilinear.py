@@ -18,10 +18,8 @@ On the full grid Newton starts from u = 0 and each step runs the linear
 route ``solver.resolve_method`` picks: CG with the operator's
 fast-diagonalization preconditioner, to the Eisenstat-Walker forcing
 term min(1e-2, |F| / |f + a(u)|), or one LU of J.  The limit problem
-runs the same iteration on the block-diagonal limit operator, every slice
-at once: it starts from the linear limit back-solve of f + a(0), factors
-the block-diagonal Jacobian once per step, and every slice keeps its own
-residual gate and line search and is frozen once it meets its gate.
+(``limit.semilinear_limit``) runs the same ``_newton`` on the
+block-diagonal limit operator, every slice at once.
 
 ``picard_solve`` and ``PicardResult`` keep the names of the damped
 fixed-point iteration this replaced.
@@ -35,11 +33,9 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficients import CoefficientField
 from .errors import ConfigError, SolverError
-from .fd_ops import SparseOperator, factor_matrix
-from .grid import Grid, ScalarField
-from .limit import limit_operator
+from .fd_ops import SparseOperator
+from .grid import ScalarField
 from .solver import linear_solve
 
 __all__ = [
@@ -47,7 +43,6 @@ __all__ = [
     "nonlinearity_family",
     "PicardResult",
     "picard_solve",
-    "semilinear_limit",
 ]
 
 # Armijo sufficient-decrease constant and the most halvings of one step
@@ -102,19 +97,12 @@ def nonlinearity_family(name: str, **params) -> Nonlinearity:
 
 @dataclass
 class PicardResult:
-    """Converged Newton iterate plus how the iteration went.
-
-    ``iterations`` counts Newton steps; ``increments`` holds the weighted
-    (quadrature l2) norm of each step actually taken, after its line
-    search, and ``final_increment`` the last of them (0 when no step was
-    needed).
-    """
+    """Converged Newton iterate, the Newton steps it took and its final
+    relative residual."""
 
     field: ScalarField
     iterations: int
-    final_increment: float
     residual: float
-    increments: tuple[float, ...]
 
 
 def jacobian(matrix: sp.csr_matrix, a: Nonlinearity,
@@ -128,9 +116,9 @@ def jacobian(matrix: sp.csr_matrix, a: Nonlinearity,
 def _newton(matrix: sp.spmatrix, rhs: np.ndarray, a: Nonlinearity,
             u: np.ndarray,
             step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-            weight: float, tol: float, max_iter: int, blocks: int = 1,
+            tol: float, max_iter: int, blocks: int = 1,
             where: Callable[[int], str] = lambda k: ""
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual-gated Newton for ``matrix u = a(u) + rhs`` from ``u``.
 
     The unknowns split into ``blocks`` equal, decoupled systems (one for
@@ -138,11 +126,9 @@ def _newton(matrix: sp.spmatrix, rhs: np.ndarray, a: Nonlinearity,
     return an approximate solution of ``J du = -F`` that keeps the blocks
     decoupled; ``rel`` holds each block's relative residual, from which a
     Krylov step takes its forcing term.  Each block has its own residual
-    gate and line search and is frozen once it meets its gate.  ``weight``
-    converts the flat euclidean norm into the quadrature l2 norm.  Returns
-    the iterate, the steps taken per block, the weighted step norms (one
-    row per step, one column per block; zero for a frozen block) and the
-    final relative residuals.  ``max_iter`` must be at least 1.
+    gate and line search and is frozen once it meets its gate.  Returns
+    the iterate, the steps taken per block and the final relative
+    residuals.  ``max_iter`` must be at least 1.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
@@ -155,7 +141,6 @@ def _newton(matrix: sp.spmatrix, rhs: np.ndarray, a: Nonlinearity,
 
     F, norm_F, norm_b = residual(u)
     iters = np.zeros(blocks, dtype=int)
-    steps: list[np.ndarray] = []
     m = 0
     while True:
         # relative to |b| as solver.relative_residual: absolute where b = 0
@@ -163,7 +148,7 @@ def _newton(matrix: sp.spmatrix, rhs: np.ndarray, a: Nonlinearity,
                         where=norm_b > 0)
         active = ~(rel <= tol)
         if not active.any():
-            return u, iters, np.array(steps).reshape(-1, blocks), rel
+            return u, iters, rel
         if m == max_iter:
             k = int(np.flatnonzero(active)[0])
             raise SolverError(
@@ -186,7 +171,6 @@ def _newton(matrix: sp.spmatrix, rhs: np.ndarray, a: Nonlinearity,
                 residual=float(rel[k]))
         u = u_trial
         F, norm_F, norm_b = trial
-        steps.append(weight * t * np.linalg.norm(du, axis=1))
         m += 1
         iters[active] = m
 
@@ -212,47 +196,8 @@ def picard_solve(op: SparseOperator, f: ScalarField, a: Nonlinearity,
         return linear_solve(J, -F, min(MAX_FORCING, float(rel[0])),
                             method, maxiter_factor)[0]
 
-    weight = float(np.sqrt(op.grid.cell_volume))
-    u, iters, steps, rel = _newton(op.matrix, rhs, a, np.zeros_like(rhs),
-                                   step, weight, tol, max_iter)
-    return PicardResult(
-        field=ScalarField.from_interior(op.grid, u),
-        iterations=int(iters[0]),
-        final_increment=float(steps[-1, 0]) if len(steps) else 0.0,
-        residual=float(rel[0]), increments=tuple(steps[:, 0].tolist()))
+    u, iters, rel = _newton(op.matrix, rhs, a, np.zeros_like(rhs), step,
+                            tol, max_iter)
+    return PicardResult(field=ScalarField.from_interior(op.grid, u),
+                        iterations=int(iters[0]), residual=float(rel[0]))
 
-
-def semilinear_limit(grid: Grid, coeffs: CoefficientField, f: ScalarField,
-                     a: Nonlinearity, tol: float = 1e-10,
-                     max_iter: int = 200) -> PicardResult:
-    """Limit field of the semilinear problem: one Newton iteration over
-    all slices of the block-diagonal limit operator.
-
-    Every X1 lattice node's retained-axes system keeps its own residual
-    gate, measured against its own right-hand side as ``solve_limit``
-    does; a slice that misses it raises SolverError naming the slice.
-    Reported iteration and residual figures are the worst over all
-    slices, and ``increments`` is the step history of the last slice
-    among those that needed the most steps.
-    """
-    op = limit_operator(grid, coeffs)
-    rhs = op.vector(f)
-    weight = float(np.sqrt(
-        np.prod([grid.spacing[ax] for ax in grid.x2_axes])))
-
-    def step(u, F, rel):
-        return factor_matrix(jacobian(op.matrix, a, u),
-                             op.symmetric).solve(-F)
-
-    u, iters, steps, rel = _newton(
-        op.matrix, rhs, a, op.lu.solve(rhs + a(np.zeros_like(rhs))), step,
-        weight, tol, max_iter, blocks=op.n_slices,
-        where=lambda k: f"slice {op.slice_index(k)}: ")
-    worst = int(np.flatnonzero(iters == iters.max())[-1])
-    return PicardResult(
-        field=op.field(u), iterations=int(iters[worst]),
-        final_increment=max((float(steps[n - 1, k])
-                             for k, n in enumerate(iters) if n),
-                            default=0.0),
-        residual=float(rel.max()),
-        increments=tuple(steps[:iters[worst], worst].tolist()))

@@ -37,14 +37,14 @@ from .fd_ops import OperatorBlocks, assemble_operator, operator_blocks
 from .fieldio import atomic_write, save_field
 from .forcing import forcing_field
 from .grid import Grid, ScalarField
-from .limit import solve_limit
+from .limit import semilinear_limit, solve_limit
 # frechet_distance, hess_x2_seminorm and v12_norm no longer compute a
 # row column; they stay importable from here because perfbench's span
 # table wraps the study's norm functions by these names
 from .norms import (frechet_distance, grad_x1_seminorm, hess_x1_seminorm,
                     hess_x1x2_seminorm, hess_x2_seminorm, l2_norm,
                     norm_bundle, v12_norm)
-from .semilinear import picard_solve, semilinear_limit
+from .semilinear import picard_solve
 from .solver import solve_dirichlet
 
 __all__ = [

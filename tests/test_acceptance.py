@@ -21,7 +21,7 @@ from anisolab import (ScalarField, StudyConfig, assemble_operator,
                       solve_limit, translation_modulus, v12_norm)
 from anisolab.fd_ops import apply_nondivergence, hess_component
 from anisolab.norms import grad_x1_seminorm, grad_x2_seminorm, inner_product
-from anisolab.semilinear import semilinear_limit
+from anisolab.limit import semilinear_limit
 
 
 def gate(num, label):

@@ -88,6 +88,30 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    """Bad input ends in one ``error:`` line and exit 2, no traceback."""
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("cells = 12, 12", "cells = 16, x", "[grid] cells"),
+        ("cells = 12, 12", "cells = 12, 12\nq =", "[grid] q"),
+    ], ids=["bad-number", "empty-scalar"])
+    def test_unreadable_value_names_key(self, tmp_path, capsys, old, new,
+                                        key):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace(old, new))
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    def test_lam_above_table_ellipticity_exits_2(self, tmp_path, capsys):
+        # the quickstart table's smallest eigenvalue is about 0.79
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[coefficients]\n"
+                        "family = constant\nmatrix = 2.0 0.5 ; 0.5 1.0\n"
+                        "lam = 5.0\n")
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestLimit:
     def test_matches_library_call(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -165,22 +189,26 @@ class TestReproduceScript:
         return module
 
     def test_semilinear_config_runs_semilinear(self, tmp_path, capsys):
-        # the shipped semilinear config at 24^2 instead of 96^2
+        # the shipped semilinear config at 24^2 instead of 96^2; its
+        # default margin of 3 cells holds two dyadic shifts, not three
         shipped = (Path(__file__).resolve().parent.parent / "configs"
                    / "semilinear.cfg").read_text()
         assert "cells = 96, 96" in shipped
+        assert "[translation]" not in shipped
         cfg = write_cfg(tmp_path, shipped.replace("cells = 96, 96",
-                                                  "cells = 24, 24"))
+                                                  "cells = 24, 24")
+                        + "\n[translation]\nlevels = 2\n")
         out = tmp_path / "out"
         assert self.script().main([cfg, "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "== semilinear ==" in printed
-        assert "skipping translation" in printed
         assert "== sweep ==" not in printed
         payload = json.loads((out / "report.json").read_text())
         assert payload["complete"] is True
         assert payload["config"]["nonlinearity"] == "tanh"
-        assert not (out / "translation.csv").exists()
+        # the translation step reads the fields the semilinear sweep saved
+        assert "== translation ==" in printed
+        assert (out / "translation.csv").exists()
         # the metric step reads the last saved row against the limit
         assert "== metric ==" in printed
         with open(out / "metric.csv", newline="") as fh:
@@ -380,6 +408,7 @@ class TestTranslation:
     def test_dyadic_shifts_per_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, TRANSLATION_CFG)
         out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         rc = main(["translation", "--config", cfg, "--out", str(out)])
         assert rc == 0
         with open(out / "translation.csv", newline="") as fh:
@@ -397,20 +426,85 @@ class TestTranslation:
             assert sigmas[0] > sigmas[1] > sigmas[2] > 0
 
     def test_margin_too_small_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, TRANSLATION_CFG.replace(
-            "margin = 5", "margin = 2"))
-        rc = main(["translation", "--config", cfg, "--out",
-                   str(tmp_path / "out")])
-        assert rc == 2
-        assert "dyadic" in capsys.readouterr().err
+        # margin 2 holds one level of shifts, margin 1 not even a
+        # one-cell shift
+        for margin, levels in ((2, 3), (1, 1)):
+            text = TRANSLATION_CFG.replace("margin = 5", f"margin = {margin}")
+            cfg = write_cfg(tmp_path, text.replace("levels = 3",
+                                                   f"levels = {levels}"))
+            rc = main(["translation", "--config", cfg, "--out",
+                       str(tmp_path / "out")])
+            assert rc == 2
+            assert f"margin {margin} too small for {levels} dyadic" in \
+                capsys.readouterr().err
 
-    def test_rejects_nonlinearity(self, tmp_path, capsys):
+    def test_reads_semilinear_sweep(self, tmp_path):
         cfg = write_cfg(tmp_path, TRANSLATION_CFG + "\n[nonlinearity]\n"
                         "family = tanh\n")
-        rc = main(["translation", "--config", cfg, "--out",
-                   str(tmp_path / "out")])
+        out = tmp_path / "out"
+        assert main(["semilinear", "--config", cfg, "--out",
+                     str(out)]) == 0
+        assert main(["translation", "--config", cfg, "--out",
+                     str(out)]) == 0
+        with open(out / "translation.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 2 * 3
+
+    def test_without_sweep_names_missing_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TRANSLATION_CFG)
+        out = tmp_path / "out"
+        rc = main(["translation", "--config", cfg, "--out", str(out)])
         assert rc == 2
-        assert "linear" in capsys.readouterr().err
+        assert str(out / "report.json") in capsys.readouterr().err
+        assert not (out / "translation.csv").exists()
+
+    def test_missing_field_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TRANSLATION_CFG)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        (out / "fields" / "u_eps_001.field").unlink()
+        capsys.readouterr()
+        rc = main(["translation", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "u_eps_001.field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("epsilons = 1.0 0.5", "epsilons = 1.0 0.25", "epsilons"),
+        ("cells = 16, 16", "cells = 16, 20", "grid"),
+    ], ids=["epsilons", "grid"])
+    def test_saved_sweep_of_another_config_exits_2(self, tmp_path, capsys,
+                                                   old, new, message):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, TRANSLATION_CFG)
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        other = write_cfg(tmp_path, TRANSLATION_CFG.replace(old, new),
+                          name="other.cfg")
+        capsys.readouterr()
+        rc = main(["translation", "--config", other, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{", "{}", "[1]"])
+    def test_unreadable_saved_report_exits_2(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, TRANSLATION_CFG)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text(text)
+        rc = main(["translation", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert "not a sweep report" in capsys.readouterr().err
+
+    def test_incomplete_saved_sweep_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, TRANSLATION_CFG)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        report = out / "report.json"
+        payload = json.loads(report.read_text())
+        payload.update(complete=False, error="epsilon=0.5: diverged")
+        report.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main(["translation", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert "sweep incomplete: epsilon=0.5" in capsys.readouterr().err
 
 
 class _FailingWriter:
@@ -442,6 +536,10 @@ class TestAtomicCsv:
             g = make_grid([(0, 1), (0, 1)], (12, 12), q=1)
             save_field(field, ScalarField.from_function(g, lambda x, y: x))
             args += ["--field", str(field)]
+        if command == "translation":
+            # translation reads a saved sweep; the sweep writes CSV files
+            # of its own, so it runs before csv.writer is patched
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         monkeypatch.setattr(csv, "writer", _FailingWriter)
         with pytest.raises(RuntimeError, match="disk full"):
             main(args)
