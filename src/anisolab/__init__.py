@@ -13,7 +13,8 @@ from .coefficients import (CoefficientField, coefficient_family,
                            observed_ellipticity, scale_coefficients,
                            scaling_factors, verify_ellipticity)
 from .errors import ConfigError, EllipticityError, ShiftError, SolverError
-from .fd_ops import SparseOperator, assemble_operator
+from .fd_ops import (OperatorBlocks, SparseOperator, assemble_operator,
+                     operator_blocks)
 from .fieldio import load_field, save_field
 from .forcing import forcing_field
 from .grid import (Grid, NestedFamily, ScalarField, SubdomainMask,
@@ -43,6 +44,7 @@ __all__ = [
     "NestedFamily",
     "Nonlinearity",
     "NormBundle",
+    "OperatorBlocks",
     "PicardResult",
     "ScalarField",
     "ShiftError",
@@ -70,6 +72,7 @@ __all__ = [
     "nonlinearity_family",
     "norm_bundle",
     "observed_ellipticity",
+    "operator_blocks",
     "picard_solve",
     "random_zero_mean_forcing",
     "restrict_to_zero_x1",

@@ -81,8 +81,8 @@ def cmd_solve(args) -> int:
                         method=config.solver_method,
                         maxiter_factor=config.maxiter_factor)
     wall_ms = 1000.0 * (time.perf_counter() - start)
-    res = float(relative_residual(op.matrix, u.interior_vector(),
-                                  f.interior_vector())[0])
+    res = relative_residual(op.matrix, u.interior_vector(),
+                            f.interior_vector())
     out = _out_dir(config)
     field_path = save_field(out / "solution.field", u)
     _write_json(out / "solve.json", {
@@ -106,7 +106,7 @@ def cmd_limit(args) -> int:
     verify_ellipticity(coeffs)
     f = config.build_forcing(grid)
     start = time.perf_counter()
-    u0 = solve_limit(grid, coeffs, f, tol=config.solver_tol)
+    u0 = solve_limit(operator_blocks(grid, coeffs), f, tol=config.solver_tol)
     wall_ms = 1000.0 * (time.perf_counter() - start)
     out = _out_dir(config)
     field_path = save_field(out / "u_limit.field", u0)
@@ -235,6 +235,12 @@ def cmd_metric(args) -> int:
     return 0
 
 
+# the config keys that determine a sweep's saved solutions
+SOLUTION_KEYS = ("lo", "hi", "cells", "q", "coefficient_family",
+                 "coefficient_params", "forcing_family", "forcing_params",
+                 "epsilons", "nonlinearity", "nonlinearity_params")
+
+
 def cmd_translation(args) -> int:
     config = _load(args)
     grid = config.build_grid()
@@ -253,14 +259,20 @@ def cmd_translation(args) -> int:
         raise FileNotFoundError(
             f"{report_path}: no saved sweep; run sweep or semilinear "
             "with this --out first")
+    # the config as report.json stores it, so lists and tuples compare
+    ours = json.loads(json.dumps(config.to_dict()))
     try:
         saved = json.loads(report_path.read_text())
-        saved_eps, complete = saved["config"]["epsilons"], saved["complete"]
+        differ = [key for key in SOLUTION_KEYS
+                  if saved["config"][key] != ours[key]]
+        complete = saved["complete"]
     except (ValueError, KeyError, TypeError) as err:
         raise ConfigError(f"{report_path}: not a sweep report") from err
-    if saved_eps != list(config.epsilons):
-        raise ConfigError(f"{report_path}: saved sweep has epsilons "
-                          f"{saved_eps}, the config {config.epsilons}")
+    if differ:
+        key = differ[0]
+        raise ConfigError(
+            f"{report_path}: saved sweep solved another problem or grid: "
+            f"{key} {saved['config'][key]}, the config {ours[key]}")
     if not complete:
         print(f"sweep incomplete: {saved.get('error')}", file=sys.stderr)
         return 1

@@ -13,6 +13,10 @@ matrix is symmetric by construction, and so is it for any constant table:
 only a_ij + a_ji reaches each corner coupling.  So an operator's
 ``symmetric`` flag is read off its assembled matrix (``is_symmetric``),
 not off the table; the flag picks CG under ``auto`` and the LU ordering.
+
+The operator is linear in its table, and the limit problem is its X2
+block: ``operator_blocks`` assembles each block once, the X2 block as the
+limit operator, from which the full grid's ``L22`` is cut.
 """
 
 from __future__ import annotations
@@ -282,19 +286,24 @@ def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
 
 @dataclass(frozen=True, eq=False)
 class OperatorBlocks:
-    """The unscaled operator split by coefficient block.
+    """The unscaled operator split by coefficient block, and its limit.
 
     ``L11``, ``L12`` and ``L22`` are the X1 x X1, mixed and X2 x X2 block
-    operators in canonical CSR, as ``assemble_flux_matrix`` returns them.
-    They are shared by every operator ``at`` returns and never written to.
-    ``symmetric`` holds when each block is exactly symmetric, so every
-    ``at(eps)`` sum is too.
+    operators in canonical CSR.  ``limit`` is the X2 block on the grid
+    extended by one node at each X1 end, so its unknowns are the X2
+    interiors of every X1 node, faces included, slice-major; no entry
+    couples two slices, and ``L22`` is its principal submatrix over the
+    X1-interior slices.  The matrices are shared by every operator ``at``
+    returns and never written to.  ``symmetric`` holds when each of
+    ``L11``, ``L12`` and ``L22`` is exactly symmetric, so every ``at(eps)``
+    sum is too.
     """
 
     grid: Grid
     L11: sp.csr_matrix
     L12: sp.csr_matrix
     L22: sp.csr_matrix
+    limit: sp.csr_matrix
     symmetric: bool
     axis_means: np.ndarray
 
@@ -309,25 +318,40 @@ class OperatorBlocks:
 
 
 def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
-    """Assemble the X1 x X1, mixed and X2 x X2 block operators once.
+    """Assemble the block operators once: three flux-form assemblies.
 
-    Each block is one ``assemble_flux_matrix`` call on the entry table
-    with the other blocks zeroed.  The operator is linear in its table, so
-    the scaled operator is the sum of the blocks times eps^2, eps and 1.
+    ``L11`` and ``L12`` are assemblies of the entry table with the other
+    blocks zeroed; the scaled operator is the sum of the blocks times
+    eps^2, eps and 1.  ``limit`` is the assembly of the A22 table alone on
+    the grid extended by one node at each X1 end, whose interior holds
+    every X1 node, and ``L22`` is cut from it.
     """
     if coeffs.grid != grid:
         raise ConfigError("coefficients live on a different grid")
     entries = coeffs.entries
-    in_x1 = np.arange(grid.ndim) < grid.q
-    # 0 for X1 x X1 entries, 1 for mixed ones, 2 for X2 x X2
+    q, n = grid.q, grid.ndim
+    in_x1 = np.arange(n) < q
+    # 0 for X1 x X1 entries, 1 for mixed ones
     block = 2 - in_x1[:, None].astype(int) - in_x1[None, :]
-    expand = (1,) * grid.ndim
-    L11, L12, L22 = (assemble_flux_matrix(
-                         grid.cells, grid.spacing,
-                         np.where((block == k).reshape(block.shape + expand),
-                                  entries, 0.0))
-                     for k in range(3))
-    return OperatorBlocks(grid=grid, L11=L11, L12=L12, L22=L22,
+    expand = (1,) * n
+    L11, L12 = (assemble_flux_matrix(
+                    grid.cells, grid.spacing,
+                    np.where((block == k).reshape(block.shape + expand),
+                             entries, 0.0))
+                for k in range(2))
+    cells = tuple(c + 2 if a < q else c for a, c in enumerate(grid.cells))
+    padded = np.zeros((n, n) + tuple(c + 1 for c in cells))
+    inner = tuple(slice(1, -1) if a < q else slice(None) for a in range(n))
+    padded[(slice(q, None), slice(q, None)) + inner] = coeffs.x2_block()
+    limit = assemble_flux_matrix(cells, grid.spacing, padded)
+    # slice-major unknowns: the X1-interior slices are the full grid's,
+    # in the full grid's order
+    keep = np.arange(limit.shape[0]).reshape(
+        tuple(c + 1 for c in grid.cells[:q]) + (-1,))
+    keep = keep[(slice(1, -1),) * q].ravel()
+    L22 = limit[keep][:, keep]
+    L22.sort_indices()
+    return OperatorBlocks(grid=grid, L11=L11, L12=L12, L22=L22, limit=limit,
                           symmetric=all(map(is_symmetric, (L11, L12, L22))),
                           axis_means=np.array(_axis_means(entries)))
 

@@ -52,6 +52,8 @@ class Grid:
             raise ConfigError(
                 f"axis split q={self.q} must satisfy 1 <= q <= {ndim - 1}")
         for a, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ConfigError(f"axis {a}: non-finite extent ({lo}, {hi})")
             if not hi > lo:
                 raise ConfigError(f"axis {a}: degenerate extent ({lo}, {hi})")
         for a, n in enumerate(self.cells):

@@ -43,17 +43,12 @@ __all__ = ["solve_dirichlet", "linear_solve", "resolve_method",
            "fast_diagonal_preconditioner"]
 
 
-def relative_residual(matrix, x: np.ndarray, b: np.ndarray,
-                      blocks: int = 1) -> np.ndarray:
-    """``|A x - b| / |b|`` on each of ``blocks`` equal runs of unknowns.
-
-    One block covers a full-grid system, one per slice the limit systems.
-    A block whose right-hand side is exactly zero gets its absolute
-    residual ``|A x|``: there is nothing to be relative to.
-    """
-    res = np.linalg.norm((matrix @ x - b).reshape(blocks, -1), axis=1)
-    scale = np.linalg.norm(b.reshape(blocks, -1), axis=1)
-    return np.divide(res, scale, out=res, where=scale > 0)
+def relative_residual(matrix, x: np.ndarray, b: np.ndarray) -> float:
+    """``|A x - b| / |b|``, or the absolute ``|A x|`` when ``b`` is exactly
+    zero: there is nothing to be relative to."""
+    res = float(np.linalg.norm(matrix @ x - b))
+    scale = float(np.linalg.norm(b))
+    return res / scale if scale > 0 else res
 
 
 @lru_cache(maxsize=8)
@@ -139,7 +134,7 @@ def _cg(op: SparseOperator, b: np.ndarray, tol: float,
                           maxiter=maxiter - used, M=M, callback=count)
         if info < 0:
             raise SolverError(f"cg failed with code {info}")
-        res = float(relative_residual(op.matrix, x, b)[0])
+        res = relative_residual(op.matrix, x, b)
         # a restart that takes no step cannot get any closer
         if res <= tol or used == start:
             return x, res
@@ -168,7 +163,7 @@ def linear_solve(op: SparseOperator, b: np.ndarray, tol: float,
     method = resolve_method(op, method)
     if method == "direct":
         x = op.factor().solve(b)
-        return x, float(relative_residual(op.matrix, x, b)[0])
+        return x, relative_residual(op.matrix, x, b)
     if method == "cg":
         if not op.symmetric:
             raise ConfigError("cg path requires a symmetric operator")

@@ -175,10 +175,11 @@ def _sweep_row(config: StudyConfig, blocks: OperatorBlocks, f, u_limit,
 def run_sweep(config: StudyConfig) -> SweepReport:
     """Full sweep: limit once, one scaled solve per epsilon, norm columns.
 
-    The coefficient blocks of the operator are assembled once per call,
-    and each epsilon's operator is formed from them.  Rows run one after
-    another on the calling thread, in the configured (decreasing) epsilon
-    order; ``config.workers`` is ignored.  Under ``auto`` the rows solve
+    The coefficient blocks of the operator are assembled once per call;
+    the limit solves on their X2 block, and each epsilon's operator is
+    formed from them.  Rows run one after another on the calling thread,
+    in the configured (decreasing) epsilon order; ``config.workers`` is
+    ignored.  Under ``auto`` the rows solve
     by CG when the assembled blocks are exactly symmetric, and by LU
     otherwise.  A failed solve stops the sweep: later rows are never
     solved, and the report is returned with the finished prefix and
@@ -192,16 +193,16 @@ def run_sweep(config: StudyConfig) -> SweepReport:
     family = config.build_family(grid)
     nonlinearity = config.build_nonlinearity()
     blocks = operator_blocks(grid, coeffs)
+    # the limit and the rows need only the blocks; the tables would
+    # otherwise stay resident through every row's solve
+    del coeffs
 
     if nonlinearity is None:
-        u_limit = solve_limit(grid, coeffs, f, tol=config.solver_tol)
+        u_limit = solve_limit(blocks, f, tol=config.solver_tol)
     else:
         u_limit = semilinear_limit(
-            grid, coeffs, f, nonlinearity, tol=config.solver_tol,
+            blocks, f, nonlinearity, tol=config.solver_tol,
             max_iter=config.picard_max_iter).field
-    # the rows need only the blocks; the tables would otherwise stay
-    # resident through every row's solve
-    del coeffs
 
     floor = discretization_floor(grid, tol=config.solver_tol)
 

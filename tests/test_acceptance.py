@@ -16,9 +16,10 @@ from anisolab import (ScalarField, StudyConfig, assemble_operator,
                       coefficient_family, forcing_field, frechet_distance,
                       interior_subdomain, l2_norm, make_grid, nested_family,
                       nonlinearity_family, observed_ellipticity,
-                      random_zero_mean_forcing, restrict_to_zero_x1,
-                      run_sweep, scale_coefficients, solve_dirichlet,
-                      solve_limit, translation_modulus, v12_norm)
+                      operator_blocks, random_zero_mean_forcing,
+                      restrict_to_zero_x1, run_sweep, scale_coefficients,
+                      solve_dirichlet, solve_limit, translation_modulus,
+                      v12_norm)
 from anisolab.fd_ops import apply_nondivergence, hess_component
 from anisolab.norms import grad_x1_seminorm, grad_x2_seminorm, inner_product
 from anisolab.limit import semilinear_limit
@@ -97,8 +98,8 @@ def test_criterion_3_manufactured_order():
 @gate(4, "slice-wise limit and its semilinear variant hit closed-form profiles")
 def test_criterion_4_limit_exactness():
     grid = make_grid([(0, 1), (0, 1)], (32, 32), q=1)
-    u0 = solve_limit(grid, coefficient_family("identity", grid),
-                     forcing_field("constant", grid))
+    blocks = operator_blocks(grid, coefficient_family("identity", grid))
+    u0 = solve_limit(blocks, forcing_field("constant", grid))
     y = grid.axis_nodes(1)
     exact = np.broadcast_to(y * (1.0 - y) / 2.0, u0.values.shape)
     h = grid.spacing[1]
@@ -108,8 +109,8 @@ def test_criterion_4_limit_exactness():
     midpoint = 1.0 - 1.0 / np.cosh(0.5)
     for n in (32, 64):
         gn = make_grid([(0, 1), (0, 1)], (n, n), q=1)
-        result = semilinear_limit(gn, coefficient_family("identity", gn),
-                                  forcing_field("constant", gn),
+        blocks = operator_blocks(gn, coefficient_family("identity", gn))
+        result = semilinear_limit(blocks, forcing_field("constant", gn),
                                   nonlinearity_family("linear", kappa=1.0))
         got = result.field.values[0, n // 2]
         assert abs(got - midpoint) <= 0.02 / n ** 2, n

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from anisolab import (ScalarField, check_laplacian_bounds, load_field,
-                      make_grid, random_zero_mean_forcing, save_field,
-                      solve_limit, coefficient_family, forcing_field)
+                      make_grid, operator_blocks, random_zero_mean_forcing,
+                      save_field, solve_limit, coefficient_family,
+                      forcing_field)
 from anisolab.cli import main
 
 BASE_CFG = """
@@ -119,8 +120,8 @@ class TestLimit:
         assert main(["limit", "--config", cfg, "--out", str(out)]) == 0
         u0 = load_field(out / "u_limit.field")
         g = make_grid([(0, 1), (0, 1)], (12, 12), q=1)
-        expect = solve_limit(g, coefficient_family("identity", g),
-                             forcing_field("sine_product", g))
+        blocks = operator_blocks(g, coefficient_family("identity", g))
+        expect = solve_limit(blocks, forcing_field("sine_product", g))
         assert np.allclose(u0.values, expect.values, atol=1e-13)
         meta = json.loads((out / "limit.json").read_text())
         assert meta["l2"] > 0
@@ -469,8 +470,9 @@ class TestTranslation:
 
     @pytest.mark.parametrize("old, new, message", [
         ("epsilons = 1.0 0.5", "epsilons = 1.0 0.25", "epsilons"),
-        ("cells = 16, 16", "cells = 16, 20", "grid"),
-    ], ids=["epsilons", "grid"])
+        ("cells = 16, 16", "cells = 16, 20", "cells"),
+        ("family = sine_product", "family = constant", "forcing_family"),
+    ], ids=["epsilons", "grid", "forcing"])
     def test_saved_sweep_of_another_config_exits_2(self, tmp_path, capsys,
                                                    old, new, message):
         out = tmp_path / "out"
@@ -482,6 +484,33 @@ class TestTranslation:
         rc = main(["translation", "--config", other, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_saved_sweep_of_another_table_exits_2(self, tmp_path, capsys):
+        # same grid, family, forcing and epsilons: only the matrix differs
+        table = "[coefficients]\nfamily = constant\nmatrix = {}\n\n[forcing]"
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, TRANSLATION_CFG.replace(
+            "[forcing]", table.format("2.0 0.5 ; 0.5 1.0")))
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        other = write_cfg(tmp_path, TRANSLATION_CFG.replace(
+            "[forcing]", table.format("1.0 0.0 ; 0.0 3.0")), name="other.cfg")
+        capsys.readouterr()
+        rc = main(["translation", "--config", other, "--out", str(out)])
+        assert rc == 2
+        assert "coefficient_params" in capsys.readouterr().err
+        assert not (out / "translation.csv").exists()
+
+    def test_other_levels_read_the_saved_sweep(self, tmp_path):
+        # the levels shape only the diagnostic, not the saved solutions
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, TRANSLATION_CFG)
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        other = write_cfg(tmp_path, TRANSLATION_CFG.replace(
+            "levels = 3", "levels = 2"), name="other.cfg")
+        assert main(["translation", "--config", other, "--out",
+                     str(out)]) == 0
+        with open(out / "translation.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 2 * 2
 
     @pytest.mark.parametrize("text", ["{", "{}", "[1]"])
     def test_unreadable_saved_report_exits_2(self, tmp_path, capsys, text):

@@ -35,6 +35,8 @@ class TestGrid:
             make_grid([(0, 0), (0, 1)], (4, 4), q=1)
         with pytest.raises(ConfigError):
             make_grid([(1, 0), (0, 1)], (4, 4), q=1)
+        with pytest.raises(ConfigError, match="axis 1: non-finite"):
+            make_grid([(0, 1), (0, np.inf)], (4, 4), q=1)
 
     def test_bad_split_rejected(self):
         for q in (0, 2, 3):

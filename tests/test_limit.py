@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import anisolab.limit
 from anisolab import (ConfigError, ScalarField, SolverError,
                       coefficient_family, forcing_field, make_grid,
-                      solve_limit)
-from anisolab.fd_ops import factor_matrix
-from anisolab.limit import iter_slice_systems, limit_operator
+                      operator_blocks, solve_limit)
+from anisolab.fd_ops import assemble_flux_matrix, factor_matrix
+from anisolab.limit import iter_slice_systems
 
 from test_fd_ops import varying_asymmetric
 
@@ -29,6 +30,10 @@ def block_cases():
         (g3n, coefficient_family("constant", g3n, matrix=NONSYMMETRIC), f3n),
         (g3n, varying_asymmetric(g3n, NONSYMMETRIC, lam=0.5), f3n),
     ]
+
+
+def limit_of(grid, coeffs, f, **kwargs):
+    return solve_limit(operator_blocks(grid, coeffs), f, **kwargs)
 
 
 def per_slice_limit(grid, coeffs, f):
@@ -78,33 +83,78 @@ class TestBlockOperator:
     def test_matches_per_slice_solves(self, case):
         g, coeffs, f = block_cases()[case]
         ref = per_slice_limit(g, coeffs, f)
-        got = solve_limit(g, coeffs, f).values
+        got = limit_of(g, coeffs, f).values
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("case", range(4))
     def test_nnz_is_sum_of_slices(self, case):
         g, coeffs, f = block_cases()[case]
         nnz = sum(m.nnz for _, m, _, _ in iter_slice_systems(g, coeffs, f))
-        assert limit_operator(g, coeffs).matrix.nnz == nnz
+        assert operator_blocks(g, coeffs).limit.nnz == nnz
 
-    def test_ordering_follows_a22_symmetry(self):
+    @pytest.mark.parametrize("case", range(4))
+    def test_l22_is_interior_slices_of_limit(self, case):
+        # slice-major unknowns: the X1-interior slices of the limit are
+        # the full grid's unknowns in the full grid's order, and they hold
+        # exactly what the A22 table assembles to on the full grid
+        g, coeffs, _ = block_cases()[case]
+        blocks = operator_blocks(g, coeffs)
+        nodes = tuple(g.cells[a] + 1 for a in g.x1_axes)
+        keep = np.arange(blocks.limit.shape[0]).reshape(
+            nodes + (-1,))[(slice(1, -1),) * g.q].ravel()
+        cut = blocks.limit[keep][:, keep]
+        cut.sort_indices()
+        a22 = coeffs.entries.copy()
+        a22[:g.q] = 0.0
+        a22[:, :g.q] = 0.0
+        full = assemble_flux_matrix(g.cells, g.spacing, a22)
+        for ref in (cut, full):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(blocks.L22, name),
+                                      getattr(ref, name))
+
+    def test_ordering_follows_a22_symmetry(self, monkeypatch):
         # the flag, hence the ordering, follows the assembled matrix: the
         # constant asymmetric A22 assembles symmetric, the varying one not
+        seen = []
+
+        def factor(matrix, symmetric):
+            seen.append(symmetric)
+            return factor_matrix(matrix, symmetric)
+        monkeypatch.setattr(anisolab.limit, "factor_matrix", factor)
         flags = []
-        for g, c, _ in block_cases():
-            op = limit_operator(g, c)
-            dense = op.matrix.toarray()
-            assert op.symmetric == np.array_equal(dense, dense.T)
-            flags.append(op.symmetric)
-            ref = factor_matrix(op.matrix, op.symmetric)
-            assert np.array_equal(op.lu.perm_c, ref.perm_c)
+        for g, c, f in block_cases():
+            limit = operator_blocks(g, c).limit.toarray()
+            flags.append(np.array_equal(limit, limit.T))
+            limit_of(g, c, f)
         assert flags == [True, True, True, False]
+        assert seen == flags
 
     def test_slice_residual_gate_names_slice(self):
         g, coeffs, f = block_cases()[1]
         with pytest.raises(SolverError, match=r"slice \(\d+, \d+\)") as err:
-            solve_limit(g, coeffs, f, tol=0.0)
+            limit_of(g, coeffs, f, tol=0.0)
         assert err.value.residual > 0.0
+
+    def test_refinement_reuses_the_factorization(self, monkeypatch):
+        # tol = 0 sends every slice into refinement steps; with the zero
+        # term the Jacobian is the limit matrix, already factored
+        calls = []
+
+        def factor(matrix, symmetric):
+            calls.append(matrix)
+            return factor_matrix(matrix, symmetric)
+        monkeypatch.setattr(anisolab.limit, "factor_matrix", factor)
+        g, coeffs, f = block_cases()[1]
+        with pytest.raises(SolverError):
+            limit_of(g, coeffs, f, tol=0.0)
+        assert len(calls) == 1
+
+    def test_forcing_grid_mismatch_rejected(self, unit_square):
+        g = unit_square(4)
+        blocks = operator_blocks(g, coefficient_family("identity", g))
+        with pytest.raises(ConfigError):
+            solve_limit(blocks, forcing_field("constant", unit_square(8)))
 
 
 class TestLimitField:
@@ -112,15 +162,15 @@ class TestLimitField:
         # -u'' = 1 per slice has the quadratic solution y(1 - y)/2, which
         # the 3-point stencil reproduces to roundoff
         g = unit_square(8)
-        u0 = solve_limit(g, coefficient_family("identity", g),
-                         forcing_field("constant", g, value=1.0))
+        u0 = limit_of(g, coefficient_family("identity", g),
+                      forcing_field("constant", g, value=1.0))
         y = g.meshgrid()[1]
         assert np.abs(u0.values - y * (1 - y) / 2).max() < 1e-13
 
     def test_x1_faces_not_constrained(self, unit_square):
         g = unit_square(8)
-        u0 = solve_limit(g, coefficient_family("identity", g),
-                         forcing_field("constant", g, value=1.0))
+        u0 = limit_of(g, coefficient_family("identity", g),
+                      forcing_field("constant", g, value=1.0))
         assert np.abs(u0.values[0]).max() > 0.1  # x1 = 0 column is active
         assert np.all(u0.values[:, 0] == 0.0)  # retained-axes Dirichlet
         assert np.all(u0.values[:, -1] == 0.0)
@@ -129,8 +179,8 @@ class TestLimitField:
         # slice coefficient a22 = 1 + x^2/2 is constant in y, so the slice
         # solution y(1 - y) / (2 (1 + x^2/2)) is again exact
         g = unit_square(10)
-        u0 = solve_limit(g, coefficient_family("variable", g),
-                         forcing_field("constant", g, value=1.0))
+        u0 = limit_of(g, coefficient_family("variable", g),
+                      forcing_field("constant", g, value=1.0))
         x, y = g.meshgrid()
         expect = y * (1 - y) / (2 * (1 + x ** 2 / 2))
         assert np.abs(u0.values - expect).max() < 1e-13
@@ -144,14 +194,14 @@ class TestLimitField:
             g, lambda x, y, z: (2 + x) * np.sin(np.pi * y)
             * np.sin(np.pi * z))
         lam = 2 * (4 / h ** 2) * np.sin(np.pi * h / 2) ** 2
-        u0 = solve_limit(g, coefficient_family("identity", g), f)
+        u0 = limit_of(g, coefficient_family("identity", g), f)
         assert np.allclose(u0.values, f.values / lam, atol=1e-12)
 
     def test_three_dim_split_two_parabola(self):
         # q = 2: one retained axis, unit forcing, parabola at every (x1, x2)
         g = make_grid([(0, 1)] * 3, (4, 4, 8), q=2)
-        u0 = solve_limit(g, coefficient_family("identity", g),
-                         forcing_field("constant", g, value=1.0))
+        u0 = limit_of(g, coefficient_family("identity", g),
+                      forcing_field("constant", g, value=1.0))
         z = g.meshgrid()[2]
         assert np.abs(u0.values - z * (1 - z) / 2).max() < 1e-13
 
@@ -159,6 +209,6 @@ class TestLimitField:
         # f = (1 + x) stays constant per slice, so u0 = (1 + x) y(1-y)/2
         g = unit_square(8)
         f = ScalarField.from_function(g, lambda x, y: 1.0 + x)
-        u0 = solve_limit(g, coefficient_family("identity", g), f)
+        u0 = limit_of(g, coefficient_family("identity", g), f)
         x, y = g.meshgrid()
         assert np.abs(u0.values - (1 + x) * y * (1 - y) / 2).max() < 1e-13

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
-                      make_grid, nonlinearity_family, picard_solve,
-                      semilinear_limit, solve_dirichlet, solve_limit)
+                      make_grid, nonlinearity_family, operator_blocks,
+                      picard_solve, semilinear_limit, solve_dirichlet,
+                      solve_limit)
 from anisolab.limit import iter_slice_systems
 from anisolab.semilinear import ARMIJO, jacobian
 
@@ -164,7 +165,7 @@ class TestPicard:
         with pytest.raises(ConfigError, match="max_iter"):
             picard_solve(op, f, a, max_iter=-1)
         with pytest.raises(ConfigError, match="max_iter"):
-            semilinear_limit(g, coeffs, f, a, max_iter=-1)
+            semilinear_limit(operator_blocks(g, coeffs), f, a, max_iter=-1)
 
     @pytest.mark.parametrize("method", ["cg", "direct"])
     def test_unreachable_tol_raises_with_residual(self, method):
@@ -203,8 +204,9 @@ class TestSemilinearLimit:
         # the start iterate is the linear limit, so no step is needed
         zero = nonlinearity_family("zero")
         for g, coeffs, f in block_cases():
-            res = semilinear_limit(g, coeffs, f, zero)
-            linear = solve_limit(g, coeffs, f)
+            blocks = operator_blocks(g, coeffs)
+            res = semilinear_limit(blocks, f, zero)
+            linear = solve_limit(blocks, f)
             assert np.array_equal(res.field.values, linear.values)
             assert res.iterations == 0
 
@@ -214,7 +216,7 @@ class TestSemilinearLimit:
         errs = []
         for n in (8, 16, 32):
             g, coeffs, _, f = setup(n)
-            res = semilinear_limit(g, coeffs, f, a)
+            res = semilinear_limit(operator_blocks(g, coeffs), f, a)
             y = g.meshgrid()[1]
             exact = 1 - np.cosh(y - 0.5) / np.cosh(0.5)
             errs.append(np.abs(res.field.values - exact).max())
@@ -225,7 +227,7 @@ class TestSemilinearLimit:
     def test_midpoint_value_pinned(self):
         n = 32
         g, coeffs, _, f = setup(n)
-        res = semilinear_limit(g, coeffs, f,
+        res = semilinear_limit(operator_blocks(g, coeffs), f,
                                nonlinearity_family("linear", kappa=1.0))
         mid = res.field.values[n // 2, n // 2]
         assert mid == pytest.approx(MID_VALUE, abs=0.02 / n ** 2)
@@ -243,7 +245,8 @@ class TestSemilinearLimit:
             scatter(u, out)
             iters.append(m)
             halvings += h
-        return semilinear_limit(g, coeffs, f, a), out, iters, halvings
+        res = semilinear_limit(operator_blocks(g, coeffs), f, a)
+        return res, out, iters, halvings
 
     def test_matches_per_slice_iterations(self):
         # 20x forcing on the unit cube; unit forcing on a 10-long X2 axis,
@@ -266,12 +269,13 @@ class TestSemilinearLimit:
         a = nonlinearity_family("tanh")
         with pytest.raises(SolverError,
                            match=r"^slice \(\d+,\): Newton exhausted") as err:
-            semilinear_limit(g, coeffs, f, a, max_iter=1)
+            semilinear_limit(operator_blocks(g, coeffs), f, a, max_iter=1)
         assert err.value.residual > 1e-10
 
     def test_worst_slice_reporting(self):
         g, coeffs, _, f = setup(8)
-        res = semilinear_limit(g, coeffs, f, nonlinearity_family("tanh"))
+        res = semilinear_limit(operator_blocks(g, coeffs), f,
+                               nonlinearity_family("tanh"))
         assert res.iterations >= 1
         assert res.residual <= 1e-10
 
@@ -282,7 +286,7 @@ class TestSemilinearLimit:
         coeffs = coefficient_family("variable", g)
         f = forcing_field("sine_product", g)
         a = nonlinearity_family("tanh")
-        res = semilinear_limit(g, coeffs, f, a)
+        res = semilinear_limit(operator_blocks(g, coeffs), f, a)
         interior = slice(1, g.cells[1])
         worst = 0.0
         for x1_index, matrix, rhs, _ in iter_slice_systems(g, coeffs, f):

@@ -9,8 +9,9 @@ import pytest
 from anisolab import (ScalarField, StudyConfig, assemble_operator,
                       coefficient_family, emit_report, estimate_rate,
                       forcing_field, frechet_distance, l2_norm, load_field,
-                      make_grid, run_sweep, scale_coefficients,
-                      solve_dirichlet, solve_limit, v12_norm)
+                      make_grid, operator_blocks, run_sweep,
+                      scale_coefficients, solve_dirichlet, solve_limit,
+                      v12_norm)
 from anisolab.norms import (grad_x1_seminorm, hess_x1_seminorm,
                             hess_x1x2_seminorm, hess_x2_seminorm)
 from anisolab.study import CSV_COLUMNS, discretization_floor
@@ -63,7 +64,7 @@ class TestRunSweep:
         f = cfg.build_forcing(grid)
         mask = cfg.build_mask(grid)
         family = cfg.build_family(grid)
-        u_limit = solve_limit(grid, coeffs, f)
+        u_limit = solve_limit(operator_blocks(grid, coeffs), f)
         eps = 0.5
         u = solve_dirichlet(
             assemble_operator(grid, scale_coefficients(coeffs, eps)), f)
@@ -115,23 +116,28 @@ class TestRunSweep:
         assert all(a > b for a, b in zip(d, d[1:]))
 
     def test_operator_blocks_built_once(self, monkeypatch):
+        import anisolab.fd_ops as fd_ops
         import anisolab.study as study
-        calls = {"assemble_operator": 0, "operator_blocks": 0}
+        calls = {"assemble_operator": 0, "operator_blocks": 0,
+                 "assemble_flux_matrix": 0}
 
-        def counted(name):
-            real = getattr(study, name)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
-            monkeypatch.setattr(study, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counted("assemble_operator")
-        counted("operator_blocks")
+        counted(study, "assemble_operator")
+        counted(study, "operator_blocks")
+        counted(fd_ops, "assemble_flux_matrix")
         rep = run_sweep(small_config(epsilons=[1.0, 0.5, 0.25, 0.125]))
         assert rep.complete
-        # the one assembly left is the floor probe's
-        assert calls == {"assemble_operator": 1, "operator_blocks": 1}
+        # the one operator assembly left is the floor probe's; the blocks
+        # take three flux assemblies, the X2 one serving limit and rows
+        assert calls == {"assemble_operator": 1, "operator_blocks": 1,
+                         "assemble_flux_matrix": 4}
 
     @staticmethod
     def check_auto_matches_direct(monkeypatch, cfg):
