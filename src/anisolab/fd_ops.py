@@ -17,20 +17,29 @@ not off the table; the flag picks CG under ``auto`` and the LU ordering.
 The operator is linear in its table, and the limit problem is its X2
 block: ``operator_blocks`` assembles each block once, the X2 block as the
 limit operator, from which the full grid's ``L22`` is cut.
+
+scipy is imported where a sparse matrix is first built or factored:
+``scipy.sparse`` inside ``assemble_flux_matrix`` and
+``scipy.sparse.linalg`` inside ``factor_matrix``.  The difference
+kernels, and the post-processing that uses only them (norms, metric,
+translation modulus), never load the sparse stack, and ``SparseOperator``
+and ``OperatorBlocks`` import without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientField, scaling_factors
 from .errors import ConfigError
 from .grid import Grid, ScalarField, grid_interior_slices
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 __all__ = [
     "SparseOperator",
@@ -180,6 +189,8 @@ def factor_matrix(matrix: sp.spmatrix, symmetric: bool) -> spla.SuperLU:
     matrices keep the COLAMD column ordering with partial pivoting.  Both
     orderings are pinned, so factorizations are reproducible.
     """
+    import scipy.sparse.linalg as spla
+
     if symmetric:
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0,
@@ -197,6 +208,8 @@ def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
     nothing, not even stored zeros, so the sparsity pattern couples only
     nodes that a nonzero coefficient links.
     """
+    import scipy.sparse as sp
+
     cells = tuple(int(n) for n in cells)
     spacings = tuple(float(h) for h in spacings)
     m = len(cells)

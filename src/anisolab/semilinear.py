@@ -28,15 +28,17 @@ fixed-point iteration this replaced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, SolverError
 from .fd_ops import SparseOperator
 from .grid import ScalarField
 from .solver import linear_solve
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Nonlinearity",

@@ -25,22 +25,50 @@ division; the sine matrices are built once per size and shared.  It
 carries the epsilon scaling of the operator, so the iteration count stays
 nearly flat as epsilon shrinks, where diagonal (Jacobi) scaling needs
 hundreds of iterations.
+
+``scipy.sparse.linalg`` is imported on the first solve, not with the
+package: the module attribute ``spla`` is filled by the module's
+``__getattr__`` on first lookup, and the CG and preconditioner code read
+it at call time.  So it stays a plain, swappable attribute: a stand-in
+assigned to ``anisolab.solver.spla``, before or after the first solve,
+is the one whose ``cg`` runs (the tests' iteration counters and
+perfbench's traced ``solver.cg_iters`` rely on this).
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
 from .fd_ops import SparseOperator
 from .grid import ScalarField
 
+if TYPE_CHECKING:
+    import scipy.sparse.linalg as spla
+
 __all__ = ["solve_dirichlet", "linear_solve", "resolve_method",
            "relative_residual", "sine_transform",
            "fast_diagonal_preconditioner"]
+
+
+def __getattr__(name: str):
+    # the first lookup of ``spla`` imports scipy.sparse.linalg and keeps it
+    # as a plain module attribute, which a stand-in may replace
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+
+        globals()["spla"] = spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _linalg():
+    """The module attribute ``spla`` as it stands at call time."""
+    return sys.modules[__name__].spla
 
 
 def relative_residual(matrix, x: np.ndarray, b: np.ndarray) -> float:
@@ -55,8 +83,8 @@ def relative_residual(matrix, x: np.ndarray, b: np.ndarray) -> float:
 def _sine_matrix(m: int) -> np.ndarray:
     """Orthonormal DST-I matrix of size m, sqrt(2/(m+1)) sin(pi j k / (m+1)).
 
-    Built once per size and read-only, so solves on several threads share
-    it.
+    Built once per size and read-only, so every row's CG solves share one
+    cached matrix.
     """
     k = np.arange(1, m + 1)
     mat = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
@@ -113,7 +141,7 @@ def fast_diagonal_preconditioner(op: SparseOperator) -> spla.LinearOperator:
     n = op.n_unknowns
     # a declared dtype keeps scipy from applying the inverse once just to
     # find it out
-    return spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    return _linalg().LinearOperator((n, n), matvec=solve, dtype=float)
 
 
 def _cg(op: SparseOperator, b: np.ndarray, tol: float,
@@ -122,6 +150,7 @@ def _cg(op: SparseOperator, b: np.ndarray, tol: float,
     returns the iterate and its true relative residual."""
     maxiter = int(np.ceil(maxiter_factor * np.sqrt(op.n_unknowns)))
     M = fast_diagonal_preconditioner(op)
+    spla = _linalg()
     x, used = None, 0
 
     def count(_):
