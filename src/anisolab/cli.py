@@ -106,7 +106,9 @@ def cmd_limit(args) -> int:
     verify_ellipticity(coeffs)
     f = config.build_forcing(grid)
     start = time.perf_counter()
-    u0 = solve_limit(operator_blocks(grid, coeffs), f, tol=config.solver_tol)
+    u0 = solve_limit(operator_blocks(grid, coeffs), f, tol=config.solver_tol,
+                     method=config.solver_method,
+                     maxiter_factor=config.maxiter_factor)
     wall_ms = 1000.0 * (time.perf_counter() - start)
     out = _out_dir(config)
     field_path = save_field(out / "u_limit.field", u0)

@@ -309,7 +309,9 @@ class OperatorBlocks:
     X1-interior slices.  The matrices are shared by every operator ``at``
     returns and never written to.  ``symmetric`` holds when each of
     ``L11``, ``L12`` and ``L22`` is exactly symmetric, so every ``at(eps)``
-    sum is too.
+    sum is too.  ``axis_means`` are the node means of the unscaled a_dd,
+    and row k of ``limit_means`` holds those of the X2 a_dd over slice k
+    of ``limit``: the tables the CG preconditioners invert.
     """
 
     grid: Grid
@@ -319,6 +321,7 @@ class OperatorBlocks:
     limit: sp.csr_matrix
     symmetric: bool
     axis_means: np.ndarray
+    limit_means: np.ndarray
 
     def at(self, epsilon: float) -> SparseOperator:
         """``eps^2 L11 + eps L12 + L22``, the operator of the scaled table."""
@@ -355,7 +358,8 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
     cells = tuple(c + 2 if a < q else c for a, c in enumerate(grid.cells))
     padded = np.zeros((n, n) + tuple(c + 1 for c in cells))
     inner = tuple(slice(1, -1) if a < q else slice(None) for a in range(n))
-    padded[(slice(q, None), slice(q, None)) + inner] = coeffs.x2_block()
+    a22 = coeffs.x2_block()
+    padded[(slice(q, None), slice(q, None)) + inner] = a22
     limit = assemble_flux_matrix(cells, grid.spacing, padded)
     # slice-major unknowns: the X1-interior slices are the full grid's,
     # in the full grid's order
@@ -364,9 +368,13 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
     keep = keep[(slice(1, -1),) * q].ravel()
     L22 = limit[keep][:, keep]
     L22.sort_indices()
+    slices = int(np.prod(a22.shape[2:2 + q]))
+    limit_means = np.stack([a22[d, d].reshape(slices, -1).mean(axis=1)
+                            for d in range(n - q)], axis=1)
     return OperatorBlocks(grid=grid, L11=L11, L12=L12, L22=L22, limit=limit,
                           symmetric=all(map(is_symmetric, (L11, L12, L22))),
-                          axis_means=np.array(_axis_means(entries)))
+                          axis_means=np.array(_axis_means(entries)),
+                          limit_means=limit_means)
 
 
 def apply_nondivergence(coeffs: CoefficientField,

@@ -17,9 +17,11 @@ carrying the residual.
 On the full grid Newton starts from u = 0 and each step runs the linear
 route ``solver.resolve_method`` picks: CG with the operator's
 fast-diagonalization preconditioner, to the Eisenstat-Walker forcing
-term min(1e-2, |F| / |f + a(u)|), or one LU of J.  The limit problem
+term min(1e-2, |F| / |f + a(u)|), or, under ``direct`` or for an
+operator that is not symmetric, one LU of J.  The limit problem
 (``limit.semilinear_limit``) runs the same ``_newton`` on the
-block-diagonal limit operator, every slice at once.
+block-diagonal limit operator, every slice at once, its steps by one
+batched CG with a forcing term per slice under the same rule.
 
 ``picard_solve`` and ``PicardResult`` keep the names of the damped
 fixed-point iteration this replaced.

@@ -179,11 +179,10 @@ def run_sweep(config: StudyConfig) -> SweepReport:
     the limit solves on their X2 block, and each epsilon's operator is
     formed from them.  Rows run one after another on the calling thread,
     in the configured (decreasing) epsilon order; ``config.workers`` is
-    ignored.  Under ``auto`` the rows solve
-    by CG when the assembled blocks are exactly symmetric, and by LU
-    otherwise.  A failed solve stops the sweep: later rows are never
-    solved, and the report is returned with the finished prefix and
-    flagged incomplete.
+    ignored.  Under ``auto`` the rows and the limit solve by CG when
+    their assembled matrices are exactly symmetric, and by LU otherwise.
+    A failed solve stops the sweep: later rows are never solved, and the
+    report is returned with the finished prefix and flagged incomplete.
     """
     grid = config.build_grid()
     coeffs = config.build_coefficients(grid)
@@ -198,11 +197,14 @@ def run_sweep(config: StudyConfig) -> SweepReport:
     del coeffs
 
     if nonlinearity is None:
-        u_limit = solve_limit(blocks, f, tol=config.solver_tol)
+        u_limit = solve_limit(blocks, f, tol=config.solver_tol,
+                              method=config.solver_method,
+                              maxiter_factor=config.maxiter_factor)
     else:
         u_limit = semilinear_limit(
             blocks, f, nonlinearity, tol=config.solver_tol,
-            max_iter=config.picard_max_iter).field
+            max_iter=config.picard_max_iter, method=config.solver_method,
+            maxiter_factor=config.maxiter_factor).field
 
     floor = discretization_floor(grid, tol=config.solver_tol)
 

@@ -34,31 +34,37 @@ from anisolab import (coefficient_family, forcing_field, make_grid,
                       operator_blocks, solve_dirichlet)
 from anisolab.solver import relative_residual
 
-class StandIn:
-    calls = 0
+real = anisolab.solver.pcg
+calls = []
 
-    def __getattr__(self, name):
-        import scipy.sparse.linalg
-        return getattr(scipy.sparse.linalg, name)
-
-    def cg(self, *args, **kwargs):
-        self.calls += 1
-        import scipy.sparse.linalg
-        return scipy.sparse.linalg.cg(*args, **kwargs)
+def stand_in(*args, **kwargs):
+    calls.append(1)
+    return real(*args, **kwargs)
 
 loaded = "scipy.sparse" in sys.modules
-stand_in = StandIn()
-anisolab.solver.spla = stand_in
+anisolab.solver.pcg = stand_in
 g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
 op = operator_blocks(g, coefficient_family("variable", g)).at(0.1)
 f = forcing_field("sine_product", g)
 u = solve_dirichlet(op, f, method="cg")
+linalg_after_solve = "scipy.sparse.linalg" in sys.modules
 print(json.dumps({
     "loaded_before": loaded,
-    "calls": stand_in.calls,
-    "kept": anisolab.solver.spla is stand_in,
+    "calls": len(calls),
+    "kept": anisolab.solver.pcg is stand_in,
+    "linalg_after_solve": linalg_after_solve,
+    "spla": anisolab.solver.spla.__name__,
     "residual": relative_residual(op.matrix, u.interior_vector(),
                                   f.interior_vector())}))
+"""
+
+MODULES_PROBE = """
+import json, sys
+import anisolab.cli
+rc = anisolab.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([rc] + [name in sys.modules for name in
+                         ("scipy.sparse", "scipy.sparse.linalg",
+                          "scipy.linalg")]))
 """
 
 
@@ -108,8 +114,28 @@ def test_sweep_loads_sparse(saved_sweep, tmp_path):
 
 
 def test_stand_in_set_before_first_solve_runs_cg():
+    # CG runs through the module's ``pcg``, looked up at call time, and
+    # never loads scipy.sparse.linalg; ``spla`` still resolves to it
     got = fresh_python(STAND_IN_PROBE)
     assert got["loaded_before"] is False
     assert got["kept"] is True
     assert got["calls"] >= 1
+    assert got["linalg_after_solve"] is False
+    assert got["spla"] == "scipy.sparse.linalg"
     assert got["residual"] <= 1e-10
+
+
+def test_symmetric_sweep_never_loads_the_lu(saved_sweep, tmp_path):
+    # the quickstart table assembles symmetric, so under ``auto`` the
+    # rows, the limit and the floor probe all run by CG; ``direct``
+    # factors them, which loads scipy.sparse.linalg
+    cfg, _ = saved_sweep
+    direct = tmp_path / "direct.cfg"
+    direct.write_text(Path(cfg).read_text()
+                      + "\n[solver]\nmethod = direct\n")
+    got = [fresh_python(MODULES_PROBE, json.dumps(
+               ["sweep", "--config", path, "--out", str(tmp_path / name)]))
+           for path, name in ((cfg, "auto"), (str(direct), "direct"))]
+    assert got[0] == [0, True, False, False]
+    # scipy.sparse.linalg brings scipy.linalg with it
+    assert got[1] == [0, True, True, True]

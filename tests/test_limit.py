@@ -126,9 +126,26 @@ class TestBlockOperator:
         for g, c, f in block_cases():
             limit = operator_blocks(g, c).limit.toarray()
             flags.append(np.array_equal(limit, limit.T))
-            limit_of(g, c, f)
+            limit_of(g, c, f, method="direct")
         assert flags == [True, True, True, False]
         assert seen == flags
+
+    def test_cg_route_factors_only_the_nonsymmetric_limit(self,
+                                                          monkeypatch):
+        # under auto the symmetric limits run by batched CG; the varying
+        # asymmetric one is factored exactly once
+        seen = []
+
+        def factor(matrix, symmetric):
+            seen.append(symmetric)
+            return factor_matrix(matrix, symmetric)
+        monkeypatch.setattr(anisolab.limit, "factor_matrix", factor)
+        for g, c, f in block_cases():
+            limit_of(g, c, f, method="auto")
+        assert seen == [False]
+        for g, c, f in block_cases()[:3]:
+            limit_of(g, c, f, method="cg")
+        assert seen == [False]
 
     def test_slice_residual_gate_names_slice(self):
         g, coeffs, f = block_cases()[1]
@@ -147,8 +164,40 @@ class TestBlockOperator:
         monkeypatch.setattr(anisolab.limit, "factor_matrix", factor)
         g, coeffs, f = block_cases()[1]
         with pytest.raises(SolverError):
-            limit_of(g, coeffs, f, tol=0.0)
+            limit_of(g, coeffs, f, tol=0.0, method="direct")
         assert len(calls) == 1
+
+    def test_cg_refinement_factors_nothing(self, monkeypatch):
+        # tol = 0: the batched CG steps run to their caps and Newton
+        # gives up, naming a slice, without any factorization
+        calls = []
+        monkeypatch.setattr(anisolab.limit, "factor_matrix",
+                            lambda *args: calls.append(args))
+        g, coeffs, f = block_cases()[1]
+        with pytest.raises(SolverError, match=r"slice \(\d+, \d+\)"):
+            limit_of(g, coeffs, f, tol=0.0, method="auto")
+        assert calls == []
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_cg_matches_lu(self, case):
+        # every slice meets tol on its own system; the two routes agree
+        # to well within what that residual allows
+        g, coeffs, f = block_cases()[case]
+        blocks = operator_blocks(g, coeffs)
+        lu = solve_limit(blocks, f, method="direct").values
+        cg = solve_limit(blocks, f, method="auto").values
+        assert np.abs(cg - lu).max() <= 1e-9 * np.abs(lu).max()
+        interior = tuple(slice(1, g.cells[a]) for a in g.x2_axes)
+        for x1_index, matrix, rhs, _ in iter_slice_systems(g, coeffs, f):
+            x = cg[x1_index][interior].reshape(-1)
+            assert np.linalg.norm(matrix @ x - rhs) <= (
+                1e-10 * np.linalg.norm(rhs))
+
+    def test_unknown_method_rejected(self, unit_square):
+        g = unit_square(4)
+        blocks = operator_blocks(g, coefficient_family("identity", g))
+        with pytest.raises(ConfigError, match="gmres"):
+            solve_limit(blocks, forcing_field("constant", g), method="gmres")
 
     def test_forcing_grid_mismatch_rejected(self, unit_square):
         g = unit_square(4)

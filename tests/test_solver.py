@@ -1,10 +1,9 @@
 import dataclasses
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import anisolab.solver
@@ -12,8 +11,10 @@ from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
                       make_grid, scale_coefficients, solve_dirichlet)
 from anisolab.fd_ops import SparseOperator
-from anisolab.solver import (fast_diagonal_preconditioner, relative_residual,
-                             resolve_method, sine_transform)
+from anisolab.fd_ops import assemble_flux_matrix
+from anisolab.solver import (fast_diagonal_preconditioner, pcg,
+                             relative_residual, resolve_method,
+                             sine_transform)
 
 from test_fd_ops import BLOCK_CASES, sine_eigenvector, varying_asymmetric
 
@@ -129,31 +130,27 @@ class TestCG:
             solve_dirichlet(op, ScalarField.zeros(g), method="cg")
 
 
-class _CountingLinalg:
-    """Stands in for ``scipy.sparse.linalg`` inside ``anisolab.solver`` and
-    counts the CG iterations the solver runs."""
+class _CountingPCG:
+    """Stands in for ``anisolab.solver.pcg`` and counts the CG steps the
+    solver runs, as the real one returns them."""
 
     def __init__(self):
         self.iterations = 0
 
-    def __getattr__(self, name):
-        return getattr(spla, name)
-
-    def cg(self, *args, callback=None, **kwargs):
-        def counting(xk):
-            self.iterations += 1
-        return spla.cg(*args, callback=counting, **kwargs)
+    def __call__(self, *args, **kwargs):
+        x, steps = pcg(*args, **kwargs)
+        self.iterations += int(steps.sum())
+        return x, steps
 
 
-class _DriftingLinalg:
-    """Stands in for ``scipy.sparse.linalg`` inside ``anisolab.solver``.
+class _DriftingPCG:
+    """Stands in for ``anisolab.solver.pcg``.
 
-    Its ``cg`` runs scipy's, then for the first ``drifting`` calls adds a
-    step of residual ``2 * rtol * |b|`` to the iterate, so a converged one
-    ends 1-3 times ``rtol`` from ``b``, as a drifting recurrence residual
-    can leave it.  With ``stall``, calls
-    after the first report convergence without a step.  It records each
-    ``x0``.
+    It runs the real one, then for the first ``drifting`` calls adds a
+    step of residual ``2 * tol * |b|`` to the iterate, so a converged one
+    ends 1-3 times ``tol`` from ``b``, as a drifting recurrence residual
+    can leave it.  With ``stall``, calls after the first return their
+    ``x0`` without a step.  It records each ``x0``.
     """
 
     def __init__(self, drifting, stall=False):
@@ -162,24 +159,86 @@ class _DriftingLinalg:
         self.x0s = []
         self.iterations = 0
 
-    def __getattr__(self, name):
-        return getattr(spla, name)
-
-    def cg(self, A, b, x0=None, rtol=None, callback=None, **kwargs):
-        self.x0s.append(None if x0 is None else x0.copy())
+    def __call__(self, matrix, b, precond, tol, maxiter, x0=None):
+        self.x0s.append(None if x0 is None else x0.ravel().copy())
         if self.stall and x0 is not None:
-            return x0, 0
-
-        def counting(xk):
-            self.iterations += 1
-            callback(xk)
-        x, info = spla.cg(A, b, x0=x0, rtol=rtol, callback=counting,
-                          **kwargs)
+            return x0, np.zeros(len(b), dtype=int)
+        x, steps = pcg(matrix, b, precond, tol, maxiter, x0=x0)
+        self.iterations += int(steps.sum())
         if len(self.x0s) <= self.drifting:
-            e = np.zeros_like(x)
-            e[len(x) // 2] = 1.0
-            x = x + 2 * rtol * np.linalg.norm(b) / np.linalg.norm(A @ e) * e
-        return x, info
+            e = np.zeros(b.size)
+            e[b.size // 2] = 1.0
+            step = 2 * tol * np.linalg.norm(b) / np.linalg.norm(matrix @ e)
+            x = x + step * e.reshape(x.shape)
+        return x, steps
+
+
+def slice_blocks(tables, cells=16):
+    """Block-diagonal system of 1-D Dirichlet operators, one per a_22
+    node table, and its fast-diagonalization preconditioner."""
+    h = (1.0 / cells,)
+    matrix = sp.block_diag(
+        [assemble_flux_matrix((cells,), h, t.reshape(1, 1, -1))
+         for t in tables], format="csr")
+    means = [[t.mean()] for t in tables]
+    return matrix, fast_diagonal_preconditioner((cells,), h, means)
+
+
+class TestPCG:
+    y = np.linspace(0.0, 1.0, 17)
+    # a constant table, which the preconditioner inverts exactly, and two
+    # varying ones that take more steps
+    tables = [np.full(17, 2.0), 1.0 + y ** 2,
+              1.0 + 3.0 * np.sin(np.pi * y) ** 2]
+
+    def test_converged_block_iterate_is_frozen(self, rng):
+        matrix, precond = slice_blocks(self.tables)
+        b = rng.standard_normal((3, 15))
+        x, steps = pcg(matrix, b, precond, 1e-10, 100)
+        assert steps[0] == 1 and steps[0] < steps[1] and steps[0] < steps[2]
+        assert len(set(steps)) > 1
+        res = np.linalg.norm((matrix @ x.ravel()).reshape(3, -1) - b, axis=1)
+        assert np.all(res <= 1e-10 * np.linalg.norm(b, axis=1))
+        for k in range(1, int(steps.max()) + 1):
+            xk, steps_k = pcg(matrix, b, precond, 1e-10, k)
+            assert np.array_equal(steps_k, np.minimum(steps, k))
+            for block in np.flatnonzero(steps <= k):
+                assert np.array_equal(xk[block], x[block])
+
+    def test_blocks_keep_their_own_tolerance(self, rng):
+        matrix, precond = slice_blocks(self.tables[1:])
+        b = rng.standard_normal((2, 15))
+        x, steps = pcg(matrix, b, precond, np.array([1e-2, 1e-12]), 100)
+        assert steps[0] < steps[1]
+        res = np.linalg.norm((matrix @ x.ravel()).reshape(2, -1) - b, axis=1)
+        rel = res / np.linalg.norm(b, axis=1)
+        assert 1e-12 < rel[0] <= 1e-2 and rel[1] <= 1e-12
+
+    def test_zero_rhs_block_stays_zero(self, rng):
+        # no division by a zero norm or a zero curvature: the block
+        # starts frozen at x = 0 (warnings are errors in this suite)
+        matrix, precond = slice_blocks(self.tables)
+        b = rng.standard_normal((3, 15))
+        b[1] = 0.0
+        x, steps = pcg(matrix, b, precond, 1e-10, 100)
+        assert steps[1] == 0 and np.all(x[1] == 0.0)
+        assert steps[0] == 1 and steps[2] > 1
+        x, steps = pcg(matrix, np.zeros((3, 15)), precond, 0.0, 100)
+        assert np.all(steps == 0) and np.all(x == 0.0)
+
+    def test_restart_continues_from_x0(self, rng):
+        matrix, precond = slice_blocks(self.tables)
+        b = rng.standard_normal((3, 15))
+        x, _ = pcg(matrix, b, precond, 1e-4, 100)
+        x0 = x.copy()
+        y, steps = pcg(matrix, b, precond, 1e-12, 100, x0=x)
+        assert np.array_equal(x, x0)  # the start is not written to
+        res = np.linalg.norm((matrix @ y.ravel()).reshape(3, -1) - b, axis=1)
+        assert np.all(res <= 1e-11 * np.linalg.norm(b, axis=1))
+        # the constant block was solved to roundoff by its one step
+        assert steps[0] == 0 and np.all(steps[1:] > 0)
+        again, steps = pcg(matrix, b, precond, 1e-2, 100, x0=y)
+        assert np.all(steps == 0) and np.array_equal(again, y)
 
 
 class TestCGRestart:
@@ -190,8 +249,8 @@ class TestCGRestart:
 
     def test_drifted_iterate_is_continued(self, monkeypatch):
         op, f = self.variable_setup(32)
-        fake = _DriftingLinalg(drifting=1)
-        monkeypatch.setattr(anisolab.solver, "spla", fake)
+        fake = _DriftingPCG(drifting=1)
+        monkeypatch.setattr(anisolab.solver, "pcg", fake)
         u = solve_dirichlet(op, f, tol=1e-10, method="cg")
         assert len(fake.x0s) == 2 and fake.x0s[0] is None
         b = f.interior_vector()
@@ -202,8 +261,8 @@ class TestCGRestart:
 
     def test_raises_once_budget_spent(self, monkeypatch):
         op, f = self.variable_setup(16)
-        fake = _DriftingLinalg(drifting=np.inf)
-        monkeypatch.setattr(anisolab.solver, "spla", fake)
+        fake = _DriftingPCG(drifting=np.inf)
+        monkeypatch.setattr(anisolab.solver, "pcg", fake)
         with pytest.raises(SolverError) as err:
             solve_dirichlet(op, f, tol=1e-10, method="cg", maxiter_factor=2)
         assert len(fake.x0s) > 2
@@ -212,8 +271,8 @@ class TestCGRestart:
 
     def test_restart_without_a_step_stops(self, monkeypatch):
         op, f = self.variable_setup(16)
-        fake = _DriftingLinalg(drifting=np.inf, stall=True)
-        monkeypatch.setattr(anisolab.solver, "spla", fake)
+        fake = _DriftingPCG(drifting=np.inf, stall=True)
+        monkeypatch.setattr(anisolab.solver, "pcg", fake)
         with pytest.raises(SolverError, match="missed tolerance"):
             solve_dirichlet(op, f, tol=1e-10, method="cg")
         assert len(fake.x0s) == 2
@@ -233,8 +292,8 @@ class TestAuto:
     def test_symmetric_operator_runs_cg_without_factoring(self,
                                                           monkeypatch):
         calls = self.count_factor(monkeypatch)
-        counter = _CountingLinalg()
-        monkeypatch.setattr(anisolab.solver, "spla", counter)
+        counter = _CountingPCG()
+        monkeypatch.setattr(anisolab.solver, "pcg", counter)
         g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
         op = assemble_operator(
             g, scale_coefficients(coefficient_family("variable", g), 0.1))
@@ -284,28 +343,6 @@ class TestFastDiagonalization:
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
 
-    def test_threads_share_the_cached_matrices(self):
-        # more threads than cores build the matrices and solve with them
-        # at once; every solve matches its serial twin bit for bit
-        g = make_grid([(0, 1), (0, 1)], (24, 24), q=1)
-        coeffs = coefficient_family("variable", g)
-        f = forcing_field("sine_product", g)
-        ops = [assemble_operator(g, scale_coefficients(coeffs, eps))
-               for eps in (1.0, 0.3, 0.1, 0.03)] * 3
-        serial = [solve_dirichlet(op, f, method="cg").values for op in ops]
-        anisolab.solver._sine_matrix.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(
-                    lambda op: solve_dirichlet(op, f, method="cg").values,
-                    ops, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        for a, b in zip(got, serial, strict=True):
-            assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("cells, q, diag, eps", [
         ((9, 12), 1, [2.0, 0.5], 1.0),
         ((9, 12), 1, [2.0, 0.5], 0.01),
@@ -317,7 +354,9 @@ class TestFastDiagonalization:
         coeffs = coefficient_family("constant", g, matrix=np.diag(diag))
         op = assemble_operator(g, scale_coefficients(coeffs, eps))
         x = rng.standard_normal(op.n_unknowns)
-        got = fast_diagonal_preconditioner(op) @ (op.matrix @ x)
+        precond = fast_diagonal_preconditioner(g.cells, g.spacing,
+                                               [op.axis_means])
+        got = precond((op.matrix @ x)[None])[0]
         assert np.allclose(got, x, rtol=0.0, atol=1e-12)
 
     def test_nonpositive_means_rejected(self, unit_square):
@@ -333,8 +372,8 @@ class TestFastDiagonalization:
         coeffs = coefficient_family("variable", g)
         f = forcing_field("sine_product", g)
         for eps in (1.0, 0.1, 0.01, 0.001):
-            counter = _CountingLinalg()
-            monkeypatch.setattr(anisolab.solver, "spla", counter)
+            counter = _CountingPCG()
+            monkeypatch.setattr(anisolab.solver, "pcg", counter)
             op = assemble_operator(g, scale_coefficients(coeffs, eps))
             solve_dirichlet(op, f, method="cg")
             assert 0 < counter.iterations <= 20, eps
