@@ -18,7 +18,7 @@ from .fd_ops import (OperatorBlocks, SparseOperator, assemble_operator,
 from .fieldio import load_field, save_field
 from .forcing import forcing_field
 from .grid import (Grid, NestedFamily, ScalarField, SubdomainMask,
-                   interior_subdomain, make_grid, nested_family, shift_field)
+                   interior_subdomain, make_grid, nested_family)
 from .limit import semilinear_limit, solve_limit
 from .norms import (NormBundle, frechet_distance, l2_norm, norm_bundle,
                     translation_modulus, v12_norm, v22_norm)
@@ -81,7 +81,6 @@ __all__ = [
     "scale_coefficients",
     "scaling_factors",
     "semilinear_limit",
-    "shift_field",
     "solve_dirichlet",
     "solve_limit",
     "torus_solve",

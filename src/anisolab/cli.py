@@ -36,7 +36,8 @@ from .fieldio import atomic_write, load_field, save_field
 from .grid import nested_family
 from .limit import solve_limit
 from .norms import l2_norm, norm_bundle, translation_modulus, v12_norm
-from .solver import relative_residual, resolve_method, solve_dirichlet
+from .semilinear import nonlinearity_family, picard_solve
+from .solver import resolve_method
 from .spectral import check_constant_bounds, random_zero_mean_forcing
 from .study import FLOOR_NOTE, emit_report, run_sweep
 
@@ -77,12 +78,12 @@ def cmd_solve(args) -> int:
     f = config.build_forcing(grid)
     start = time.perf_counter()
     op = operator_blocks(grid, coeffs).at(epsilon)
-    u = solve_dirichlet(op, f, tol=config.solver_tol,
-                        method=config.solver_method,
-                        maxiter_factor=config.maxiter_factor)
+    # solve_dirichlet's own solve, which also returns its residual
+    solved = picard_solve(op, f, nonlinearity_family("zero"),
+                          tol=config.solver_tol, method=config.solver_method,
+                          maxiter_factor=config.maxiter_factor)
     wall_ms = 1000.0 * (time.perf_counter() - start)
-    res = relative_residual(op.matrix, u.interior_vector(),
-                            f.interior_vector())
+    u, res = solved.field, solved.residual
     out = _out_dir(config)
     field_path = save_field(out / "solution.field", u)
     _write_json(out / "solve.json", {

@@ -11,20 +11,14 @@ two slices, and no boundary condition is imposed in the X1 directions:
 the limit field is generally nonzero on X1 faces.
 
 ``semilinear_limit(blocks, f, a)`` solves  -div(A22 grad u) = a(u) + f
-on all slices at once by the residual-gated Newton of ``semilinear``,
-from the solve of f + a(0); every slice keeps its own gate
-|M x - b| / |b| <= tol and line search.  Under ``auto`` or ``cg`` a
-symmetric limit matrix is never factored: ``solver.pcg`` runs every
-slice as one block, preconditioned by fast diagonalization with the
-slice's own a_dd means (``OperatorBlocks.limit_means``), to ``tol`` for
-the starting solve and to the forcing term min(1e-2, relative residual)
-of each slice for a Newton step.  ``direct``, or a matrix that is not
-symmetric, factors the limit matrix once per call with the full
-problem's ordering rule, and the Jacobian once per Newton step where a'
-does not vanish.  ``solve_limit`` is the zero-term case: Newton takes no
-step when every slice's starting solve meets ``tol``, and gives a slice
-that misses it further steps (reusing the one factorization on the
-direct route) before SolverError names the slice.
+on all slices at once by ``solver.newton_solve``, one block per slice:
+every slice keeps its own gate |M x - b| / |b| <= tol, its own line
+search and, on the CG route, its own forcing term and preconditioner
+(the slice's a_dd means, ``OperatorBlocks.limit_means``).  The route
+follows the exact symmetry of the limit matrix as on the full grid.
+``solve_limit`` is the zero-term case: its first Newton step is the
+solve to ``tol``, and a slice that misses it takes further steps before
+SolverError names the slice.
 
 ``iter_slice_systems`` yields the same systems one slice at a time; it is
 the reference the block operator is checked against.
@@ -36,12 +30,10 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import ConfigError
-from .fd_ops import (OperatorBlocks, assemble_flux_matrix, factor_matrix,
-                     is_symmetric)
+from .fd_ops import OperatorBlocks, assemble_flux_matrix, is_symmetric
 from .grid import Grid, ScalarField
-from .semilinear import (MAX_FORCING, Nonlinearity, PicardResult, _newton,
-                         jacobian, nonlinearity_family)
-from .solver import fast_diagonal_preconditioner, iteration_cap, pcg
+from .semilinear import Nonlinearity, PicardResult, nonlinearity_family
+from .solver import newton_solve
 
 __all__ = ["solve_limit", "semilinear_limit", "iter_slice_systems"]
 
@@ -81,65 +73,30 @@ def semilinear_limit(blocks: OperatorBlocks, f: ScalarField,
                      maxiter_factor: float = 20.0) -> PicardResult:
     """Limit field of the semilinear problem, every slice gated on its own.
 
-    Solves on ``blocks.limit`` by the route ``method`` names (see the
-    module docstring), ``direct`` by default as in ``solve_dirichlet``;
-    ``maxiter_factor`` caps each batched CG solve at
+    Solves on ``blocks.limit`` by the route ``method`` names (see
+    ``solver.newton_solve``), ``direct`` by default as in
+    ``solve_dirichlet``; ``maxiter_factor`` caps each batched CG solve at
     ``solver.iteration_cap`` of one slice's unknowns.  Reported
     iterations and residual are the worst over all slices.
     """
     grid = blocks.grid
     if f.grid != grid:
         raise ConfigError("forcing lives on a different grid")
-    if method not in ("auto", "cg", "direct"):
-        raise ConfigError(f"unknown solver method '{method}'")
-    matrix = blocks.limit
-    symmetric = is_symmetric(matrix)
     x1_nodes = tuple(grid.cells[a] + 1 for a in grid.x1_axes)
-    slices = int(np.prod(x1_nodes))
     # every X1 node, faces included, times the interior X2 nodes
     unknowns = ((slice(None),) * grid.q
                 + tuple(slice(1, grid.cells[a]) for a in grid.x2_axes))
-    rhs = f.values[unknowns].reshape(-1)
-    start = rhs + a(np.zeros_like(rhs))
-
-    if symmetric and method != "direct":
-        x2 = grid.x2_axes
-        precond = fast_diagonal_preconditioner(
-            [grid.cells[ax] for ax in x2], [grid.spacing[ax] for ax in x2],
-            blocks.limit_means)
-        cap = iteration_cap(rhs.size // slices, maxiter_factor)
-
-        def solve(M, b, forcing):
-            return pcg(M, b.reshape(slices, -1), precond, forcing,
-                       cap)[0].ravel()
-
-        def step(u, F, rel):
-            # slices already within tol take no step; a zero right-hand
-            # side freezes them at once.  J keeps the limit's symmetry and
-            # slice means, hence its preconditioner
-            b = np.where((rel <= tol)[:, None], 0.0, -F.reshape(slices, -1))
-            return solve(jacobian(matrix, a, u), b,
-                         np.minimum(MAX_FORCING, rel))
-
-        u = solve(matrix, start, tol)
-    else:
-        lu = factor_matrix(matrix, symmetric)
-
-        def step(u, F, rel):
-            # with a' = 0 the Jacobian is the limit matrix itself
-            if not a.deriv(u).any():
-                return lu.solve(-F)
-            return factor_matrix(jacobian(matrix, a, u),
-                                 symmetric).solve(-F)
-
-        u = lu.solve(start)
 
     def where(k):
         index = np.unravel_index(k, x1_nodes)
         return f"slice {tuple(int(i) for i in index)}: "
 
-    u, iters, rel = _newton(matrix, rhs, a, u, step, tol, max_iter,
-                            blocks=slices, where=where)
+    x2 = grid.x2_axes
+    u, iters, rel = newton_solve(
+        blocks.limit, f.values[unknowns].reshape(-1), a,
+        is_symmetric(blocks.limit), [grid.cells[ax] for ax in x2],
+        [grid.spacing[ax] for ax in x2], blocks.limit_means, tol, max_iter,
+        method, maxiter_factor, where)
     out = np.zeros(grid.node_shape)
     out[unknowns] = u.reshape(out[unknowns].shape)
     return PicardResult(field=ScalarField(grid, out),

@@ -238,10 +238,8 @@ def translation_modulus(fields: Sequence[ScalarField], mask: SubdomainMask,
     read at interior nodes (|h_a| strictly below the mask margin), the
     discrete form of the distance-to-boundary admissibility condition;
     anything else raises ShiftError.  The translate is read as the mask
-    box moved by h, a view of each field, so the defect equals
-    ``mask.extract(shift_field(v, h, mask)) - mask.extract(v)`` without
-    building the shifted copy; every defect is formed in one reused
-    mask-sized buffer.
+    box moved by h, a view of each field, so no shifted copy of a field
+    is built; every defect is formed in one reused mask-sized buffer.
     """
     if not fields:
         raise ConfigError("empty field family")

@@ -5,42 +5,29 @@ growth |a(x)| <= c (1 + |x|), and each declares its derivative a' <= 0.
 The residual is F(u) = L u - a(u) - f and its Jacobian
 J = L + diag(-a'(u)) is the operator plus a nonnegative diagonal, so it is
 symmetric positive definite whenever L is, without any smallness
-assumption on f (Kelley, *Iterative Methods for Linear and Nonlinear
-Equations*, SIAM 1995, ch. 6).
+assumption on f.
 
-Every Newton step solves J du = -F, then halves the step until |F|
-decreases by the Armijo rule (c = 1e-4).  The iteration stops on the
-residual, not on the step: once |F| / |f + a(u)| is at most ``tol``.  A
-solve that has not met it after ``max_iter`` steps raises SolverError
-carrying the residual.
-
-On the full grid Newton starts from u = 0 and each step runs the linear
-route ``solver.resolve_method`` picks: CG with the operator's
-fast-diagonalization preconditioner, to the Eisenstat-Walker forcing
-term min(1e-2, |F| / |f + a(u)|), or, under ``direct`` or for an
-operator that is not symmetric, one LU of J.  The limit problem
-(``limit.semilinear_limit``) runs the same ``_newton`` on the
-block-diagonal limit operator, every slice at once, its steps by one
-batched CG with a forcing term per slice under the same rule.
-
-``picard_solve`` and ``PicardResult`` keep the names of the damped
-fixed-point iteration this replaced.
+``picard_solve`` solves the full-grid problem as the one-block case of
+``solver.newton_solve``: Newton from u = 0 with Armijo backtracking,
+stopping once |F| / |f + a(u)| is at most ``tol``, each step by CG to an
+Eisenstat-Walker forcing term or by one LU of J, as the route
+``solver.resolve_method`` picks.  The limit problem
+(``limit.semilinear_limit``) runs the same driver with one block per X1
+slice.  ``picard_solve`` and ``PicardResult`` keep the names of the
+damped fixed-point iteration this replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError
 from .fd_ops import SparseOperator
 from .grid import ScalarField
-from .solver import linear_solve
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .solver import newton_solve
 
 __all__ = [
     "Nonlinearity",
@@ -48,12 +35,6 @@ __all__ = [
     "PicardResult",
     "picard_solve",
 ]
-
-# Armijo sufficient-decrease constant and the most halvings of one step
-ARMIJO = 1e-4
-MAX_HALVINGS = 30
-# the largest forcing term of a CG Newton step
-MAX_FORCING = 1e-2
 
 
 @dataclass(frozen=True)
@@ -109,76 +90,6 @@ class PicardResult:
     residual: float
 
 
-def jacobian(matrix: sp.csr_matrix, a: Nonlinearity,
-             u: np.ndarray) -> sp.csr_matrix:
-    """``L + diag(-a'(u))`` on a copy of ``L``: symmetric when ``L`` is."""
-    J = matrix.copy()
-    J.setdiag(matrix.diagonal() - a.deriv(u))
-    return J
-
-
-def _newton(matrix: sp.spmatrix, rhs: np.ndarray, a: Nonlinearity,
-            u: np.ndarray,
-            step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-            tol: float, max_iter: int, blocks: int = 1,
-            where: Callable[[int], str] = lambda k: ""
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual-gated Newton for ``matrix u = a(u) + rhs`` from ``u``.
-
-    The unknowns split into ``blocks`` equal, decoupled systems (one for
-    a full grid, one per slice for the limit).  ``step(u, F, rel)`` must
-    return an approximate solution of ``J du = -F`` that keeps the blocks
-    decoupled; ``rel`` holds each block's relative residual, from which a
-    Krylov step takes its forcing term.  Each block has its own residual
-    gate and line search and is frozen once it meets its gate.  Returns
-    the iterate, the steps taken per block and the final relative
-    residuals.  ``max_iter`` must be at least 1.
-    """
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-
-    def residual(u):
-        b = rhs + a(u)
-        F = matrix @ u - b
-        return (F, np.linalg.norm(F.reshape(blocks, -1), axis=1),
-                np.linalg.norm(b.reshape(blocks, -1), axis=1))
-
-    F, norm_F, norm_b = residual(u)
-    iters = np.zeros(blocks, dtype=int)
-    m = 0
-    while True:
-        # relative to |b| as solver.relative_residual: absolute where b = 0
-        rel = np.divide(norm_F, norm_b, out=norm_F.copy(),
-                        where=norm_b > 0)
-        active = ~(rel <= tol)
-        if not active.any():
-            return u, iters, rel
-        if m == max_iter:
-            k = int(np.flatnonzero(active)[0])
-            raise SolverError(
-                f"{where(k)}Newton exhausted {max_iter} steps at residual "
-                f"{rel[k]:.3e}", residual=float(rel[k]))
-        du = step(u, F, rel).reshape(blocks, -1)
-        t = active.astype(float)
-        for _ in range(MAX_HALVINGS):
-            u_trial = u + (t[:, None] * du).ravel()
-            trial = residual(u_trial)
-            short = trial[1] > (1.0 - ARMIJO * t) * norm_F
-            if not short.any():
-                break
-            t[short] /= 2.0
-        else:
-            k = int(np.flatnonzero(short)[0])
-            raise SolverError(
-                f"{where(k)}Newton line search found no decrease in "
-                f"{MAX_HALVINGS} halvings at residual {rel[k]:.3e}",
-                residual=float(rel[k]))
-        u = u_trial
-        F, norm_F, norm_b = trial
-        m += 1
-        iters[active] = m
-
-
 def picard_solve(op: SparseOperator, f: ScalarField, a: Nonlinearity,
                  tol: float = 1e-10, max_iter: int = 200,
                  method: str = "auto",
@@ -186,22 +97,14 @@ def picard_solve(op: SparseOperator, f: ScalarField, a: Nonlinearity,
     """Solve the semilinear Dirichlet problem on the full grid by Newton.
 
     ``method`` and ``maxiter_factor`` choose and cap each step's linear
-    solve as in ``solve_dirichlet``; a CG step stops at the forcing term
-    ``min(1e-2, relative residual)``.
+    solve as in ``solver.newton_solve``.
     """
     if f.grid != op.grid:
         raise ConfigError("forcing lives on a different grid")
-    rhs = f.interior_vector()
-
-    def step(u, F, rel):
-        # J keeps L's symmetry and axis means, hence its preconditioner
-        J = SparseOperator(jacobian(op.matrix, a, u), op.grid,
-                           op.symmetric, op.axis_means)
-        return linear_solve(J, -F, min(MAX_FORCING, float(rel[0])),
-                            method, maxiter_factor)[0]
-
-    u, iters, rel = _newton(op.matrix, rhs, a, np.zeros_like(rhs), step,
-                            tol, max_iter)
-    return PicardResult(field=ScalarField.from_interior(op.grid, u),
+    grid = op.grid
+    u, iters, rel = newton_solve(op.matrix, f.interior_vector(), a,
+                                 op.symmetric, grid.cells, grid.spacing,
+                                 [op.axis_means], tol, max_iter, method,
+                                 maxiter_factor)
+    return PicardResult(field=ScalarField.from_interior(grid, u),
                         iterations=int(iters[0]), residual=float(rel[0]))
-

@@ -1,26 +1,38 @@
-"""Dirichlet solves on the assembled operators.
+"""Every solve of the lab, by one residual-gated Newton driver.
 
-``solve_dirichlet`` has two routes, and ``method = "auto"`` (the study
-default) picks between them by ``op.symmetric``, the exact symmetry of
-the assembled matrix (``resolve_method``).  Symmetric operators run by
-preconditioned conjugate gradients with a hard iteration cap of
-``maxiter_factor * sqrt(unknowns)`` (default 20); the SPD floor probe
-runs the same way.  ``pcg`` stops on its recurrence residual; when the
-true residual misses ``tol`` there, CG restarts from the iterate with the
-iterations left.  Other operators get a sparse direct factorization,
-one per solve (every sweep row and Newton step builds a fresh operator),
-with COLAMD ordering and partial pivoting.  ``method = "direct"``,
-``solve_dirichlet``'s own default, factors symmetric operators too, in
-symmetric mode with minimum-degree ordering of ``A + A^T`` and diagonal
-pivots (see ``fd_ops.factor_matrix``).  ``linear_solve`` is the two
-routes without the residual gate; the semilinear Newton steps run
-through it.
+A full-grid row, a semilinear row and the linear and semilinear limit
+are one problem: ``L u = a(u) + f`` on B decoupled equal blocks of
+unknowns, a full grid being B = 1 and the limit one block per X1 node
+(``limit.semilinear_limit``); a linear solve is the zero term.
+``newton_solve`` runs it (Kelley, *Iterative Methods for Linear and
+Nonlinear Equations*, SIAM 1995, ch. 6).  From u = 0 every step solves
+``J du = -F`` with ``J = L + diag(-a'(u))``, then halves the step of
+each block until its |F| decreases by the Armijo rule (c = 1e-4).  A
+block stops once |F| / |f + a(u)| is at most ``tol``; a solve that has
+not met it after ``max_iter`` steps raises SolverError carrying the
+residual.  A linear solve's first step is the solve to ``tol`` itself,
+and a step that misses it is followed by another step from the iterate.
+
+The route is picked once per solve.  ``method = "auto"`` (the study
+default) chooses by ``symmetric``, the exact symmetry of the assembled
+matrix (``resolve_method``).  Symmetric matrices run by preconditioned
+conjugate gradients, one batched ``pcg`` per step over every block, with
+a hard cap of ``maxiter_factor * sqrt(unknowns per block)`` iterations
+(default 20); a block the cap leaves short of its test raises
+SolverError.  A block's CG stops at the forcing term ``tol / rel``,
+``rel`` its relative residual, where a' vanishes, so that a linear step
+lands within ``tol``, and at the Eisenstat-Walker term
+``min(1e-2, rel)`` elsewhere.  Other matrices get a sparse direct
+factorization with COLAMD ordering and partial pivoting.
+``method = "direct"``, ``solve_dirichlet``'s own default, factors
+symmetric matrices too, in symmetric mode with minimum-degree ordering of
+``A + A^T`` and diagonal pivots (see ``fd_ops.factor_matrix``).  Where a'
+vanishes J is the matrix itself, factored once on first need; elsewhere
+each step factors its own J.
 
 ``pcg`` is one numpy conjugate-gradient loop over ``B`` independent equal
 blocks of a block-diagonal system, each block with its own step lengths
-and stopping test, all applied through one sparse matvec: a full-grid
-solve is its ``B = 1`` case, and the limit problem runs every X1 slice as
-one block (``limit.semilinear_limit``).
+and stopping test, all applied through one sparse matvec.
 
 CG is preconditioned by fast diagonalization (Lynch, Rice & Thomas 1964):
 the preconditioner of a block is the constant-coefficient operator whose
@@ -31,7 +43,8 @@ DST-I diagonalizes it exactly, so its inverse costs two sine transforms
 and a division; the sine matrices are built once per size and shared.
 It carries the epsilon scaling of the operator, so the iteration count
 stays nearly flat as epsilon shrinks, where diagonal (Jacobi) scaling
-needs hundreds of iterations.
+needs hundreds of iterations.  J keeps the matrix's symmetry and block
+means, hence one preconditioner serves every step of a solve.
 
 No solve here loads ``scipy.sparse.linalg``; only an LU does
 (``fd_ops.factor_matrix``).  The module attribute ``spla`` still
@@ -43,17 +56,28 @@ the package calls it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .fd_ops import SparseOperator
+from .fd_ops import SparseOperator, factor_matrix
 from .grid import ScalarField
 
-__all__ = ["solve_dirichlet", "linear_solve", "resolve_method",
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+    from .semilinear import Nonlinearity
+
+__all__ = ["solve_dirichlet", "newton_solve", "resolve_method",
            "relative_residual", "sine_transform", "pcg",
            "fast_diagonal_preconditioner"]
+
+# Armijo sufficient-decrease constant and the most halvings of one step
+ARMIJO = 1e-4
+MAX_HALVINGS = 30
+# the largest forcing term of a CG Newton step
+MAX_FORCING = 1e-2
 
 
 def __getattr__(name: str):
@@ -157,8 +181,7 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
 
 
 def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
-        tol, maxiter: int, x0: np.ndarray | None = None
-        ) -> tuple[np.ndarray, np.ndarray]:
+        tol, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Preconditioned CG on the ``B`` independent equal blocks of ``b``.
 
     ``b`` has shape ``(B, n)`` and ``matrix``, symmetric positive
@@ -169,25 +192,19 @@ def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
     direction has no positive curvature, is frozen: its iterate never
     changes again.  A block whose right-hand side is zero starts frozen
     at zero.  Every step applies ``matrix`` to all blocks through one
-    matvec.  Runs at most ``maxiter`` steps from ``x0`` (zero by default)
-    and returns the iterate, shape ``(B, n)``, and the steps each block
-    took.
+    matvec.  Runs at most ``maxiter`` steps from zero and returns the
+    iterate, shape ``(B, n)``, the steps each block took, and the mask of
+    the blocks that were still short of their test when the cap stopped
+    them.
     """
     b = np.asarray(b, dtype=float)
     nblocks = len(b)
-
-    def apply(v):
-        return (matrix @ v.ravel()).reshape(b.shape)
 
     def dot(u, v):
         return np.einsum("ij,ij->i", u, v)
 
     target = np.asarray(tol, dtype=float) * np.linalg.norm(b, axis=1)
-    if x0 is None:
-        x, r = np.zeros_like(b), b.copy()
-    else:
-        x = np.array(x0, dtype=float).reshape(b.shape)
-        r = b - apply(x)
+    x, r = np.zeros_like(b), b.copy()
     steps = np.zeros(nblocks, dtype=int)
     active = ~(np.linalg.norm(r, axis=1) <= target)
     # with p = 0 the first beta multiplies nothing, so rz may start at 1
@@ -203,7 +220,7 @@ def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
         rz = rz_new
         p = z + beta[:, None] * p
         p[~active] = 0.0
-        q = apply(p)
+        q = (matrix @ p.ravel()).reshape(b.shape)
         pq = dot(p, q)
         # a block with no positive curvature along p can take no step
         active &= pq > 0
@@ -212,7 +229,7 @@ def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
         r -= alpha[:, None] * q
         steps += active
         active &= ~(np.linalg.norm(r, axis=1) <= target)
-    return x, steps
+    return x, steps, active
 
 
 def iteration_cap(n: int, maxiter_factor: float) -> int:
@@ -221,54 +238,139 @@ def iteration_cap(n: int, maxiter_factor: float) -> int:
     return int(np.ceil(maxiter_factor * np.sqrt(n)))
 
 
-def _cg(op: SparseOperator, b: np.ndarray, tol: float,
-        maxiter_factor: float) -> tuple[np.ndarray, float]:
-    """Preconditioned CG within ``iteration_cap`` steps; returns the
-    iterate and its true relative residual."""
-    maxiter = iteration_cap(op.n_unknowns, maxiter_factor)
-    grid = op.grid
-    precond = fast_diagonal_preconditioner(grid.cells, grid.spacing,
-                                           [op.axis_means])
-    x, used = None, 0
-    while True:
-        x, steps = pcg(op.matrix, b[None], precond, tol, maxiter - used,
-                       x0=x)
-        used += int(steps[0])
-        res = relative_residual(op.matrix, x[0], b)
-        # a restart that takes no step cannot get any closer
-        if res <= tol or steps[0] == 0:
-            return x[0], res
-        if used >= maxiter:
-            raise SolverError(f"cg exhausted {maxiter} iterations",
-                              residual=res)
+def _route(symmetric: bool, method: str) -> str:
+    """``cg`` or ``direct``: ``auto`` is CG on a symmetric matrix and
+    direct otherwise; CG on a matrix that is not symmetric, and any
+    other method, raise ConfigError."""
+    if method == "auto":
+        return "cg" if symmetric else "direct"
+    if method not in ("cg", "direct"):
+        raise ConfigError(f"unknown solver method '{method}'")
+    if method == "cg" and not symmetric:
+        raise ConfigError("cg path requires a symmetric operator")
+    return method
 
 
 def resolve_method(op: SparseOperator, method: str) -> str:
     """The route ``solve_dirichlet`` runs for ``method`` on ``op``:
     ``auto`` is CG on a symmetric operator and direct otherwise."""
-    if method == "auto":
-        return "cg" if op.symmetric else "direct"
-    return method
+    return _route(op.symmetric, method)
 
 
-def linear_solve(op: SparseOperator, b: np.ndarray, tol: float,
-                 method: str, maxiter_factor: float = 20.0
-                 ) -> tuple[np.ndarray, float]:
-    """``L x = b`` over interior vectors by the route ``method`` names.
+def jacobian(matrix: sp.csr_matrix, a: Nonlinearity,
+             u: np.ndarray) -> sp.csr_matrix:
+    """``L + diag(-a'(u))`` on a copy of ``L``: symmetric when ``L`` is."""
+    J = matrix.copy()
+    J.setdiag(matrix.diagonal() - a.deriv(u))
+    return J
 
-    Returns the solution and its relative residual, ungated: CG stops
-    once it is at most ``tol`` (or raises at its cap), the direct route
-    takes what the factorization gives.
+
+def newton_solve(matrix: sp.csr_matrix, rhs: np.ndarray, a: Nonlinearity,
+                 symmetric: bool, cells: Sequence[int],
+                 spacing: Sequence[float], means, tol: float = 1e-10,
+                 max_iter: int = 200, method: str = "direct",
+                 maxiter_factor: float = 20.0,
+                 where: Callable[[int], str] = lambda k: ""
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual-gated Newton for ``matrix u = a(u) + rhs`` from u = 0.
+
+    The unknowns split into ``len(means)`` equal, decoupled blocks, each
+    the interior of one box of ``cells`` cells and ``spacing`` spacings;
+    row b of ``means`` holds block b's a_dd means, the table its CG
+    preconditioner inverts.  ``symmetric`` is the exact symmetry of
+    ``matrix`` and picks the route with ``method`` (see the module
+    docstring); ``maxiter_factor`` caps each CG solve at
+    ``iteration_cap`` of one block's unknowns.  Each block has its own
+    residual gate, forcing term and line search, and is frozen once it
+    meets its gate; ``where(k)`` prefixes every error that names block
+    k.  Returns the iterate, the steps taken per block and the final
+    relative residuals.  ``max_iter`` must be at least 1.
     """
-    method = resolve_method(op, method)
-    if method == "direct":
-        x = op.factor().solve(b)
-        return x, relative_residual(op.matrix, x, b)
-    if method == "cg":
-        if not op.symmetric:
-            raise ConfigError("cg path requires a symmetric operator")
-        return _cg(op, b, tol, maxiter_factor)
-    raise ConfigError(f"unknown solver method '{method}'")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    route = _route(symmetric, method)
+    blocks = len(means)
+    if route == "cg":
+        precond = fast_diagonal_preconditioner(cells, spacing, means)
+        cap = iteration_cap(rhs.size // blocks, maxiter_factor)
+    lu = None
+
+    def norms(v):
+        # one block takes the whole vector's norm, as relative_residual
+        if blocks == 1:
+            return np.array([np.linalg.norm(v)])
+        return np.linalg.norm(v.reshape(blocks, -1), axis=1)
+
+    def residual(u):
+        b = rhs + a(u)
+        F = matrix @ u - b
+        return F, norms(F), norms(b)
+
+    # at u = 0 the residual is -(rhs + a(0)): no matvec
+    u = np.zeros_like(rhs)
+    b = rhs + a(u)
+    F, norm_F = -b, norms(b)
+    norm_b = norm_F
+    iters = np.zeros(blocks, dtype=int)
+    m = 0
+    while True:
+        # relative to |b| as relative_residual: absolute where b = 0
+        rel = np.divide(norm_F, norm_b, out=norm_F.copy(),
+                        where=norm_b > 0)
+        active = ~(rel <= tol)
+        if not active.any():
+            return u, iters, rel
+        if m == max_iter:
+            k = int(np.flatnonzero(active)[0])
+            raise SolverError(
+                f"{where(k)}Newton exhausted {max_iter} steps at residual "
+                f"{rel[k]:.3e}", residual=float(rel[k]))
+        deriv = a.deriv(u)
+        # where a' vanishes the Jacobian is the matrix itself
+        J = jacobian(matrix, a, u) if deriv.any() else matrix
+        if route == "cg":
+            forcing = np.minimum(MAX_FORCING, rel)
+            np.divide(tol, rel, out=forcing, where=active & ~deriv.reshape(
+                blocks, -1).any(axis=1))
+            # blocks already within tol take a zero right-hand side and
+            # no step
+            du, _, capped = pcg(J, np.where(active[:, None],
+                                            -F.reshape(blocks, -1), 0.0),
+                                precond, forcing, cap)
+            if capped.any():
+                k = int(np.flatnonzero(capped)[0])
+                # block k's relative residual of the linearized problem
+                # after the capped step (the true one where a' = 0)
+                left = norms(J @ du.ravel() + F)[k] / norm_F[k] * rel[k]
+                raise SolverError(f"{where(k)}cg exhausted {cap} iterations",
+                                  residual=float(left))
+        elif J is not matrix:
+            du = factor_matrix(J, symmetric).solve(-F)
+        else:
+            if lu is None:
+                lu = factor_matrix(matrix, symmetric)
+            du = lu.solve(-F)
+        # a Jacobian copy held through the line search raises the peak
+        del J
+        du = du.reshape(blocks, -1)
+        t = active.astype(float)
+        for _ in range(MAX_HALVINGS):
+            u_trial = u + (t[:, None] * du).ravel()
+            trial = residual(u_trial)
+            short = trial[1] > (1.0 - ARMIJO * t) * norm_F
+            if not short.any():
+                break
+            t[short] /= 2.0
+        else:
+            k = int(np.flatnonzero(short)[0])
+            raise SolverError(
+                f"{where(k)}Newton line search found no decrease in "
+                f"{MAX_HALVINGS} halvings at residual {rel[k]:.3e}",
+                residual=float(rel[k]))
+        u = u_trial
+        F, norm_F, norm_b = trial
+        m += 1
+        iters[active] = m
 
 
 def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
@@ -276,17 +378,14 @@ def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
                     maxiter_factor: float = 20.0) -> ScalarField:
     """Solve ``L u = f`` over interior unknowns, boundary held at zero.
 
-    ``method`` is ``direct``, ``cg`` or ``auto`` (see ``resolve_method``).
-    The returned field carries exact zeros on the boundary.  The relative
-    residual is always checked against ``tol``; a solve that misses it
-    raises SolverError carrying the achieved residual.
+    ``semilinear.picard_solve`` with the zero term: ``method`` is
+    ``direct``, ``cg`` or ``auto`` (see ``resolve_method``).  The
+    returned field carries exact zeros on the boundary.  The relative
+    residual is always checked against ``tol``; a solve that cannot meet
+    it raises SolverError carrying the achieved residual.
     """
-    if f.grid != op.grid:
-        raise ConfigError("forcing lives on a different grid")
-    method = resolve_method(op, method)
-    x, res = linear_solve(op, f.interior_vector(), tol, method,
-                          maxiter_factor)
-    if not res <= tol:
-        raise SolverError(
-            f"{method} solve missed tolerance {tol:g}", residual=res)
-    return ScalarField.from_interior(op.grid, x)
+    # semilinear imports this module, so its names are looked up here
+    from .semilinear import nonlinearity_family, picard_solve
+
+    return picard_solve(op, f, nonlinearity_family("zero"), tol,
+                        method=method, maxiter_factor=maxiter_factor).field

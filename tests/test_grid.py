@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anisolab import (ConfigError, ScalarField, ShiftError,
-                      interior_subdomain, make_grid, nested_family,
-                      shift_field)
+                      interior_subdomain, make_grid, nested_family)
 
-from conftest import random_field
+from conftest import random_field, shift_field
 
 
 class TestGrid:

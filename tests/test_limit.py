@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-import anisolab.limit
+import anisolab.solver
 from anisolab import (ConfigError, ScalarField, SolverError,
                       coefficient_family, forcing_field, make_grid,
                       operator_blocks, solve_limit)
@@ -121,7 +121,7 @@ class TestBlockOperator:
         def factor(matrix, symmetric):
             seen.append(symmetric)
             return factor_matrix(matrix, symmetric)
-        monkeypatch.setattr(anisolab.limit, "factor_matrix", factor)
+        monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
         flags = []
         for g, c, f in block_cases():
             limit = operator_blocks(g, c).limit.toarray()
@@ -139,7 +139,7 @@ class TestBlockOperator:
         def factor(matrix, symmetric):
             seen.append(symmetric)
             return factor_matrix(matrix, symmetric)
-        monkeypatch.setattr(anisolab.limit, "factor_matrix", factor)
+        monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
         for g, c, f in block_cases():
             limit_of(g, c, f, method="auto")
         assert seen == [False]
@@ -161,22 +161,55 @@ class TestBlockOperator:
         def factor(matrix, symmetric):
             calls.append(matrix)
             return factor_matrix(matrix, symmetric)
-        monkeypatch.setattr(anisolab.limit, "factor_matrix", factor)
+        monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
         g, coeffs, f = block_cases()[1]
         with pytest.raises(SolverError):
             limit_of(g, coeffs, f, tol=0.0, method="direct")
         assert len(calls) == 1
 
     def test_cg_refinement_factors_nothing(self, monkeypatch):
-        # tol = 0: the batched CG steps run to their caps and Newton
+        # tol = 0: the batched CG step runs to its cap and the solve
         # gives up, naming a slice, without any factorization
         calls = []
-        monkeypatch.setattr(anisolab.limit, "factor_matrix",
+        monkeypatch.setattr(anisolab.solver, "factor_matrix",
                             lambda *args: calls.append(args))
         g, coeffs, f = block_cases()[1]
         with pytest.raises(SolverError, match=r"slice \(\d+, \d+\)"):
             limit_of(g, coeffs, f, tol=0.0, method="auto")
         assert calls == []
+
+    def test_slice_converging_at_its_cap_is_not_exhausted(self, monkeypatch):
+        # the variable table's a22 is constant along each 1-D slice, so
+        # the preconditioner is exact and every slice meets tol in the one
+        # step its cap ceil(0.05 sqrt(15)) = 1 allows
+        g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
+        blocks = operator_blocks(g, coefficient_family("variable", g))
+        f = forcing_field("constant", g, value=1.0)
+        steps = []
+        real = anisolab.solver.pcg
+
+        def counting(*args):
+            out = real(*args)
+            steps.append((args[4], out[1].copy()))
+            return out
+        monkeypatch.setattr(anisolab.solver, "pcg", counting)
+        cg = solve_limit(blocks, f, method="cg", maxiter_factor=0.05).values
+        assert len(steps) == 1
+        cap, taken = steps[0]
+        assert cap == 1 and np.all(taken == 1)
+        lu = solve_limit(blocks, f, method="direct").values
+        assert np.abs(cg - lu).max() <= 1e-9 * np.abs(lu).max()
+
+    def test_cg_slice_exhausting_its_cap_named(self):
+        # 2-D slices of the variable table need several CG steps; a cap
+        # of ceil(0.2 sqrt(30)) = 2 stops them short of tol
+        g = make_grid([(0, 1)] * 3, (5, 6, 7), q=1)
+        blocks = operator_blocks(g, coefficient_family("variable", g))
+        f = forcing_field("sine_product", g)
+        with pytest.raises(SolverError, match=r"^slice \(\d+,\): cg exhausted "
+                           r"2 iterations") as err:
+            solve_limit(blocks, f, method="cg", maxiter_factor=0.2)
+        assert err.value.residual > 1e-10
 
     @pytest.mark.parametrize("case", range(4))
     def test_cg_matches_lu(self, case):
@@ -192,6 +225,11 @@ class TestBlockOperator:
             x = cg[x1_index][interior].reshape(-1)
             assert np.linalg.norm(matrix @ x - rhs) <= (
                 1e-10 * np.linalg.norm(rhs))
+
+    def test_cg_on_nonsymmetric_limit_rejected(self):
+        g, coeffs, f = block_cases()[3]
+        with pytest.raises(ConfigError, match="symmetric"):
+            limit_of(g, coeffs, f, method="cg")
 
     def test_unknown_method_rejected(self, unit_square):
         g = unit_square(4)

@@ -6,13 +6,13 @@ from anisolab import (ConfigError, NestedFamily, ScalarField, ShiftError,
                       frechet_distance, interior_subdomain, l2_norm,
                       make_grid, nested_family, norm_bundle,
                       translation_modulus, v12_norm, v22_norm)
-from anisolab.grid import SubdomainMask, shift_field
+from anisolab.grid import SubdomainMask
 from anisolab.norms import (block_seminorm, grad_x1_seminorm,
                             grad_x2_seminorm, hess_x1_seminorm,
                             hess_x1x2_seminorm, hess_x2_seminorm,
                             inner_product)
 
-from conftest import random_field
+from conftest import random_field, shift_field
 
 
 def seeded_field(grid, seed, boundary_zero=True):

@@ -10,7 +10,7 @@ from anisolab import (ConfigError, ScalarField, SolverError,
                       picard_solve, semilinear_limit, solve_dirichlet,
                       solve_limit)
 from anisolab.limit import iter_slice_systems
-from anisolab.semilinear import ARMIJO, jacobian
+from anisolab.solver import ARMIJO, jacobian
 
 from test_fd_ops import varying_asymmetric
 from test_limit import block_cases
@@ -20,13 +20,13 @@ FAMILIES = ("zero", "linear", "tanh", "rational")
 
 
 def per_slice_newton(matrix, rhs, a, tol=1e-10, max_iter=200):
-    """Reference Newton on one slice system: spsolve steps, halved until
-    the Armijo rule holds.  Returns the iterate, the steps and the number
-    of halvings."""
+    """Reference Newton on one slice system from u = 0: spsolve steps,
+    halved until the Armijo rule holds.  Returns the iterate, the steps
+    and the number of halvings."""
     def residual(u):
         return matrix @ u - (rhs + a(u))
 
-    u = spla.spsolve(matrix.tocsc(), rhs + a(np.zeros_like(rhs)))
+    u = np.zeros_like(rhs)
     halvings = 0
     for m in range(max_iter + 1):
         F = residual(u)
@@ -113,9 +113,10 @@ class TestPicard:
         assert res.iterations == 1
         assert np.array_equal(res.field.values, linear.values)
         assert res.residual < 1e-12
-        # CG steps stop at their forcing terms, so Newton takes several
+        # a CG step where a' = 0 stops at the forcing term tol / residual,
+        # so the first one lands within tol too
         res = picard_solve(op, f, zero, method="cg", tol=1e-10)
-        assert res.residual <= 1e-10
+        assert res.iterations == 1 and res.residual <= 1e-10
         assert np.abs(res.field.values - linear.values).max() <= (
             1e-10 * np.abs(linear.values).max())
 
@@ -201,14 +202,14 @@ class TestPicard:
 
 class TestSemilinearLimit:
     def test_zero_term_equals_linear_limit(self):
-        # the start iterate is the linear limit, so no step is needed
+        # the linear limit is the first Newton step of the zero term
         zero = nonlinearity_family("zero")
         for g, coeffs, f in block_cases():
             blocks = operator_blocks(g, coeffs)
             res = semilinear_limit(blocks, f, zero)
             linear = solve_limit(blocks, f)
             assert np.array_equal(res.field.values, linear.values)
-            assert res.iterations == 0
+            assert res.iterations == 1
 
     def test_cosh_profile_second_order(self):
         # per slice: -u'' = 1 - u, so u = 1 - cosh(y - 1/2)/cosh(1/2)
@@ -232,11 +233,21 @@ class TestSemilinearLimit:
         mid = res.field.values[n // 2, n // 2]
         assert mid == pytest.approx(MID_VALUE, abs=0.02 / n ** 2)
 
+    # (X2 extent, forcing, whether some slice backtracks): 20x sine
+    # forcing on the unit cube, and a forcing that changes sign along a
+    # 30-long X2 axis, where the slice operators are weak against tanh'
+    # and some full Newton steps from zero overshoot
+    CASES = [
+        (1.0, lambda x, y, z: 20 * np.sin(np.pi * x) * np.sin(np.pi * y)
+         * np.sin(np.pi * z), False),
+        (30.0, lambda x, y, z: 5 * np.cos(7 * z / 30) * (1 + x), True),
+    ]
+
     @staticmethod
-    def per_slice_reference(extent, scale, method):
+    def per_slice_reference(extent, forcing, method):
         g = make_grid([(0, 1), (0, 1), (0, extent)], (4, 5, 10), q=2)
         coeffs = coefficient_family("variable", g)
-        f = ScalarField(g, scale * forcing_field("sine_product", g).values)
+        f = ScalarField.from_function(g, forcing)
         a = nonlinearity_family("tanh")
         out = np.zeros(g.node_shape)
         iters, halvings = [], 0
@@ -250,13 +261,9 @@ class TestSemilinearLimit:
         return res, out, iters, halvings
 
     def test_matches_per_slice_iterations(self):
-        # 20x forcing on the unit cube; unit forcing on a 10-long X2 axis,
-        # where the slice operators are weak against tanh' and full
-        # Newton steps from the linear start overshoot
-        for extent, scale, backtracks in ((1.0, 20.0, False),
-                                          (10.0, 1.0, True)):
+        for extent, forcing, backtracks in self.CASES:
             res, out, iters, halvings = self.per_slice_reference(
-                extent, scale, "direct")
+                extent, forcing, "direct")
             assert (halvings > 0) == backtracks
             assert len(set(iters)) > 1  # slices stop at different steps
             assert res.iterations == max(iters)
@@ -268,8 +275,9 @@ class TestSemilinearLimit:
         # inexact CG steps may take other step counts than exact Newton,
         # but every slice meets the same gate (the reported residual is
         # the worst slice's) and lands on the same field
-        for extent, scale in ((1.0, 20.0), (10.0, 1.0)):
-            res, out, _, _ = self.per_slice_reference(extent, scale, "auto")
+        for extent, forcing, _ in self.CASES:
+            res, out, _, _ = self.per_slice_reference(extent, forcing,
+                                                      "auto")
             assert res.iterations >= 1
             assert res.residual <= 1e-10
             assert np.abs(res.field.values - out).max() <= 1e-9 * np.abs(

@@ -9,8 +9,8 @@ import scipy.sparse.linalg as spla
 import anisolab.solver
 from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
-                      make_grid, scale_coefficients, solve_dirichlet)
-from anisolab.fd_ops import SparseOperator
+                      make_grid, nonlinearity_family, picard_solve,
+                      scale_coefficients, solve_dirichlet)
 from anisolab.fd_ops import assemble_flux_matrix
 from anisolab.solver import (fast_diagonal_preconditioner, pcg,
                              relative_residual, resolve_method,
@@ -111,7 +111,8 @@ class TestCG:
         g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
         op = assemble_operator(g, coefficient_family("variable", g))
         f = forcing_field("constant", g, value=1.0)
-        with pytest.raises(SolverError) as err:
+        with pytest.raises(SolverError, match="cg exhausted 2 iterations") \
+                as err:
             solve_dirichlet(op, f, tol=1e-14, method="cg",
                             maxiter_factor=0.1)
         assert err.value.residual is not None
@@ -138,9 +139,9 @@ class _CountingPCG:
         self.iterations = 0
 
     def __call__(self, *args, **kwargs):
-        x, steps = pcg(*args, **kwargs)
+        x, steps, capped = pcg(*args, **kwargs)
         self.iterations += int(steps.sum())
-        return x, steps
+        return x, steps, capped
 
 
 class _DriftingPCG:
@@ -149,28 +150,43 @@ class _DriftingPCG:
     It runs the real one, then for the first ``drifting`` calls adds a
     step of residual ``2 * tol * |b|`` to the iterate, so a converged one
     ends 1-3 times ``tol`` from ``b``, as a drifting recurrence residual
-    can leave it.  With ``stall``, calls after the first return their
-    ``x0`` without a step.  It records each ``x0``.
+    can leave it.  With ``stall``, calls after the first return zero
+    without a step.  It records each returned iterate.
     """
 
     def __init__(self, drifting, stall=False):
         self.drifting = drifting
         self.stall = stall
-        self.x0s = []
+        self.xs = []
         self.iterations = 0
 
-    def __call__(self, matrix, b, precond, tol, maxiter, x0=None):
-        self.x0s.append(None if x0 is None else x0.ravel().copy())
-        if self.stall and x0 is not None:
-            return x0, np.zeros(len(b), dtype=int)
-        x, steps = pcg(matrix, b, precond, tol, maxiter, x0=x0)
+    def __call__(self, matrix, b, precond, tol, maxiter):
+        if self.stall and self.xs:
+            x = np.zeros_like(b)
+            self.xs.append(x.ravel())
+            return (x, np.zeros(len(b), dtype=int),
+                    np.zeros(len(b), dtype=bool))
+        x, steps, capped = pcg(matrix, b, precond, tol, maxiter)
         self.iterations += int(steps.sum())
-        if len(self.x0s) <= self.drifting:
+        if len(self.xs) < self.drifting:
             e = np.zeros(b.size)
             e[b.size // 2] = 1.0
             step = 2 * tol * np.linalg.norm(b) / np.linalg.norm(matrix @ e)
             x = x + step * e.reshape(x.shape)
-        return x, steps
+        self.xs.append(x.ravel().copy())
+        return x, steps, capped
+
+
+def count_factor(monkeypatch):
+    """Record the ``(matrix, symmetric)`` of every LU the driver makes."""
+    calls = []
+    real = anisolab.solver.factor_matrix
+
+    def factor(matrix, symmetric):
+        calls.append((matrix, symmetric))
+        return real(matrix, symmetric)
+    monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
+    return calls
 
 
 def slice_blocks(tables, cells=16):
@@ -194,21 +210,24 @@ class TestPCG:
     def test_converged_block_iterate_is_frozen(self, rng):
         matrix, precond = slice_blocks(self.tables)
         b = rng.standard_normal((3, 15))
-        x, steps = pcg(matrix, b, precond, 1e-10, 100)
+        x, steps, capped = pcg(matrix, b, precond, 1e-10, 100)
         assert steps[0] == 1 and steps[0] < steps[1] and steps[0] < steps[2]
-        assert len(set(steps)) > 1
+        assert len(set(steps)) > 1 and not capped.any()
         res = np.linalg.norm((matrix @ x.ravel()).reshape(3, -1) - b, axis=1)
         assert np.all(res <= 1e-10 * np.linalg.norm(b, axis=1))
         for k in range(1, int(steps.max()) + 1):
-            xk, steps_k = pcg(matrix, b, precond, 1e-10, k)
+            xk, steps_k, capped_k = pcg(matrix, b, precond, 1e-10, k)
             assert np.array_equal(steps_k, np.minimum(steps, k))
+            # a block that converges at exactly the cap is not capped
+            assert np.array_equal(capped_k, steps > k)
             for block in np.flatnonzero(steps <= k):
                 assert np.array_equal(xk[block], x[block])
 
     def test_blocks_keep_their_own_tolerance(self, rng):
         matrix, precond = slice_blocks(self.tables[1:])
         b = rng.standard_normal((2, 15))
-        x, steps = pcg(matrix, b, precond, np.array([1e-2, 1e-12]), 100)
+        x, steps, _ = pcg(matrix, b, precond, np.array([1e-2, 1e-12]),
+                          100)
         assert steps[0] < steps[1]
         res = np.linalg.norm((matrix @ x.ravel()).reshape(2, -1) - b, axis=1)
         rel = res / np.linalg.norm(b, axis=1)
@@ -220,28 +239,17 @@ class TestPCG:
         matrix, precond = slice_blocks(self.tables)
         b = rng.standard_normal((3, 15))
         b[1] = 0.0
-        x, steps = pcg(matrix, b, precond, 1e-10, 100)
-        assert steps[1] == 0 and np.all(x[1] == 0.0)
+        x, steps, capped = pcg(matrix, b, precond, 1e-10, 100)
+        assert steps[1] == 0 and np.all(x[1] == 0.0) and not capped[1]
         assert steps[0] == 1 and steps[2] > 1
-        x, steps = pcg(matrix, np.zeros((3, 15)), precond, 0.0, 100)
+        x, steps, capped = pcg(matrix, np.zeros((3, 15)), precond, 0.0, 100)
         assert np.all(steps == 0) and np.all(x == 0.0)
-
-    def test_restart_continues_from_x0(self, rng):
-        matrix, precond = slice_blocks(self.tables)
-        b = rng.standard_normal((3, 15))
-        x, _ = pcg(matrix, b, precond, 1e-4, 100)
-        x0 = x.copy()
-        y, steps = pcg(matrix, b, precond, 1e-12, 100, x0=x)
-        assert np.array_equal(x, x0)  # the start is not written to
-        res = np.linalg.norm((matrix @ y.ravel()).reshape(3, -1) - b, axis=1)
-        assert np.all(res <= 1e-11 * np.linalg.norm(b, axis=1))
-        # the constant block was solved to roundoff by its one step
-        assert steps[0] == 0 and np.all(steps[1:] > 0)
-        again, steps = pcg(matrix, b, precond, 1e-2, 100, x0=y)
-        assert np.all(steps == 0) and np.array_equal(again, y)
+        assert not capped.any()
 
 
 class TestCGRestart:
+    """A CG step that misses ``tol`` is followed by another Newton step."""
+
     def variable_setup(self, n):
         g = make_grid([(0, 1), (0, 1)], (n, n), q=1)
         op = assemble_operator(g, coefficient_family("variable", g))
@@ -252,46 +260,40 @@ class TestCGRestart:
         fake = _DriftingPCG(drifting=1)
         monkeypatch.setattr(anisolab.solver, "pcg", fake)
         u = solve_dirichlet(op, f, tol=1e-10, method="cg")
-        assert len(fake.x0s) == 2 and fake.x0s[0] is None
+        assert len(fake.xs) == 2
         b = f.interior_vector()
-        assert relative_residual(op.matrix, fake.x0s[1], b) > 1e-10
+        assert relative_residual(op.matrix, fake.xs[0], b) > 1e-10
         assert relative_residual(op.matrix, u.interior_vector(), b) \
             <= 1e-10
+        # the correction solves to tol / residual: it costs little
         assert fake.iterations <= np.ceil(20 * np.sqrt(op.n_unknowns))
 
-    def test_raises_once_budget_spent(self, monkeypatch):
+    def test_endless_drift_raises(self, monkeypatch):
+        # every step drifts by as much as it gains: the solve ends in a
+        # SolverError carrying the residual, not in an endless loop
         op, f = self.variable_setup(16)
         fake = _DriftingPCG(drifting=np.inf)
         monkeypatch.setattr(anisolab.solver, "pcg", fake)
         with pytest.raises(SolverError) as err:
-            solve_dirichlet(op, f, tol=1e-10, method="cg", maxiter_factor=2)
-        assert len(fake.x0s) > 2
-        assert fake.iterations == np.ceil(2 * np.sqrt(op.n_unknowns))
+            solve_dirichlet(op, f, tol=1e-10, method="cg")
+        assert len(fake.xs) > 2
         assert err.value.residual > 1e-10
 
     def test_restart_without_a_step_stops(self, monkeypatch):
+        # a correction that moves nothing cannot decrease the residual
         op, f = self.variable_setup(16)
         fake = _DriftingPCG(drifting=np.inf, stall=True)
         monkeypatch.setattr(anisolab.solver, "pcg", fake)
-        with pytest.raises(SolverError, match="missed tolerance"):
+        with pytest.raises(SolverError, match="line search") as err:
             solve_dirichlet(op, f, tol=1e-10, method="cg")
-        assert len(fake.x0s) == 2
+        assert len(fake.xs) == 2
+        assert err.value.residual > 1e-10
 
 
 class TestAuto:
-    def count_factor(self, monkeypatch):
-        calls = []
-        real = SparseOperator.factor
-
-        def factor(op):
-            calls.append(op)
-            return real(op)
-        monkeypatch.setattr(SparseOperator, "factor", factor)
-        return calls
-
     def test_symmetric_operator_runs_cg_without_factoring(self,
                                                           monkeypatch):
-        calls = self.count_factor(monkeypatch)
+        calls = count_factor(monkeypatch)
         counter = _CountingPCG()
         monkeypatch.setattr(anisolab.solver, "pcg", counter)
         g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
@@ -312,12 +314,37 @@ class TestAuto:
         assert op.symmetric and resolve_method(op, "auto") == "cg"
         op = assemble_operator(g, varying_asymmetric(g, **params))
         assert not op.symmetric and resolve_method(op, "auto") == "direct"
-        calls = self.count_factor(monkeypatch)
+        calls = count_factor(monkeypatch)
         f = forcing_field("sine_product", g)
         u = solve_dirichlet(op, f, method="auto")
-        assert calls == [op]
+        assert [(m is op.matrix, sym) for m, sym in calls] == [(True, False)]
         direct = solve_dirichlet(op, f, method="direct")
         assert np.array_equal(u.values, direct.values)
+
+
+class TestNewtonDriver:
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    def test_solve_dirichlet_is_the_zero_term_newton(self, method):
+        # a linear solve is the first Newton step of the zero term, to the
+        # bit on either route
+        g = make_grid([(0, 1), (0, 1)], (24, 24), q=1)
+        op = assemble_operator(g, coefficient_family("variable", g))
+        f = forcing_field("sine_product", g)
+        res = picard_solve(op, f, nonlinearity_family("zero"), method=method)
+        u = solve_dirichlet(op, f, method=method)
+        assert res.iterations == 1
+        assert np.array_equal(u.values, res.field.values)
+        assert res.residual == relative_residual(
+            op.matrix, u.interior_vector(), f.interior_vector())
+
+    def test_direct_linear_steps_share_one_lu(self, monkeypatch):
+        # tol = 0 sends the solve into refinement steps, all on the one
+        # LU of the matrix, until the line search finds no decrease
+        calls = count_factor(monkeypatch)
+        g, op = laplace_setup(8)
+        with pytest.raises(SolverError, match="line search"):
+            solve_dirichlet(op, forcing_field("sine_product", g), tol=0.0)
+        assert len(calls) == 1 and calls[0][0] is op.matrix
 
 
 class TestFastDiagonalization:

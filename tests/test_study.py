@@ -16,6 +16,8 @@ from anisolab.norms import (grad_x1_seminorm, hess_x1_seminorm,
                             hess_x1x2_seminorm, hess_x2_seminorm)
 from anisolab.study import CSV_COLUMNS, discretization_floor
 
+from test_solver import count_factor
+
 
 def small_config(**over):
     base = dict(cells=[16, 16], epsilons=[1.0, 0.5, 0.25],
@@ -141,21 +143,15 @@ class TestRunSweep:
 
     @staticmethod
     def check_auto_matches_direct(monkeypatch, cfg):
-        """Sweep ``cfg`` under auto and direct: auto factors no operator,
-        direct one per row, and every row and rate agrees to 1e-8."""
-        from anisolab.fd_ops import SparseOperator
-        calls = []
-        real = SparseOperator.factor
-
-        def factor(op):
-            calls.append(op)
-            return real(op)
-        monkeypatch.setattr(SparseOperator, "factor", factor)
+        """Sweep ``cfg`` under auto and direct: auto factors nothing,
+        direct the limit once and one operator per row, and every row and
+        rate agrees to 1e-8."""
+        calls = count_factor(monkeypatch)
         assert cfg.solver_method == "auto"
         auto = run_sweep(cfg)
         assert calls == []
         direct = run_sweep(dataclasses.replace(cfg, solver_method="direct"))
-        assert len(calls) == len(cfg.epsilons)
+        assert len(calls) == 1 + len(cfg.epsilons)
         assert auto.complete and direct.complete
         for a, d in zip(auto.rows, direct.rows):
             for col in CSV_COLUMNS[1:-1]:
@@ -168,7 +164,7 @@ class TestRunSweep:
     def test_default_method_solves_rows_without_factoring(self,
                                                           monkeypatch):
         # the default method is auto: the symmetric variable table runs
-        # CG on every row, and the limit's own LU is not an operator's
+        # CG on every row and in the limit
         self.check_auto_matches_direct(monkeypatch, small_config(
             cells=[32, 32], coefficient_family="variable",
             epsilons=[1.0, 0.5, 0.25, 0.125, 0.0625]))
@@ -198,22 +194,14 @@ class TestRunSweep:
 
     def test_semilinear_rows_follow_solver_method(self, monkeypatch):
         # auto runs every Newton step of the symmetric table by CG; direct
-        # factors each step's Jacobian once (the limit's LUs are not an
-        # operator's)
-        from anisolab.fd_ops import SparseOperator
-        calls = []
-        real = SparseOperator.factor
-
-        def factor(op):
-            calls.append(op)
-            return real(op)
-        monkeypatch.setattr(SparseOperator, "factor", factor)
+        # factors each step's Jacobian once, in the limit and every row
+        calls = count_factor(monkeypatch)
         cfg = small_config(nonlinearity="tanh",
                            coefficient_family="variable")
         auto = run_sweep(cfg)
         assert calls == []
         direct = run_sweep(dataclasses.replace(cfg, solver_method="direct"))
-        assert len(calls) >= len(cfg.epsilons)
+        assert len(calls) >= 1 + len(cfg.epsilons)
         assert auto.complete and direct.complete
         for a, d in zip(auto.rows, direct.rows):
             for col in CSV_COLUMNS[1:-1]:
