@@ -8,28 +8,41 @@ The divergence-form operator  -sum_ij d_i(a_ij d_j u)  is assembled over
 interior unknowns only, with homogeneous Dirichlet data folded in by
 dropping links to boundary nodes: diagonal terms use arithmetic face
 averages of a_ii on half-integer faces, mixed terms use the composition of
-centered first differences.  For a symmetric entry table the assembled
-matrix is symmetric by construction, and so is it for any constant table:
-only a_ij + a_ji reaches each corner coupling.  So an operator's
-``symmetric`` flag is read off its assembled matrix (``is_symmetric``),
-not off the table; the flag picks CG under ``auto`` and the LU ordering.
+centered first differences.  The operator is a fixed stencil of at most
+3^N offsets, each with one coefficient array over the unknowns, and it is
+laid out straight into canonical CSR: one slot per offset and row, kept
+where the neighbour is an unknown, ``indptr`` the running count of kept
+slots, int32 ``indices`` the row plus the flat offset.  Terms that meet at
+one offset are summed in assembly order.
+
+For a symmetric entry table the assembled matrix is symmetric by
+construction, and so is it for any constant table: only a_ij + a_ji
+reaches each corner coupling.  So an operator's ``symmetric`` flag is the
+exact symmetry of its matrix, read off the stencil (the entry at offset o
+from node i against the one at -o from i + o), not off the table; the
+flag picks CG under ``auto`` and the LU ordering.  ``is_symmetric`` reads
+it off an assembled matrix instead, for any matrix.
 
 The operator is linear in its table, and the limit problem is its X2
-block: ``operator_blocks`` assembles each block once, the X2 block as the
-limit operator, from which the full grid's ``L22`` is cut.
+block: ``operator_blocks`` lays the full grid's stencil out once, and
+every other stored entry than the diagonal belongs to one of the X1 x X1,
+mixed and X2 x X2 blocks.  ``OperatorBlocks.at(eps)`` is one scaled copy
+of that data around the shared pattern, the diagonal's X1 and X2 parts
+kept apart.  The limit operator is the X2 stencil over every X1 node.
 
 scipy is imported where a sparse matrix is first built or factored:
-``scipy.sparse`` inside ``assemble_flux_matrix`` and
-``scipy.sparse.linalg`` inside ``factor_matrix``.  The difference
-kernels, and the post-processing that uses only them (norms, metric,
-translation modulus), never load the sparse stack, and ``SparseOperator``
-and ``OperatorBlocks`` import without it.
+``scipy.sparse`` inside the CSR layout and ``scipy.sparse.linalg`` inside
+``factor_matrix``.  The difference kernels, and the post-processing that
+uses only them (norms, metric, translation modulus), never load the
+sparse stack, and ``SparseOperator`` and ``OperatorBlocks`` import
+without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -84,7 +97,7 @@ def _flat_stencil(u: ScalarField, reach: int):
 
 def _node_strides(grid: Grid) -> tuple[int, ...]:
     """Flat (C-order) step of one node along each axis."""
-    return tuple(int(np.prod(grid.node_shape[a + 1:]))
+    return tuple(math.prod(grid.node_shape[a + 1:])
                  for a in range(grid.ndim))
 
 
@@ -198,60 +211,49 @@ def factor_matrix(matrix: sp.spmatrix, symmetric: bool) -> spla.SuperLU:
     return spla.splu(matrix.tocsc(), permc_spec="COLAMD")
 
 
-def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
-                         entries: np.ndarray) -> sp.csr_matrix:
-    """Core flux-form assembly on an m-dimensional sub-box.
+def _valid_box(offset: Sequence[int], shape: Sequence[int]
+               ) -> tuple[slice, ...]:
+    """Rows of a box of unknowns whose neighbour at ``offset`` is in it."""
+    return tuple(slice(max(0, -o), n - max(0, o))
+                 for o, n in zip(offset, shape))
 
-    ``entries`` has shape (m, m, *nodes) with nodes = cells + 1 per axis.
-    Returns the matrix over interior unknowns; usable both for full grids
-    and for the block-diagonal limit operator.  All-zero entry tables add
-    nothing, not even stored zeros, so the sparsity pattern couples only
-    nodes that a nonzero coefficient links.
+
+def _flux_terms(spacings: Sequence[float], entries: np.ndarray,
+                batch: int = 0):
+    """The terms of the flux-form stencil, in assembly order.
+
+    ``entries`` has shape (m, m, *nodes).  The last m node axes carry the
+    stencil and their interior nodes are unknowns; the first ``batch``
+    only stack independent problems, every node an unknown.  Yields
+    ``(offset, d1, coeff)``: the offset over all node axes as a tuple,
+    the row d1 of the table entry the term comes from, and its
+    coefficient over the box of unknowns.  All-zero entry tables yield
+    nothing.
     """
-    import scipy.sparse as sp
+    m = entries.shape[0]
+    nodes = entries.shape[2:]
+    eye = np.eye(batch + m, dtype=int)[batch:]
+    zero = np.zeros(batch + m, dtype=int)
 
-    cells = tuple(int(n) for n in cells)
-    spacings = tuple(float(h) for h in spacings)
-    m = len(cells)
-    node_shape = tuple(n + 1 for n in cells)
-    S = tuple(n - 1 for n in cells)
-    n_int = int(np.prod(S))
-    index = np.arange(n_int).reshape(S)
+    def shifted(a, offset):
+        return a[(slice(None),) * batch
+                 + _node_block(nodes[batch:], offset[batch:])]
 
-    rows_acc: list[np.ndarray] = []
-    cols_acc: list[np.ndarray] = []
-    data_acc: list[np.ndarray] = []
+    def key(offset):
+        return tuple(offset.tolist())
 
-    def valid_box(offset):
-        return tuple(slice(max(0, -o), Sa - max(0, o))
-                     for o, Sa in zip(offset, S))
-
-    def shifted_box(offset):
-        return tuple(slice(max(0, o), Sa - max(0, -o))
-                     for o, Sa in zip(offset, S))
-
-    def add(offset, coeff):
-        box = valid_box(offset)
-        rows_acc.append(index[box].ravel())
-        cols_acc.append(index[shifted_box(offset)].ravel())
-        data_acc.append(coeff[box].ravel())
-
-    zero = np.zeros(m, dtype=int)
     for d in range(m):
-        e = zero.copy()
-        e[d] = 1
         a = entries[d, d]
         if not np.any(a):
             continue
-        a_c = a[_node_block(node_shape, zero)]
-        a_p = a[_node_block(node_shape, e)]
-        a_m = a[_node_block(node_shape, -e)]
+        e = eye[d]
+        a_c = shifted(a, zero)
         h2 = spacings[d] ** 2
-        w_p = (a_c + a_p) / (2 * h2)
-        w_m = (a_c + a_m) / (2 * h2)
-        add(zero, w_p + w_m)
-        add(e, -w_p)
-        add(-e, -w_m)
+        w_p = (a_c + shifted(a, e)) / (2 * h2)
+        w_m = (a_c + shifted(a, -e)) / (2 * h2)
+        yield key(zero), d, w_p + w_m
+        yield key(e), d, -w_p
+        yield key(-e), d, -w_m
 
     for d1 in range(m):
         for d2 in range(m):
@@ -260,25 +262,111 @@ def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
             a = entries[d1, d2]
             if not np.any(a):
                 continue
-            e1 = zero.copy()
-            e1[d1] = 1
-            e2 = zero.copy()
-            e2[d2] = 1
+            e1, e2 = eye[d1], eye[d2]
             w = 4 * spacings[d1] * spacings[d2]
-            c_p = a[_node_block(node_shape, e1)] / w
-            c_m = a[_node_block(node_shape, -e1)] / w
-            add(e1 + e2, -c_p)
-            add(e1 - e2, c_p)
-            add(-e1 + e2, c_m)
-            add(-e1 - e2, -c_m)
+            c_p = shifted(a, e1) / w
+            c_m = shifted(a, -e1) / w
+            yield key(e1 + e2), d1, -c_p
+            yield key(e1 - e2), d1, c_p
+            yield key(-e1 + e2), d1, c_m
+            yield key(-e1 - e2), d1, -c_m
 
-    if not data_acc:
-        return sp.csr_matrix((n_int, n_int))
-    mat = sp.coo_matrix(
-        (np.concatenate(data_acc),
-         (np.concatenate(rows_acc), np.concatenate(cols_acc))),
-        shape=(n_int, n_int))
-    return mat.tocsr()
+
+def _add_term(stencil: dict, key: tuple[int, ...], coeff: np.ndarray):
+    """Sum ``coeff`` into the coefficient of ``key``, in arrival order."""
+    stencil[key] = stencil[key] + coeff if key in stencil else coeff
+
+
+def _stencil_csr(shape: Sequence[int], stencil: dict,
+                 label: Callable[[tuple[int, ...]], int] | None = None):
+    """Canonical CSR of a stencil over a row-major box of unknowns.
+
+    ``stencil`` maps each offset to its coefficient over the box: row i
+    stores ``stencil[o][i]`` in column i + o wherever that node is in the
+    box.  The offsets are taken in increasing flat order, one slot of
+    every row each, and a slot is kept where its neighbour lies in the
+    box; compressing the kept slots row by row gives sorted columns,
+    each row's count of them gives ``indptr``, and the column of a slot
+    is its row plus the flat offset.  Indices are int32 where they fit.
+    With ``label``, which maps an offset to an int8, also returns the
+    label of every stored entry.  ``stencil`` is emptied as its arrays
+    are copied into the slots, so no coefficient is held twice.
+    """
+    import scipy.sparse as sp
+
+    shape = tuple(shape)
+    n = math.prod(shape)
+    strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+
+    def flat(offset):
+        return sum(o * s for o, s in zip(offset, strides))
+
+    keys = sorted(stencil, key=flat)
+    kept = np.zeros(shape + (len(keys),), dtype=bool)
+    slots = np.empty(shape + (len(keys),))
+    for slot, key in enumerate(keys):
+        kept[_valid_box(key, shape) + (slot,)] = True
+        slots[..., slot] = stencil.pop(key)
+    counts = kept.sum(axis=-1)
+    nnz = int(counts.sum())
+    idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    indptr[1:] = np.cumsum(counts)
+    data = slots[kept]
+    del slots
+    indices = (np.arange(n, dtype=idx).reshape(shape + (1,))
+               + np.array([flat(key) for key in keys], dtype=idx))[kept]
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    matrix.has_canonical_format = True
+    if label is None:
+        return matrix
+    labels = np.array([label(key) for key in keys], dtype=np.int8)
+    return matrix, np.broadcast_to(labels, kept.shape)[kept]
+
+
+def _stencil_symmetric(shape: Sequence[int], stencil: dict) -> bool:
+    """Exact symmetry of ``_stencil_csr(shape, stencil)``, read off the
+    stencil: the entry at offset o from node i equals the one at -o from
+    i + o (a missing offset reads as zero)."""
+    for key, coeff in stencil.items():
+        back = tuple(-o for o in key)
+        if back in stencil and back < key:
+            continue  # the pair was checked from its other side
+        mirror = (stencil[back][_valid_box(back, shape)]
+                  if back in stencil else 0.0)
+        if not np.all(coeff[_valid_box(key, shape)] == mirror):
+            return False
+    return True
+
+
+def _flux_operator(spacings: Sequence[float], entries: np.ndarray,
+                   batch: int = 0) -> tuple[sp.csr_matrix, bool]:
+    """The flux-form matrix of ``_flux_terms`` and its exact symmetry."""
+    stencil: dict = {}
+    for offset, _, coeff in _flux_terms(
+            tuple(float(h) for h in spacings), entries, batch):
+        _add_term(stencil, offset, coeff)
+    nodes = entries.shape[2:]
+    shape = nodes[:batch] + tuple(n - 2 for n in nodes[batch:])
+    symmetric = _stencil_symmetric(shape, stencil)
+    return _stencil_csr(shape, stencil), symmetric
+
+
+def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
+                         entries: np.ndarray) -> sp.csr_matrix:
+    """Core flux-form assembly on an m-dimensional sub-box.
+
+    ``entries`` has shape (m, m, *nodes) with nodes = cells + 1 per axis.
+    Returns the canonical CSR matrix over interior unknowns.  All-zero
+    entry tables add nothing, not even stored zeros, so the sparsity
+    pattern couples only nodes that a nonzero coefficient links.
+    """
+    entries = np.asarray(entries, dtype=float)
+    nodes = tuple(int(n) + 1 for n in cells)
+    if entries.shape != (len(nodes),) * 2 + nodes:
+        raise ConfigError(f"entry table shape {entries.shape} does not "
+                          f"match cells {tuple(cells)}")
+    return _flux_operator(spacings, entries)[0]
 
 
 def _axis_means(entries: np.ndarray) -> tuple[float, ...]:
@@ -291,88 +379,123 @@ def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
     if coeffs.grid != grid:
         raise ConfigError("coefficients live on a different grid")
     entries = coeffs.entries
-    matrix = assemble_flux_matrix(grid.cells, grid.spacing, entries)
-    return SparseOperator(matrix=matrix, grid=grid,
-                          symmetric=is_symmetric(matrix),
+    matrix, symmetric = _flux_operator(grid.spacing, entries)
+    return SparseOperator(matrix=matrix, grid=grid, symmetric=symmetric,
                           axis_means=_axis_means(entries))
+
+
+# ``OperatorBlocks.block`` labels: the X2 x X2, mixed and X1 x X1 labels
+# are each entry's power of eps
+X2_BLOCK, MIXED_BLOCK, X1_BLOCK, DIAGONAL = range(4)
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorBlocks:
     """The unscaled operator split by coefficient block, and its limit.
 
-    ``L11``, ``L12`` and ``L22`` are the X1 x X1, mixed and X2 x X2 block
-    operators in canonical CSR.  ``limit`` is the X2 block on the grid
-    extended by one node at each X1 end, so its unknowns are the X2
-    interiors of every X1 node, faces included, slice-major; no entry
-    couples two slices, and ``L22`` is its principal submatrix over the
-    X1-interior slices.  The matrices are shared by every operator ``at``
-    returns and never written to.  ``symmetric`` holds when each of
-    ``L11``, ``L12`` and ``L22`` is exactly symmetric, so every ``at(eps)``
-    sum is too.  ``axis_means`` are the node means of the unscaled a_dd,
-    and row k of ``limit_means`` holds those of the X2 a_dd over slice k
-    of ``limit``: the tables the CG preconditioners invert.
+    ``unscaled`` is the operator of the unscaled table in canonical CSR,
+    ``at(1)``.  The diagonal is the one stored entry that two blocks
+    share; ``block`` labels every entry with the block it belongs to,
+    ``X1_BLOCK``, ``MIXED_BLOCK``, ``X2_BLOCK`` or ``DIAGONAL``, and
+    ``d11`` and ``d22`` are the X1 and X2 parts of the diagonal, row by
+    row, at positions ``diagonal`` of the data.  Every operator ``at``
+    returns shares the pattern's ``indices`` and ``indptr``, which are
+    read-only; nothing here is written to after assembly.  ``symmetric``
+    is the exact symmetry of every block, hence of every ``at(eps)``.
+
+    ``limit`` is the X2 block on the grid extended by one node at each X1
+    end, so its unknowns are the X2 interiors of every X1 node, faces
+    included, slice-major; no entry couples two slices.
+    ``limit_symmetric`` is its exact symmetry.  ``axis_means`` are the
+    node means of the unscaled a_dd, and row k of ``limit_means`` holds
+    those of the X2 a_dd over slice k of ``limit``: the tables the CG
+    preconditioners invert.
     """
 
     grid: Grid
-    L11: sp.csr_matrix
-    L12: sp.csr_matrix
-    L22: sp.csr_matrix
-    limit: sp.csr_matrix
+    unscaled: sp.csr_matrix
+    block: np.ndarray
+    diagonal: np.ndarray
+    d11: np.ndarray
+    d22: np.ndarray
     symmetric: bool
+    limit: sp.csr_matrix
+    limit_symmetric: bool
     axis_means: np.ndarray
     limit_means: np.ndarray
 
     def at(self, epsilon: float) -> SparseOperator:
-        """``eps^2 L11 + eps L12 + L22``, the operator of the scaled table."""
+        """``eps^2 L11 + eps L12 + L22``, the operator of the scaled table:
+        one scaled copy of the unscaled data, each entry times eps to the
+        power of its block, and the diagonal ``eps^2 d11 + d22``."""
         fac = scaling_factors(self.grid.ndim, self.grid.q, epsilon)
-        matrix = epsilon ** 2 * self.L11 + epsilon * self.L12 + self.L22
+        pattern = self.unscaled
+        data = np.array([1.0, epsilon, epsilon ** 2, 0.0])[self.block]
+        data *= pattern.data
+        data[self.diagonal] = epsilon ** 2 * self.d11 + self.d22
+        matrix = type(pattern)((data, pattern.indices, pattern.indptr),
+                               shape=pattern.shape)
+        matrix.has_canonical_format = True
         means = tuple(float(m) for m in np.diag(fac) * self.axis_means)
         return SparseOperator(matrix=matrix, grid=self.grid,
                               symmetric=self.symmetric,
                               axis_means=means)
 
 
-def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
-    """Assemble the block operators once: three flux-form assemblies.
+def _block_of(offset: tuple[int, ...], q: int) -> int:
+    """The block label of the entries at a stencil offset."""
+    x1, x2 = any(offset[:q]), any(offset[q:])
+    if x1:
+        return MIXED_BLOCK if x2 else X1_BLOCK
+    return X2_BLOCK if x2 else DIAGONAL
 
-    ``L11`` and ``L12`` are assemblies of the entry table with the other
-    blocks zeroed; the scaled operator is the sum of the blocks times
-    eps^2, eps and 1.  ``limit`` is the assembly of the A22 table alone on
-    the grid extended by one node at each X1 end, whose interior holds
-    every X1 node, and ``L22`` is cut from it.
+
+def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
+    """Assemble the block operators once: two stencil layouts.
+
+    The full-grid stencil of the entry table is laid out once as
+    ``unscaled``, the X1 and X2 terms of its diagonal summed apart as
+    ``d11`` and ``d22``; every other offset lies in one block.
+    ``limit`` is the stencil of the A22 table over every X1 node, each X1
+    node one slice.
     """
     if coeffs.grid != grid:
         raise ConfigError("coefficients live on a different grid")
     entries = coeffs.entries
     q, n = grid.q, grid.ndim
-    in_x1 = np.arange(n) < q
-    # 0 for X1 x X1 entries, 1 for mixed ones
-    block = 2 - in_x1[:, None].astype(int) - in_x1[None, :]
-    expand = (1,) * n
-    L11, L12 = (assemble_flux_matrix(
-                    grid.cells, grid.spacing,
-                    np.where((block == k).reshape(block.shape + expand),
-                             entries, 0.0))
-                for k in range(2))
-    cells = tuple(c + 2 if a < q else c for a, c in enumerate(grid.cells))
-    padded = np.zeros((n, n) + tuple(c + 1 for c in cells))
-    inner = tuple(slice(1, -1) if a < q else slice(None) for a in range(n))
+    shape = grid.interior_shape
+    spacings = tuple(float(h) for h in grid.spacing)
+    stencil: dict = {}
+    parts: list[dict] = [{}, {}]
+    zero = (0,) * n
+    # the diagonal sums its X1 and its X2 terms apart; every other offset
+    # lies in one block, so all its terms scale alike
+    for offset, d1, coeff in _flux_terms(spacings, entries):
+        _add_term(stencil if any(offset) else parts[d1 >= q], offset, coeff)
+    d11, d22 = (p.get(zero, np.zeros(shape)) for p in parts)
+    if parts[0] or parts[1]:
+        stencil[zero] = d11 + d22
+    else:
+        d11 = d22 = np.zeros(0)
+    symmetric = _stencil_symmetric(shape, stencil)
+    unscaled, block = _stencil_csr(shape, stencil,
+                                   lambda offset: _block_of(offset, q))
+    diagonal = np.flatnonzero(block == DIAGONAL)
+    # every at(eps) shares the pattern: an in-place edit of one operator's
+    # would reach them all, so it raises instead
+    unscaled.indices.flags.writeable = False
+    unscaled.indptr.flags.writeable = False
     a22 = coeffs.x2_block()
-    padded[(slice(q, None), slice(q, None)) + inner] = a22
-    limit = assemble_flux_matrix(cells, grid.spacing, padded)
-    # slice-major unknowns: the X1-interior slices are the full grid's,
-    # in the full grid's order
-    keep = np.arange(limit.shape[0]).reshape(
-        tuple(c + 1 for c in grid.cells[:q]) + (-1,))
-    keep = keep[(slice(1, -1),) * q].ravel()
-    L22 = limit[keep][:, keep]
-    L22.sort_indices()
-    slices = int(np.prod(a22.shape[2:2 + q]))
+    limit, limit_symmetric = _flux_operator(
+        [spacings[a] for a in grid.x2_axes], a22, batch=q)
+    slices = math.prod(a22.shape[2:2 + q])
     limit_means = np.stack([a22[d, d].reshape(slices, -1).mean(axis=1)
                             for d in range(n - q)], axis=1)
-    return OperatorBlocks(grid=grid, L11=L11, L12=L12, L22=L22, limit=limit,
-                          symmetric=all(map(is_symmetric, (L11, L12, L22))),
+    return OperatorBlocks(grid=grid, unscaled=unscaled, block=block,
+                          diagonal=diagonal,
+                          d11=d11.ravel(), d22=d22.ravel(),
+                          symmetric=symmetric,
+                          limit=limit, limit_symmetric=limit_symmetric,
                           axis_means=np.array(_axis_means(entries)),
                           limit_means=limit_means)
 

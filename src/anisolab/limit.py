@@ -5,17 +5,19 @@ the retained block A22 drives an independent Dirichlet problem on that
 slice's retained-axes box; the X1 coordinate enters only as a parameter.
 Stacked slice by slice, these problems are the X2 block of the operator
 on the node set extended by one node at each X1 end, which
-``fd_ops.operator_blocks`` assembles once as ``OperatorBlocks.limit``
-(the same assembly gives the sweep rows their ``L22``).  No entry couples
-two slices, and no boundary condition is imposed in the X1 directions:
-the limit field is generally nonzero on X1 faces.
+``fd_ops.operator_blocks`` assembles once as ``OperatorBlocks.limit``,
+the X2 stencil over every X1 node; on the X1-interior slices it is the
+X2 part of every sweep row's operator.  No entry couples two slices, and
+no boundary condition is imposed in the X1 directions: the limit field
+is generally nonzero on X1 faces.
 
 ``semilinear_limit(blocks, f, a)`` solves  -div(A22 grad u) = a(u) + f
 on all slices at once by ``solver.newton_solve``, one block per slice:
 every slice keeps its own gate |M x - b| / |b| <= tol, its own line
 search and, on the CG route, its own forcing term and preconditioner
 (the slice's a_dd means, ``OperatorBlocks.limit_means``).  The route
-follows the exact symmetry of the limit matrix as on the full grid.
+follows the exact symmetry of the limit matrix as on the full grid,
+``OperatorBlocks.limit_symmetric``.
 ``solve_limit`` is the zero-term case: its first Newton step is the
 solve to ``tol``, and a slice that misses it takes further steps before
 SolverError names the slice.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import ConfigError
-from .fd_ops import OperatorBlocks, assemble_flux_matrix, is_symmetric
+from .fd_ops import OperatorBlocks, assemble_flux_matrix
 from .grid import Grid, ScalarField
 from .semilinear import Nonlinearity, PicardResult, nonlinearity_family
 from .solver import newton_solve
@@ -94,7 +96,7 @@ def semilinear_limit(blocks: OperatorBlocks, f: ScalarField,
     x2 = grid.x2_axes
     u, iters, rel = newton_solve(
         blocks.limit, f.values[unknowns].reshape(-1), a,
-        is_symmetric(blocks.limit), [grid.cells[ax] for ax in x2],
+        blocks.limit_symmetric, [grid.cells[ax] for ax in x2],
         [grid.spacing[ax] for ax in x2], blocks.limit_means, tol, max_iter,
         method, maxiter_factor, where)
     out = np.zeros(grid.node_shape)

@@ -6,7 +6,9 @@ unknowns, a full grid being B = 1 and the limit one block per X1 node
 (``limit.semilinear_limit``); a linear solve is the zero term.
 ``newton_solve`` runs it (Kelley, *Iterative Methods for Linear and
 Nonlinear Equations*, SIAM 1995, ch. 6).  From u = 0 every step solves
-``J du = -F`` with ``J = L + diag(-a'(u))``, then halves the step of
+``J du = -F`` with ``J = L + diag(-a'(u))`` (a copy of L's data with
+the diagonal rewritten at its stored positions, found once per solve,
+around L's own pattern), then halves the step of
 each block until its |F| decreases by the Armijo rule (c = 1e-4).  A
 block stops once |F| / |f + a(u)| is at most ``tol``; a solve that has
 not met it after ``max_iter`` steps raises SolverError carrying the
@@ -55,6 +57,7 @@ the package calls it.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -125,8 +128,8 @@ def _apply_sines(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     """
     shape = x.shape
     for d, s in enumerate(mats, start=1):
-        before = int(np.prod(shape[:d]))
-        after = int(np.prod(shape[d + 1:]))
+        before = math.prod(shape[:d])
+        after = math.prod(shape[d + 1:])
         if after == 1:
             # the sine matrices are symmetric: right-multiplying transforms
             # the last axis of every block at once
@@ -257,12 +260,36 @@ def resolve_method(op: SparseOperator, method: str) -> str:
     return _route(op.symmetric, method)
 
 
-def jacobian(matrix: sp.csr_matrix, a: Nonlinearity,
-             u: np.ndarray) -> sp.csr_matrix:
-    """``L + diag(-a'(u))`` on a copy of ``L``: symmetric when ``L`` is."""
-    J = matrix.copy()
-    J.setdiag(matrix.diagonal() - a.deriv(u))
-    return J
+def _diagonal_positions(matrix: sp.csr_matrix) -> np.ndarray:
+    """Positions in ``matrix.data`` of the diagonal entries, row by row.
+
+    Every diagonal entry must be stored exactly once, as it is in every
+    assembled operator; otherwise ConfigError.
+    """
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n, dtype=matrix.indices.dtype),
+                     np.diff(matrix.indptr))
+    diagonal = np.flatnonzero(matrix.indices == rows)
+    if len(diagonal) != n:
+        raise ConfigError("the Jacobian needs every diagonal entry of the "
+                          "matrix stored once")
+    return diagonal
+
+
+def jacobian(matrix: sp.csr_matrix, a: Nonlinearity, u: np.ndarray,
+             diagonal: np.ndarray | None = None) -> sp.csr_matrix:
+    """``L + diag(-a'(u))``: symmetric when ``L`` is.
+
+    A copy of ``L``'s data with ``diag - a'(u)`` written at the stored
+    diagonal positions ``diagonal`` (``_diagonal_positions`` when not
+    given); the copy shares ``L``'s ``indices`` and ``indptr``.
+    """
+    if diagonal is None:
+        diagonal = _diagonal_positions(matrix)
+    data = matrix.data.copy()
+    data[diagonal] -= a.deriv(u)
+    return type(matrix)((data, matrix.indices, matrix.indptr),
+                        shape=matrix.shape)
 
 
 def newton_solve(matrix: sp.csr_matrix, rhs: np.ndarray, a: Nonlinearity,
@@ -294,6 +321,8 @@ def newton_solve(matrix: sp.csr_matrix, rhs: np.ndarray, a: Nonlinearity,
         precond = fast_diagonal_preconditioner(cells, spacing, means)
         cap = iteration_cap(rhs.size // blocks, maxiter_factor)
     lu = None
+    # the stored diagonal's positions, found on the first Jacobian
+    diagonal = None
 
     def norms(v):
         # one block takes the whole vector's norm, as relative_residual
@@ -327,7 +356,11 @@ def newton_solve(matrix: sp.csr_matrix, rhs: np.ndarray, a: Nonlinearity,
                 f"{rel[k]:.3e}", residual=float(rel[k]))
         deriv = a.deriv(u)
         # where a' vanishes the Jacobian is the matrix itself
-        J = jacobian(matrix, a, u) if deriv.any() else matrix
+        J = matrix
+        if deriv.any():
+            if diagonal is None:
+                diagonal = _diagonal_positions(matrix)
+            J = jacobian(matrix, a, u, diagonal)
         if route == "cg":
             forcing = np.minimum(MAX_FORCING, rel)
             np.divide(tol, rel, out=forcing, where=active & ~deriv.reshape(

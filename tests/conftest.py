@@ -67,3 +67,96 @@ def shift_field(field: ScalarField, h_cells, mask=None) -> ScalarField:
         src.append(slice(lo + h[a], hi + h[a] + 1))
     out[tuple(dst)] = field.values[tuple(src)]
     return ScalarField(grid, out)
+
+
+def coo_flux_matrix(cells, spacings, entries):
+    """Reference flux-form assembly from COO triplets.
+
+    The stencil is written out term by term, as rows, columns and values
+    over the interior unknowns; ``fd_ops.assemble_flux_matrix`` lays the
+    same stencil out as CSR directly and is pinned to this bit for bit.
+    Duplicate triplets are summed in assembly order (``np.add.at``):
+    scipy's ``tocsr`` sums them in whatever order its unstable index sort
+    leaves them, which for a row of more than 16 triplets (a full 3-D
+    table) is not assembly order, so the three axis terms of a diagonal
+    entry would be summed in a row-dependent order.
+    """
+    import scipy.sparse as sp
+
+    def block(node_shape, offset):
+        return tuple(slice(1 + o, n - 1 + o)
+                     for o, n in zip(offset, node_shape))
+
+    cells = tuple(int(n) for n in cells)
+    spacings = tuple(float(h) for h in spacings)
+    m = len(cells)
+    node_shape = tuple(n + 1 for n in cells)
+    S = tuple(n - 1 for n in cells)
+    n_int = int(np.prod(S))
+    index = np.arange(n_int).reshape(S)
+
+    rows_acc, cols_acc, data_acc = [], [], []
+
+    def valid_box(offset):
+        return tuple(slice(max(0, -o), Sa - max(0, o))
+                     for o, Sa in zip(offset, S))
+
+    def shifted_box(offset):
+        return tuple(slice(max(0, o), Sa - max(0, -o))
+                     for o, Sa in zip(offset, S))
+
+    def add(offset, coeff):
+        box = valid_box(offset)
+        rows_acc.append(index[box].ravel())
+        cols_acc.append(index[shifted_box(offset)].ravel())
+        data_acc.append(coeff[box].ravel())
+
+    zero = np.zeros(m, dtype=int)
+    for d in range(m):
+        e = zero.copy()
+        e[d] = 1
+        a = entries[d, d]
+        if not np.any(a):
+            continue
+        a_c = a[block(node_shape, zero)]
+        a_p = a[block(node_shape, e)]
+        a_m = a[block(node_shape, -e)]
+        h2 = spacings[d] ** 2
+        w_p = (a_c + a_p) / (2 * h2)
+        w_m = (a_c + a_m) / (2 * h2)
+        add(zero, w_p + w_m)
+        add(e, -w_p)
+        add(-e, -w_m)
+
+    for d1 in range(m):
+        for d2 in range(m):
+            if d1 == d2:
+                continue
+            a = entries[d1, d2]
+            if not np.any(a):
+                continue
+            e1 = zero.copy()
+            e1[d1] = 1
+            e2 = zero.copy()
+            e2[d2] = 1
+            w = 4 * spacings[d1] * spacings[d2]
+            c_p = a[block(node_shape, e1)] / w
+            c_m = a[block(node_shape, -e1)] / w
+            add(e1 + e2, -c_p)
+            add(e1 - e2, c_p)
+            add(-e1 + e2, c_m)
+            add(-e1 - e2, -c_m)
+
+    if not data_acc:
+        return sp.csr_matrix((n_int, n_int))
+    rows, cols, data = (np.concatenate(acc)
+                        for acc in (rows_acc, cols_acc, data_acc))
+    keys, first, inverse = np.unique(rows * n_int + cols, return_index=True,
+                                     return_inverse=True)
+    # start every sum from its first triplet: 0.0 + (-0.0) would be +0.0
+    summed = data[first].copy()
+    later = np.ones(len(data), dtype=bool)
+    later[first] = False
+    np.add.at(summed, inverse[later], data[later])
+    return sp.csr_matrix((summed, (keys // n_int, keys % n_int)),
+                         shape=(n_int, n_int))

@@ -92,6 +92,28 @@ class TestEllipticity:
             f = coefficient_family("constant", g, matrix=scale * m)
             verify_ellipticity(f)
 
+    def test_failing_discs_with_passing_eigenvalues_accepted(self,
+                                                             unit_square):
+        # Gershgorin bound 1 - 0.6 = 0.4 misses 0.8; the smallest
+        # eigenvalue, 2 - sqrt(1.36) = 0.834, clears it
+        g = unit_square(4)
+        f = coefficient_family("constant", g,
+                               matrix=[[1.0, 0.6], [0.6, 3.0]], lam=0.8)
+        verify_ellipticity(f)
+
+    def test_rejection_names_the_worst_node(self, unit_square):
+        # identity but at two nodes, whose smallest eigenvalues are 0.5
+        # and 0.3: the message names the second, as observed_ellipticity
+        g = unit_square(4)
+        entries = coefficient_family("identity", g).entries
+        for node, off in (((2, 3), 0.5), ((1, 1), 0.7)):
+            entries[(0, 1) + node] = entries[(1, 0) + node] = off
+        f = CoefficientField(g, entries, lam=0.6)
+        with pytest.raises(EllipticityError) as err:
+            verify_ellipticity(f)
+        assert "0.3 at node (1, 1)" in str(err.value)
+        assert observed_ellipticity(entries)[1] == (1, 1)
+
     def test_nonelliptic_matrix_rejected(self, unit_square):
         g = unit_square(4)
         with pytest.raises(ConfigError):

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 from anisolab import (CoefficientField, ConfigError, ScalarField,
                       assemble_operator, coefficient_family, make_grid,
                       scale_coefficients, verify_ellipticity)
-from anisolab.fd_ops import (apply_nondivergence, grad_axis, hess_component,
+from anisolab.fd_ops import (apply_nondivergence, assemble_flux_matrix,
+                             grad_axis, hess_component, is_symmetric,
                              operator_blocks)
+from conftest import coo_flux_matrix
 
 
 def sine_eigenvector(grid, i, j):
@@ -322,25 +324,129 @@ class TestOperatorBlocks:
 
     def test_at_leaves_blocks_unchanged(self):
         # every sweep row calls ``at`` on one shared OperatorBlocks, so the
-        # arithmetic must never sort or rewrite a block in place
+        # scaling must never write to the pattern, its data or the
+        # diagonal's parts; the rows share only indices and indptr
         g = make_grid([(0, 1)] * 3, (5, 6, 4), q=2)
         blocks = operator_blocks(g, coefficient_family("variable", g))
-        mats = (blocks.L11, blocks.L12, blocks.L22)
-        before = [(m.data.copy(), m.indices.copy(), m.indptr.copy())
-                  for m in mats]
+        held = (blocks.unscaled.data, blocks.unscaled.indices,
+                blocks.unscaled.indptr, blocks.block, blocks.diagonal,
+                blocks.d11, blocks.d22, blocks.limit.data)
+        before = [arr.copy() for arr in held]
         a, b = blocks.at(1.0), blocks.at(0.1)
         assert not np.shares_memory(a.matrix.data, b.matrix.data)
+        assert not np.shares_memory(a.matrix.data, blocks.unscaled.data)
+        assert np.shares_memory(a.matrix.indices, blocks.unscaled.indices)
+        # an in-place edit of one row's pattern would reach every row
+        with pytest.raises(ValueError):
+            a.matrix.indices[0] = 0
         for eps in (1.0, 0.5, 0.1, 0.03, 1e-3, 1e-6):
             blocks.at(eps)
-        for old, m in zip(before, mats, strict=True):
-            for arr, now in zip(old, (m.data, m.indices, m.indptr)):
-                assert np.array_equal(arr, now)
+        for old, now in zip(before, held, strict=True):
+            assert np.array_equal(old, now)
+
+    def test_at_one_is_the_unscaled_operator(self):
+        g = make_grid([(0, 1)] * 3, (5, 6, 4), q=1)
+        blocks = operator_blocks(g, coefficient_family("variable", g))
+        got = blocks.at(1.0).matrix
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name),
+                                  getattr(blocks.unscaled, name))
 
     def test_rejects_epsilon_out_of_range(self, unit_square):
         g = unit_square(4)
         blocks = operator_blocks(g, coefficient_family("identity", g))
         with pytest.raises(ConfigError):
             blocks.at(0.0)
+
+
+def pin_table(grid, seed, kind):
+    """A random entry table of the named kind for the reference pins."""
+    rng = np.random.default_rng(seed)
+    n, q = grid.ndim, grid.q
+    entries = rng.uniform(0.5, 2.0, (n, n) + grid.node_shape)
+    if kind != "random":
+        entries = 0.5 * (entries + entries.swapaxes(0, 1))
+    if kind == "zero blocks":
+        # no X1 x X1 entry and one mixed pair gone
+        entries[:q, :q] = 0.0
+        entries[0, q] = entries[q, 0] = 0.0
+    elif kind == "mixed asymmetric":
+        # symmetric but for one varying mixed entry
+        entries[q, 0] *= 1.0 + grid.meshgrid()[-1]
+    return entries
+
+
+class TestStencilAssembly:
+    """The CSR laid out from the stencil against the COO reference."""
+
+    @staticmethod
+    def assert_same(got, ref):
+        # the data bit for bit: -0.0 and 0.0 differ
+        assert got.indices.dtype == ref.indices.dtype
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data.view(np.int64),
+                              ref.data.view(np.int64))
+
+    @given(st.sampled_from([(2, 1), (3, 1), (3, 2)]),
+           st.lists(st.integers(2, 5), min_size=3, max_size=3),
+           st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["random", "symmetric", "zero blocks",
+                            "mixed asymmetric"]))
+    def test_matches_coo_reference(self, dims, cells, seed, kind):
+        ndim, q = dims
+        g = make_grid([(0, 1)] * ndim, cells[:ndim], q=q)
+        entries = pin_table(g, seed, kind)
+        coeffs = CoefficientField(g, entries, lam=0.1)
+
+        op = assemble_operator(g, coeffs)
+        ref = coo_flux_matrix(g.cells, g.spacing, entries)
+        self.assert_same(op.matrix, ref)
+        assert op.symmetric == is_symmetric(ref)
+
+        blocks = operator_blocks(g, coeffs)
+        # the limit: the A22 table alone on the grid extended by one node
+        # at each X1 end
+        ext = tuple(c + 2 if a < q else c for a, c in enumerate(g.cells))
+        padded = np.zeros((ndim, ndim) + tuple(c + 1 for c in ext))
+        inner = tuple(slice(1, -1) if a < q else slice(None)
+                      for a in range(ndim))
+        padded[(slice(q, None), slice(q, None)) + inner] = \
+            coeffs.x2_block()
+        limit = coo_flux_matrix(ext, g.spacing, padded)
+        self.assert_same(blocks.limit, limit)
+        assert blocks.limit_symmetric == is_symmetric(limit)
+
+        # the blocks: the table with all but one block zeroed
+        in_x1 = np.arange(ndim) < q
+        block = (2 - in_x1[:, None].astype(int) - in_x1[None, :]).reshape(
+            (ndim, ndim) + (1,) * ndim)
+        L11, L12, L22 = (coo_flux_matrix(g.cells, g.spacing,
+                                         np.where(block == k, entries, 0.0))
+                         for k in range(3))
+        assert blocks.symmetric == all(map(is_symmetric, (L11, L12, L22)))
+        for eps in (1.0, 0.37, 1e-5):
+            self.assert_same(blocks.at(eps).matrix,
+                             eps ** 2 * L11 + eps * L12 + L22)
+
+    def test_nonsymmetric_mixed_table_flags_every_operator(self):
+        g = make_grid([(0, 1)] * 3, (4, 5, 3), q=1)
+        coeffs = CoefficientField(g, pin_table(g, 7, "mixed asymmetric"),
+                                  lam=0.1)
+        blocks = operator_blocks(g, coeffs)
+        assert not assemble_operator(g, coeffs).symmetric
+        assert not blocks.symmetric and not blocks.at(0.5).symmetric
+        # the mixed entry never reaches the limit
+        assert blocks.limit_symmetric
+
+    def test_all_zero_table_assembles_empty(self, unit_square):
+        g = unit_square(4)
+        zero = np.zeros((2, 2) + g.node_shape)
+        matrix = assemble_flux_matrix(g.cells, g.spacing, zero)
+        assert matrix.shape == (9, 9) and matrix.nnz == 0
+        self.assert_same(matrix, coo_flux_matrix(g.cells, g.spacing, zero))
+        blocks = operator_blocks(g, CoefficientField(g, zero, lam=1.0))
+        assert blocks.at(0.5).matrix.nnz == 0 and blocks.limit.nnz == 0
 
 
 class TestScaledTable:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import anisolab.solver
 from anisolab import (ConfigError, ScalarField, SolverError,
                       coefficient_family, forcing_field, make_grid,
                       operator_blocks, solve_limit)
-from anisolab.fd_ops import assemble_flux_matrix, factor_matrix
+from anisolab.fd_ops import X2_BLOCK, factor_matrix
 from anisolab.limit import iter_slice_systems
 
+from conftest import coo_flux_matrix
 from test_fd_ops import varying_asymmetric
 
 NONSYMMETRIC = [[2.0, 0.3, 0.1], [0.1, 1.5, 0.4], [0.2, -0.2, 1.2]]
@@ -96,7 +98,8 @@ class TestBlockOperator:
     def test_l22_is_interior_slices_of_limit(self, case):
         # slice-major unknowns: the X1-interior slices of the limit are
         # the full grid's unknowns in the full grid's order, and they hold
-        # exactly what the A22 table assembles to on the full grid
+        # exactly the X2 part of every at(eps), entry by entry: its X2 x X2
+        # entries and the X2 part d22 of its diagonal
         g, coeffs, _ = block_cases()[case]
         blocks = operator_blocks(g, coeffs)
         nodes = tuple(g.cells[a] + 1 for a in g.x1_axes)
@@ -107,11 +110,20 @@ class TestBlockOperator:
         a22 = coeffs.entries.copy()
         a22[:g.q] = 0.0
         a22[:, :g.q] = 0.0
-        full = assemble_flux_matrix(g.cells, g.spacing, a22)
-        for ref in (cut, full):
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(blocks.L22, name),
-                                      getattr(ref, name))
+        full = coo_flux_matrix(g.cells, g.spacing, a22)
+        for eps in (1.0, 0.3, 1e-4):
+            at = blocks.at(eps).matrix
+            data = np.where(blocks.block == X2_BLOCK, at.data, 0.0)
+            data[blocks.diagonal] = blocks.d22
+            part = sp.csr_matrix((data, at.indices.copy(),
+                                  at.indptr.copy()), shape=at.shape)
+            part.eliminate_zeros()
+            assert np.array_equal(at.diagonal(),
+                                  eps ** 2 * blocks.d11 + blocks.d22)
+            for ref in (cut, full):
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(part, name),
+                                          getattr(ref, name))
 
     def test_ordering_follows_a22_symmetry(self, monkeypatch):
         # the flag, hence the ordering, follows the assembled matrix: the

@@ -103,6 +103,27 @@ class TestNonlinearityFamily:
         assert (J - op.matrix).nnz <= op.n_unknowns
 
 
+    def test_jacobian_writes_the_stored_diagonal(self):
+        # the same arrays as a copy of the matrix with its diagonal set,
+        # sharing the matrix's pattern
+        _, _, op, _ = setup(8, family="variable")
+        tanh = nonlinearity_family("tanh")
+        u = np.random.default_rng(4).standard_normal(op.n_unknowns)
+        before = op.matrix.data.copy()
+        J = jacobian(op.matrix, tanh, u)
+        ref = op.matrix.copy()
+        ref.setdiag(op.matrix.diagonal() - tanh.deriv(u))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(J, name), getattr(ref, name))
+        assert np.shares_memory(J.indices, op.matrix.indices)
+        assert np.array_equal(op.matrix.data, before)
+
+    def test_jacobian_needs_the_stored_diagonal(self):
+        matrix = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
+        with pytest.raises(ConfigError):
+            jacobian(matrix, nonlinearity_family("tanh"), np.zeros(2))
+
+
 class TestPicard:
     def test_zero_term_is_one_linear_step(self):
         _, _, op, f = setup(16, family="variable")

@@ -118,10 +118,13 @@ class TestRunSweep:
         assert all(a > b for a, b in zip(d, d[1:]))
 
     def test_operator_blocks_built_once(self, monkeypatch):
+        import scipy.sparse as sp
+
         import anisolab.fd_ops as fd_ops
         import anisolab.study as study
         calls = {"assemble_operator": 0, "operator_blocks": 0,
-                 "assemble_flux_matrix": 0}
+                 "_stencil_csr": 0, "is_symmetric": 0, "tocsr": 0,
+                 "__add__": 0}
 
         def counted(owner, name):
             real = getattr(owner, name)
@@ -133,13 +136,19 @@ class TestRunSweep:
 
         counted(study, "assemble_operator")
         counted(study, "operator_blocks")
-        counted(fd_ops, "assemble_flux_matrix")
+        counted(fd_ops, "_stencil_csr")
+        counted(fd_ops, "is_symmetric")
+        counted(sp.coo_matrix, "tocsr")
+        counted(sp.csr_matrix, "__add__")
         rep = run_sweep(small_config(epsilons=[1.0, 0.5, 0.25, 0.125]))
         assert rep.complete
         # the one operator assembly left is the floor probe's; the blocks
-        # take three flux assemblies, the X2 one serving limit and rows
+        # lay out two stencils, the full grid's and the limit's.  No
+        # matrix goes through COO triplets or a sparse sum, and symmetry
+        # is read off the stencils
         assert calls == {"assemble_operator": 1, "operator_blocks": 1,
-                         "assemble_flux_matrix": 4}
+                         "_stencil_csr": 3, "is_symmetric": 0, "tocsr": 0,
+                         "__add__": 0}
 
     @staticmethod
     def check_auto_matches_direct(monkeypatch, cfg):
