@@ -253,9 +253,15 @@ def cmd_translation(args) -> int:
     while 2 * h0 <= margin - 1:
         h0 *= 2
     levels = config.translation_levels
-    if margin < h0 + 1 or h0 >> (levels - 1) < 1:
+    if margin < 2:
         raise ConfigError(
             f"margin {margin} too small for {levels} dyadic levels")
+    # shifts h0, h0 / 2, ..., 1: the margin admits log2(h0) + 1 levels
+    if levels > h0.bit_length():
+        print(f"[translation] levels = {levels} needs shifts the margin "
+              f"{margin} does not admit; running {h0.bit_length()}",
+              file=sys.stderr)
+        levels = h0.bit_length()
     out = Path(config.out_dir)
     report_path = out / "report.json"
     if not report_path.is_file():

@@ -9,40 +9,41 @@ interior unknowns only, with homogeneous Dirichlet data folded in by
 dropping links to boundary nodes: diagonal terms use arithmetic face
 averages of a_ii on half-integer faces, mixed terms use the composition of
 centered first differences.  The operator is a fixed stencil of at most
-3^N offsets, each with one coefficient array over the unknowns, and it is
-laid out straight into canonical CSR: one slot per offset and row, kept
-where the neighbour is an unknown, ``indptr`` the running count of kept
-slots, int32 ``indices`` the row plus the flat offset.  Terms that meet at
-one offset are summed in assembly order.
+3^N offsets, and the assembled matrix is that stencil itself, a
+``Stencil``: the box of unknowns, the offsets in increasing flat order,
+and one coefficient row per offset over the box, zero where the
+neighbour lies outside it.  Terms that meet at one offset are summed in
+assembly order.  Its ``@`` is one contiguous window of the padded vector
+per offset, summed in the order a CSR matvec sums a sorted row, so it
+equals the product with the canonical CSR bit for bit.
 
 For a symmetric entry table the assembled matrix is symmetric by
 construction, and so is it for any constant table: only a_ij + a_ji
 reaches each corner coupling.  So an operator's ``symmetric`` flag is the
 exact symmetry of its matrix, read off the stencil (the entry at offset o
 from node i against the one at -o from i + o), not off the table; the
-flag picks CG under ``auto`` and the LU ordering.  ``is_symmetric`` reads
-it off an assembled matrix instead, for any matrix.
+flag picks CG under ``auto`` and the LU ordering.
 
 The operator is linear in its table, and the limit problem is its X2
 block: ``operator_blocks`` lays the full grid's stencil out once, and
-every other stored entry than the diagonal belongs to one of the X1 x X1,
-mixed and X2 x X2 blocks.  ``OperatorBlocks.at(eps)`` is one scaled copy
-of that data around the shared pattern, the diagonal's X1 and X2 parts
-kept apart.  The limit operator is the X2 stencil over every X1 node.
+every offset other than the centre lies in one of the X1 x X1, mixed and
+X2 x X2 blocks.  ``OperatorBlocks.at(eps)`` scales each offset's row by
+its block's power of eps, the centre row's X1 and X2 parts kept apart.
+The limit operator is the X2 stencil over every X1 node.
 
-scipy is imported where a sparse matrix is first built or factored:
-``scipy.sparse`` inside the CSR layout and ``scipy.sparse.linalg`` inside
-``factor_matrix``.  The difference kernels, and the post-processing that
-uses only them (norms, metric, translation modulus), never load the
-sparse stack, and ``SparseOperator`` and ``OperatorBlocks`` import
-without it.
+scipy is imported only for an LU: ``factor_matrix`` lays a stencil out as
+canonical CSR (``_stencil_csr``, which loads ``scipy.sparse``) and
+factors it with ``scipy.sparse.linalg``.  Assembly, ``at(eps)``, the
+matvec and every CG solve never load the sparse stack, and neither do
+the difference kernels and the post-processing that uses only them
+(norms, metric, translation modulus).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -55,6 +56,7 @@ if TYPE_CHECKING:
     import scipy.sparse.linalg as spla
 
 __all__ = [
+    "Stencil",
     "SparseOperator",
     "grad_axis",
     "hess_component",
@@ -64,7 +66,6 @@ __all__ = [
     "OperatorBlocks",
     "apply_nondivergence",
     "factor_matrix",
-    "is_symmetric",
 ]
 
 
@@ -97,8 +98,7 @@ def _flat_stencil(u: ScalarField, reach: int):
 
 def _node_strides(grid: Grid) -> tuple[int, ...]:
     """Flat (C-order) step of one node along each axis."""
-    return tuple(math.prod(grid.node_shape[a + 1:])
-                 for a in range(grid.ndim))
+    return _strides(grid.node_shape)
 
 
 def _zero_faces(out: np.ndarray, axes) -> None:
@@ -156,17 +156,103 @@ def hess_component(u: ScalarField, i: int, j: int) -> ScalarField:
     return ScalarField(grid, out)
 
 
+def _strides(shape: Sequence[int]) -> tuple[int, ...]:
+    """Flat (C-order) step of one index along each axis of ``shape``."""
+    return tuple(math.prod(shape[a + 1:]) for a in range(len(shape)))
+
+
+def _flat(offset: Sequence[int], strides: Sequence[int]) -> int:
+    """Flat (C-order) step of a whole-index offset."""
+    return sum(o * s for o, s in zip(offset, strides))
+
+
+def _valid_box(offset: Sequence[int], shape: Sequence[int]
+               ) -> tuple[slice, ...]:
+    """Rows of a box of unknowns whose neighbour at ``offset`` is in it."""
+    return tuple(slice(max(0, -o), n - max(0, o))
+                 for o, n in zip(offset, shape))
+
+
+class Stencil:
+    """A fixed-stencil matrix over a row-major box of unknowns.
+
+    ``offsets`` are the stencil's offsets over the axes of ``box``, in
+    increasing flat (C-order) offset ``flats``, and row k of ``rows``
+    (shape ``(len(offsets), unknowns)``) is offset k's coefficient over
+    the flattened box: matrix row i holds ``rows[k, i]`` in column
+    i + ``flats[k]``.  A coefficient whose neighbour lies outside the box
+    is zero and not an entry of the matrix; ``nnz`` counts the others, the
+    entries its canonical CSR stores (``_stencil_csr``), zeros included.
+
+    ``A @ x`` reads one contiguous window of a zero-padded copy of ``x``
+    per offset, in increasing flat order: the order in which a CSR matvec
+    sums a row of sorted columns.  An out-of-box slot adds an exact zero,
+    so for finite ``x`` the product equals the CSR one bit for bit.
+    """
+
+    def __init__(self, box: Sequence[int],
+                 offsets: Sequence[tuple[int, ...]], rows: np.ndarray):
+        self.box = tuple(int(n) for n in box)
+        self.offsets = tuple(tuple(int(o) for o in key) for key in offsets)
+        self.rows = rows
+        strides = _strides(self.box)
+        self.flats = tuple(_flat(key, strides) for key in self.offsets)
+        self._pad = max(map(abs, self.flats), default=0)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = math.prod(self.box)
+        return n, n
+
+    @property
+    def nnz(self) -> int:
+        return sum(math.prod(max(0, n - abs(o))
+                             for o, n in zip(key, self.box))
+                   for key in self.offsets)
+
+    @property
+    def centre(self) -> int | None:
+        """Index of the zero offset, the diagonal, or None."""
+        zero = (0,) * len(self.box)
+        return self.offsets.index(zero) if zero in self.offsets else None
+
+    def with_rows(self, rows: np.ndarray) -> Stencil:
+        """The same stencil with other coefficients."""
+        return Stencil(self.box, self.offsets, rows)
+
+    def __matmul__(self, x) -> np.ndarray:
+        n, pad = self.shape[0], self._pad
+        x = np.asarray(x)
+        if x.shape != (n,):
+            raise ValueError(f"matvec of a {self.shape} stencil with a "
+                             f"vector of shape {x.shape}")
+        if not self.offsets:
+            return np.zeros(n)
+        padded = np.empty(n + 2 * pad)
+        padded[:pad] = 0.0
+        padded[pad + n:] = 0.0
+        padded[pad:pad + n] = x
+        windows = [padded[pad + f:pad + f + n] for f in self.flats]
+        y = np.multiply(self.rows[0], windows[0])
+        scratch = np.empty(n)
+        for row, window in zip(self.rows[1:], windows[1:]):
+            np.multiply(row, window, out=scratch)
+            y += scratch
+        return y
+
+
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
     """Assembled operator over interior unknowns, row-major node order.
 
-    ``symmetric`` is exact symmetry of ``matrix`` (``is_symmetric``).
-    ``axis_means[d]`` is the node mean of the diagonal entry a_dd: the
-    constant table they form is what the CG preconditioner inverts.
-    ``factor`` returns a fresh LU on every call.
+    ``matrix`` is the operator's ``Stencil``; ``symmetric`` is its exact
+    symmetry, read off the stencil.  ``axis_means[d]`` is the node mean
+    of the diagonal entry a_dd: the constant table they form is what the
+    CG preconditioner inverts.  ``factor`` returns a fresh LU on every
+    call.
     """
 
-    matrix: sp.csr_matrix
+    matrix: Stencil
     grid: Grid
     symmetric: bool
     axis_means: tuple[float, ...]
@@ -186,13 +272,39 @@ class SparseOperator:
         return factor_matrix(self.matrix, self.symmetric)
 
 
-def is_symmetric(matrix: sp.spmatrix) -> bool:
-    """Exact symmetry of an assembled matrix: no entry differs from its
-    transpose."""
-    return (matrix != matrix.T).nnz == 0
+def _stencil_csr(matrix: Stencil) -> sp.csr_matrix:
+    """Canonical CSR of a stencil matrix, the one CSR layout.
+
+    The offsets are taken in increasing flat order, one slot of every row
+    each, and a slot is kept where its neighbour lies in the box;
+    compressing the kept slots row by row gives sorted columns, each
+    row's count of them gives ``indptr``, and the column of a slot is its
+    row plus the flat offset.  Indices are int32 where they fit.  Only an
+    LU needs it (``factor_matrix``), so only an LU loads scipy.sparse.
+    """
+    import scipy.sparse as sp
+
+    shape = matrix.box
+    n = matrix.shape[0]
+    k = len(matrix.offsets)
+    kept = np.zeros((k,) + shape, dtype=bool)
+    for slot, key in enumerate(matrix.offsets):
+        kept[(slot,) + _valid_box(key, shape)] = True
+    kept = kept.reshape(k, n).T
+    counts = kept.sum(axis=1)
+    nnz = int(counts.sum())
+    idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    indptr[1:] = np.cumsum(counts)
+    indices = (np.arange(n, dtype=idx)[:, None]
+               + np.array(matrix.flats, dtype=idx))[kept]
+    csr = sp.csr_matrix((matrix.rows.T[kept], indices, indptr),
+                        shape=(n, n))
+    csr.has_canonical_format = True
+    return csr
 
 
-def factor_matrix(matrix: sp.spmatrix, symmetric: bool) -> spla.SuperLU:
+def factor_matrix(matrix: Stencil, symmetric: bool) -> spla.SuperLU:
     """Sparse LU with the ordering chosen by the matrix's symmetry.
 
     A symmetric matrix of an elliptic table is positive definite, so it
@@ -204,18 +316,12 @@ def factor_matrix(matrix: sp.spmatrix, symmetric: bool) -> spla.SuperLU:
     """
     import scipy.sparse.linalg as spla
 
+    csc = _stencil_csr(matrix).tocsc()
     if symmetric:
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        return spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
-    return spla.splu(matrix.tocsc(), permc_spec="COLAMD")
-
-
-def _valid_box(offset: Sequence[int], shape: Sequence[int]
-               ) -> tuple[slice, ...]:
-    """Rows of a box of unknowns whose neighbour at ``offset`` is in it."""
-    return tuple(slice(max(0, -o), n - max(0, o))
-                 for o, n in zip(offset, shape))
+    return spla.splu(csc, permc_spec="COLAMD")
 
 
 def _flux_terms(spacings: Sequence[float], entries: np.ndarray,
@@ -277,55 +383,27 @@ def _add_term(stencil: dict, key: tuple[int, ...], coeff: np.ndarray):
     stencil[key] = stencil[key] + coeff if key in stencil else coeff
 
 
-def _stencil_csr(shape: Sequence[int], stencil: dict,
-                 label: Callable[[tuple[int, ...]], int] | None = None):
-    """Canonical CSR of a stencil over a row-major box of unknowns.
+def _stencil_rows(shape: Sequence[int], stencil: dict) -> Stencil:
+    """The ``Stencil`` of a stencil over a row-major box of unknowns.
 
-    ``stencil`` maps each offset to its coefficient over the box: row i
-    stores ``stencil[o][i]`` in column i + o wherever that node is in the
-    box.  The offsets are taken in increasing flat order, one slot of
-    every row each, and a slot is kept where its neighbour lies in the
-    box; compressing the kept slots row by row gives sorted columns,
-    each row's count of them gives ``indptr``, and the column of a slot
-    is its row plus the flat offset.  Indices are int32 where they fit.
-    With ``label``, which maps an offset to an int8, also returns the
-    label of every stored entry.  ``stencil`` is emptied as its arrays
-    are copied into the slots, so no coefficient is held twice.
+    ``stencil`` maps each offset to its coefficient over the box.  The
+    offsets are taken in increasing flat order, and each coefficient is
+    copied into its row where the neighbour lies in the box, the rest of
+    the row left zero.  ``stencil`` is emptied as its arrays are copied,
+    so no coefficient is held twice.
     """
-    import scipy.sparse as sp
-
     shape = tuple(shape)
-    n = math.prod(shape)
-    strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
-
-    def flat(offset):
-        return sum(o * s for o, s in zip(offset, strides))
-
-    keys = sorted(stencil, key=flat)
-    kept = np.zeros(shape + (len(keys),), dtype=bool)
-    slots = np.empty(shape + (len(keys),))
-    for slot, key in enumerate(keys):
-        kept[_valid_box(key, shape) + (slot,)] = True
-        slots[..., slot] = stencil.pop(key)
-    counts = kept.sum(axis=-1)
-    nnz = int(counts.sum())
-    idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=idx)
-    indptr[1:] = np.cumsum(counts)
-    data = slots[kept]
-    del slots
-    indices = (np.arange(n, dtype=idx).reshape(shape + (1,))
-               + np.array([flat(key) for key in keys], dtype=idx))[kept]
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    matrix.has_canonical_format = True
-    if label is None:
-        return matrix
-    labels = np.array([label(key) for key in keys], dtype=np.int8)
-    return matrix, np.broadcast_to(labels, kept.shape)[kept]
+    strides = _strides(shape)
+    keys = sorted(stencil, key=lambda key: _flat(key, strides))
+    rows = np.zeros((len(keys),) + shape)
+    for row, key in zip(rows, keys):
+        box = _valid_box(key, shape)
+        row[box] = stencil.pop(key)[box]
+    return Stencil(shape, keys, rows.reshape(len(keys), math.prod(shape)))
 
 
 def _stencil_symmetric(shape: Sequence[int], stencil: dict) -> bool:
-    """Exact symmetry of ``_stencil_csr(shape, stencil)``, read off the
+    """Exact symmetry of ``_stencil_rows(shape, stencil)``, read off the
     stencil: the entry at offset o from node i equals the one at -o from
     i + o (a missing offset reads as zero)."""
     for key, coeff in stencil.items():
@@ -340,7 +418,7 @@ def _stencil_symmetric(shape: Sequence[int], stencil: dict) -> bool:
 
 
 def _flux_operator(spacings: Sequence[float], entries: np.ndarray,
-                   batch: int = 0) -> tuple[sp.csr_matrix, bool]:
+                   batch: int = 0) -> tuple[Stencil, bool]:
     """The flux-form matrix of ``_flux_terms`` and its exact symmetry."""
     stencil: dict = {}
     for offset, _, coeff in _flux_terms(
@@ -349,17 +427,17 @@ def _flux_operator(spacings: Sequence[float], entries: np.ndarray,
     nodes = entries.shape[2:]
     shape = nodes[:batch] + tuple(n - 2 for n in nodes[batch:])
     symmetric = _stencil_symmetric(shape, stencil)
-    return _stencil_csr(shape, stencil), symmetric
+    return _stencil_rows(shape, stencil), symmetric
 
 
 def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
-                         entries: np.ndarray) -> sp.csr_matrix:
+                         entries: np.ndarray) -> Stencil:
     """Core flux-form assembly on an m-dimensional sub-box.
 
     ``entries`` has shape (m, m, *nodes) with nodes = cells + 1 per axis.
-    Returns the canonical CSR matrix over interior unknowns.  All-zero
-    entry tables add nothing, not even stored zeros, so the sparsity
-    pattern couples only nodes that a nonzero coefficient links.
+    Returns the stencil matrix over interior unknowns.  All-zero entry
+    tables add no offset, not even stored zeros, so the matrix couples
+    only nodes that a nonzero coefficient links.
     """
     entries = np.asarray(entries, dtype=float)
     nodes = tuple(int(n) + 1 for n in cells)
@@ -384,23 +462,30 @@ def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
                           axis_means=_axis_means(entries))
 
 
-# ``OperatorBlocks.block`` labels: the X2 x X2, mixed and X1 x X1 labels
-# are each entry's power of eps
+# the block of a stencil offset: the X2 x X2, mixed and X1 x X1 labels
+# are the power of eps that scales it
 X2_BLOCK, MIXED_BLOCK, X1_BLOCK, DIAGONAL = range(4)
+
+
+def _block_of(offset: tuple[int, ...], q: int) -> int:
+    """The block label of a stencil offset."""
+    x1, x2 = any(offset[:q]), any(offset[q:])
+    if x1:
+        return MIXED_BLOCK if x2 else X1_BLOCK
+    return X2_BLOCK if x2 else DIAGONAL
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorBlocks:
     """The unscaled operator split by coefficient block, and its limit.
 
-    ``unscaled`` is the operator of the unscaled table in canonical CSR,
-    ``at(1)``.  The diagonal is the one stored entry that two blocks
-    share; ``block`` labels every entry with the block it belongs to,
-    ``X1_BLOCK``, ``MIXED_BLOCK``, ``X2_BLOCK`` or ``DIAGONAL``, and
-    ``d11`` and ``d22`` are the X1 and X2 parts of the diagonal, row by
-    row, at positions ``diagonal`` of the data.  Every operator ``at``
-    returns shares the pattern's ``indices`` and ``indptr``, which are
-    read-only; nothing here is written to after assembly.  ``symmetric``
+    ``unscaled`` is the stencil of the unscaled table, ``at(1)``.  Every
+    offset but the centre lies in one block, ``X1_BLOCK``,
+    ``MIXED_BLOCK`` or ``X2_BLOCK`` (``_block_of``); the centre, the
+    diagonal, is the one offset that two blocks share, and ``d11`` and
+    ``d22`` are its X1 and X2 parts over the unknowns.  ``unscaled`` and
+    ``limit`` are read-only: every operator ``at`` returns holds its own
+    rows, and nothing here is written to after assembly.  ``symmetric``
     is the exact symmetry of every block, hence of every ``at(eps)``.
 
     ``limit`` is the X2 block on the grid extended by one node at each X1
@@ -413,41 +498,32 @@ class OperatorBlocks:
     """
 
     grid: Grid
-    unscaled: sp.csr_matrix
-    block: np.ndarray
-    diagonal: np.ndarray
+    unscaled: Stencil
     d11: np.ndarray
     d22: np.ndarray
     symmetric: bool
-    limit: sp.csr_matrix
+    limit: Stencil
     limit_symmetric: bool
     axis_means: np.ndarray
     limit_means: np.ndarray
 
     def at(self, epsilon: float) -> SparseOperator:
         """``eps^2 L11 + eps L12 + L22``, the operator of the scaled table:
-        one scaled copy of the unscaled data, each entry times eps to the
-        power of its block, and the diagonal ``eps^2 d11 + d22``."""
+        each offset's row times eps to the power of its block, and the
+        centre row ``eps^2 d11 + d22``."""
         fac = scaling_factors(self.grid.ndim, self.grid.q, epsilon)
         pattern = self.unscaled
-        data = np.array([1.0, epsilon, epsilon ** 2, 0.0])[self.block]
-        data *= pattern.data
-        data[self.diagonal] = epsilon ** 2 * self.d11 + self.d22
-        matrix = type(pattern)((data, pattern.indices, pattern.indptr),
-                               shape=pattern.shape)
-        matrix.has_canonical_format = True
+        powers = np.array([1.0, epsilon, epsilon ** 2, 0.0])[
+            [_block_of(key, self.grid.q) for key in pattern.offsets]]
+        rows = pattern.rows * powers[:, None]
+        centre = pattern.centre
+        if centre is not None:
+            np.multiply(self.d11, epsilon ** 2, out=rows[centre])
+            rows[centre] += self.d22
         means = tuple(float(m) for m in np.diag(fac) * self.axis_means)
-        return SparseOperator(matrix=matrix, grid=self.grid,
-                              symmetric=self.symmetric,
+        return SparseOperator(matrix=pattern.with_rows(rows),
+                              grid=self.grid, symmetric=self.symmetric,
                               axis_means=means)
-
-
-def _block_of(offset: tuple[int, ...], q: int) -> int:
-    """The block label of the entries at a stencil offset."""
-    x1, x2 = any(offset[:q]), any(offset[q:])
-    if x1:
-        return MIXED_BLOCK if x2 else X1_BLOCK
-    return X2_BLOCK if x2 else DIAGONAL
 
 
 def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
@@ -478,21 +554,18 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
     else:
         d11 = d22 = np.zeros(0)
     symmetric = _stencil_symmetric(shape, stencil)
-    unscaled, block = _stencil_csr(shape, stencil,
-                                   lambda offset: _block_of(offset, q))
-    diagonal = np.flatnonzero(block == DIAGONAL)
-    # every at(eps) shares the pattern: an in-place edit of one operator's
-    # would reach them all, so it raises instead
-    unscaled.indices.flags.writeable = False
-    unscaled.indptr.flags.writeable = False
+    unscaled = _stencil_rows(shape, stencil)
     a22 = coeffs.x2_block()
     limit, limit_symmetric = _flux_operator(
         [spacings[a] for a in grid.x2_axes], a22, batch=q)
+    # every row and the limit solve share these: an in-place edit of one
+    # would reach them all, so it raises instead
+    unscaled.rows.flags.writeable = False
+    limit.rows.flags.writeable = False
     slices = math.prod(a22.shape[2:2 + q])
     limit_means = np.stack([a22[d, d].reshape(slices, -1).mean(axis=1)
                             for d in range(n - q)], axis=1)
-    return OperatorBlocks(grid=grid, unscaled=unscaled, block=block,
-                          diagonal=diagonal,
+    return OperatorBlocks(grid=grid, unscaled=unscaled,
                           d11=d11.ravel(), d22=d22.ravel(),
                           symmetric=symmetric,
                           limit=limit, limit_symmetric=limit_symmetric,

@@ -6,8 +6,9 @@ slice's retained-axes box; the X1 coordinate enters only as a parameter.
 Stacked slice by slice, these problems are the X2 block of the operator
 on the node set extended by one node at each X1 end, which
 ``fd_ops.operator_blocks`` assembles once as ``OperatorBlocks.limit``,
-the X2 stencil over every X1 node; on the X1-interior slices it is the
-X2 part of every sweep row's operator.  No entry couples two slices, and
+the X2 stencil over every X1 node (an ``fd_ops.Stencil`` whose box has
+the X1 axes as batch axes); on the X1-interior slices it is the X2 part
+of every sweep row's operator.  No entry couples two slices, and
 no boundary condition is imposed in the X1 directions: the limit field
 is generally nonzero on X1 faces.
 
@@ -22,8 +23,10 @@ follows the exact symmetry of the limit matrix as on the full grid,
 solve to ``tol``, and a slice that misses it takes further steps before
 SolverError names the slice.
 
-``iter_slice_systems`` yields the same systems one slice at a time; it is
-the reference the block operator is checked against.
+``iter_slice_systems`` yields the same systems one slice at a time, each
+matrix a stencil of its own; it is the reference the block operator is
+checked against.  Neither the limit solve on the CG route nor a residual
+of a slice system loads ``scipy.sparse``: both apply stencils only.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = ["solve_limit", "semilinear_limit", "iter_slice_systems"]
 def iter_slice_systems(grid: Grid, coeffs: CoefficientField,
                        f: ScalarField):
     """Yield ``(x1_index, matrix, rhs, scatter)`` for every X1 lattice node.
+
+    ``matrix`` is the slice's ``fd_ops.Stencil`` over its X2 interior.
 
     ``scatter(values, out)`` writes a slice solution (interior unknowns of
     the slice, row-major) into the full node array ``out``.

@@ -6,14 +6,14 @@ unknowns, a full grid being B = 1 and the limit one block per X1 node
 (``limit.semilinear_limit``); a linear solve is the zero term.
 ``newton_solve`` runs it (Kelley, *Iterative Methods for Linear and
 Nonlinear Equations*, SIAM 1995, ch. 6).  From u = 0 every step solves
-``J du = -F`` with ``J = L + diag(-a'(u))`` (a copy of L's data with
-the diagonal rewritten at its stored positions, found once per solve,
-around L's own pattern), then halves the step of
-each block until its |F| decreases by the Armijo rule (c = 1e-4).  A
-block stops once |F| / |f + a(u)| is at most ``tol``; a solve that has
-not met it after ``max_iter`` steps raises SolverError carrying the
-residual.  A linear solve's first step is the solve to ``tol`` itself,
-and a step that misses it is followed by another step from the iterate.
+``J du = -F`` with ``J = L + diag(-a'(u))`` (a copy of the rows of L's
+stencil, ``fd_ops.Stencil``, with a'(u) taken off the centre row), then
+halves the step of each block until its |F| decreases by the Armijo rule
+(c = 1e-4).  A block stops once |F| / |f + a(u)| is at most ``tol``; a
+solve that has not met it after ``max_iter`` steps raises SolverError
+carrying the residual.  A linear solve's first step is the solve to
+``tol`` itself, and a step that misses it is followed by another step
+from the iterate.
 
 The route is picked once per solve.  ``method = "auto"`` (the study
 default) chooses by ``symmetric``, the exact symmetry of the assembled
@@ -34,7 +34,7 @@ each step factors its own J.
 
 ``pcg`` is one numpy conjugate-gradient loop over ``B`` independent equal
 blocks of a block-diagonal system, each block with its own step lengths
-and stopping test, all applied through one sparse matvec.
+and stopping test, all applied through one stencil matvec.
 
 CG is preconditioned by fast diagonalization (Lynch, Rice & Thomas 1964):
 the preconditioner of a block is the constant-coefficient operator whose
@@ -48,11 +48,12 @@ stays nearly flat as epsilon shrinks, where diagonal (Jacobi) scaling
 needs hundreds of iterations.  J keeps the matrix's symmetry and block
 means, hence one preconditioner serves every step of a solve.
 
-No solve here loads ``scipy.sparse.linalg``; only an LU does
-(``fd_ops.factor_matrix``).  The module attribute ``spla`` still
-resolves to it, imported on first lookup by the module's
-``__getattr__``, for code outside the package that reads it; nothing in
-the package calls it.
+No CG solve loads ``scipy.sparse`` or ``scipy.sparse.linalg``: the
+matrices are stencils and their matvec is numpy.  Only an LU loads them,
+laying the stencil out as CSR first (``fd_ops.factor_matrix``).  The
+module attribute ``spla`` still resolves to ``scipy.sparse.linalg``,
+imported on first lookup by the module's ``__getattr__``, for code
+outside the package that reads it; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -64,12 +65,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .fd_ops import SparseOperator, factor_matrix
+from .fd_ops import SparseOperator, Stencil, factor_matrix
 from .grid import ScalarField
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
-
     from .semilinear import Nonlinearity
 
 __all__ = ["solve_dirichlet", "newton_solve", "resolve_method",
@@ -260,39 +259,22 @@ def resolve_method(op: SparseOperator, method: str) -> str:
     return _route(op.symmetric, method)
 
 
-def _diagonal_positions(matrix: sp.csr_matrix) -> np.ndarray:
-    """Positions in ``matrix.data`` of the diagonal entries, row by row.
-
-    Every diagonal entry must be stored exactly once, as it is in every
-    assembled operator; otherwise ConfigError.
-    """
-    n = matrix.shape[0]
-    rows = np.repeat(np.arange(n, dtype=matrix.indices.dtype),
-                     np.diff(matrix.indptr))
-    diagonal = np.flatnonzero(matrix.indices == rows)
-    if len(diagonal) != n:
-        raise ConfigError("the Jacobian needs every diagonal entry of the "
-                          "matrix stored once")
-    return diagonal
-
-
-def jacobian(matrix: sp.csr_matrix, a: Nonlinearity, u: np.ndarray,
-             diagonal: np.ndarray | None = None) -> sp.csr_matrix:
+def jacobian(matrix: Stencil, a: Nonlinearity, u: np.ndarray) -> Stencil:
     """``L + diag(-a'(u))``: symmetric when ``L`` is.
 
-    A copy of ``L``'s data with ``diag - a'(u)`` written at the stored
-    diagonal positions ``diagonal`` (``_diagonal_positions`` when not
-    given); the copy shares ``L``'s ``indices`` and ``indptr``.
+    A copy of ``L``'s rows with ``a'(u)`` subtracted from the centre row,
+    the diagonal; a stencil without a centre row raises ConfigError.
     """
-    if diagonal is None:
-        diagonal = _diagonal_positions(matrix)
-    data = matrix.data.copy()
-    data[diagonal] -= a.deriv(u)
-    return type(matrix)((data, matrix.indices, matrix.indptr),
-                        shape=matrix.shape)
+    centre = matrix.centre
+    if centre is None:
+        raise ConfigError("the Jacobian needs the matrix's diagonal, the "
+                          "centre of its stencil")
+    rows = matrix.rows.copy()
+    rows[centre] -= a.deriv(u)
+    return matrix.with_rows(rows)
 
 
-def newton_solve(matrix: sp.csr_matrix, rhs: np.ndarray, a: Nonlinearity,
+def newton_solve(matrix: Stencil, rhs: np.ndarray, a: Nonlinearity,
                  symmetric: bool, cells: Sequence[int],
                  spacing: Sequence[float], means, tol: float = 1e-10,
                  max_iter: int = 200, method: str = "direct",
@@ -321,8 +303,6 @@ def newton_solve(matrix: sp.csr_matrix, rhs: np.ndarray, a: Nonlinearity,
         precond = fast_diagonal_preconditioner(cells, spacing, means)
         cap = iteration_cap(rhs.size // blocks, maxiter_factor)
     lu = None
-    # the stored diagonal's positions, found on the first Jacobian
-    diagonal = None
 
     def norms(v):
         # one block takes the whole vector's norm, as relative_residual
@@ -358,9 +338,7 @@ def newton_solve(matrix: sp.csr_matrix, rhs: np.ndarray, a: Nonlinearity,
         # where a' vanishes the Jacobian is the matrix itself
         J = matrix
         if deriv.any():
-            if diagonal is None:
-                diagonal = _diagonal_positions(matrix)
-            J = jacobian(matrix, a, u, diagonal)
+            J = jacobian(matrix, a, u)
         if route == "cg":
             forcing = np.minimum(MAX_FORCING, rel)
             np.divide(tol, rel, out=forcing, where=active & ~deriv.reshape(

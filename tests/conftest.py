@@ -160,3 +160,18 @@ def coo_flux_matrix(cells, spacings, entries):
     np.add.at(summed, inverse[later], data[later])
     return sp.csr_matrix((summed, (keys // n_int, keys % n_int)),
                          shape=(n_int, n_int))
+
+
+def csr(matrix):
+    """The canonical CSR of a stencil matrix (``fd_ops._stencil_csr``), for
+    tests that read entries, ``nnz``, ``.T`` or ``indices`` off an
+    operator; the package builds it only for an LU."""
+    from anisolab.fd_ops import _stencil_csr
+
+    return _stencil_csr(matrix)
+
+
+def is_symmetric(matrix) -> bool:
+    """Exact symmetry of a sparse matrix: no entry differs from its
+    transpose.  The reference the stencil symmetry flags are pinned to."""
+    return (matrix != matrix.T).nnz == 0

@@ -427,17 +427,32 @@ class TestTranslation:
             assert sigmas[0] > sigmas[1] > sigmas[2] > 0
 
     def test_margin_too_small_exits_2(self, tmp_path, capsys):
-        # margin 2 holds one level of shifts, margin 1 not even a
-        # one-cell shift
-        for margin, levels in ((2, 3), (1, 1)):
-            text = TRANSLATION_CFG.replace("margin = 5", f"margin = {margin}")
+        # margin 1 holds not even a one-cell shift, whatever the levels
+        for levels in (1, 3):
+            text = TRANSLATION_CFG.replace("margin = 5", "margin = 1")
             cfg = write_cfg(tmp_path, text.replace("levels = 3",
                                                    f"levels = {levels}"))
             rc = main(["translation", "--config", cfg, "--out",
                        str(tmp_path / "out")])
             assert rc == 2
-            assert f"margin {margin} too small for {levels} dyadic" in \
+            assert f"margin 1 too small for {levels} dyadic" in \
                 capsys.readouterr().err
+
+    def test_levels_shrink_to_the_margin(self, tmp_path, capsys):
+        # margin 3 admits the shifts 2 and 1: two of the three levels
+        cfg = write_cfg(tmp_path, TRANSLATION_CFG.replace("margin = 5",
+                                                          "margin = 3"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = main(["translation", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "[translation] levels = 3" in err and "margin 3" in err
+        with open(out / "translation.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(axis, h) for axis, h, _, _ in rows] == [
+            ("0", "2"), ("0", "1"), ("1", "2"), ("1", "1")]
 
     def test_reads_semilinear_sweep(self, tmp_path):
         cfg = write_cfg(tmp_path, TRANSLATION_CFG + "\n[nonlinearity]\n"

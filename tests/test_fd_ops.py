@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 from anisolab import (CoefficientField, ConfigError, ScalarField,
                       assemble_operator, coefficient_family, make_grid,
                       scale_coefficients, verify_ellipticity)
-from anisolab.fd_ops import (apply_nondivergence, assemble_flux_matrix,
-                             grad_axis, hess_component, is_symmetric,
-                             operator_blocks)
-from conftest import coo_flux_matrix
+from anisolab.fd_ops import (Stencil, apply_nondivergence,
+                             assemble_flux_matrix, grad_axis,
+                             hess_component, operator_blocks)
+from conftest import coo_flux_matrix, csr, is_symmetric
 
 
 def sine_eigenvector(grid, i, j):
@@ -123,7 +123,7 @@ class TestAssembly:
     def test_five_point_row(self, unit_square):
         g = unit_square(4)
         op = assemble_operator(g, coefficient_family("identity", g))
-        A = op.matrix.toarray()
+        A = csr(op.matrix).toarray()
         assert op.n_unknowns == 9
         # node (2, 2) -> interior row-major index 4, h = 1/4
         assert A[4, 4] == pytest.approx(64.0)
@@ -136,7 +136,7 @@ class TestAssembly:
     def test_seven_point_diagonal_3d(self):
         g = make_grid([(0, 1)] * 3, (4, 4, 4), q=1)
         op = assemble_operator(g, coefficient_family("identity", g))
-        d = op.matrix.diagonal()
+        d = csr(op.matrix).diagonal()
         assert np.allclose(d, 96.0)
 
     def test_laplacian_eigenpairs(self, unit_square):
@@ -168,7 +168,7 @@ class TestAssembly:
     def test_stencil_width_bound(self, unit_square):
         g = unit_square(8)
         op = assemble_operator(g, coefficient_family("variable", g))
-        per_row = np.diff(op.matrix.indptr)
+        per_row = np.diff(csr(op.matrix).indptr)
         assert per_row.max() <= 9
 
     def test_symmetry_exact_for_symmetric_table(self, unit_square):
@@ -177,7 +177,7 @@ class TestAssembly:
             coeffs = scale_coefficients(
                 coefficient_family("variable", g), eps)
             op = assemble_operator(g, coeffs)
-            dense = op.matrix.toarray()
+            dense = csr(op.matrix).toarray()
             assert op.symmetric and np.array_equal(dense, dense.T)
 
     def test_asymmetric_table_flagged(self, unit_square):
@@ -193,7 +193,7 @@ class TestAssembly:
         entries[1, 0] = 0.1 * y
         coeffs = CoefficientField(g, entries, lam=0.1)
         op = assemble_operator(g, coeffs)
-        dense = op.matrix.toarray()
+        dense = csr(op.matrix).toarray()
         assert not op.symmetric and not np.array_equal(dense, dense.T)
         blocks = operator_blocks(g, coeffs)
         assert not blocks.symmetric and not blocks.at(0.5).symmetric
@@ -208,14 +208,14 @@ class TestAssembly:
         entries[1, 0] = 0.1
         coeffs = CoefficientField(g, entries, lam=0.1)
         op = assemble_operator(g, coeffs)
-        dense = op.matrix.toarray()
+        dense = csr(op.matrix).toarray()
         assert op.symmetric and np.array_equal(dense, dense.T)
         assert operator_blocks(g, coeffs).at(0.5).symmetric
 
     def test_positive_definite(self, unit_square):
         g = unit_square(8)
         op = assemble_operator(g, coefficient_family("variable", g))
-        eigs = np.linalg.eigvalsh(op.matrix.toarray())
+        eigs = np.linalg.eigvalsh(csr(op.matrix).toarray())
         assert eigs[0] > 0.0
 
     def test_apply_rejects_wrong_grid(self, unit_square):
@@ -313,32 +313,32 @@ class TestOperatorBlocks:
         coeffs = coefficient_family(family, g, **params)
         got = operator_blocks(g, coeffs).at(eps)
         ref = assemble_operator(g, scale_coefficients(coeffs, eps))
-        assert np.array_equal(got.matrix.indptr, ref.matrix.indptr)
-        assert np.array_equal(got.matrix.indices, ref.matrix.indices)
+        got_csr, ref_csr = csr(got.matrix), csr(ref.matrix)
+        assert np.array_equal(got_csr.indptr, ref_csr.indptr)
+        assert np.array_equal(got_csr.indices, ref_csr.indices)
         assert got.symmetric == ref.symmetric
-        scale = np.abs(ref.matrix.data).max()
-        assert np.abs(got.matrix.data - ref.matrix.data).max() \
-            <= 1e-15 * scale
+        scale = np.abs(ref_csr.data).max()
+        assert np.abs(got_csr.data - ref_csr.data).max() <= 1e-15 * scale
         assert np.allclose(got.axis_means, ref.axis_means, rtol=1e-15,
                            atol=0.0)
 
     def test_at_leaves_blocks_unchanged(self):
         # every sweep row calls ``at`` on one shared OperatorBlocks, so the
-        # scaling must never write to the pattern, its data or the
-        # diagonal's parts; the rows share only indices and indptr
+        # scaling must never write to the unscaled rows, the diagonal's
+        # parts or the limit; every row holds rows of its own
         g = make_grid([(0, 1)] * 3, (5, 6, 4), q=2)
         blocks = operator_blocks(g, coefficient_family("variable", g))
-        held = (blocks.unscaled.data, blocks.unscaled.indices,
-                blocks.unscaled.indptr, blocks.block, blocks.diagonal,
-                blocks.d11, blocks.d22, blocks.limit.data)
+        held = (blocks.unscaled.rows, blocks.d11, blocks.d22,
+                blocks.limit.rows)
         before = [arr.copy() for arr in held]
         a, b = blocks.at(1.0), blocks.at(0.1)
-        assert not np.shares_memory(a.matrix.data, b.matrix.data)
-        assert not np.shares_memory(a.matrix.data, blocks.unscaled.data)
-        assert np.shares_memory(a.matrix.indices, blocks.unscaled.indices)
-        # an in-place edit of one row's pattern would reach every row
-        with pytest.raises(ValueError):
-            a.matrix.indices[0] = 0
+        assert not np.shares_memory(a.matrix.rows, b.matrix.rows)
+        assert not np.shares_memory(a.matrix.rows, blocks.unscaled.rows)
+        assert a.matrix.offsets == blocks.unscaled.offsets
+        # an in-place edit of the shared blocks would reach every row
+        for shared in (blocks.unscaled, blocks.limit):
+            with pytest.raises(ValueError):
+                shared.rows[0, 0] = 0.0
         for eps in (1.0, 0.5, 0.1, 0.03, 1e-3, 1e-6):
             blocks.at(eps)
         for old, now in zip(before, held, strict=True):
@@ -348,9 +348,10 @@ class TestOperatorBlocks:
         g = make_grid([(0, 1)] * 3, (5, 6, 4), q=1)
         blocks = operator_blocks(g, coefficient_family("variable", g))
         got = blocks.at(1.0).matrix
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name),
-                                  getattr(blocks.unscaled, name))
+        assert got.box == blocks.unscaled.box
+        assert got.offsets == blocks.unscaled.offsets
+        assert np.array_equal(got.rows.view(np.int64),
+                              blocks.unscaled.rows.view(np.int64))
 
     def test_rejects_epsilon_out_of_range(self, unit_square):
         g = unit_square(4)
@@ -377,16 +378,24 @@ def pin_table(grid, seed, kind):
 
 
 class TestStencilAssembly:
-    """The CSR laid out from the stencil against the COO reference."""
+    """The stencil matrices against the COO reference, through their CSR,
+    and their matvec against the CSR's."""
 
     @staticmethod
     def assert_same(got, ref):
         # the data bit for bit: -0.0 and 0.0 differ
-        assert got.indices.dtype == ref.indices.dtype
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.data.view(np.int64),
+        assert isinstance(got, Stencil)
+        assert got.shape == ref.shape and got.nnz == ref.nnz
+        layout = csr(got)
+        assert layout.indices.dtype == ref.indices.dtype
+        assert np.array_equal(layout.indptr, ref.indptr)
+        assert np.array_equal(layout.indices, ref.indices)
+        assert np.array_equal(layout.data.view(np.int64),
                               ref.data.view(np.int64))
+        # the matvec sums each row in the CSR's order, bit for bit
+        x = np.random.default_rng(got.nnz).standard_normal(got.shape[0])
+        assert np.array_equal((got @ x).view(np.int64),
+                              (layout @ x).view(np.int64))
 
     @given(st.sampled_from([(2, 1), (3, 1), (3, 2)]),
            st.lists(st.integers(2, 5), min_size=3, max_size=3),
@@ -438,6 +447,14 @@ class TestStencilAssembly:
         assert not blocks.symmetric and not blocks.at(0.5).symmetric
         # the mixed entry never reaches the limit
         assert blocks.limit_symmetric
+
+    def test_matvec_rejects_a_vector_of_another_length(self, unit_square):
+        g = unit_square(4)
+        matrix = assemble_operator(g, coefficient_family("identity",
+                                                         g)).matrix
+        for x in (np.ones(8), np.ones(1), np.ones((9, 1))):
+            with pytest.raises(ValueError):
+                matrix @ x
 
     def test_all_zero_table_assembles_empty(self, unit_square):
         g = unit_square(4)

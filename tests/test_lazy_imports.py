@@ -1,7 +1,9 @@
-"""The sparse solver stack loads on the first solve, not on import.
+"""The sparse stack loads for an LU only: not on import, not for CG.
 
-The test process itself has scipy loaded, so each check runs in a fresh
-interpreter.
+The operators are stencils with a numpy matvec, so assembly and every CG
+solve run without ``scipy.sparse``; only ``method = direct`` or a matrix
+that is not symmetric lays out a CSR and factors it.  The test process
+itself has scipy loaded, so each check runs in a fresh interpreter.
 """
 
 import json
@@ -20,10 +22,14 @@ QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / "quickstart.cfg"
 CLI_PROBE = """
 import json, sys
 import anisolab, anisolab.cli
-steps = [["import", 0, "scipy.sparse" in sys.modules]]
+def loaded():
+    return [name in sys.modules
+            for name in ("scipy.sparse", "scipy.sparse.linalg")]
+
+steps = [["import", 0, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     rc = anisolab.cli.main(argv)
-    steps.append([argv[0], rc, "scipy.sparse" in sys.modules])
+    steps.append([argv[0], rc, *loaded()])
 print(json.dumps(steps))
 """
 
@@ -47,15 +53,32 @@ g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
 op = operator_blocks(g, coefficient_family("variable", g)).at(0.1)
 f = forcing_field("sine_product", g)
 u = solve_dirichlet(op, f, method="cg")
+sparse_after_solve = "scipy.sparse" in sys.modules
 linalg_after_solve = "scipy.sparse.linalg" in sys.modules
 print(json.dumps({
     "loaded_before": loaded,
+    "sparse_after_solve": sparse_after_solve,
     "calls": len(calls),
     "kept": anisolab.solver.pcg is stand_in,
     "linalg_after_solve": linalg_after_solve,
     "spla": anisolab.solver.spla.__name__,
     "residual": relative_residual(op.matrix, u.interior_vector(),
                                   f.interior_vector())}))
+"""
+
+SLICES_PROBE = """
+import json, sys
+from anisolab import coefficient_family, forcing_field, make_grid
+from anisolab.limit import iter_slice_systems
+from anisolab.solver import relative_residual
+
+g = make_grid([(0, 1)] * 3, (6, 5, 4), q=1)
+res = [relative_residual(matrix, 1.0 + rhs, rhs) for _, matrix, rhs, _ in
+       iter_slice_systems(g, coefficient_family("variable", g),
+                          forcing_field("sine_product", g))]
+print(json.dumps([len(res), all(0 < r < float("inf") for r in res)]
+                 + [name in sys.modules
+                    for name in ("scipy.sparse", "scipy.sparse.linalg")]))
 """
 
 MODULES_PROBE = """
@@ -102,33 +125,49 @@ def test_post_processing_never_loads_sparse(saved_sweep, tmp_path):
          "--field-b", str(fields / "u_limit.field")],
         ["translation", "--config", cfg, "--out", str(out)],
     ]))
-    assert steps == [["import", 0, False], ["fourier-check", 0, False],
-                     ["metric", 0, False], ["translation", 0, False]]
+    assert steps == [["import", 0, False, False],
+                     ["fourier-check", 0, False, False],
+                     ["metric", 0, False, False],
+                     ["translation", 0, False, False]]
 
 
-def test_sweep_loads_sparse(saved_sweep, tmp_path):
+def test_auto_commands_never_load_sparse(saved_sweep, tmp_path):
+    # the quickstart table assembles symmetric, so under ``auto`` the
+    # sweep's rows, limit and floor probe, and the solve and limit
+    # commands, all run by CG on stencils
     cfg, _ = saved_sweep
     steps = fresh_python(CLI_PROBE, json.dumps(
-        [["sweep", "--config", cfg, "--out", str(tmp_path)]]))
-    assert steps == [["import", 0, False], ["sweep", 0, True]]
+        [[command, "--config", cfg, "--out", str(tmp_path / command)]
+         for command in ("sweep", "solve", "limit")]))
+    assert steps == [["import", 0, False, False],
+                     ["sweep", 0, False, False],
+                     ["solve", 0, False, False],
+                     ["limit", 0, False, False]]
+
+
+def test_slice_residuals_never_load_sparse():
+    # the slice systems are stencils, and a residual is one matvec
+    assert fresh_python(SLICES_PROBE) == [7, True, False, False]
 
 
 def test_stand_in_set_before_first_solve_runs_cg():
     # CG runs through the module's ``pcg``, looked up at call time, and
-    # never loads scipy.sparse.linalg; ``spla`` still resolves to it
+    # never loads scipy.sparse; ``spla`` still resolves to
+    # scipy.sparse.linalg
     got = fresh_python(STAND_IN_PROBE)
     assert got["loaded_before"] is False
     assert got["kept"] is True
     assert got["calls"] >= 1
+    assert got["sparse_after_solve"] is False
     assert got["linalg_after_solve"] is False
     assert got["spla"] == "scipy.sparse.linalg"
     assert got["residual"] <= 1e-10
 
 
 def test_symmetric_sweep_never_loads_the_lu(saved_sweep, tmp_path):
-    # the quickstart table assembles symmetric, so under ``auto`` the
-    # rows, the limit and the floor probe all run by CG; ``direct``
-    # factors them, which loads scipy.sparse.linalg
+    # the quickstart table assembles symmetric, so under ``auto`` nothing
+    # loads the sparse stack; ``direct`` lays every matrix out as CSR and
+    # factors it, which loads scipy.sparse and scipy.sparse.linalg
     cfg, _ = saved_sweep
     direct = tmp_path / "direct.cfg"
     direct.write_text(Path(cfg).read_text()
@@ -136,6 +175,6 @@ def test_symmetric_sweep_never_loads_the_lu(saved_sweep, tmp_path):
     got = [fresh_python(MODULES_PROBE, json.dumps(
                ["sweep", "--config", path, "--out", str(tmp_path / name)]))
            for path, name in ((cfg, "auto"), (str(direct), "direct"))]
-    assert got[0] == [0, True, False, False]
+    assert got[0] == [0, False, False, False]
     # scipy.sparse.linalg brings scipy.linalg with it
     assert got[1] == [0, True, True, True]

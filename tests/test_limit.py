@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import anisolab.solver
 from anisolab import (ConfigError, ScalarField, SolverError,
                       coefficient_family, forcing_field, make_grid,
                       operator_blocks, solve_limit)
-from anisolab.fd_ops import X2_BLOCK, factor_matrix
+from anisolab.fd_ops import X2_BLOCK, _block_of, factor_matrix
 from anisolab.limit import iter_slice_systems
 
-from conftest import coo_flux_matrix
+from conftest import coo_flux_matrix, csr
 from test_fd_ops import varying_asymmetric
 
 NONSYMMETRIC = [[2.0, 0.3, 0.1], [0.1, 1.5, 0.4], [0.2, -0.2, 1.2]]
@@ -41,7 +40,7 @@ def limit_of(grid, coeffs, f, **kwargs):
 def per_slice_limit(grid, coeffs, f):
     out = np.zeros(grid.node_shape)
     for _, matrix, rhs, scatter in iter_slice_systems(grid, coeffs, f):
-        scatter(spla.spsolve(matrix.tocsc(), rhs), out)
+        scatter(spla.spsolve(csr(matrix).tocsc(), rhs), out)
     return out
 
 
@@ -66,7 +65,7 @@ class TestSliceStructure:
                                                         value=1.0)))
         x = 0.5  # column 2 of 4 cells
         a22 = 1.0 + x ** 2 / 2  # diagonal entry along that slice
-        m = systems[2].toarray()
+        m = csr(systems[2]).toarray()
         h = 0.25
         assert np.allclose(np.diag(m), 2 * a22 / h ** 2)
         assert np.allclose(np.diag(m, 1), -a22 / h ** 2)
@@ -99,27 +98,29 @@ class TestBlockOperator:
         # slice-major unknowns: the X1-interior slices of the limit are
         # the full grid's unknowns in the full grid's order, and they hold
         # exactly the X2 part of every at(eps), entry by entry: its X2 x X2
-        # entries and the X2 part d22 of its diagonal
+        # offsets and the X2 part d22 of its centre row
         g, coeffs, _ = block_cases()[case]
         blocks = operator_blocks(g, coeffs)
         nodes = tuple(g.cells[a] + 1 for a in g.x1_axes)
         keep = np.arange(blocks.limit.shape[0]).reshape(
             nodes + (-1,))[(slice(1, -1),) * g.q].ravel()
-        cut = blocks.limit[keep][:, keep]
+        cut = csr(blocks.limit)[keep][:, keep]
         cut.sort_indices()
         a22 = coeffs.entries.copy()
         a22[:g.q] = 0.0
         a22[:, :g.q] = 0.0
         full = coo_flux_matrix(g.cells, g.spacing, a22)
+        x2 = np.array([_block_of(key, g.q) == X2_BLOCK
+                       for key in blocks.unscaled.offsets])
         for eps in (1.0, 0.3, 1e-4):
             at = blocks.at(eps).matrix
-            data = np.where(blocks.block == X2_BLOCK, at.data, 0.0)
-            data[blocks.diagonal] = blocks.d22
-            part = sp.csr_matrix((data, at.indices.copy(),
-                                  at.indptr.copy()), shape=at.shape)
-            part.eliminate_zeros()
-            assert np.array_equal(at.diagonal(),
+            centre = at.centre
+            assert np.array_equal(at.rows[centre],
                                   eps ** 2 * blocks.d11 + blocks.d22)
+            rows = np.where(x2[:, None], at.rows, 0.0)
+            rows[centre] = blocks.d22
+            part = csr(at.with_rows(rows))
+            part.eliminate_zeros()
             for ref in (cut, full):
                 for name in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(part, name),
@@ -136,7 +137,7 @@ class TestBlockOperator:
         monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
         flags = []
         for g, c, f in block_cases():
-            limit = operator_blocks(g, c).limit.toarray()
+            limit = csr(operator_blocks(g, c).limit).toarray()
             flags.append(np.array_equal(limit, limit.T))
             limit_of(g, c, f, method="direct")
         assert flags == [True, True, True, False]

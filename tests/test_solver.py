@@ -16,6 +16,7 @@ from anisolab.solver import (fast_diagonal_preconditioner, pcg,
                              relative_residual, resolve_method,
                              sine_transform)
 
+from conftest import csr
 from test_fd_ops import BLOCK_CASES, sine_eigenvector, varying_asymmetric
 
 
@@ -69,7 +70,7 @@ class TestDirect:
             g, scale_coefficients(coefficient_family("variable", g), 0.1))
         assert op.symmetric
         got = solve_dirichlet(op, f).interior_vector()
-        colamd = spla.splu(op.matrix.tocsc(), permc_spec="COLAMD")
+        colamd = spla.splu(csr(op.matrix).tocsc(), permc_spec="COLAMD")
         ref = colamd.solve(f.interior_vector())
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
         lu = op.factor()
@@ -194,7 +195,7 @@ def slice_blocks(tables, cells=16):
     node table, and its fast-diagonalization preconditioner."""
     h = (1.0 / cells,)
     matrix = sp.block_diag(
-        [assemble_flux_matrix((cells,), h, t.reshape(1, 1, -1))
+        [csr(assemble_flux_matrix((cells,), h, t.reshape(1, 1, -1)))
          for t in tables], format="csr")
     means = [[t.mean()] for t in tables]
     return matrix, fast_diagonal_preconditioner((cells,), h, means)

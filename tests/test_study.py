@@ -118,13 +118,10 @@ class TestRunSweep:
         assert all(a > b for a, b in zip(d, d[1:]))
 
     def test_operator_blocks_built_once(self, monkeypatch):
-        import scipy.sparse as sp
-
         import anisolab.fd_ops as fd_ops
         import anisolab.study as study
         calls = {"assemble_operator": 0, "operator_blocks": 0,
-                 "_stencil_csr": 0, "is_symmetric": 0, "tocsr": 0,
-                 "__add__": 0}
+                 "_stencil_rows": 0, "_stencil_csr": 0}
 
         def counted(owner, name):
             real = getattr(owner, name)
@@ -136,19 +133,17 @@ class TestRunSweep:
 
         counted(study, "assemble_operator")
         counted(study, "operator_blocks")
+        counted(fd_ops, "_stencil_rows")
         counted(fd_ops, "_stencil_csr")
-        counted(fd_ops, "is_symmetric")
-        counted(sp.coo_matrix, "tocsr")
-        counted(sp.csr_matrix, "__add__")
-        rep = run_sweep(small_config(epsilons=[1.0, 0.5, 0.25, 0.125]))
+        cfg = small_config(epsilons=[1.0, 0.5, 0.25, 0.125])
+        assert cfg.solver_method == "auto"
+        rep = run_sweep(cfg)
         assert rep.complete
         # the one operator assembly left is the floor probe's; the blocks
-        # lay out two stencils, the full grid's and the limit's.  No
-        # matrix goes through COO triplets or a sparse sum, and symmetry
-        # is read off the stencils
+        # lay out two stencils, the full grid's and the limit's.  Under
+        # auto every solve runs by CG on the stencils: no CSR is laid out
         assert calls == {"assemble_operator": 1, "operator_blocks": 1,
-                         "_stencil_csr": 3, "is_symmetric": 0, "tocsr": 0,
-                         "__add__": 0}
+                         "_stencil_rows": 3, "_stencil_csr": 0}
 
     @staticmethod
     def check_auto_matches_direct(monkeypatch, cfg):
