@@ -31,8 +31,16 @@ X2 x X2 blocks.  ``OperatorBlocks.at(eps)`` scales each offset's row by
 its block's power of eps, the centre row's X1 and X2 parts kept apart.
 The limit operator is the X2 stencil over every X1 node.
 
+CG's preconditioner inverts a separable fit of the table's diagonal,
+``SeparableFit``: each a_dd as its node mean times one profile per axis,
+normalized axis means of the table.  ``assemble_operator`` and
+``operator_blocks`` compute it from the table with the means; its axis
+pencils, one dense numpy ``eigh`` per non-flat axis, are built when a CG
+solve first asks for them.
+
 scipy is imported only for an LU: ``factor_matrix`` lays a stencil out as
-canonical CSR (``_stencil_csr``, which loads ``scipy.sparse``) and
+canonical CSR (``_stencil_csr``, which loads ``scipy.sparse``; the
+pattern is laid out once per stencil layout, the data per matrix) and
 factors it with ``scipy.sparse.linalg``.  Assembly, ``at(eps)``, the
 matvec and every CG solve never load the sparse stack, and neither do
 the difference kernels and the post-processing that uses only them
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -64,6 +73,7 @@ __all__ = [
     "assemble_flux_matrix",
     "operator_blocks",
     "OperatorBlocks",
+    "SeparableFit",
     "apply_nondivergence",
     "factor_matrix",
 ]
@@ -188,6 +198,10 @@ class Stencil:
     per offset, in increasing flat order: the order in which a CSR matvec
     sums a row of sorted columns.  An out-of-box slot adds an exact zero,
     so for finite ``x`` the product equals the CSR one bit for bit.
+    ``matvec`` writes the same product into the caller's array, through
+    the caller's ``workspace``.  The CSR pattern is laid out once per
+    layout, box and offsets, and shared by every stencil ``with_rows``
+    derives from this one.
     """
 
     def __init__(self, box: Sequence[int],
@@ -198,6 +212,8 @@ class Stencil:
         strides = _strides(self.box)
         self.flats = tuple(_flat(key, strides) for key in self.offsets)
         self._pad = max(map(abs, self.flats), default=0)
+        # the CSR pattern, laid out on first use
+        self._layout: dict = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -217,28 +233,121 @@ class Stencil:
         return self.offsets.index(zero) if zero in self.offsets else None
 
     def with_rows(self, rows: np.ndarray) -> Stencil:
-        """The same stencil with other coefficients."""
-        return Stencil(self.box, self.offsets, rows)
+        """The same stencil with other coefficients, sharing this one's
+        layout."""
+        other = Stencil(self.box, self.offsets, rows)
+        other._layout = self._layout
+        return other
 
     def __matmul__(self, x) -> np.ndarray:
+        return self.matvec(x, np.empty(self.shape[0]), self.workspace())
+
+    def workspace(self) -> tuple[np.ndarray, np.ndarray]:
+        """The buffers of ``matvec``: a zero-padded vector and a scratch
+        row, for any stencil of this layout."""
+        n = self.shape[0]
+        return np.zeros(n + 2 * self._pad), np.empty(n)
+
+    def matvec(self, x, out: np.ndarray,
+               work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """``self @ x`` written into ``out``, which is returned.
+
+        Allocates nothing: ``x`` is copied into the padded vector of
+        ``work`` (``workspace``), whose ends stay zero, and every offset's
+        product goes through its scratch row.
+        """
         n, pad = self.shape[0], self._pad
         x = np.asarray(x)
         if x.shape != (n,):
             raise ValueError(f"matvec of a {self.shape} stencil with a "
                              f"vector of shape {x.shape}")
         if not self.offsets:
-            return np.zeros(n)
-        padded = np.empty(n + 2 * pad)
-        padded[:pad] = 0.0
-        padded[pad + n:] = 0.0
+            out[:] = 0.0
+            return out
+        padded, scratch = work
         padded[pad:pad + n] = x
         windows = [padded[pad + f:pad + f + n] for f in self.flats]
-        y = np.multiply(self.rows[0], windows[0])
-        scratch = np.empty(n)
+        np.multiply(self.rows[0], windows[0], out=out)
         for row, window in zip(self.rows[1:], windows[1:]):
             np.multiply(row, window, out=scratch)
-            y += scratch
-        return y
+            out += scratch
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class SeparableFit:
+    """The separable fit of a table's diagonal that CG's preconditioner
+    inverts: ``a_dd(x) ~ c_d profile[d](x_d) prod_{e != d} weight[e](x_e)``.
+
+    c_d is the node mean of a_dd (the operator's ``axis_means``), which
+    carries every scaling, so one fit serves every epsilon.  The profile
+    of a_dd along axis e is its node mean over every other axis divided
+    by c_d.  ``profile[d]`` is a_dd's own along axis d, over the nodes of
+    that axis; ``weight[e]`` is the geometric mean of the other a_dd's
+    along axis e, over its interior nodes.  None stands for a flat
+    profile, all ones: a constant table is flat on every axis, and so is
+    any table with a nonpositive or non-finite a_dd, whose fit stays the
+    node means.  The fit is exact for a 2-D table whose a_dd are each a
+    product of one function per axis.
+    """
+
+    spacing: tuple[float, ...]
+    profile: tuple[np.ndarray | None, ...]
+    weight: tuple[np.ndarray | None, ...]
+
+    @cached_property
+    def pencils(self) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
+        """Per axis d, None where both profiles are flat, else ``(V, lam)``.
+
+        ``V`` and ``lam`` are the eigenpairs of the 1-D pencil of axis d,
+        the flux operator ``T`` of ``profile[d]`` (arithmetic face means,
+        Dirichlet ends, as ``assemble_flux_matrix``) against
+        ``W = diag(weight[d])``: ``V^T T V = diag(lam)`` and
+        ``V^T W V = I``, from one ``eigh`` of ``W^-1/2 T W^-1/2``
+        (Lynch, Rice & Thomas 1964).  Built on first use, then kept.
+        """
+        out = []
+        for p, w, h in zip(self.profile, self.weight, self.spacing):
+            if p is None and w is None:
+                out.append(None)
+                continue
+            m = len(p) - 2 if w is None else len(w)
+            p = np.ones(m + 2) if p is None else p
+            faces = (p[:-1] + p[1:]) / (2 * h ** 2)
+            t = (np.diag(faces[:-1] + faces[1:])
+                 - np.diag(faces[1:-1], 1) - np.diag(faces[1:-1], -1))
+            s = np.ones(m) if w is None else 1.0 / np.sqrt(w)
+            lam, q = np.linalg.eigh(s[:, None] * t * s)
+            v = s[:, None] * q
+            v.flags.writeable = False
+            out.append((v, lam))
+        return tuple(out)
+
+
+def _separable_fit(spacing: Sequence[float],
+                   entries: np.ndarray) -> SeparableFit:
+    """The ``SeparableFit`` of an entry table's diagonal."""
+    n = entries.shape[0]
+    diagonal = [entries[d, d] for d in range(n)]
+    # profiles[d][e]: a_dd's profile along axis e, None where flat; a
+    # nonpositive or non-finite a_dd leaves every profile flat
+    profiles = [[None] * n for _ in range(n)]
+    if all(np.all(np.isfinite(a)) and a.min() > 0 for a in diagonal):
+        for d, a in enumerate(diagonal):
+            mean = a.mean()
+            for e in range(n):
+                m = a.mean(axis=tuple(x for x in range(n) if x != e))
+                if not np.all(m == m[0]):
+                    profiles[d][e] = m / mean
+    weight = []
+    for e in range(n):
+        cross = [profiles[d][e] for d in range(n)
+                 if d != e and profiles[d][e] is not None]
+        weight.append(np.prod(cross, axis=0)[1:-1] ** (1.0 / (n - 1))
+                      if cross else None)
+    return SeparableFit(spacing=tuple(float(h) for h in spacing),
+                        profile=tuple(profiles[d][d] for d in range(n)),
+                        weight=tuple(weight))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,15 +356,16 @@ class SparseOperator:
 
     ``matrix`` is the operator's ``Stencil``; ``symmetric`` is its exact
     symmetry, read off the stencil.  ``axis_means[d]`` is the node mean
-    of the diagonal entry a_dd: the constant table they form is what the
-    CG preconditioner inverts.  ``factor`` returns a fresh LU on every
-    call.
+    of the diagonal entry a_dd and ``fit`` the separable fit of the
+    diagonal: together they are the table the CG preconditioner inverts.
+    ``factor`` returns a fresh LU on every call.
     """
 
     matrix: Stencil
     grid: Grid
     symmetric: bool
     axis_means: tuple[float, ...]
+    fit: SeparableFit
 
     @property
     def n_unknowns(self) -> int:
@@ -272,34 +382,54 @@ class SparseOperator:
         return factor_matrix(self.matrix, self.symmetric)
 
 
-def _stencil_csr(matrix: Stencil) -> sp.csr_matrix:
-    """Canonical CSR of a stencil matrix, the one CSR layout.
+def _csr_pattern(matrix: Stencil
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept slots, ``indices`` and ``indptr`` of a stencil's CSR.
 
     The offsets are taken in increasing flat order, one slot of every row
     each, and a slot is kept where its neighbour lies in the box;
     compressing the kept slots row by row gives sorted columns, each
     row's count of them gives ``indptr``, and the column of a slot is its
-    row plus the flat offset.  Indices are int32 where they fit.  Only an
-    LU needs it (``factor_matrix``), so only an LU loads scipy.sparse.
+    row plus the flat offset.  Indices are int32 where they fit.  Laid
+    out once per layout and read-only: every Jacobian of a Newton solve
+    and every row of a sweep shares it.
+    """
+    if "csr" not in matrix._layout:
+        shape = matrix.box
+        n = matrix.shape[0]
+        k = len(matrix.offsets)
+        kept = np.zeros((k,) + shape, dtype=bool)
+        for slot, key in enumerate(matrix.offsets):
+            kept[(slot,) + _valid_box(key, shape)] = True
+        kept = kept.reshape(k, n).T
+        counts = kept.sum(axis=1)
+        nnz = int(counts.sum())
+        idx = (np.int32 if max(nnz, n) <= np.iinfo(np.int32).max
+               else np.int64)
+        indptr = np.zeros(n + 1, dtype=idx)
+        indptr[1:] = np.cumsum(counts)
+        indices = (np.arange(n, dtype=idx)[:, None]
+                   + np.array(matrix.flats, dtype=idx))[kept]
+        for array in (kept, indices, indptr):
+            array.flags.writeable = False
+        matrix._layout["csr"] = kept, indices, indptr
+    return matrix._layout["csr"]
+
+
+def _stencil_csr(matrix: Stencil) -> sp.csr_matrix:
+    """Canonical CSR of a stencil matrix, the one CSR layout.
+
+    Its pattern is the layout's (``_csr_pattern``), copied so that the
+    matrix is the caller's to edit; only ``data`` is gathered from the
+    rows.  Only an LU needs it (``factor_matrix``), so only an LU loads
+    scipy.sparse.
     """
     import scipy.sparse as sp
 
-    shape = matrix.box
     n = matrix.shape[0]
-    k = len(matrix.offsets)
-    kept = np.zeros((k,) + shape, dtype=bool)
-    for slot, key in enumerate(matrix.offsets):
-        kept[(slot,) + _valid_box(key, shape)] = True
-    kept = kept.reshape(k, n).T
-    counts = kept.sum(axis=1)
-    nnz = int(counts.sum())
-    idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=idx)
-    indptr[1:] = np.cumsum(counts)
-    indices = (np.arange(n, dtype=idx)[:, None]
-               + np.array(matrix.flats, dtype=idx))[kept]
-    csr = sp.csr_matrix((matrix.rows.T[kept], indices, indptr),
-                        shape=(n, n))
+    kept, indices, indptr = _csr_pattern(matrix)
+    csr = sp.csr_matrix((matrix.rows.T[kept], indices.copy(),
+                         indptr.copy()), shape=(n, n))
     csr.has_canonical_format = True
     return csr
 
@@ -459,7 +589,8 @@ def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
     entries = coeffs.entries
     matrix, symmetric = _flux_operator(grid.spacing, entries)
     return SparseOperator(matrix=matrix, grid=grid, symmetric=symmetric,
-                          axis_means=_axis_means(entries))
+                          axis_means=_axis_means(entries),
+                          fit=_separable_fit(grid.spacing, entries))
 
 
 # the block of a stencil offset: the X2 x X2, mixed and X1 x X1 labels
@@ -493,8 +624,10 @@ class OperatorBlocks:
     included, slice-major; no entry couples two slices.
     ``limit_symmetric`` is its exact symmetry.  ``axis_means`` are the
     node means of the unscaled a_dd, and row k of ``limit_means`` holds
-    those of the X2 a_dd over slice k of ``limit``: the tables the CG
-    preconditioners invert.
+    those of the X2 a_dd over slice k of ``limit``.  ``fit`` is the
+    unscaled table's ``SeparableFit``: with the scaled means, the table
+    every row's CG preconditioner inverts; the limit's inverts its
+    slices' means.
     """
 
     grid: Grid
@@ -506,6 +639,7 @@ class OperatorBlocks:
     limit_symmetric: bool
     axis_means: np.ndarray
     limit_means: np.ndarray
+    fit: SeparableFit
 
     def at(self, epsilon: float) -> SparseOperator:
         """``eps^2 L11 + eps L12 + L22``, the operator of the scaled table:
@@ -523,7 +657,7 @@ class OperatorBlocks:
         means = tuple(float(m) for m in np.diag(fac) * self.axis_means)
         return SparseOperator(matrix=pattern.with_rows(rows),
                               grid=self.grid, symmetric=self.symmetric,
-                              axis_means=means)
+                              axis_means=means, fit=self.fit)
 
 
 def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
@@ -570,7 +704,8 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
                           symmetric=symmetric,
                           limit=limit, limit_symmetric=limit_symmetric,
                           axis_means=np.array(_axis_means(entries)),
-                          limit_means=limit_means)
+                          limit_means=limit_means,
+                          fit=_separable_fit(spacings, entries))
 
 
 def apply_nondivergence(coeffs: CoefficientField,

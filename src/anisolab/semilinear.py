@@ -105,6 +105,6 @@ def picard_solve(op: SparseOperator, f: ScalarField, a: Nonlinearity,
     u, iters, rel = newton_solve(op.matrix, f.interior_vector(), a,
                                  op.symmetric, grid.cells, grid.spacing,
                                  [op.axis_means], tol, max_iter, method,
-                                 maxiter_factor)
+                                 maxiter_factor, fit=op.fit)
     return PicardResult(field=ScalarField.from_interior(grid, u),
                         iterations=int(iters[0]), residual=float(rel[0]))

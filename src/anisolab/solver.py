@@ -23,9 +23,11 @@ a hard cap of ``maxiter_factor * sqrt(unknowns per block)`` iterations
 (default 20); a block the cap leaves short of its test raises
 SolverError.  A block's CG stops at the forcing term ``tol / rel``,
 ``rel`` its relative residual, where a' vanishes, so that a linear step
-lands within ``tol``, and at the Eisenstat-Walker term
-``min(1e-2, rel)`` elsewhere.  Other matrices get a sparse direct
-factorization with COLAMD ordering and partial pivoting.
+lands within ``tol``, and elsewhere at the Eisenstat-Walker term
+``min(1e-2, rel)`` floored at ``0.5 tol / rel`` (Kelley 1995, sec. 6.3),
+so that the last step solves no further below the gate than it needs.
+Other matrices get a sparse direct factorization with COLAMD ordering
+and partial pivoting.
 ``method = "direct"``, ``solve_dirichlet``'s own default, factors
 symmetric matrices too, in symmetric mode with minimum-degree ordering of
 ``A + A^T`` and diagonal pivots (see ``fd_ops.factor_matrix``).  Where a'
@@ -34,23 +36,35 @@ each step factors its own J.
 
 ``pcg`` is one numpy conjugate-gradient loop over ``B`` independent equal
 blocks of a block-diagonal system, each block with its own step lengths
-and stopping test, all applied through one stencil matvec.
+and stopping test, all applied through one stencil matvec.  It updates
+its vectors in place, and the matvec writes into the loop's own array
+through the loop's own workspace.
 
 CG is preconditioned by fast diagonalization (Lynch, Rice & Thomas 1964):
-the preconditioner of a block is the constant-coefficient operator whose
-table is diagonal, entry d being the node mean of the block's scaled
-a_dd (``op.axis_means`` for a full grid, ``OperatorBlocks.limit_means``
-for the limit slices).  On the uniform Dirichlet box the orthonormal
-DST-I diagonalizes it exactly, so its inverse costs two sine transforms
-and a division; the sine matrices are built once per size and shared.
-It carries the epsilon scaling of the operator, so the iteration count
-stays nearly flat as epsilon shrinks, where diagonal (Jacobi) scaling
-needs hundreds of iterations.  J keeps the matrix's symmetry and block
-means, hence one preconditioner serves every step of a solve.
+the preconditioner of a block is the flux operator of a separable
+diagonal table, ``a_dd(x) ~ c_d p_dd(x_d) prod_{e != d} R_e(x_e)``.  c_d
+is the node mean of the block's scaled a_dd (``op.axis_means`` for a
+full grid, ``OperatorBlocks.limit_means`` for the limit slices); the
+full grid's axis profiles p_dd and R_e are its ``fd_ops.SeparableFit``,
+and the limit slices keep flat ones.  Such an operator is a sum of
+Kronecker products, which one generalized eigendecomposition per axis
+diagonalizes: on a flat axis the orthonormal DST-I, whose sine matrices
+are built once per size and shared; on any other the axis pencil, one
+dense ``eigh`` per ``operator_blocks`` (``SeparableFit.pencils``), built
+on the first CG solve and shared by every epsilon, whose scaling only
+moves c_d.  Either way the inverse costs one transform per axis each
+way and a division.  The fit is exact in 2-D for a_dd that are products
+of one function per axis, such as a coefficient that jumps in X1 only,
+and it carries the epsilon scaling of the operator, so the iteration
+count stays nearly flat as epsilon shrinks, where diagonal (Jacobi)
+scaling needs hundreds of iterations.  J keeps the matrix's symmetry
+and block means, hence one preconditioner serves every step of a
+solve.
 
-No CG solve loads ``scipy.sparse`` or ``scipy.sparse.linalg``: the
-matrices are stencils and their matvec is numpy.  Only an LU loads them,
-laying the stencil out as CSR first (``fd_ops.factor_matrix``).  The
+No CG solve loads ``scipy.sparse``, ``scipy.sparse.linalg`` or
+``scipy.linalg``: the matrices are stencils, their matvec is numpy, and
+so is the pencils' ``eigh``.  Only an LU loads them, laying the
+stencil out as CSR first (``fd_ops.factor_matrix``).  The
 module attribute ``spla`` still resolves to ``scipy.sparse.linalg``,
 imported on first lookup by the module's ``__getattr__``, for code
 outside the package that reads it; nothing in the package calls it.
@@ -65,7 +79,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .fd_ops import SparseOperator, Stencil, factor_matrix
+from .fd_ops import SeparableFit, SparseOperator, Stencil, factor_matrix
 from .grid import ScalarField
 
 if TYPE_CHECKING:
@@ -78,8 +92,10 @@ __all__ = ["solve_dirichlet", "newton_solve", "resolve_method",
 # Armijo sufficient-decrease constant and the most halvings of one step
 ARMIJO = 1e-4
 MAX_HALVINGS = 30
-# the largest forcing term of a CG Newton step
+# the largest forcing term of a CG Newton step, and the floor of a
+# nonlinear one, FORCING_FLOOR * tol / rel
 MAX_FORCING = 1e-2
+FORCING_FLOOR = 0.5
 
 
 def __getattr__(name: str):
@@ -118,66 +134,84 @@ def _sine_matrices(shape) -> list[np.ndarray]:
     return [_sine_matrix(int(m)) for m in shape]
 
 
-def _apply_sines(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Orthonormal DST-I along every axis of ``x`` but the first, which
-    indexes blocks.
+def _apply_axes(x: np.ndarray, mats) -> np.ndarray:
+    """One matrix along every axis of ``x`` but the first, which indexes
+    blocks.
 
-    Each box axis is one stack of matrix products over the axes around
-    it, so every product is a BLAS matrix multiply whatever the layout.
+    ``mats[d]`` is a pair ``(right, left)`` of one matrix M for axis
+    d + 1: ``right`` is M^T and ``left`` is M, so that a sine matrix,
+    symmetric, is passed as itself twice.  Each box axis is one stack of
+    matrix products over the axes around it, so every product is a BLAS
+    matrix multiply whatever the layout.
     """
     shape = x.shape
-    for d, s in enumerate(mats, start=1):
+    for d, (right, left) in enumerate(mats, start=1):
         before = math.prod(shape[:d])
         after = math.prod(shape[d + 1:])
         if after == 1:
-            # the sine matrices are symmetric: right-multiplying transforms
-            # the last axis of every block at once
-            x = x.reshape(before, shape[d]) @ s
+            # right-multiplying transforms the last axis of every block
+            # at once
+            x = x.reshape(before, shape[d]) @ right
         else:
-            x = np.matmul(s, x.reshape(before, shape[d], after))
+            x = np.matmul(left, x.reshape(before, shape[d], after))
     return x.reshape(shape)
 
 
 def sine_transform(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along every axis of ``x``; its own inverse."""
     x = np.asarray(x, dtype=float)
-    return _apply_sines(x[None], _sine_matrices(x.shape))[0]
+    return _apply_axes(x[None], [(s, s) for s in _sine_matrices(x.shape)])[0]
 
 
 def fast_diagonal_preconditioner(cells: Sequence[int],
                                  spacing: Sequence[float],
-                                 means) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact inverses of constant diagonal tables, one per block.
+                                 means, fit: SeparableFit | None = None
+                                 ) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact inverses of separable diagonal tables, one per block.
 
     Every block is the interior of one box of ``cells`` cells and
     ``spacing`` spacings; row b of ``means``, shape ``(B, len(cells))``,
-    is block b's table.  The returned callable maps residuals of shape
-    ``(B, n)`` to preconditioned ones of the same shape.  Block b's
-    eigenvalues on the interior lattice are
-    ``sum_d means[b, d] (4 / h_d^2) sin^2(pi k_d / (2 n_d))`` with the
-    DST-I modes as eigenvectors; a nonpositive one raises SolverError,
-    since the preconditioner must be positive definite for CG.
+    with ``fit`` (``fd_ops.SeparableFit``; None is flat on every axis,
+    as for the limit slices) is block b's table.  The returned callable maps residuals of shape
+    ``(B, n)`` to preconditioned ones of the same shape.  An axis whose
+    fit is flat has the DST-I modes as eigenvectors and the eigenvalues
+    ``(4 / h_d^2) sin^2(pi k_d / (2 n_d))``; any other axis has its
+    pencil's (``SeparableFit.pencils``).  Block b's eigenvalue is the sum
+    over axes of ``means[b, d]`` times axis d's; a nonpositive one raises
+    SolverError, since the preconditioner must be positive definite for
+    CG.
     """
     means = np.asarray(means, dtype=float)
     shape = tuple(int(n) - 1 for n in cells)
+    pencils = (None,) * len(shape) if fit is None else fit.pencils
     lam = np.zeros((len(means),) + shape)
-    for d, (n, h) in enumerate(zip(cells, spacing)):
-        k = np.arange(1, n)
+    forward, inverse = [], []
+    for d, (n, h, pencil) in enumerate(zip(cells, spacing, pencils)):
         along_d = [1] * lam.ndim
         along_d[d + 1] = n - 1
+        if pencil is None:
+            k = np.arange(1, n)
+            lam_d = (4.0 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2
+            s = _sine_matrix(int(n) - 1)
+            forward.append((s, s))
+            inverse.append((s, s))
+        else:
+            v, lam_d = pencil
+            # a transposed right factor is slow in BLAS at some sizes
+            vt = np.ascontiguousarray(v.T)
+            forward.append((v, vt))
+            inverse.append((vt, v))
         lam += (means[:, d].reshape((-1,) + (1,) * len(shape))
-                * ((4.0 / h ** 2)
-                   * np.sin(np.pi * k / (2 * n)) ** 2).reshape(along_d))
+                * lam_d.reshape(along_d))
     if not lam.min() > 0:
         block = np.unravel_index(np.argmin(lam), lam.shape)[0]
         raise SolverError(
             f"fast-diagonalization preconditioner has eigenvalue "
             f"{lam.min():.3e} <= 0 (axis means {tuple(means[block])})")
-    mats = _sine_matrices(shape)
 
     def solve(r: np.ndarray) -> np.ndarray:
-        z = _apply_sines(np.reshape(r, lam.shape), mats) / lam
-        return _apply_sines(z, mats).reshape(len(lam), -1)
+        z = _apply_axes(np.reshape(r, lam.shape), forward) / lam
+        return _apply_axes(z, inverse).reshape(len(lam), -1)
 
     return solve
 
@@ -186,18 +220,18 @@ def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
         tol, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Preconditioned CG on the ``B`` independent equal blocks of ``b``.
 
-    ``b`` has shape ``(B, n)`` and ``matrix``, symmetric positive
-    definite, couples no two blocks.  Each block has its own step lengths
-    ``alpha`` and ``beta`` and its own stopping test
+    ``b`` has shape ``(B, n)`` and ``matrix``, a symmetric positive
+    definite ``Stencil``, couples no two blocks.  Each block has its own
+    step lengths ``alpha`` and ``beta`` and its own stopping test
     ``|r_b| <= tol_b |b_b|`` on the recurrence residual, ``tol`` being one
     value or one per block.  A block that meets it, or whose search
     direction has no positive curvature, is frozen: its iterate never
     changes again.  A block whose right-hand side is zero starts frozen
     at zero.  Every step applies ``matrix`` to all blocks through one
-    matvec.  Runs at most ``maxiter`` steps from zero and returns the
-    iterate, shape ``(B, n)``, the steps each block took, and the mask of
-    the blocks that were still short of their test when the cap stopped
-    them.
+    matvec, into arrays of the loop's own.  Runs at most ``maxiter``
+    steps from zero and returns the iterate, shape ``(B, n)``, the steps
+    each block took, and the mask of the blocks that were still short of
+    their test when the cap stopped them.
     """
     b = np.asarray(b, dtype=float)
     nblocks = len(b)
@@ -212,6 +246,9 @@ def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
     # with p = 0 the first beta multiplies nothing, so rz may start at 1
     p = np.zeros_like(b)
     rz = np.ones(nblocks)
+    # p, x and r are updated in place, through q and one scratch array
+    q, scaled = np.empty_like(b), np.empty_like(b)
+    work = matrix.workspace()
     for _ in range(maxiter):
         if not active.any():
             break
@@ -220,15 +257,16 @@ def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
         beta = np.divide(rz_new, rz, out=np.zeros(nblocks),
                          where=active & (rz != 0))
         rz = rz_new
-        p = z + beta[:, None] * p
+        p *= beta[:, None]
+        p += z
         p[~active] = 0.0
-        q = (matrix @ p.ravel()).reshape(b.shape)
+        matrix.matvec(p.reshape(-1), q.reshape(-1), work)
         pq = dot(p, q)
         # a block with no positive curvature along p can take no step
         active &= pq > 0
         alpha = np.divide(rz, pq, out=np.zeros(nblocks), where=active)
-        x += alpha[:, None] * p
-        r -= alpha[:, None] * q
+        x += np.multiply(alpha[:, None], p, out=scaled)
+        r -= np.multiply(alpha[:, None], q, out=scaled)
         steps += active
         active &= ~(np.linalg.norm(r, axis=1) <= target)
     return x, steps, active
@@ -279,16 +317,18 @@ def newton_solve(matrix: Stencil, rhs: np.ndarray, a: Nonlinearity,
                  spacing: Sequence[float], means, tol: float = 1e-10,
                  max_iter: int = 200, method: str = "direct",
                  maxiter_factor: float = 20.0,
-                 where: Callable[[int], str] = lambda k: ""
+                 where: Callable[[int], str] = lambda k: "",
+                 fit: SeparableFit | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual-gated Newton for ``matrix u = a(u) + rhs`` from u = 0.
 
     The unknowns split into ``len(means)`` equal, decoupled blocks, each
     the interior of one box of ``cells`` cells and ``spacing`` spacings;
-    row b of ``means`` holds block b's a_dd means, the table its CG
-    preconditioner inverts.  ``symmetric`` is the exact symmetry of
-    ``matrix`` and picks the route with ``method`` (see the module
-    docstring); ``maxiter_factor`` caps each CG solve at
+    row b of ``means`` holds block b's a_dd means, which with ``fit``
+    form the table its CG preconditioner inverts
+    (``fast_diagonal_preconditioner``).  ``symmetric`` is the exact
+    symmetry of ``matrix`` and picks the route with ``method`` (see the
+    module docstring); ``maxiter_factor`` caps each CG solve at
     ``iteration_cap`` of one block's unknowns.  Each block has its own
     residual gate, forcing term and line search, and is frozen once it
     meets its gate; ``where(k)`` prefixes every error that names block
@@ -300,7 +340,7 @@ def newton_solve(matrix: Stencil, rhs: np.ndarray, a: Nonlinearity,
     route = _route(symmetric, method)
     blocks = len(means)
     if route == "cg":
-        precond = fast_diagonal_preconditioner(cells, spacing, means)
+        precond = fast_diagonal_preconditioner(cells, spacing, means, fit)
         cap = iteration_cap(rhs.size // blocks, maxiter_factor)
     lu = None
 
@@ -340,7 +380,9 @@ def newton_solve(matrix: Stencil, rhs: np.ndarray, a: Nonlinearity,
         if deriv.any():
             J = jacobian(matrix, a, u)
         if route == "cg":
-            forcing = np.minimum(MAX_FORCING, rel)
+            floor = np.divide(FORCING_FLOOR * tol, rel,
+                              out=np.zeros(blocks), where=active)
+            forcing = np.maximum(np.minimum(MAX_FORCING, rel), floor)
             np.divide(tol, rel, out=forcing, where=active & ~deriv.reshape(
                 blocks, -1).any(axis=1))
             # blocks already within tol take a zero right-hand side and

@@ -393,9 +393,17 @@ class TestStencilAssembly:
         assert np.array_equal(layout.data.view(np.int64),
                               ref.data.view(np.int64))
         # the matvec sums each row in the CSR's order, bit for bit
-        x = np.random.default_rng(got.nnz).standard_normal(got.shape[0])
+        rng = np.random.default_rng(got.nnz)
+        x = rng.standard_normal(got.shape[0])
         assert np.array_equal((got @ x).view(np.int64),
                               (layout @ x).view(np.int64))
+        # matvec writes the same bits into the caller's array, and a
+        # reused workspace keeps its padding zero
+        out, work = np.full(got.shape[0], np.nan), got.workspace()
+        for y in (x, rng.standard_normal(got.shape[0])):
+            assert got.matvec(y, out, work) is out
+            assert np.array_equal(out.view(np.int64),
+                                  (layout @ y).view(np.int64))
 
     @given(st.sampled_from([(2, 1), (3, 1), (3, 2)]),
            st.lists(st.integers(2, 5), min_size=3, max_size=3),
@@ -455,6 +463,25 @@ class TestStencilAssembly:
         for x in (np.ones(8), np.ones(1), np.ones((9, 1))):
             with pytest.raises(ValueError):
                 matrix @ x
+
+    def test_csr_pattern_laid_out_once_per_layout(self, unit_square):
+        # a stencil and every with_rows copy share one read-only CSR
+        # pattern; each CSR gets its own copy of it, free to edit
+        g = unit_square(6)
+        op = operator_blocks(g, coefficient_family("variable", g)).at(0.5)
+        jac = op.matrix.with_rows(2.0 * op.matrix.rows)
+        first, second = csr(op.matrix), csr(jac)
+        kept, indices, indptr = op.matrix._layout["csr"]
+        assert jac._layout["csr"][1] is indices
+        assert not (kept.flags.writeable or indices.flags.writeable
+                    or indptr.flags.writeable)
+        for layout in (first, second):
+            assert not np.shares_memory(layout.indices, indices)
+            assert not np.shares_memory(layout.indptr, indptr)
+        assert np.array_equal(second.data, 2.0 * first.data)
+        first.data[:] = 0.0
+        first.eliminate_zeros()
+        assert np.array_equal(csr(op.matrix).indices, second.indices)
 
     def test_all_zero_table_assembles_empty(self, unit_square):
         g = unit_square(4)

@@ -172,9 +172,18 @@ def test_symmetric_sweep_never_loads_the_lu(saved_sweep, tmp_path):
     direct = tmp_path / "direct.cfg"
     direct.write_text(Path(cfg).read_text()
                       + "\n[solver]\nmethod = direct\n")
+    # a variable table builds its preconditioner's pencils, by numpy's
+    # eigh: no scipy.linalg either
+    variable = tmp_path / "variable.cfg"
+    text = Path(cfg).read_text()
+    variable.write_text(text.replace(
+        "family = constant\nmatrix = 2.0 0.5 ; 0.5 1.0", "family = variable"))
+    assert variable.read_text() != text
     got = [fresh_python(MODULES_PROBE, json.dumps(
                ["sweep", "--config", path, "--out", str(tmp_path / name)]))
-           for path, name in ((cfg, "auto"), (str(direct), "direct"))]
+           for path, name in ((cfg, "auto"), (str(direct), "direct"),
+                              (str(variable), "variable"))]
     assert got[0] == [0, False, False, False]
     # scipy.sparse.linalg brings scipy.linalg with it
     assert got[1] == [0, True, True, True]
+    assert got[2] == [0, False, False, False]

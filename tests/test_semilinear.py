@@ -4,14 +4,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
+import anisolab.solver
 from anisolab import (ConfigError, ScalarField, SolverError,
                       assemble_operator, coefficient_family, forcing_field,
                       make_grid, nonlinearity_family, operator_blocks,
-                      picard_solve, semilinear_limit, solve_dirichlet,
-                      solve_limit)
+                      picard_solve, scale_coefficients, semilinear_limit,
+                      solve_dirichlet, solve_limit)
 from anisolab.fd_ops import Stencil
 from anisolab.limit import iter_slice_systems
-from anisolab.solver import ARMIJO, jacobian
+from anisolab.solver import ARMIJO, jacobian, pcg
 
 from conftest import csr, is_symmetric
 
@@ -186,6 +187,38 @@ class TestPicard:
         assert err.value.residual > 1e-10
         res = picard_solve(op, f, a)
         assert res.residual <= 1e-10 and res.iterations > 1
+
+    def test_forcing_floor_cuts_cg_steps(self, monkeypatch):
+        # semilinear.cfg on 32^2: with the forcing term floored at half
+        # the gate over the residual, the last Newton step stops solving
+        # far below the gate; without it (floor 0) the same rows took 34
+        # CG steps where they now take 24, in 10 Newton steps either way
+        g = make_grid([(0, 1), (0, 1)], (32, 32), q=1)
+        coeffs = coefficient_family("variable", g)
+        f = forcing_field("sine_product", g)
+        tanh = nonlinearity_family("tanh")
+
+        def run():
+            cg_steps, newton_steps = 0, 0
+
+            def counting(*args):
+                nonlocal cg_steps
+                out = pcg(*args)
+                cg_steps += int(out[1].sum())
+                return out
+            monkeypatch.setattr(anisolab.solver, "pcg", counting)
+            for eps in (1.0, 0.25, 0.0625):
+                res = picard_solve(assemble_operator(
+                    g, scale_coefficients(coeffs, eps)), f, tanh)
+                assert res.residual <= 1e-10
+                newton_steps += res.iterations
+            return cg_steps, newton_steps
+
+        floored = run()
+        monkeypatch.setattr(anisolab.solver, "FORCING_FLOOR", 0.0)
+        unfloored = run()
+        assert floored[0] < unfloored[0]
+        assert floored[1] <= unfloored[1]
 
     def test_negative_max_iter_rejected(self):
         # a negative cap never equals the step count, so Newton would run

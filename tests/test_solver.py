@@ -7,11 +7,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import anisolab.solver
-from anisolab import (ConfigError, ScalarField, SolverError,
-                      assemble_operator, coefficient_family, forcing_field,
-                      make_grid, nonlinearity_family, picard_solve,
-                      scale_coefficients, solve_dirichlet)
-from anisolab.fd_ops import assemble_flux_matrix
+from anisolab import (CoefficientField, ConfigError, ScalarField,
+                      SolverError, assemble_operator, coefficient_family,
+                      forcing_field, make_grid, nonlinearity_family,
+                      picard_solve, scale_coefficients, solve_dirichlet)
+from anisolab.fd_ops import _flux_operator, assemble_flux_matrix
 from anisolab.solver import (fast_diagonal_preconditioner, pcg,
                              relative_residual, resolve_method,
                              sine_transform)
@@ -192,11 +192,15 @@ def count_factor(monkeypatch):
 
 def slice_blocks(tables, cells=16):
     """Block-diagonal system of 1-D Dirichlet operators, one per a_22
-    node table, and its fast-diagonalization preconditioner."""
+    node table, as one batch stencil (the limit's layout), and its
+    fast-diagonalization preconditioner."""
     h = (1.0 / cells,)
-    matrix = sp.block_diag(
+    matrix, _ = _flux_operator(h, np.stack(tables)[None, None], batch=1)
+    # the batch stencil is the block diagonal of the slices' own matrices
+    ref = sp.block_diag(
         [csr(assemble_flux_matrix((cells,), h, t.reshape(1, 1, -1)))
          for t in tables], format="csr")
+    assert abs(csr(matrix) - ref).max() == 0.0
     means = [[t.mean()] for t in tables]
     return matrix, fast_diagonal_preconditioner((cells,), h, means)
 
@@ -387,6 +391,96 @@ class TestFastDiagonalization:
         got = precond((op.matrix @ x)[None])[0]
         assert np.allclose(got, x, rtol=0.0, atol=1e-12)
 
+    def test_flat_tables_keep_the_sine_transform(self, monkeypatch, rng):
+        # a constant table's fit is flat on every axis: no eigh runs, and
+        # the preconditioner is the DST-I of the sine matrices, to the bit
+        def no_eigh(*args):
+            raise AssertionError("a flat table built a pencil")
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        g = make_grid([(0, 1), (0, 2)], (9, 12), q=1)
+        coeffs = coefficient_family("constant", g,
+                                    matrix=[[2.0, 0.5], [0.5, 1.0]])
+        op = assemble_operator(g, scale_coefficients(coeffs, 0.1))
+        assert op.fit.profile == op.fit.weight == (None, None)
+        assert op.fit.pencils == (None, None)
+        r = rng.standard_normal(op.n_unknowns)
+        got = fast_diagonal_preconditioner(g.cells, g.spacing,
+                                           [op.axis_means], op.fit)(r[None])
+        lam = np.zeros(tuple(n - 1 for n in g.cells))
+        for d, (n, h) in enumerate(zip(g.cells, g.spacing)):
+            k = np.arange(1, n)
+            along_d = [1, 1]
+            along_d[d] = n - 1
+            lam = lam + op.axis_means[d] * (
+                (4.0 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2
+            ).reshape(along_d)
+        want = sine_transform(sine_transform(r.reshape(lam.shape)) / lam)
+        assert np.array_equal(got[0], want.ravel())
+        solve_dirichlet(op, forcing_field("sine_product", g), method="cg")
+
+    def test_exact_inverse_for_separable_2d_table(self, rng):
+        # each a_dd a product of one function per axis, no mixed entry:
+        # the fit is the table, and the preconditioner its exact inverse
+        g = make_grid([(0, 1), (0, 2)], (9, 12), q=1)
+        x, y = g.meshgrid()
+        entries = np.zeros((2, 2) + g.node_shape)
+        entries[0, 0] = (1.0 + x ** 2) * (2.0 + np.cos(y))
+        entries[1, 1] = np.where(x < 0.5, 1.0, 50.0) * (1.0 + y)
+        for eps in (1.0, 1e-3):
+            op = assemble_operator(g, scale_coefficients(
+                CoefficientField(g, entries, lam=0.5), eps))
+            precond = fast_diagonal_preconditioner(
+                g.cells, g.spacing, [op.axis_means], op.fit)
+            x0 = rng.standard_normal(op.n_unknowns)
+            got = precond((op.matrix @ x0)[None])[0]
+            assert np.allclose(got, x0, rtol=0.0, atol=1e-10)
+
+    def test_pencils_diagonalize_each_axis(self):
+        # V^T T V = diag(lam) and V^T W V = I, T the 1-D flux operator
+        # of the axis profile and W the diagonal of its weight
+        g = make_grid([(0, 1), (0, 1), (0, 1)], (6, 7, 8), q=1)
+        op = assemble_operator(g, coefficient_family("variable", g))
+        fit = op.fit
+        for d, n in enumerate(g.cells):
+            v, lam = fit.pencils[d]
+            p = np.ones(n + 1) if fit.profile[d] is None else fit.profile[d]
+            w = np.ones(n - 1) if fit.weight[d] is None else fit.weight[d]
+            t = csr(assemble_flux_matrix((n,), (g.spacing[d],),
+                                         p.reshape(1, 1, -1))).toarray()
+            assert np.allclose(v.T @ t @ v, np.diag(lam), rtol=0.0,
+                               atol=1e-10 * lam.max())
+            assert np.allclose(v.T @ (w[:, None] * v), np.eye(n - 1),
+                               rtol=0.0, atol=1e-12)
+        # a_33 = 1 + x1^2 / 2 varies along x1 only: axis 3's own profile
+        # is flat, and axis 1 weighs the profiles of a_22 (flat) and a_33
+        assert fit.profile[2] is None and fit.weight[0] is not None
+        assert fit.pencils[2] is not None
+
+    def test_nonpositive_diagonal_keeps_the_means(self, unit_square):
+        g = unit_square(6)
+        coeffs = coefficient_family("variable", g)
+        coeffs.entries[1, 1, 3, 3] = -1.0
+        op = assemble_operator(g, coeffs)
+        assert op.fit.profile == op.fit.weight == (None, None)
+
+    def test_separable_jump_solves_in_one_step(self, monkeypatch):
+        # a_11 varies in x2 only and a_22 jumps by 1000 in x1: the fit is
+        # exact, so every solve is one CG step at every epsilon, where the
+        # means alone took 162, 38 and 12 steps
+        g = make_grid([(0, 1), (0, 1)], (32, 32), q=1)
+        x, y = g.meshgrid()
+        entries = np.zeros((2, 2) + g.node_shape)
+        entries[0, 0] = 1.0 + 0.5 * np.sin(np.pi * y) ** 2
+        entries[1, 1] = np.where(x < 0.5, 1.0, 1000.0)
+        coeffs = CoefficientField(g, entries, lam=1.0)
+        f = forcing_field("sine_product", g)
+        for eps in (1.0, 0.1, 0.01):
+            counter = _CountingPCG()
+            monkeypatch.setattr(anisolab.solver, "pcg", counter)
+            solve_dirichlet(assemble_operator(
+                g, scale_coefficients(coeffs, eps)), f, method="cg")
+            assert counter.iterations == 1, eps
+
     def test_nonpositive_means_rejected(self, unit_square):
         g = unit_square(6)
         op = assemble_operator(g, coefficient_family("identity", g))
@@ -399,9 +493,14 @@ class TestFastDiagonalization:
         g = make_grid([(0, 1), (0, 1)], (64, 64), q=1)
         coeffs = coefficient_family("variable", g)
         f = forcing_field("sine_product", g)
+        total = 0
         for eps in (1.0, 0.1, 0.01, 0.001):
             counter = _CountingPCG()
             monkeypatch.setattr(anisolab.solver, "pcg", counter)
             op = assemble_operator(g, scale_coefficients(coeffs, eps))
             solve_dirichlet(op, f, method="cg")
             assert 0 < counter.iterations <= 20, eps
+            total += counter.iterations
+        # the axis profiles of the fit take 24 steps in all, where the
+        # means alone took 44
+        assert total <= 30
