@@ -34,7 +34,6 @@ from .errors import ConfigError, EllipticityError, SolverError
 from .fd_ops import hess_component, operator_blocks
 from .fieldio import atomic_write, load_field, save_field
 from .grid import nested_family
-from .limit import solve_limit
 from .norms import l2_norm, norm_bundle, translation_modulus, v12_norm
 from .semilinear import nonlinearity_family, picard_solve
 from .solver import resolve_method
@@ -68,6 +67,36 @@ def _out_dir(config: StudyConfig) -> Path:
     return out
 
 
+def _solve_and_save(config: StudyConfig, build, f, field_name: str,
+                    json_name: str, **record):
+    """Solve ``L u = f`` on the operator ``build()`` returns, timing the
+    build and the solve, and save the field and its JSON record.
+
+    The record is ``record`` followed by the route that ran, the worst
+    block's relative residual, the field's norms, the time and the field
+    file.  Returns the solve's ``PicardResult`` and the field's path.
+    """
+    start = time.perf_counter()
+    op = build()
+    solved = picard_solve(op, f, nonlinearity_family("zero"),
+                          tol=config.solver_tol, method=config.solver_method,
+                          maxiter_factor=config.maxiter_factor)
+    wall_ms = 1000.0 * (time.perf_counter() - start)
+    u = solved.field
+    out = _out_dir(config)
+    field_path = save_field(out / field_name, u)
+    _write_json(out / json_name, {
+        **record,
+        "method": resolve_method(op, config.solver_method),
+        "residual": solved.residual,
+        "l2": l2_norm(u),
+        "v12": v12_norm(u),
+        "wall_ms": wall_ms,
+        "field": field_path.name,
+    })
+    return solved, field_path
+
+
 def cmd_solve(args) -> int:
     config = _load(args)
     epsilon = args.epsilon if args.epsilon is not None \
@@ -76,26 +105,10 @@ def cmd_solve(args) -> int:
     coeffs = config.build_coefficients(grid)
     verify_ellipticity(coeffs)
     f = config.build_forcing(grid)
-    start = time.perf_counter()
-    op = operator_blocks(grid, coeffs).at(epsilon)
-    # solve_dirichlet's own solve, which also returns its residual
-    solved = picard_solve(op, f, nonlinearity_family("zero"),
-                          tol=config.solver_tol, method=config.solver_method,
-                          maxiter_factor=config.maxiter_factor)
-    wall_ms = 1000.0 * (time.perf_counter() - start)
-    u, res = solved.field, solved.residual
-    out = _out_dir(config)
-    field_path = save_field(out / "solution.field", u)
-    _write_json(out / "solve.json", {
-        "epsilon": epsilon,
-        "method": resolve_method(op, config.solver_method),
-        "residual": res,
-        "l2": l2_norm(u),
-        "v12": v12_norm(u),
-        "wall_ms": wall_ms,
-        "field": field_path.name,
-    })
-    print(f"solved epsilon={epsilon:g} residual={res:.3e} "
+    solved, field_path = _solve_and_save(
+        config, lambda: operator_blocks(grid, coeffs).at(epsilon), f,
+        "solution.field", "solve.json", epsilon=epsilon)
+    print(f"solved epsilon={epsilon:g} residual={solved.residual:.3e} "
           f"-> {field_path}")
     return 0
 
@@ -106,19 +119,9 @@ def cmd_limit(args) -> int:
     coeffs = config.build_coefficients(grid)
     verify_ellipticity(coeffs)
     f = config.build_forcing(grid)
-    start = time.perf_counter()
-    u0 = solve_limit(operator_blocks(grid, coeffs), f, tol=config.solver_tol,
-                     method=config.solver_method,
-                     maxiter_factor=config.maxiter_factor)
-    wall_ms = 1000.0 * (time.perf_counter() - start)
-    out = _out_dir(config)
-    field_path = save_field(out / "u_limit.field", u0)
-    _write_json(out / "limit.json", {
-        "l2": l2_norm(u0),
-        "v12": v12_norm(u0),
-        "wall_ms": wall_ms,
-        "field": field_path.name,
-    })
+    _, field_path = _solve_and_save(
+        config, lambda: operator_blocks(grid, coeffs).limit, f,
+        "u_limit.field", "limit.json")
     print(f"limit field -> {field_path}")
     return 0
 

@@ -89,9 +89,6 @@ class StudyConfig:
     # optional nonlinearity
     nonlinearity: str | None = None
     nonlinearity_params: dict = field(default_factory=dict)
-    # deprecated: still parsed and validated, so old configs load, but
-    # the semilinear solves run Newton with a line search and ignore it
-    damping: float = 0.5
     picard_max_iter: int = 200
     # fourier-check settings
     fourier_lattice: int = 64
@@ -152,8 +149,6 @@ class StudyConfig:
             raise ConfigError("fourier lattice/samples out of range")
         if self.translation_levels < 1:
             raise ConfigError("translation levels must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ConfigError(f"damping must lie in (0, 1], got {self.damping}")
 
     # construction of the working objects -------------------------------
 
@@ -192,6 +187,9 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
+        if "damping" in data:  # reports older than its removal embed it
+            log.warning("config key damping is deprecated and ignored")
+            data = {k: v for k, v in data.items() if k != "damping"}
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -269,7 +267,6 @@ class StudyConfig:
                 log.warning("%s: [nonlinearity] damping is deprecated and "
                             "ignored; the semilinear solves run Newton "
                             "with a line search", path)
-            take("nonlinearity", "damping", _float)
             take("nonlinearity", "max_iter", _int, "picard_max_iter")
 
         take("fourier", "lattice", _int, "fourier_lattice")

@@ -29,7 +29,9 @@ block: ``operator_blocks`` lays the full grid's stencil out once, and
 every offset other than the centre lies in one of the X1 x X1, mixed and
 X2 x X2 blocks.  ``OperatorBlocks.at(eps)`` scales each offset's row by
 its block's power of eps, the centre row's X1 and X2 parts kept apart.
-The limit operator is the X2 stencil over every X1 node.
+The limit operator is the X2 stencil over every X1 node: a
+``SparseOperator`` like every row's, whose first q axes are batch axes,
+one decoupled block per X1 node.
 
 CG's preconditioner inverts a separable fit of the table's diagonal,
 ``SeparableFit``: each a_dd as its node mean times one profile per axis,
@@ -50,7 +52,7 @@ the difference kernels and the post-processing that uses only them
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -279,7 +281,7 @@ class SeparableFit:
     """The separable fit of a table's diagonal that CG's preconditioner
     inverts: ``a_dd(x) ~ c_d profile[d](x_d) prod_{e != d} weight[e](x_e)``.
 
-    c_d is the node mean of a_dd (the operator's ``axis_means``), which
+    c_d is the node mean of a_dd (the operator's ``means``), which
     carries every scaling, so one fit serves every epsilon.  The profile
     of a_dd along axis e is its node mean over every other axis divided
     by c_d.  ``profile[d]`` is a_dd's own along axis d, over the nodes of
@@ -352,31 +354,47 @@ def _separable_fit(spacing: Sequence[float],
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """Assembled operator over interior unknowns, row-major node order.
+    """Assembled operator on a grid's unknowns, row-major node order.
+
+    The first ``batch`` axes of the grid index decoupled blocks: every
+    node along them is an unknown, and each carries its own problem on
+    the interior of the other axes, the block box.  A full grid has
+    ``batch = 0``, one block over its interior; the limit
+    (``OperatorBlocks.limit``) has ``batch = q``, one block per X1 node.
+    ``unknowns`` are the slices of a node array that hold them.
 
     ``matrix`` is the operator's ``Stencil``; ``symmetric`` is its exact
-    symmetry, read off the stencil.  ``axis_means[d]`` is the node mean
-    of the diagonal entry a_dd and ``fit`` the separable fit of the
-    diagonal: together they are the table the CG preconditioner inverts.
-    ``factor`` returns a fresh LU on every call.
+    symmetry, read off the stencil.  Row b of ``means`` holds the node
+    means of each a_dd over block b and ``fit`` is the separable fit of
+    the diagonal, None where flat on every axis: together they are the
+    tables the CG preconditioner inverts.  ``factor`` returns a fresh LU
+    on every call.
     """
 
     matrix: Stencil
     grid: Grid
     symmetric: bool
-    axis_means: tuple[float, ...]
-    fit: SeparableFit
+    means: np.ndarray
+    fit: SeparableFit | None = None
+    batch: int = 0
 
     @property
     def n_unknowns(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def unknowns(self) -> tuple[slice, ...]:
+        return ((slice(None),) * self.batch
+                + tuple(slice(1, n) for n in self.grid.cells[self.batch:]))
+
     def apply(self, u: ScalarField) -> ScalarField:
-        """Operator action on a field assumed to vanish on the boundary."""
+        """Operator action on a field assumed to vanish off the unknowns."""
         if u.grid != self.grid:
             raise ConfigError("field lives on a different grid")
-        out = self.matrix @ u.interior_vector()
-        return ScalarField.from_interior(self.grid, out)
+        out = np.zeros(self.grid.node_shape)
+        out[self.unknowns] = (self.matrix @ u.values[self.unknowns].reshape(
+            -1)).reshape(self.matrix.box)
+        return ScalarField(self.grid, out)
 
     def factor(self) -> spla.SuperLU:
         return factor_matrix(self.matrix, self.symmetric)
@@ -577,9 +595,12 @@ def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
     return _flux_operator(spacings, entries)[0]
 
 
-def _axis_means(entries: np.ndarray) -> tuple[float, ...]:
-    return tuple(float(entries[d, d].mean())
-                 for d in range(entries.shape[0]))
+def _diagonal_means(entries: np.ndarray, batch: int = 0) -> np.ndarray:
+    """Row b: the node means of each a_dd over block b, the blocks being
+    the nodes of the table's first ``batch`` axes."""
+    blocks = math.prod(entries.shape[2:2 + batch])
+    return np.stack([entries[d, d].reshape(blocks, -1).mean(axis=1)
+                     for d in range(entries.shape[0])], axis=1)
 
 
 def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
@@ -589,7 +610,7 @@ def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
     entries = coeffs.entries
     matrix, symmetric = _flux_operator(grid.spacing, entries)
     return SparseOperator(matrix=matrix, grid=grid, symmetric=symmetric,
-                          axis_means=_axis_means(entries),
+                          means=_diagonal_means(entries),
                           fit=_separable_fit(grid.spacing, entries))
 
 
@@ -610,43 +631,35 @@ def _block_of(offset: tuple[int, ...], q: int) -> int:
 class OperatorBlocks:
     """The unscaled operator split by coefficient block, and its limit.
 
-    ``unscaled`` is the stencil of the unscaled table, ``at(1)``.  Every
-    offset but the centre lies in one block, ``X1_BLOCK``,
-    ``MIXED_BLOCK`` or ``X2_BLOCK`` (``_block_of``); the centre, the
-    diagonal, is the one offset that two blocks share, and ``d11`` and
-    ``d22`` are its X1 and X2 parts over the unknowns.  ``unscaled`` and
-    ``limit`` are read-only: every operator ``at`` returns holds its own
-    rows, and nothing here is written to after assembly.  ``symmetric``
-    is the exact symmetry of every block, hence of every ``at(eps)``.
+    ``unscaled`` is the operator of the unscaled table, ``at(1)``.  Every
+    offset of its stencil but the centre lies in one block,
+    ``X1_BLOCK``, ``MIXED_BLOCK`` or ``X2_BLOCK`` (``_block_of``); the
+    centre, the diagonal, is the one offset that two blocks share, and
+    ``d11`` and ``d22`` are its X1 and X2 parts over the unknowns.  The
+    exact symmetry of every block, hence of every ``at(eps)``, is
+    ``unscaled.symmetric``, and every ``at(eps)`` shares its ``fit``.
 
-    ``limit`` is the X2 block on the grid extended by one node at each X1
-    end, so its unknowns are the X2 interiors of every X1 node, faces
-    included, slice-major; no entry couples two slices.
-    ``limit_symmetric`` is its exact symmetry.  ``axis_means`` are the
-    node means of the unscaled a_dd, and row k of ``limit_means`` holds
-    those of the X2 a_dd over slice k of ``limit``.  ``fit`` is the
-    unscaled table's ``SeparableFit``: with the scaled means, the table
-    every row's CG preconditioner inverts; the limit's inverts its
-    slices' means.
+    ``limit`` is the X2 block as an operator batched over the X1 axes
+    (``batch = q``): its unknowns are the X2 interiors of every X1 node,
+    faces included, slice-major, no entry couples two slices, and row k
+    of its ``means`` holds the X2 a_dd means over slice k.  Its fit is
+    flat.  The rows of ``unscaled`` and ``limit`` are read-only: every
+    operator ``at`` returns holds its own, and nothing here is written
+    to after assembly.
     """
 
     grid: Grid
-    unscaled: Stencil
+    unscaled: SparseOperator
     d11: np.ndarray
     d22: np.ndarray
-    symmetric: bool
-    limit: Stencil
-    limit_symmetric: bool
-    axis_means: np.ndarray
-    limit_means: np.ndarray
-    fit: SeparableFit
+    limit: SparseOperator
 
     def at(self, epsilon: float) -> SparseOperator:
         """``eps^2 L11 + eps L12 + L22``, the operator of the scaled table:
         each offset's row times eps to the power of its block, and the
         centre row ``eps^2 d11 + d22``."""
         fac = scaling_factors(self.grid.ndim, self.grid.q, epsilon)
-        pattern = self.unscaled
+        pattern = self.unscaled.matrix
         powers = np.array([1.0, epsilon, epsilon ** 2, 0.0])[
             [_block_of(key, self.grid.q) for key in pattern.offsets]]
         rows = pattern.rows * powers[:, None]
@@ -654,10 +667,8 @@ class OperatorBlocks:
         if centre is not None:
             np.multiply(self.d11, epsilon ** 2, out=rows[centre])
             rows[centre] += self.d22
-        means = tuple(float(m) for m in np.diag(fac) * self.axis_means)
-        return SparseOperator(matrix=pattern.with_rows(rows),
-                              grid=self.grid, symmetric=self.symmetric,
-                              axis_means=means, fit=self.fit)
+        return replace(self.unscaled, matrix=pattern.with_rows(rows),
+                       means=np.diag(fac) * self.unscaled.means)
 
 
 def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
@@ -688,24 +699,22 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
     else:
         d11 = d22 = np.zeros(0)
     symmetric = _stencil_symmetric(shape, stencil)
-    unscaled = _stencil_rows(shape, stencil)
+    unscaled = SparseOperator(
+        matrix=_stencil_rows(shape, stencil), grid=grid,
+        symmetric=symmetric, means=_diagonal_means(entries),
+        fit=_separable_fit(spacings, entries))
     a22 = coeffs.x2_block()
-    limit, limit_symmetric = _flux_operator(
+    matrix, limit_symmetric = _flux_operator(
         [spacings[a] for a in grid.x2_axes], a22, batch=q)
+    limit = SparseOperator(matrix=matrix, grid=grid,
+                           symmetric=limit_symmetric,
+                           means=_diagonal_means(a22, q), batch=q)
     # every row and the limit solve share these: an in-place edit of one
     # would reach them all, so it raises instead
-    unscaled.rows.flags.writeable = False
-    limit.rows.flags.writeable = False
-    slices = math.prod(a22.shape[2:2 + q])
-    limit_means = np.stack([a22[d, d].reshape(slices, -1).mean(axis=1)
-                            for d in range(n - q)], axis=1)
+    for op in (unscaled, limit):
+        op.matrix.rows.flags.writeable = False
     return OperatorBlocks(grid=grid, unscaled=unscaled,
-                          d11=d11.ravel(), d22=d22.ravel(),
-                          symmetric=symmetric,
-                          limit=limit, limit_symmetric=limit_symmetric,
-                          axis_means=np.array(_axis_means(entries)),
-                          limit_means=limit_means,
-                          fit=_separable_fit(spacings, entries))
+                          d11=d11.ravel(), d22=d22.ravel(), limit=limit)
 
 
 def apply_nondivergence(coeffs: CoefficientField,

@@ -5,23 +5,23 @@ the retained block A22 drives an independent Dirichlet problem on that
 slice's retained-axes box; the X1 coordinate enters only as a parameter.
 Stacked slice by slice, these problems are the X2 block of the operator
 on the node set extended by one node at each X1 end, which
-``fd_ops.operator_blocks`` assembles once as ``OperatorBlocks.limit``,
-the X2 stencil over every X1 node (an ``fd_ops.Stencil`` whose box has
-the X1 axes as batch axes); on the X1-interior slices it is the X2 part
-of every sweep row's operator.  No entry couples two slices, and
-no boundary condition is imposed in the X1 directions: the limit field
-is generally nonzero on X1 faces.
+``fd_ops.operator_blocks`` assembles once as ``OperatorBlocks.limit``: a
+``fd_ops.SparseOperator`` batched over the X1 axes (``batch = q``), the
+X2 stencil over every X1 node, each X1 node one block.  On the
+X1-interior slices it is the X2 part of every sweep row's operator.  No
+entry couples two slices, and no boundary condition is imposed in the
+X1 directions: the limit field is generally nonzero on X1 faces.
 
 ``semilinear_limit(blocks, f, a)`` solves  -div(A22 grad u) = a(u) + f
-on all slices at once by ``solver.newton_solve``, one block per slice:
-every slice keeps its own gate |M x - b| / |b| <= tol, its own line
-search and, on the CG route, its own forcing term and preconditioner
-(the slice's a_dd means, ``OperatorBlocks.limit_means``).  The route
-follows the exact symmetry of the limit matrix as on the full grid,
-``OperatorBlocks.limit_symmetric``.
-``solve_limit`` is the zero-term case: its first Newton step is the
-solve to ``tol``, and a slice that misses it takes further steps before
-SolverError names the slice.
+on all slices at once: it is ``semilinear.picard_solve`` on
+``blocks.limit``, as a sweep row is on its own operator.  Every slice
+keeps its own gate |M x - b| / |b| <= tol, its own line search and, on
+the CG route, its own forcing term and preconditioner (the slice's a_dd
+means, its row of ``blocks.limit.means``).  The route follows the exact
+symmetry of the limit matrix, ``blocks.limit.symmetric``, as on the full
+grid.  ``solve_limit`` is the zero-term case: its first Newton step is
+the solve to ``tol``, and a slice that misses it takes further steps
+before SolverError names the slice.
 
 ``iter_slice_systems`` yields the same systems one slice at a time, each
 matrix a stencil of its own; it is the reference the block operator is
@@ -37,8 +37,8 @@ from .coefficients import CoefficientField
 from .errors import ConfigError
 from .fd_ops import OperatorBlocks, assemble_flux_matrix
 from .grid import Grid, ScalarField
-from .semilinear import Nonlinearity, PicardResult, nonlinearity_family
-from .solver import newton_solve
+from .semilinear import (Nonlinearity, PicardResult, nonlinearity_family,
+                         picard_solve)
 
 __all__ = ["solve_limit", "semilinear_limit", "iter_slice_systems"]
 
@@ -76,43 +76,22 @@ def iter_slice_systems(grid: Grid, coeffs: CoefficientField,
 
 def semilinear_limit(blocks: OperatorBlocks, f: ScalarField,
                      a: Nonlinearity, tol: float = 1e-10,
-                     max_iter: int = 200, method: str = "direct",
+                     max_iter: int = 200, method: str = "auto",
                      maxiter_factor: float = 20.0) -> PicardResult:
-    """Limit field of the semilinear problem, every slice gated on its own.
+    """Limit field of the semilinear problem, every slice gated on its own:
+    ``semilinear.picard_solve`` on ``blocks.limit``.
 
-    Solves on ``blocks.limit`` by the route ``method`` names (see
-    ``solver.newton_solve``), ``direct`` by default as in
-    ``solve_dirichlet``; ``maxiter_factor`` caps each batched CG solve at
+    ``method`` picks the route (see ``solver.newton_solve``);
+    ``maxiter_factor`` caps each batched CG solve at
     ``solver.iteration_cap`` of one slice's unknowns.  Reported
     iterations and residual are the worst over all slices.
     """
-    grid = blocks.grid
-    if f.grid != grid:
-        raise ConfigError("forcing lives on a different grid")
-    x1_nodes = tuple(grid.cells[a] + 1 for a in grid.x1_axes)
-    # every X1 node, faces included, times the interior X2 nodes
-    unknowns = ((slice(None),) * grid.q
-                + tuple(slice(1, grid.cells[a]) for a in grid.x2_axes))
-
-    def where(k):
-        index = np.unravel_index(k, x1_nodes)
-        return f"slice {tuple(int(i) for i in index)}: "
-
-    x2 = grid.x2_axes
-    u, iters, rel = newton_solve(
-        blocks.limit, f.values[unknowns].reshape(-1), a,
-        blocks.limit_symmetric, [grid.cells[ax] for ax in x2],
-        [grid.spacing[ax] for ax in x2], blocks.limit_means, tol, max_iter,
-        method, maxiter_factor, where)
-    out = np.zeros(grid.node_shape)
-    out[unknowns] = u.reshape(out[unknowns].shape)
-    return PicardResult(field=ScalarField(grid, out),
-                        iterations=int(iters.max()),
-                        residual=float(rel.max()))
+    return picard_solve(blocks.limit, f, a, tol, max_iter, method,
+                        maxiter_factor)
 
 
 def solve_limit(blocks: OperatorBlocks, f: ScalarField,
-                tol: float = 1e-10, method: str = "direct",
+                tol: float = 1e-10, method: str = "auto",
                 maxiter_factor: float = 20.0) -> ScalarField:
     """Linear limit field u0: ``semilinear_limit`` with the zero term.
 

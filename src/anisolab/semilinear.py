@@ -7,14 +7,15 @@ J = L + diag(-a'(u)) is the operator plus a nonnegative diagonal, so it is
 symmetric positive definite whenever L is, without any smallness
 assumption on f.
 
-``picard_solve`` solves the full-grid problem as the one-block case of
-``solver.newton_solve``: Newton from u = 0 with Armijo backtracking,
-stopping once |F| / |f + a(u)| is at most ``tol``, each step by CG to an
-Eisenstat-Walker forcing term or by one LU of J, as the route
-``solver.resolve_method`` picks.  The limit problem
-(``limit.semilinear_limit``) runs the same driver with one block per X1
-slice.  ``picard_solve`` and ``PicardResult`` keep the names of the
-damped fixed-point iteration this replaced.
+``picard_solve(op, f, a)`` solves it on the unknowns of any
+``fd_ops.SparseOperator`` by ``solver.newton_solve``: Newton from u = 0
+with Armijo backtracking, each block stopping once |F| / |f + a(u)| is
+at most ``tol``, each step by CG to an Eisenstat-Walker forcing term or
+by one LU of J, as the route ``solver.resolve_method`` picks.  A sweep
+row is the one-block case, a full grid; the limit problem
+(``limit.semilinear_limit``) is ``picard_solve`` on the limit operator,
+one block per X1 slice.  ``picard_solve`` and ``PicardResult`` keep the
+names of the damped fixed-point iteration this replaced.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def nonlinearity_family(name: str, **params) -> Nonlinearity:
 
 @dataclass
 class PicardResult:
-    """Converged Newton iterate, the Newton steps it took and its final
-    relative residual."""
+    """Converged Newton iterate, and the most Newton steps and the largest
+    final relative residual of its blocks."""
 
     field: ScalarField
     iterations: int
@@ -94,17 +95,20 @@ def picard_solve(op: SparseOperator, f: ScalarField, a: Nonlinearity,
                  tol: float = 1e-10, max_iter: int = 200,
                  method: str = "auto",
                  maxiter_factor: float = 20.0) -> PicardResult:
-    """Solve the semilinear Dirichlet problem on the full grid by Newton.
+    """Solve the semilinear Dirichlet problem on ``op``'s unknowns by Newton.
 
+    The field holds the solution at ``op.unknowns`` and zero elsewhere.
     ``method`` and ``maxiter_factor`` choose and cap each step's linear
-    solve as in ``solver.newton_solve``.
+    solve as in ``solver.newton_solve``.  Reported iterations and
+    residual are the worst over ``op``'s blocks.
     """
     if f.grid != op.grid:
         raise ConfigError("forcing lives on a different grid")
-    grid = op.grid
-    u, iters, rel = newton_solve(op.matrix, f.interior_vector(), a,
-                                 op.symmetric, grid.cells, grid.spacing,
-                                 [op.axis_means], tol, max_iter, method,
-                                 maxiter_factor, fit=op.fit)
-    return PicardResult(field=ScalarField.from_interior(grid, u),
-                        iterations=int(iters[0]), residual=float(rel[0]))
+    unknowns = op.unknowns
+    u, iters, rel = newton_solve(op, f.values[unknowns].reshape(-1), a, tol,
+                                 max_iter, method, maxiter_factor)
+    out = np.zeros(op.grid.node_shape)
+    out[unknowns] = u.reshape(op.matrix.box)
+    return PicardResult(field=ScalarField(op.grid, out),
+                        iterations=int(iters.max()),
+                        residual=float(rel.max()))

@@ -1,9 +1,10 @@
 """Every solve of the lab, by one residual-gated Newton driver.
 
 A full-grid row, a semilinear row and the linear and semilinear limit
-are one problem: ``L u = a(u) + f`` on B decoupled equal blocks of
-unknowns, a full grid being B = 1 and the limit one block per X1 node
-(``limit.semilinear_limit``); a linear solve is the zero term.
+are one problem: ``L u = a(u) + f`` on the unknowns of one
+``fd_ops.SparseOperator``, split into B decoupled equal blocks, a full
+grid being B = 1 and the limit, batched over its X1 axes, one block per
+X1 node (``limit.semilinear_limit``); a linear solve is the zero term.
 ``newton_solve`` runs it (Kelley, *Iterative Methods for Linear and
 Nonlinear Equations*, SIAM 1995, ch. 6).  From u = 0 every step solves
 ``J du = -F`` with ``J = L + diag(-a'(u))`` (a copy of the rows of L's
@@ -15,8 +16,8 @@ carrying the residual.  A linear solve's first step is the solve to
 ``tol`` itself, and a step that misses it is followed by another step
 from the iterate.
 
-The route is picked once per solve.  ``method = "auto"`` (the study
-default) chooses by ``symmetric``, the exact symmetry of the assembled
+The route is picked once per solve.  ``method = "auto"`` (the default
+everywhere) chooses by ``symmetric``, the exact symmetry of the assembled
 matrix (``resolve_method``).  Symmetric matrices run by preconditioned
 conjugate gradients, one batched ``pcg`` per step over every block, with
 a hard cap of ``maxiter_factor * sqrt(unknowns per block)`` iterations
@@ -28,11 +29,10 @@ lands within ``tol``, and elsewhere at the Eisenstat-Walker term
 so that the last step solves no further below the gate than it needs.
 Other matrices get a sparse direct factorization with COLAMD ordering
 and partial pivoting.
-``method = "direct"``, ``solve_dirichlet``'s own default, factors
-symmetric matrices too, in symmetric mode with minimum-degree ordering of
-``A + A^T`` and diagonal pivots (see ``fd_ops.factor_matrix``).  Where a'
-vanishes J is the matrix itself, factored once on first need; elsewhere
-each step factors its own J.
+``method = "direct"`` factors symmetric matrices too, in symmetric mode
+with minimum-degree ordering of ``A + A^T`` and diagonal pivots (see
+``fd_ops.factor_matrix``).  Where a' vanishes J is the matrix itself,
+factored once on first need; elsewhere each step factors its own J.
 
 ``pcg`` is one numpy conjugate-gradient loop over ``B`` independent equal
 blocks of a block-diagonal system, each block with its own step lengths
@@ -43,10 +43,10 @@ through the loop's own workspace.
 CG is preconditioned by fast diagonalization (Lynch, Rice & Thomas 1964):
 the preconditioner of a block is the flux operator of a separable
 diagonal table, ``a_dd(x) ~ c_d p_dd(x_d) prod_{e != d} R_e(x_e)``.  c_d
-is the node mean of the block's scaled a_dd (``op.axis_means`` for a
-full grid, ``OperatorBlocks.limit_means`` for the limit slices); the
-full grid's axis profiles p_dd and R_e are its ``fd_ops.SeparableFit``,
-and the limit slices keep flat ones.  Such an operator is a sum of
+is the node mean of the block's scaled a_dd (its row of ``op.means``),
+and the axis profiles p_dd and R_e are ``op.fit``: a full grid's
+``fd_ops.SeparableFit``, while the limit's fit is None, so that its
+slices keep flat ones.  Such an operator is a sum of
 Kronecker products, which one generalized eigendecomposition per axis
 diagonalizes: on a flat axis the orthonormal DST-I, whose sine matrices
 are built once per size and shared; on any other the axis pencil, one
@@ -312,37 +312,42 @@ def jacobian(matrix: Stencil, a: Nonlinearity, u: np.ndarray) -> Stencil:
     return matrix.with_rows(rows)
 
 
-def newton_solve(matrix: Stencil, rhs: np.ndarray, a: Nonlinearity,
-                 symmetric: bool, cells: Sequence[int],
-                 spacing: Sequence[float], means, tol: float = 1e-10,
-                 max_iter: int = 200, method: str = "direct",
-                 maxiter_factor: float = 20.0,
-                 where: Callable[[int], str] = lambda k: "",
-                 fit: SeparableFit | None = None
+def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
+                 tol: float = 1e-10, max_iter: int = 200,
+                 method: str = "auto", maxiter_factor: float = 20.0
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual-gated Newton for ``matrix u = a(u) + rhs`` from u = 0.
+    """Residual-gated Newton for ``L u = a(u) + rhs`` from u = 0.
 
-    The unknowns split into ``len(means)`` equal, decoupled blocks, each
-    the interior of one box of ``cells`` cells and ``spacing`` spacings;
-    row b of ``means`` holds block b's a_dd means, which with ``fit``
-    form the table its CG preconditioner inverts
-    (``fast_diagonal_preconditioner``).  ``symmetric`` is the exact
-    symmetry of ``matrix`` and picks the route with ``method`` (see the
-    module docstring); ``maxiter_factor`` caps each CG solve at
-    ``iteration_cap`` of one block's unknowns.  Each block has its own
-    residual gate, forcing term and line search, and is frozen once it
-    meets its gate; ``where(k)`` prefixes every error that names block
-    k.  Returns the iterate, the steps taken per block and the final
+    ``L`` is ``op.matrix`` and ``rhs`` holds the values at its unknowns,
+    which split into ``len(op.means)`` equal, decoupled blocks, each the
+    interior of the box of ``op.grid``'s axes after its ``op.batch``
+    batch axes; row b of ``op.means`` holds block b's a_dd means, which
+    with ``op.fit`` form the table its CG preconditioner inverts
+    (``fast_diagonal_preconditioner``).  ``op.symmetric`` picks the route
+    with ``method`` (see the module docstring); ``maxiter_factor`` caps
+    each CG solve at ``iteration_cap`` of one block's unknowns.  Each
+    block has its own residual gate, forcing term and line search, and
+    is frozen once it meets its gate; an error that names a block of a
+    batched operator names it by its batch-axes node, ``slice (i, j)``.
+    Returns the iterate, the steps taken per block and the final
     relative residuals.  ``max_iter`` must be at least 1.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    matrix, symmetric, batch = op.matrix, op.symmetric, op.batch
     route = _route(symmetric, method)
-    blocks = len(means)
+    blocks = len(op.means)
     if route == "cg":
-        precond = fast_diagonal_preconditioner(cells, spacing, means, fit)
+        precond = fast_diagonal_preconditioner(
+            op.grid.cells[batch:], op.grid.spacing[batch:], op.means, op.fit)
         cap = iteration_cap(rhs.size // blocks, maxiter_factor)
     lu = None
+
+    def where(k):
+        if not batch:
+            return ""
+        index = np.unravel_index(k, op.grid.node_shape[:batch])
+        return f"slice {tuple(int(i) for i in index)}: "
 
     def norms(v):
         # one block takes the whole vector's norm, as relative_residual
@@ -427,12 +432,12 @@ def newton_solve(matrix: Stencil, rhs: np.ndarray, a: Nonlinearity,
 
 
 def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
-                    method: str = "direct",
+                    method: str = "auto",
                     maxiter_factor: float = 20.0) -> ScalarField:
     """Solve ``L u = f`` over interior unknowns, boundary held at zero.
 
     ``semilinear.picard_solve`` with the zero term: ``method`` is
-    ``direct``, ``cg`` or ``auto`` (see ``resolve_method``).  The
+    ``auto``, ``cg`` or ``direct`` (see ``resolve_method``).  The
     returned field carries exact zeros on the boundary.  The relative
     residual is always checked against ``tol``; a solve that cannot meet
     it raises SolverError carrying the achieved residual.

@@ -12,6 +12,8 @@ from anisolab import (ScalarField, check_laplacian_bounds, load_field,
                       save_field, solve_limit, coefficient_family,
                       forcing_field)
 from anisolab.cli import main
+from anisolab.limit import iter_slice_systems
+from anisolab.solver import relative_residual
 
 BASE_CFG = """
 [grid]
@@ -125,6 +127,29 @@ class TestLimit:
         assert np.allclose(u0.values, expect.values, atol=1e-13)
         meta = json.loads((out / "limit.json").read_text())
         assert meta["l2"] > 0
+
+    @pytest.mark.parametrize("solver, ran", [
+        ("", "cg"),
+        ("\n[solver]\nmethod = direct\n", "direct"),
+    ])
+    def test_records_its_route_and_worst_slice(self, tmp_path, solver, ran):
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[coefficients]\n"
+                        "family = variable\n" + solver)
+        out = tmp_path / "out"
+        assert main(["limit", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "limit.json").read_text())
+        assert meta["method"] == ran
+        g = make_grid([(0, 1), (0, 1)], (12, 12), q=1)
+        coeffs = coefficient_family("variable", g)
+        f = forcing_field("sine_product", g)
+        u0 = load_field(out / "u_limit.field")
+        assert np.array_equal(u0.values, solve_limit(
+            operator_blocks(g, coeffs), f, method=ran).values)
+        worst = max(relative_residual(matrix, u0.values[x1][1:-1], rhs)
+                    for x1, matrix, rhs, _ in iter_slice_systems(g, coeffs,
+                                                                 f))
+        assert 0.0 < meta["residual"] <= 1e-10
+        assert meta["residual"] == pytest.approx(worst, rel=1e-9)
 
 
 class TestSweep:

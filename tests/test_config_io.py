@@ -143,6 +143,15 @@ class TestStudyConfig:
         again = StudyConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    def test_legacy_damping_key_dropped(self, caplog):
+        # a config embedded in an older report still reloads, with a notice
+        data = StudyConfig(seed=7).to_dict()
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            again = StudyConfig.from_dict(dict(data, damping=0.8))
+        assert again == StudyConfig(seed=7)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "damping is deprecated" in caplog.records[0].getMessage()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             StudyConfig.from_dict({"cells": [8, 8], "mesh": "fine"})
@@ -162,7 +171,7 @@ class TestStudyConfig:
         {"out_format": "xml"},
         {"seed": -1},
         {"seed": 2 ** 64},
-        {"damping": 0.0},
+        {"fourier_samples": 0},
         {"translation_levels": 0},
         {"fourier_lattice": 1},
         {"solver_tol": 0.0},
@@ -269,7 +278,7 @@ class TestConfigFile:
         assert cfg.solver_method == "cg" and cfg.solver_tol == 1e-9
         assert cfg.nonlinearity == "linear"
         assert cfg.nonlinearity_params == {"kappa": 1.0}
-        assert cfg.damping == 0.8 and cfg.picard_max_iter == 120
+        assert cfg.picard_max_iter == 120
         assert cfg.fourier_lattice == 32 and cfg.fourier_samples == 5
         assert cfg.fourier_epsilons == [1.0, 0.1]
         assert cfg.translation_levels == 2
@@ -277,20 +286,20 @@ class TestConfigFile:
         assert cfg.seed == 42
 
     def test_damping_deprecated(self, tmp_path, caplog):
-        # still parsed and validated, so old configs load, with a notice
+        # old configs still load, with a notice; the value is not kept
         path = tmp_path / "study.cfg"
         # workers = 1 keeps the workers notice out of the records
         text = INI_TEXT.replace("workers = 2\n", "workers = 1\n")
         path.write_text(text)
         with caplog.at_level(logging.WARNING, logger="anisolab.config"):
             cfg = load_config(path)
-        assert cfg.damping == 0.8
+        assert "damping" not in cfg.to_dict()
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "damping is deprecated" in caplog.records[0].getMessage()
         caplog.clear()
         path.write_text(text.replace("damping = 0.8\n", ""))
         with caplog.at_level(logging.WARNING, logger="anisolab.config"):
-            assert load_config(path).damping == 0.5
+            load_config(path)
         assert caplog.records == []
 
     def test_workers_ignored(self, tmp_path, caplog):

@@ -196,7 +196,7 @@ class TestAssembly:
         dense = csr(op.matrix).toarray()
         assert not op.symmetric and not np.array_equal(dense, dense.T)
         blocks = operator_blocks(g, coeffs)
-        assert not blocks.symmetric and not blocks.at(0.5).symmetric
+        assert not blocks.unscaled.symmetric and not blocks.at(0.5).symmetric
 
     def test_constant_asymmetric_table_assembles_symmetric(self, unit_square):
         # the flag reflects the matrix, not the table
@@ -319,7 +319,7 @@ class TestOperatorBlocks:
         assert got.symmetric == ref.symmetric
         scale = np.abs(ref_csr.data).max()
         assert np.abs(got_csr.data - ref_csr.data).max() <= 1e-15 * scale
-        assert np.allclose(got.axis_means, ref.axis_means, rtol=1e-15,
+        assert np.allclose(got.means, ref.means, rtol=1e-15,
                            atol=0.0)
 
     def test_at_leaves_blocks_unchanged(self):
@@ -328,17 +328,18 @@ class TestOperatorBlocks:
         # parts or the limit; every row holds rows of its own
         g = make_grid([(0, 1)] * 3, (5, 6, 4), q=2)
         blocks = operator_blocks(g, coefficient_family("variable", g))
-        held = (blocks.unscaled.rows, blocks.d11, blocks.d22,
-                blocks.limit.rows)
+        held = (blocks.unscaled.matrix.rows, blocks.d11, blocks.d22,
+                blocks.limit.matrix.rows)
         before = [arr.copy() for arr in held]
         a, b = blocks.at(1.0), blocks.at(0.1)
         assert not np.shares_memory(a.matrix.rows, b.matrix.rows)
-        assert not np.shares_memory(a.matrix.rows, blocks.unscaled.rows)
-        assert a.matrix.offsets == blocks.unscaled.offsets
+        assert not np.shares_memory(a.matrix.rows,
+                                    blocks.unscaled.matrix.rows)
+        assert a.matrix.offsets == blocks.unscaled.matrix.offsets
         # an in-place edit of the shared blocks would reach every row
         for shared in (blocks.unscaled, blocks.limit):
             with pytest.raises(ValueError):
-                shared.rows[0, 0] = 0.0
+                shared.matrix.rows[0, 0] = 0.0
         for eps in (1.0, 0.5, 0.1, 0.03, 1e-3, 1e-6):
             blocks.at(eps)
         for old, now in zip(before, held, strict=True):
@@ -347,11 +348,11 @@ class TestOperatorBlocks:
     def test_at_one_is_the_unscaled_operator(self):
         g = make_grid([(0, 1)] * 3, (5, 6, 4), q=1)
         blocks = operator_blocks(g, coefficient_family("variable", g))
-        got = blocks.at(1.0).matrix
-        assert got.box == blocks.unscaled.box
-        assert got.offsets == blocks.unscaled.offsets
+        got, unscaled = blocks.at(1.0).matrix, blocks.unscaled.matrix
+        assert got.box == unscaled.box
+        assert got.offsets == unscaled.offsets
         assert np.array_equal(got.rows.view(np.int64),
-                              blocks.unscaled.rows.view(np.int64))
+                              unscaled.rows.view(np.int64))
 
     def test_rejects_epsilon_out_of_range(self, unit_square):
         g = unit_square(4)
@@ -431,8 +432,8 @@ class TestStencilAssembly:
         padded[(slice(q, None), slice(q, None)) + inner] = \
             coeffs.x2_block()
         limit = coo_flux_matrix(ext, g.spacing, padded)
-        self.assert_same(blocks.limit, limit)
-        assert blocks.limit_symmetric == is_symmetric(limit)
+        self.assert_same(blocks.limit.matrix, limit)
+        assert blocks.limit.symmetric == is_symmetric(limit)
 
         # the blocks: the table with all but one block zeroed
         in_x1 = np.arange(ndim) < q
@@ -441,7 +442,8 @@ class TestStencilAssembly:
         L11, L12, L22 = (coo_flux_matrix(g.cells, g.spacing,
                                          np.where(block == k, entries, 0.0))
                          for k in range(3))
-        assert blocks.symmetric == all(map(is_symmetric, (L11, L12, L22)))
+        assert blocks.unscaled.symmetric == all(
+            map(is_symmetric, (L11, L12, L22)))
         for eps in (1.0, 0.37, 1e-5):
             self.assert_same(blocks.at(eps).matrix,
                              eps ** 2 * L11 + eps * L12 + L22)
@@ -452,9 +454,9 @@ class TestStencilAssembly:
                                   lam=0.1)
         blocks = operator_blocks(g, coeffs)
         assert not assemble_operator(g, coeffs).symmetric
-        assert not blocks.symmetric and not blocks.at(0.5).symmetric
+        assert not blocks.unscaled.symmetric and not blocks.at(0.5).symmetric
         # the mixed entry never reaches the limit
-        assert blocks.limit_symmetric
+        assert blocks.limit.symmetric
 
     def test_matvec_rejects_a_vector_of_another_length(self, unit_square):
         g = unit_square(4)
@@ -490,7 +492,8 @@ class TestStencilAssembly:
         assert matrix.shape == (9, 9) and matrix.nnz == 0
         self.assert_same(matrix, coo_flux_matrix(g.cells, g.spacing, zero))
         blocks = operator_blocks(g, CoefficientField(g, zero, lam=1.0))
-        assert blocks.at(0.5).matrix.nnz == 0 and blocks.limit.nnz == 0
+        assert blocks.at(0.5).matrix.nnz == 0
+        assert blocks.limit.matrix.nnz == 0
 
 
 class TestScaledTable:

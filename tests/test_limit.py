@@ -84,14 +84,32 @@ class TestBlockOperator:
     def test_matches_per_slice_solves(self, case):
         g, coeffs, f = block_cases()[case]
         ref = per_slice_limit(g, coeffs, f)
-        got = limit_of(g, coeffs, f).values
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for method in ("direct", "auto"):
+            got = limit_of(g, coeffs, f, method=method).values
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("case", range(4))
     def test_nnz_is_sum_of_slices(self, case):
         g, coeffs, f = block_cases()[case]
         nnz = sum(m.nnz for _, m, _, _ in iter_slice_systems(g, coeffs, f))
-        assert operator_blocks(g, coeffs).limit.nnz == nnz
+        assert operator_blocks(g, coeffs).limit.matrix.nnz == nnz
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_apply_is_the_slice_products(self, case, rng):
+        # the batched operator acts on each X1 slice as that slice's own
+        # matrix, and leaves every node off its unknowns zero
+        g, coeffs, f = block_cases()[case]
+        limit = operator_blocks(g, coeffs).limit
+        u = ScalarField(g, rng.standard_normal(g.node_shape))
+        got = limit.apply(u).values
+        interior = tuple(slice(1, g.cells[a]) for a in g.x2_axes)
+        off = np.ones(g.node_shape, dtype=bool)
+        for x1_index, matrix, _, _ in iter_slice_systems(g, coeffs, f):
+            x = u.values[x1_index][interior].reshape(-1)
+            assert np.array_equal(got[x1_index][interior].reshape(-1),
+                                  matrix @ x)
+            off[x1_index][interior] = False
+        assert np.all(got[off] == 0.0)
 
     @pytest.mark.parametrize("case", range(4))
     def test_l22_is_interior_slices_of_limit(self, case):
@@ -102,16 +120,16 @@ class TestBlockOperator:
         g, coeffs, _ = block_cases()[case]
         blocks = operator_blocks(g, coeffs)
         nodes = tuple(g.cells[a] + 1 for a in g.x1_axes)
-        keep = np.arange(blocks.limit.shape[0]).reshape(
+        keep = np.arange(blocks.limit.n_unknowns).reshape(
             nodes + (-1,))[(slice(1, -1),) * g.q].ravel()
-        cut = csr(blocks.limit)[keep][:, keep]
+        cut = csr(blocks.limit.matrix)[keep][:, keep]
         cut.sort_indices()
         a22 = coeffs.entries.copy()
         a22[:g.q] = 0.0
         a22[:, :g.q] = 0.0
         full = coo_flux_matrix(g.cells, g.spacing, a22)
         x2 = np.array([_block_of(key, g.q) == X2_BLOCK
-                       for key in blocks.unscaled.offsets])
+                       for key in blocks.unscaled.matrix.offsets])
         for eps in (1.0, 0.3, 1e-4):
             at = blocks.at(eps).matrix
             centre = at.centre
@@ -137,7 +155,7 @@ class TestBlockOperator:
         monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
         flags = []
         for g, c, f in block_cases():
-            limit = csr(operator_blocks(g, c).limit).toarray()
+            limit = csr(operator_blocks(g, c).limit.matrix).toarray()
             flags.append(np.array_equal(limit, limit.T))
             limit_of(g, c, f, method="direct")
         assert flags == [True, True, True, False]
@@ -163,7 +181,7 @@ class TestBlockOperator:
     def test_slice_residual_gate_names_slice(self):
         g, coeffs, f = block_cases()[1]
         with pytest.raises(SolverError, match=r"slice \(\d+, \d+\)") as err:
-            limit_of(g, coeffs, f, tol=0.0)
+            limit_of(g, coeffs, f, tol=0.0, method="direct")
         assert err.value.residual > 0.0
 
     def test_refinement_reuses_the_factorization(self, monkeypatch):

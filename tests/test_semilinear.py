@@ -136,7 +136,7 @@ class TestPicard:
     def test_zero_term_is_one_linear_step(self):
         _, _, op, f = setup(16, family="variable")
         zero = nonlinearity_family("zero")
-        linear = solve_dirichlet(op, f)
+        linear = solve_dirichlet(op, f, method="direct")
         # an exact step: the first Newton step is the linear solve
         res = picard_solve(op, f, zero, method="direct")
         assert res.iterations == 1
@@ -272,6 +272,21 @@ class TestSemilinearLimit:
             linear = solve_limit(blocks, f)
             assert np.array_equal(res.field.values, linear.values)
             assert res.iterations == 1
+
+    @pytest.mark.parametrize("case", [0, 1])
+    @pytest.mark.parametrize("method", ["auto", "direct"])
+    def test_is_picard_on_the_limit_operator(self, case, method):
+        # the limit is a solve on the batched limit operator, as a row is
+        # on its own: a 2-D q = 1 and a 3-D q = 2 grid, to the bit
+        g, coeffs, f = block_cases()[case]
+        blocks = operator_blocks(g, coeffs)
+        a = nonlinearity_family("tanh")
+        got = semilinear_limit(blocks, f, a, method=method)
+        ref = picard_solve(blocks.limit, f, a, method=method)
+        assert np.array_equal(got.field.values.view(np.int64),
+                              ref.field.values.view(np.int64))
+        assert (got.iterations, got.residual) == (ref.iterations,
+                                                  ref.residual)
 
     def test_cosh_profile_second_order(self):
         # per slice: -u'' = 1 - u, so u = 1 - cosh(y - 1/2)/cosh(1/2)

@@ -31,22 +31,24 @@ class TestDirect:
         g, op = laplace_setup(8)
         u, lam = sine_eigenvector(g, 2, 1)
         f = ScalarField(g, lam * u.values)
-        got = solve_dirichlet(op, f)
-        assert np.allclose(got.values, u.values, atol=1e-12)
-        assert np.all(got.values[0] == 0.0)
-        assert np.all(got.values[:, -1] == 0.0)
+        for method in ("direct", "auto"):
+            got = solve_dirichlet(op, f, method=method)
+            assert np.allclose(got.values, u.values, atol=1e-12)
+            assert np.all(got.values[0] == 0.0)
+            assert np.all(got.values[:, -1] == 0.0)
 
     def test_mms_second_order(self):
-        errs = []
-        for n in (16, 32, 64):
-            g, op = laplace_setup(n)
-            u_exact = ScalarField.from_function(
-                g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-            f = ScalarField(g, 2 * np.pi ** 2 * u_exact.values)
-            got = solve_dirichlet(op, f)
-            errs.append(np.abs(got.values - u_exact.values).max())
-        slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(np.abs(slopes - 2.0) < 0.1)
+        for method in ("direct", "auto"):
+            errs = []
+            for n in (16, 32, 64):
+                g, op = laplace_setup(n)
+                u_exact = ScalarField.from_function(
+                    g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+                f = ScalarField(g, 2 * np.pi ** 2 * u_exact.values)
+                got = solve_dirichlet(op, f, method=method)
+                errs.append(np.abs(got.values - u_exact.values).max())
+            slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+            assert np.all(np.abs(slopes - 2.0) < 0.1)
 
     def test_anisotropic_scaling_still_solvable(self):
         g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
@@ -54,8 +56,10 @@ class TestDirect:
         for eps in (1.0, 0.1, 0.01, 0.001):
             coeffs = scale_coefficients(coefficient_family("variable", g),
                                         eps)
-            u = solve_dirichlet(assemble_operator(g, coeffs), f)
-            assert np.isfinite(u.values).all()
+            op = assemble_operator(g, coeffs)
+            for method in ("direct", "auto"):
+                u = solve_dirichlet(op, f, method=method)
+                assert np.isfinite(u.values).all()
 
     def test_wrong_grid_rejected(self):
         _, op = laplace_setup(4)
@@ -69,7 +73,7 @@ class TestDirect:
         op = assemble_operator(
             g, scale_coefficients(coefficient_family("variable", g), 0.1))
         assert op.symmetric
-        got = solve_dirichlet(op, f).interior_vector()
+        got = solve_dirichlet(op, f, method="direct").interior_vector()
         colamd = spla.splu(csr(op.matrix).tocsc(), permc_spec="COLAMD")
         ref = colamd.solve(f.interior_vector())
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -348,7 +352,8 @@ class TestNewtonDriver:
         calls = count_factor(monkeypatch)
         g, op = laplace_setup(8)
         with pytest.raises(SolverError, match="line search"):
-            solve_dirichlet(op, forcing_field("sine_product", g), tol=0.0)
+            solve_dirichlet(op, forcing_field("sine_product", g), tol=0.0,
+                            method="direct")
         assert len(calls) == 1 and calls[0][0] is op.matrix
 
 
@@ -387,7 +392,7 @@ class TestFastDiagonalization:
         op = assemble_operator(g, scale_coefficients(coeffs, eps))
         x = rng.standard_normal(op.n_unknowns)
         precond = fast_diagonal_preconditioner(g.cells, g.spacing,
-                                               [op.axis_means])
+                                               op.means)
         got = precond((op.matrix @ x)[None])[0]
         assert np.allclose(got, x, rtol=0.0, atol=1e-12)
 
@@ -405,13 +410,13 @@ class TestFastDiagonalization:
         assert op.fit.pencils == (None, None)
         r = rng.standard_normal(op.n_unknowns)
         got = fast_diagonal_preconditioner(g.cells, g.spacing,
-                                           [op.axis_means], op.fit)(r[None])
+                                           op.means, op.fit)(r[None])
         lam = np.zeros(tuple(n - 1 for n in g.cells))
         for d, (n, h) in enumerate(zip(g.cells, g.spacing)):
             k = np.arange(1, n)
             along_d = [1, 1]
             along_d[d] = n - 1
-            lam = lam + op.axis_means[d] * (
+            lam = lam + op.means[0, d] * (
                 (4.0 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2
             ).reshape(along_d)
         want = sine_transform(sine_transform(r.reshape(lam.shape)) / lam)
@@ -430,7 +435,7 @@ class TestFastDiagonalization:
             op = assemble_operator(g, scale_coefficients(
                 CoefficientField(g, entries, lam=0.5), eps))
             precond = fast_diagonal_preconditioner(
-                g.cells, g.spacing, [op.axis_means], op.fit)
+                g.cells, g.spacing, op.means, op.fit)
             x0 = rng.standard_normal(op.n_unknowns)
             got = precond((op.matrix @ x0)[None])[0]
             assert np.allclose(got, x0, rtol=0.0, atol=1e-10)
@@ -484,7 +489,7 @@ class TestFastDiagonalization:
     def test_nonpositive_means_rejected(self, unit_square):
         g = unit_square(6)
         op = assemble_operator(g, coefficient_family("identity", g))
-        bad = dataclasses.replace(op, axis_means=(1.0, -1.0))
+        bad = dataclasses.replace(op, means=np.array([[1.0, -1.0]]))
         with pytest.raises(SolverError, match="preconditioner"):
             solve_dirichlet(bad, forcing_field("sine_product", g),
                             method="cg")

@@ -212,11 +212,26 @@ class TestRunSweep:
                 assert getattr(a, col) == pytest.approx(getattr(d, col),
                                                         rel=1e-8), col
 
-    def test_damping_steers_nothing(self):
-        reps = [run_sweep(small_config(nonlinearity="tanh", damping=d))
-                for d in (0.3, 1.0)]
-        assert [dataclasses.replace(r, wall_ms=0.0) for r in reps[0].rows] \
-            == [dataclasses.replace(r, wall_ms=0.0) for r in reps[1].rows]
+    def test_rows_share_one_fit(self, monkeypatch):
+        # every row is the unscaled operator with scaled rows and means:
+        # one fit, whose axis pencils one sweep diagonalizes once each
+        cfg = small_config(coefficient_family="variable")
+        g = cfg.build_grid()
+        blocks = operator_blocks(g, cfg.build_coefficients(g))
+        fit = blocks.unscaled.fit
+        assert blocks.at(1.0).fit is blocks.at(0.1).fit is fit
+        bent = sum(p is not None or w is not None
+                   for p, w in zip(fit.profile, fit.weight))
+        assert bent > 0
+        calls = []
+        real = np.linalg.eigh
+
+        def eigh(a):
+            calls.append(a.shape)
+            return real(a)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert run_sweep(cfg).complete
+        assert len(calls) == bent
 
     def test_failed_solve_flags_incomplete(self):
         # variable table: the CG preconditioner is exact for the identity
