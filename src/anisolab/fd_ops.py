@@ -203,7 +203,9 @@ class Stencil:
     ``matvec`` writes the same product into the caller's array, through
     the caller's ``workspace``.  The CSR pattern is laid out once per
     layout, box and offsets, and shared by every stencil ``with_rows``
-    derives from this one.
+    derives from this one.  So are its held solve buffers (``buffer``,
+    ``held_workspace``), which ``share_buffers`` extends to a stencil of
+    another layout.
     """
 
     def __init__(self, box: Sequence[int],
@@ -216,6 +218,8 @@ class Stencil:
         self._pad = max(map(abs, self.flats), default=0)
         # the CSR pattern, laid out on first use
         self._layout: dict = {}
+        # the solve buffers (``buffer``), made on first use
+        self._buffers: dict[str, np.ndarray] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -236,9 +240,10 @@ class Stencil:
 
     def with_rows(self, rows: np.ndarray) -> Stencil:
         """The same stencil with other coefficients, sharing this one's
-        layout."""
+        layout and buffers."""
         other = Stencil(self.box, self.offsets, rows)
         other._layout = self._layout
+        other._buffers = self._buffers
         return other
 
     def __matmul__(self, x) -> np.ndarray:
@@ -249,6 +254,39 @@ class Stencil:
         row, for any stencil of this layout."""
         n = self.shape[0]
         return np.zeros(n + 2 * self._pad), np.empty(n)
+
+    def held_workspace(self) -> tuple[np.ndarray, np.ndarray]:
+        """A ``workspace`` of held buffers: the padded vector, its ends
+        zeroed on every call, and the scratch row, ``buffer("scratch")``."""
+        n, pad = self.shape[0], self._pad
+        padded = self.buffer("padded", n + 2 * pad)
+        padded[:pad] = 0.0
+        padded[pad + n:] = 0.0
+        return padded, self.buffer("scratch")
+
+    def buffer(self, name: str, size: int | None = None) -> np.ndarray:
+        """The held array of ``size`` floats (default ``shape[0]``) named
+        ``name``, uninitialized.
+
+        Later requests for ``name`` from any stencil that shares this
+        one's buffers return the same memory, as its last user left it:
+        every stencil ``with_rows`` derives from this one does, and so
+        does any stencil joined by ``share_buffers``.  The array is a
+        view of the first ``size`` floats of one made for the largest
+        request so far.  Solves keep their vectors here, so that every
+        row of a sweep and every Jacobian of a solve reuse one set: two
+        solves on stencils sharing buffers must not run at the same time.
+        """
+        size = self.shape[0] if size is None else size
+        held = self._buffers.get(name)
+        if held is None or len(held) < size:
+            held = self._buffers[name] = np.empty(size)
+        return held[:size]
+
+    def share_buffers(self, other: Stencil) -> None:
+        """Let ``other`` and the stencils sharing its buffers take theirs
+        from this stencil's ``buffer``."""
+        other._buffers = self._buffers
 
     def matvec(self, x, out: np.ndarray,
                work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -323,6 +361,20 @@ class SeparableFit:
             v = s[:, None] * q
             v.flags.writeable = False
             out.append((v, lam))
+        return tuple(out)
+
+    @cached_property
+    def transposes(self) -> tuple[np.ndarray | None, ...]:
+        """Per axis, ``V^T`` of its pencil laid out C-contiguous, None
+        where ``pencils`` has None: a transposed right factor is slow in
+        BLAS at some sizes.  Built on first use, then kept."""
+        out = []
+        for pencil in self.pencils:
+            vt = None
+            if pencil is not None:
+                vt = np.ascontiguousarray(pencil[0].T)
+                vt.flags.writeable = False
+            out.append(vt)
         return tuple(out)
 
 
@@ -713,6 +765,9 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
     # would reach them all, so it raises instead
     for op in (unscaled, limit):
         op.matrix.rows.flags.writeable = False
+    # a sweep solves the limit and then each row: one set of solve
+    # buffers serves them all
+    unscaled.matrix.share_buffers(limit.matrix)
     return OperatorBlocks(grid=grid, unscaled=unscaled,
                           d11=d11.ravel(), d22=d22.ravel(), limit=limit)
 

@@ -7,10 +7,10 @@ grid being B = 1 and the limit, batched over its X1 axes, one block per
 X1 node (``limit.semilinear_limit``); a linear solve is the zero term.
 ``newton_solve`` runs it (Kelley, *Iterative Methods for Linear and
 Nonlinear Equations*, SIAM 1995, ch. 6).  From u = 0 every step solves
-``J du = -F`` with ``J = L + diag(-a'(u))`` (a copy of the rows of L's
-stencil, ``fd_ops.Stencil``, with a'(u) taken off the centre row), then
-halves the step of each block until its |F| decreases by the Armijo rule
-(c = 1e-4).  A block stops once |F| / |f + a(u)| is at most ``tol``; a
+``J du = -F`` with ``J = L + diag(-a'(u))`` (one copy of the rows of L's
+stencil, ``fd_ops.Stencil``, per solve, each step taking a'(u) off its
+centre row), then halves the step of each block until its |F|
+decreases by the Armijo rule (c = 1e-4).  A block stops once |F| / |f + a(u)| is at most ``tol``; a
 solve that has not met it after ``max_iter`` steps raises SolverError
 carrying the residual.  A linear solve's first step is the solve to
 ``tol`` itself, and a step that misses it is followed by another step
@@ -36,9 +36,20 @@ factored once on first need; elsewhere each step factors its own J.
 
 ``pcg`` is one numpy conjugate-gradient loop over ``B`` independent equal
 blocks of a block-diagonal system, each block with its own step lengths
-and stopping test, all applied through one stencil matvec.  It updates
-its vectors in place, and the matvec writes into the loop's own array
-through the loop's own workspace.
+and stopping test, all applied through one stencil matvec.
+
+The working set of a solve lives in the held buffers of its stencil
+(``Stencil.buffer`` and ``Stencil.held_workspace``): Newton's iterate,
+trial iterate, residual and step right-hand side, CG's four vectors, the
+matvec's padded vector and the one scratch row that the matvec, the
+preconditioner, the updates and the norms take in turn.  Every stencil
+``with_rows`` derives shares its buffers, and ``operator_blocks`` lets
+the limit share the rows' (``Stencil.share_buffers``), so the rows of a
+sweep, their Jacobians and its limit run on one set, made by the first
+solve.  A later solve allocates only its preconditioner's eigenvalues,
+its Jacobian's rows and the iterate it returns, which the caller owns,
+and its steps only a'(u), a(u) and the step CG returns.  Two solves on
+one set of buffers must not run at the same time.
 
 CG is preconditioned by fast diagonalization (Lynch, Rice & Thomas 1964):
 the preconditioner of a block is the flux operator of a separable
@@ -50,9 +61,10 @@ slices keep flat ones.  Such an operator is a sum of
 Kronecker products, which one generalized eigendecomposition per axis
 diagonalizes: on a flat axis the orthonormal DST-I, whose sine matrices
 are built once per size and shared; on any other the axis pencil, one
-dense ``eigh`` per ``operator_blocks`` (``SeparableFit.pencils``), built
-on the first CG solve and shared by every epsilon, whose scaling only
-moves c_d.  Either way the inverse costs one transform per axis each
+dense ``eigh`` per ``operator_blocks`` (``SeparableFit.pencils``, and
+each V^T laid out once, ``SeparableFit.transposes``), built on the
+first CG solve and shared by every epsilon, whose scaling only moves
+c_d.  Either way the inverse costs one transform per axis each
 way and a division.  The fit is exact in 2-D for a_dd that are products
 of one function per axis, such as a coefficient that jumps in X1 only,
 and it carries the epsilon scaling of the operator, so the iteration
@@ -134,7 +146,7 @@ def _sine_matrices(shape) -> list[np.ndarray]:
     return [_sine_matrix(int(m)) for m in shape]
 
 
-def _apply_axes(x: np.ndarray, mats) -> np.ndarray:
+def _apply_axes(x: np.ndarray, mats, targets=None) -> np.ndarray:
     """One matrix along every axis of ``x`` but the first, which indexes
     blocks.
 
@@ -142,18 +154,25 @@ def _apply_axes(x: np.ndarray, mats) -> np.ndarray:
     d + 1: ``right`` is M^T and ``left`` is M, so that a sine matrix,
     symmetric, is passed as itself twice.  Each box axis is one stack of
     matrix products over the axes around it, so every product is a BLAS
-    matrix multiply whatever the layout.
+    matrix multiply whatever the layout.  With ``targets``, a pair of
+    arrays of ``x``'s size that ``x`` is neither of, the products are
+    written into them in turn, the first into ``targets[0]``, and
+    nothing is allocated.
     """
     shape = x.shape
     for d, (right, left) in enumerate(mats, start=1):
         before = math.prod(shape[:d])
         after = math.prod(shape[d + 1:])
+        out = None if targets is None else targets[(d - 1) % 2]
         if after == 1:
             # right-multiplying transforms the last axis of every block
             # at once
-            x = x.reshape(before, shape[d]) @ right
+            x = np.matmul(x.reshape(before, shape[d]), right, out=(
+                None if out is None else out.reshape(before, shape[d])))
         else:
-            x = np.matmul(left, x.reshape(before, shape[d], after))
+            box = (before, shape[d], after)
+            x = np.matmul(left, x.reshape(box),
+                          out=None if out is None else out.reshape(box))
     return x.reshape(shape)
 
 
@@ -165,21 +184,26 @@ def sine_transform(x: np.ndarray) -> np.ndarray:
 
 def fast_diagonal_preconditioner(cells: Sequence[int],
                                  spacing: Sequence[float],
-                                 means, fit: SeparableFit | None = None
-                                 ) -> Callable[[np.ndarray], np.ndarray]:
+                                 means, fit: SeparableFit | None = None,
+                                 work: np.ndarray | None = None
+                                 ) -> Callable[..., np.ndarray]:
     """Exact inverses of separable diagonal tables, one per block.
 
     Every block is the interior of one box of ``cells`` cells and
     ``spacing`` spacings; row b of ``means``, shape ``(B, len(cells))``,
     with ``fit`` (``fd_ops.SeparableFit``; None is flat on every axis,
-    as for the limit slices) is block b's table.  The returned callable maps residuals of shape
-    ``(B, n)`` to preconditioned ones of the same shape.  An axis whose
-    fit is flat has the DST-I modes as eigenvectors and the eigenvalues
-    ``(4 / h_d^2) sin^2(pi k_d / (2 n_d))``; any other axis has its
-    pencil's (``SeparableFit.pencils``).  Block b's eigenvalue is the sum
-    over axes of ``means[b, d]`` times axis d's; a nonpositive one raises
-    SolverError, since the preconditioner must be positive definite for
-    CG.
+    as for the limit slices) is block b's table.  The returned callable
+    maps residuals of shape ``(B, n)`` to preconditioned ones of the same
+    shape: ``precond(r)`` returns a new array, ``precond(r, out=z)``
+    writes into ``z`` and returns it.  Its transforms alternate between
+    ``z`` and one scratch array of ``r``'s size, ``work`` where given
+    (neither ``r`` nor ``z``), else one of its own per call.  An axis
+    whose fit is flat has the DST-I modes as eigenvectors and the
+    eigenvalues ``(4 / h_d^2) sin^2(pi k_d / (2 n_d))``; any other axis
+    has its pencil's (``SeparableFit.pencils``).  Block b's eigenvalue is
+    the sum over axes of ``means[b, d]`` times axis d's; a nonpositive
+    one raises SolverError, since the preconditioner must be positive
+    definite for CG.
     """
     means = np.asarray(means, dtype=float)
     shape = tuple(int(n) - 1 for n in cells)
@@ -197,8 +221,7 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
             inverse.append((s, s))
         else:
             v, lam_d = pencil
-            # a transposed right factor is slow in BLAS at some sizes
-            vt = np.ascontiguousarray(v.T)
+            vt = fit.transposes[d]
             forward.append((v, vt))
             inverse.append((vt, v))
         lam += (means[:, d].reshape((-1,) + (1,) * len(shape))
@@ -209,14 +232,23 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
             f"fast-diagonalization preconditioner has eigenvalue "
             f"{lam.min():.3e} <= 0 (axis means {tuple(means[block])})")
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        z = _apply_axes(np.reshape(r, lam.shape), forward) / lam
-        return _apply_axes(z, inverse).reshape(len(lam), -1)
+    def solve(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        z = np.empty(lam.shape) if out is None else out.reshape(lam.shape)
+        scratch = (np.empty(lam.shape) if work is None
+                   else work.reshape(lam.shape))
+        targets = (scratch, z)
+        y = _apply_axes(np.reshape(r, lam.shape), forward, targets)
+        np.divide(y, lam, out=y)
+        # forward's last product is in z for an even number of axes;
+        # the inverse starts on the other array, so that its last is too
+        _apply_axes(y, inverse, targets if len(shape) % 2 == 0
+                    else targets[::-1])
+        return z.reshape(len(lam), -1)
 
     return solve
 
 
-def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
+def pcg(matrix, b: np.ndarray, precond: Callable[..., np.ndarray],
         tol, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Preconditioned CG on the ``B`` independent equal blocks of ``b``.
 
@@ -228,31 +260,47 @@ def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
     direction has no positive curvature, is frozen: its iterate never
     changes again.  A block whose right-hand side is zero starts frozen
     at zero.  Every step applies ``matrix`` to all blocks through one
-    matvec, into arrays of the loop's own.  Runs at most ``maxiter``
-    steps from zero and returns the iterate, shape ``(B, n)``, the steps
-    each block took, and the mask of the blocks that were still short of
-    their test when the cap stopped them.
+    matvec and ``precond(r, out=z)`` (``fast_diagonal_preconditioner``)
+    once.  Runs at most ``maxiter`` steps from zero and returns a copy
+    of the iterate, shape ``(B, n)``, the steps each block took, and the
+    mask of the blocks that were still short of their test when the cap
+    stopped them.
+
+    The loop's vectors are buffers of ``matrix`` (``Stencil.buffer``,
+    ``Stencil.held_workspace``), which ``b`` must not be, so its steps
+    allocate nothing of ``b``'s size: the preconditioned residual shares
+    ``q``'s array, which the matvec overwrites only once ``p`` has taken
+    it, and the matvec's scratch row is also the scratch of the updates
+    and of the norms.  ``newton_solve`` keeps its trial iterate and
+    residual in ``x`` and ``r`` between its CG solves.
     """
     b = np.asarray(b, dtype=float)
     nblocks = len(b)
+    work = matrix.held_workspace()
+    x, r, p, q = (matrix.buffer(name).reshape(b.shape)
+                  for name in ("pcg.x", "pcg.r", "pcg.p", "pcg.q"))
+    scratch = work[1].reshape(b.shape)
 
     def dot(u, v):
         return np.einsum("ij,ij->i", u, v)
 
-    target = np.asarray(tol, dtype=float) * np.linalg.norm(b, axis=1)
-    x, r = np.zeros_like(b), b.copy()
+    def norms(v):
+        # np.linalg.norm(v, axis=1), through the scratch row
+        return np.sqrt(np.add.reduce(np.multiply(v, v, out=scratch),
+                                     axis=1))
+
+    target = np.asarray(tol, dtype=float) * norms(b)
+    x[...] = 0.0
+    r[...] = b
     steps = np.zeros(nblocks, dtype=int)
-    active = ~(np.linalg.norm(r, axis=1) <= target)
+    active = ~(norms(r) <= target)
     # with p = 0 the first beta multiplies nothing, so rz may start at 1
-    p = np.zeros_like(b)
+    p[...] = 0.0
     rz = np.ones(nblocks)
-    # p, x and r are updated in place, through q and one scratch array
-    q, scaled = np.empty_like(b), np.empty_like(b)
-    work = matrix.workspace()
     for _ in range(maxiter):
         if not active.any():
             break
-        z = precond(r)
+        z = precond(r, out=q)
         rz_new = dot(r, z)
         beta = np.divide(rz_new, rz, out=np.zeros(nblocks),
                          where=active & (rz != 0))
@@ -265,11 +313,11 @@ def pcg(matrix, b: np.ndarray, precond: Callable[[np.ndarray], np.ndarray],
         # a block with no positive curvature along p can take no step
         active &= pq > 0
         alpha = np.divide(rz, pq, out=np.zeros(nblocks), where=active)
-        x += np.multiply(alpha[:, None], p, out=scaled)
-        r -= np.multiply(alpha[:, None], q, out=scaled)
+        x += np.multiply(alpha[:, None], p, out=scratch)
+        r -= np.multiply(alpha[:, None], q, out=scratch)
         steps += active
-        active &= ~(np.linalg.norm(r, axis=1) <= target)
-    return x, steps, active
+        active &= ~(norms(r) <= target)
+    return x.copy(), steps, active
 
 
 def iteration_cap(n: int, maxiter_factor: float) -> int:
@@ -297,19 +345,24 @@ def resolve_method(op: SparseOperator, method: str) -> str:
     return _route(op.symmetric, method)
 
 
-def jacobian(matrix: Stencil, a: Nonlinearity, u: np.ndarray) -> Stencil:
-    """``L + diag(-a'(u))``: symmetric when ``L`` is.
+def jacobian(matrix: Stencil, deriv: np.ndarray,
+             into: Stencil | None = None) -> Stencil:
+    """``L + diag(-a'(u))`` from ``deriv = a'(u)``: symmetric when ``L``
+    is.
 
-    A copy of ``L``'s rows with ``a'(u)`` subtracted from the centre row,
+    A copy of ``L``'s rows with ``deriv`` subtracted from the centre row,
     the diagonal; a stencil without a centre row raises ConfigError.
+    ``into``, a Jacobian of ``matrix`` made here before, is reused: only
+    its centre row is rewritten, its other rows being ``L``'s still.
     """
     centre = matrix.centre
     if centre is None:
         raise ConfigError("the Jacobian needs the matrix's diagonal, the "
                           "centre of its stencil")
-    rows = matrix.rows.copy()
-    rows[centre] -= a.deriv(u)
-    return matrix.with_rows(rows)
+    if into is None:
+        into = matrix.with_rows(matrix.rows.copy())
+    np.subtract(matrix.rows[centre], deriv, out=into.rows[centre])
+    return into
 
 
 def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
@@ -329,19 +382,30 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
     block has its own residual gate, forcing term and line search, and
     is frozen once it meets its gate; an error that names a block of a
     batched operator names it by its batch-axes node, ``slice (i, j)``.
-    Returns the iterate, the steps taken per block and the final
-    relative residuals.  ``max_iter`` must be at least 1.
+    Returns a copy of the iterate, the steps taken per block and the
+    final relative residuals.  ``max_iter`` must be at least 1.
+
+    The iterate, its trial value, the residual and the step's right-hand
+    side are buffers of ``op.matrix``, and so is the preconditioner's
+    scratch (see the module docstring); the solve's one Jacobian, made
+    on the first step where a' is nonzero, is a copy of the rows whose
+    centre row every later step rewrites.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     matrix, symmetric, batch = op.matrix, op.symmetric, op.batch
     route = _route(symmetric, method)
     blocks = len(op.means)
+    # the matvec's scratch row is also the step's, the norms' and the
+    # preconditioner's scratch
+    work = matrix.held_workspace()
+    scratch = work[1]
     if route == "cg":
         precond = fast_diagonal_preconditioner(
-            op.grid.cells[batch:], op.grid.spacing[batch:], op.means, op.fit)
+            op.grid.cells[batch:], op.grid.spacing[batch:], op.means, op.fit,
+            work=scratch)
         cap = iteration_cap(rhs.size // blocks, maxiter_factor)
-    lu = None
+    lu = jac = None
 
     def where(k):
         if not batch:
@@ -350,20 +414,22 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
         return f"slice {tuple(int(i) for i in index)}: "
 
     def norms(v):
-        # one block takes the whole vector's norm, as relative_residual
+        # one block takes the whole vector's norm, as relative_residual;
+        # more take np.linalg.norm(axis=1), through the scratch row
         if blocks == 1:
             return np.array([np.linalg.norm(v)])
-        return np.linalg.norm(v.reshape(blocks, -1), axis=1)
+        np.multiply(v, v, out=scratch)
+        return np.sqrt(np.add.reduce(scratch.reshape(blocks, -1), axis=1))
 
-    def residual(u):
-        b = rhs + a(u)
-        F = matrix @ u - b
-        return F, norms(F), norms(b)
-
+    # the trial iterate and the residual are spent while CG runs, so
+    # they take pcg's x and r
+    u, b, trial_u, F = (matrix.buffer(name) for name in (
+        "newton.u", "newton.b", "pcg.x", "pcg.r"))
     # at u = 0 the residual is -(rhs + a(0)): no matvec
-    u = np.zeros_like(rhs)
-    b = rhs + a(u)
-    F, norm_F = -b, norms(b)
+    u[...] = 0.0
+    np.add(rhs, a(u), out=b)
+    np.negative(b, out=F)
+    norm_F = norms(b)
     norm_b = norm_F
     iters = np.zeros(blocks, dtype=int)
     m = 0
@@ -373,7 +439,7 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
                         where=norm_b > 0)
         active = ~(rel <= tol)
         if not active.any():
-            return u, iters, rel
+            return u.copy(), iters, rel
         if m == max_iter:
             k = int(np.flatnonzero(active)[0])
             raise SolverError(
@@ -383,7 +449,9 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
         # where a' vanishes the Jacobian is the matrix itself
         J = matrix
         if deriv.any():
-            J = jacobian(matrix, a, u)
+            J = jac = jacobian(matrix, deriv, jac)
+        # the step's right-hand side -F, in b until the line search
+        step_rhs = np.negative(F, out=b)
         if route == "cg":
             floor = np.divide(FORCING_FLOOR * tol, rel,
                               out=np.zeros(blocks), where=active)
@@ -392,30 +460,35 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
                 blocks, -1).any(axis=1))
             # blocks already within tol take a zero right-hand side and
             # no step
-            du, _, capped = pcg(J, np.where(active[:, None],
-                                            -F.reshape(blocks, -1), 0.0),
-                                precond, forcing, cap)
+            step_rhs = step_rhs.reshape(blocks, -1)
+            step_rhs[~active] = 0.0
+            du, _, capped = pcg(J, step_rhs, precond, forcing, cap)
             if capped.any():
                 k = int(np.flatnonzero(capped)[0])
                 # block k's relative residual of the linearized problem
-                # after the capped step (the true one where a' = 0)
-                left = norms(J @ du.ravel() + F)[k] / norm_F[k] * rel[k]
+                # after the capped step (the true one where a' = 0); F
+                # was pcg's r, and is -step_rhs in block k
+                left = (norms(J @ du.ravel() - step_rhs.ravel())[k]
+                        / norm_F[k] * rel[k])
                 raise SolverError(f"{where(k)}cg exhausted {cap} iterations",
                                   residual=float(left))
         elif J is not matrix:
-            du = factor_matrix(J, symmetric).solve(-F)
+            du = factor_matrix(J, symmetric).solve(step_rhs)
         else:
             if lu is None:
                 lu = factor_matrix(matrix, symmetric)
-            du = lu.solve(-F)
-        # a Jacobian copy held through the line search raises the peak
-        del J
+            du = lu.solve(step_rhs)
         du = du.reshape(blocks, -1)
         t = active.astype(float)
         for _ in range(MAX_HALVINGS):
-            u_trial = u + (t[:, None] * du).ravel()
-            trial = residual(u_trial)
-            short = trial[1] > (1.0 - ARMIJO * t) * norm_F
+            np.multiply(t[:, None], du, out=scratch.reshape(blocks, -1))
+            np.add(u, scratch, out=trial_u)
+            np.add(rhs, a(trial_u), out=b)
+            # F is spent once the step is solved: each trial overwrites it
+            matrix.matvec(trial_u, F, work)
+            F -= b
+            trial_norm_F, trial_norm_b = norms(F), norms(b)
+            short = trial_norm_F > (1.0 - ARMIJO * t) * norm_F
             if not short.any():
                 break
             t[short] /= 2.0
@@ -425,8 +498,8 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
                 f"{where(k)}Newton line search found no decrease in "
                 f"{MAX_HALVINGS} halvings at residual {rel[k]:.3e}",
                 residual=float(rel[k]))
-        u = u_trial
-        F, norm_F, norm_b = trial
+        u[...] = trial_u
+        norm_F, norm_b = trial_norm_F, trial_norm_b
         m += 1
         iters[active] = m
 

@@ -399,12 +399,16 @@ class TestStencilAssembly:
         assert np.array_equal((got @ x).view(np.int64),
                               (layout @ x).view(np.int64))
         # matvec writes the same bits into the caller's array, and a
-        # reused workspace keeps its padding zero
-        out, work = np.full(got.shape[0], np.nan), got.workspace()
-        for y in (x, rng.standard_normal(got.shape[0])):
-            assert got.matvec(y, out, work) is out
-            assert np.array_equal(out.view(np.int64),
-                                  (layout @ y).view(np.int64))
+        # reused workspace keeps its padding zero; so does the held one,
+        # whose padded vector a stencil sharing the buffers may have
+        # written anywhere
+        for work in (got.workspace(), got.held_workspace()):
+            out = np.full(got.shape[0], np.nan)
+            for y in (x, rng.standard_normal(got.shape[0])):
+                assert got.matvec(y, out, work) is out
+                assert np.array_equal(out.view(np.int64),
+                                      (layout @ y).view(np.int64))
+            work[0][:] = np.nan
 
     @given(st.sampled_from([(2, 1), (3, 1), (3, 2)]),
            st.lists(st.integers(2, 5), min_size=3, max_size=3),
@@ -484,6 +488,25 @@ class TestStencilAssembly:
         first.data[:] = 0.0
         first.eliminate_zeros()
         assert np.array_equal(csr(op.matrix).indices, second.indices)
+
+    def test_rows_and_limit_share_one_set_of_buffers(self, unit_square):
+        # every eps-operator, its Jacobians and the limit take their
+        # solve buffers from one set, each a view of its own length;
+        # another operator has its own
+        g = unit_square(6)
+        blocks = operator_blocks(g, coefficient_family("variable", g))
+        row = blocks.at(0.5).matrix
+        jac = row.with_rows(row.rows.copy())
+        limit = blocks.limit.matrix
+        first = limit.buffer("v")
+        assert len(first) == limit.shape[0] > row.shape[0]
+        for matrix in (row, jac, blocks.at(0.25).matrix, limit):
+            held = matrix.buffer("v")
+            assert len(held) == matrix.shape[0]
+            assert np.shares_memory(held, first)
+        assert not np.shares_memory(row.buffer("w"), first)
+        other = assemble_operator(g, coefficient_family("variable", g))
+        assert not np.shares_memory(other.matrix.buffer("v"), first)
 
     def test_all_zero_table_assembles_empty(self, unit_square):
         g = unit_square(4)

@@ -100,7 +100,7 @@ class TestNonlinearityFamily:
         g, _, op, _ = setup(8, family="variable")
         assert op.symmetric
         u = np.random.default_rng(3).standard_normal(op.n_unknowns)
-        J = csr(jacobian(op.matrix, nonlinearity_family("tanh"), u))
+        J = csr(jacobian(op.matrix, nonlinearity_family("tanh").deriv(u)))
         assert is_symmetric(J)
         L = csr(op.matrix)
         assert np.array_equal(J.diagonal(),
@@ -114,7 +114,7 @@ class TestNonlinearityFamily:
         tanh = nonlinearity_family("tanh")
         u = np.random.default_rng(4).standard_normal(op.n_unknowns)
         before = op.matrix.rows.copy()
-        J = jacobian(op.matrix, tanh, u)
+        J = jacobian(op.matrix, tanh.deriv(u))
         assert J.offsets == op.matrix.offsets
         assert not np.shares_memory(J.rows, op.matrix.rows)
         ref = csr(op.matrix)
@@ -123,13 +123,21 @@ class TestNonlinearityFamily:
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
         assert np.array_equal(op.matrix.rows, before)
+        # reused for another iterate, the same rows hold a fresh
+        # Jacobian's, bit for bit
+        v = 2.0 * u
+        again = jacobian(op.matrix, tanh.deriv(v), into=J)
+        assert again is J
+        assert np.array_equal(J.rows,
+                              jacobian(op.matrix, tanh.deriv(v)).rows)
+        assert np.array_equal(op.matrix.rows, before)
 
     def test_jacobian_needs_the_stored_diagonal(self):
         # two unknowns coupled by off-diagonal offsets only
         matrix = Stencil((2,), [(-1,), (1,)], np.array([[0.0, 1.0],
                                                         [1.0, 0.0]]))
         with pytest.raises(ConfigError):
-            jacobian(matrix, nonlinearity_family("tanh"), np.zeros(2))
+            jacobian(matrix, np.zeros(2))
 
 
 class TestPicard:

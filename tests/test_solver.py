@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from anisolab import (CoefficientField, ConfigError, ScalarField,
                       SolverError, assemble_operator, coefficient_family,
                       forcing_field, make_grid, nonlinearity_family,
                       picard_solve, scale_coefficients, solve_dirichlet)
-from anisolab.fd_ops import _flux_operator, assemble_flux_matrix
+from anisolab.fd_ops import Stencil, _flux_operator, assemble_flux_matrix
 from anisolab.solver import (fast_diagonal_preconditioner, pcg,
                              relative_residual, resolve_method,
                              sine_transform)
@@ -255,6 +256,83 @@ class TestPCG:
         assert np.all(steps == 0) and np.all(x == 0.0)
         assert not capped.any()
 
+    def test_iterate_belongs_to_the_caller(self, rng):
+        # the loop's vectors are the stencil's buffers, and the iterate
+        # returned is a copy: a later solve on the stencil leaves it be
+        matrix, precond = slice_blocks(self.tables)
+        b = rng.standard_normal((3, 15))
+        x, _, _ = pcg(matrix, b, precond, 1e-10, 100)
+        kept = x.copy()
+        y, _, _ = pcg(matrix, 2.0 * b, precond, 1e-10, 100)
+        assert not np.shares_memory(x, y)
+        assert np.array_equal(x, kept) and not np.array_equal(x, y)
+
+
+class TestWorkingSet:
+    """Newton and CG keep their vectors in the stencil's buffers."""
+
+    def test_cg_steps_allocate_no_vector(self, monkeypatch):
+        # from one preconditioner call to the next, a whole CG step, the
+        # traced peak rises by less than one vector: every pcg call of
+        # a tanh solve, the Jacobian's included
+        g = make_grid([(0, 1), (0, 1)], (48, 48), q=1)
+        op = assemble_operator(g, coefficient_family("variable", g))
+        vector = 8 * op.n_unknowns
+        rises = []
+        real = anisolab.solver.pcg
+
+        def traced(matrix, b, precond, tol, maxiter):
+            marks = []
+
+            def measured(r, out=None):
+                current, peak = tracemalloc.get_traced_memory()
+                if marks:
+                    rises.append(peak - marks[-1])
+                tracemalloc.reset_peak()
+                marks.append(current)
+                return precond(r, out=out)
+            return real(matrix, b, measured, tol, maxiter)
+        monkeypatch.setattr(anisolab.solver, "pcg", traced)
+        tracemalloc.start()
+        try:
+            res = picard_solve(op, forcing_field("sine_product", g),
+                               nonlinearity_family("tanh"), method="cg")
+        finally:
+            tracemalloc.stop()
+        assert res.iterations > 1 and len(rises) >= 5
+        assert max(rises) < vector // 2
+
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    def test_jacobian_rows_copied_once_per_solve(self, method,
+                                                 monkeypatch):
+        # the first step copies the rows, every later one rewrites the
+        # centre row of that copy: each step's J holds the one array
+        g = make_grid([(0, 1), (0, 1)], (24, 24), q=1)
+        op = assemble_operator(g, coefficient_family("variable", g))
+        copies, jacobians = [], []
+        with_rows = Stencil.with_rows
+
+        def copying(self, rows):
+            copies.append(rows)
+            return with_rows(self, rows)
+        monkeypatch.setattr(Stencil, "with_rows", copying)
+        for name in ("pcg", "factor_matrix"):
+            def recording(matrix, *args, real=getattr(anisolab.solver,
+                                                      name)):
+                jacobians.append(matrix)
+                return real(matrix, *args)
+            monkeypatch.setattr(anisolab.solver, name, recording)
+        f = forcing_field("sine_product", g)
+        tanh = nonlinearity_family("tanh")
+        res = picard_solve(op, f, tanh, method=method)
+        assert res.iterations >= 2 and len(jacobians) == res.iterations
+        assert len(copies) == 1
+        assert not np.shares_memory(copies[0], op.matrix.rows)
+        assert all(J.rows is copies[0] for J in jacobians)
+        # the next solve makes its own copy
+        picard_solve(op, f, tanh, method=method)
+        assert len(copies) == 2 and copies[1] is not copies[0]
+
 
 class TestCGRestart:
     """A CG step that misses ``tol`` is followed by another Newton step."""
@@ -422,6 +500,42 @@ class TestFastDiagonalization:
         want = sine_transform(sine_transform(r.reshape(lam.shape)) / lam)
         assert np.array_equal(got[0], want.ravel())
         solve_dirichlet(op, forcing_field("sine_product", g), method="cg")
+
+    @pytest.mark.parametrize("cells", [(9,), (9, 12), (5, 6, 7)])
+    def test_written_into_out_bit_for_bit(self, cells, rng):
+        # precond(r, out=z) writes precond(r) into z, bit for bit, through
+        # its own scratch or a given one, and leaves r be; one and three
+        # axes end their transforms on the other array than two axes
+        spacing = tuple(1.0 / n for n in cells)
+        fit = None
+        if len(cells) > 1:
+            grid = make_grid([(0, 1)] * len(cells), cells, q=1)
+            fit = assemble_operator(grid, coefficient_family(
+                "variable", grid)).fit
+        means = rng.uniform(1.0, 2.0, (2, len(cells)))
+        r = rng.standard_normal((2, int(np.prod(np.array(cells) - 1))))
+        kept = r.copy()
+        want = fast_diagonal_preconditioner(cells, spacing, means, fit)(r)
+        for work in (None, np.full(r.size, np.nan)):
+            precond = fast_diagonal_preconditioner(cells, spacing, means,
+                                                   fit, work=work)
+            z = np.full_like(r, np.nan)
+            got = precond(r, out=z)
+            assert got.shape == r.shape and np.shares_memory(got, z)
+            assert np.array_equal(z, want)
+            assert np.array_equal(r, kept)
+
+    def test_pencil_transposes_built_once(self):
+        # V^T of each pencil, C-contiguous and read-only, is the fit's:
+        # every preconditioner built from it shares the one array
+        g = make_grid([(0, 1), (0, 2)], (9, 12), q=1)
+        fit = assemble_operator(g, coefficient_family("variable", g)).fit
+        transposes = fit.transposes
+        assert fit.transposes is transposes
+        for pencil, vt in zip(fit.pencils, transposes):
+            assert pencil is not None
+            assert vt.flags.c_contiguous and not vt.flags.writeable
+            assert np.array_equal(vt, pencil[0].T)
 
     def test_exact_inverse_for_separable_2d_table(self, rng):
         # each a_dd a product of one function per axis, no mixed entry:
