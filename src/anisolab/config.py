@@ -21,6 +21,7 @@ from .forcing import forcing_field
 from .grid import (Grid, NestedFamily, ScalarField, SubdomainMask,
                    interior_subdomain, make_grid, nested_family)
 from .semilinear import Nonlinearity, nonlinearity_family
+from .solver import check_method
 
 __all__ = ["StudyConfig", "load_config"]
 
@@ -138,8 +139,7 @@ class StudyConfig:
         if self.picard_max_iter < 1:
             raise ConfigError(f"picard max iter must be >= 1, "
                               f"got {self.picard_max_iter}")
-        if self.solver_method not in ("auto", "direct", "cg"):
-            raise ConfigError(f"unknown solver method '{self.solver_method}'")
+        check_method(self.solver_method)
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, "
                               f"got '{self.out_format}'")

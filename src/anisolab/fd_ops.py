@@ -22,7 +22,7 @@ construction, and so is it for any constant table: only a_ij + a_ji
 reaches each corner coupling.  So an operator's ``symmetric`` flag is the
 exact symmetry of its matrix, read off the stencil (the entry at offset o
 from node i against the one at -o from i + o), not off the table; the
-flag picks CG under ``auto`` and the LU ordering.
+flag picks the route, CG or an LU.
 
 The operator is linear in its table, and the limit problem is its X2
 block: ``operator_blocks`` lays the full grid's stencil out once, and
@@ -41,8 +41,7 @@ pencils, one dense numpy ``eigh`` per non-flat axis, are built when a CG
 solve first asks for them.
 
 scipy is imported only for an LU: ``factor_matrix`` lays a stencil out as
-canonical CSR (``_stencil_csr``, which loads ``scipy.sparse``; the
-pattern is laid out once per stencil layout, the data per matrix) and
+canonical CSR (``_stencil_csr``, which loads ``scipy.sparse``) and
 factors it with ``scipy.sparse.linalg``.  Assembly, ``at(eps)``, the
 matvec and every CG solve never load the sparse stack, and neither do
 the difference kernels and the post-processing that uses only them
@@ -201,9 +200,8 @@ class Stencil:
     sums a row of sorted columns.  An out-of-box slot adds an exact zero,
     so for finite ``x`` the product equals the CSR one bit for bit.
     ``matvec`` writes the same product into the caller's array, through
-    the caller's ``workspace``.  The CSR pattern is laid out once per
-    layout, box and offsets, and shared by every stencil ``with_rows``
-    derives from this one.  So are its held solve buffers (``buffer``,
+    the caller's ``workspace``.  Every stencil ``with_rows`` derives from
+    this one shares its held solve buffers (``buffer``,
     ``held_workspace``), which ``share_buffers`` extends to a stencil of
     another layout.
     """
@@ -216,8 +214,6 @@ class Stencil:
         strides = _strides(self.box)
         self.flats = tuple(_flat(key, strides) for key in self.offsets)
         self._pad = max(map(abs, self.flats), default=0)
-        # the CSR pattern, laid out on first use
-        self._layout: dict = {}
         # the solve buffers (``buffer``), made on first use
         self._buffers: dict[str, np.ndarray] = {}
 
@@ -240,9 +236,8 @@ class Stencil:
 
     def with_rows(self, rows: np.ndarray) -> Stencil:
         """The same stencil with other coefficients, sharing this one's
-        layout and buffers."""
+        buffers."""
         other = Stencil(self.box, self.offsets, rows)
-        other._layout = self._layout
         other._buffers = self._buffers
         return other
 
@@ -420,7 +415,7 @@ class SparseOperator:
     means of each a_dd over block b and ``fit`` is the separable fit of
     the diagonal, None where flat on every axis: together they are the
     tables the CG preconditioner inverts.  ``factor`` returns a fresh LU
-    on every call.
+    of ``matrix`` on every call (``factor_matrix``).
     """
 
     matrix: Stencil
@@ -449,79 +444,48 @@ class SparseOperator:
         return ScalarField(self.grid, out)
 
     def factor(self) -> spla.SuperLU:
-        return factor_matrix(self.matrix, self.symmetric)
-
-
-def _csr_pattern(matrix: Stencil
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kept slots, ``indices`` and ``indptr`` of a stencil's CSR.
-
-    The offsets are taken in increasing flat order, one slot of every row
-    each, and a slot is kept where its neighbour lies in the box;
-    compressing the kept slots row by row gives sorted columns, each
-    row's count of them gives ``indptr``, and the column of a slot is its
-    row plus the flat offset.  Indices are int32 where they fit.  Laid
-    out once per layout and read-only: every Jacobian of a Newton solve
-    and every row of a sweep shares it.
-    """
-    if "csr" not in matrix._layout:
-        shape = matrix.box
-        n = matrix.shape[0]
-        k = len(matrix.offsets)
-        kept = np.zeros((k,) + shape, dtype=bool)
-        for slot, key in enumerate(matrix.offsets):
-            kept[(slot,) + _valid_box(key, shape)] = True
-        kept = kept.reshape(k, n).T
-        counts = kept.sum(axis=1)
-        nnz = int(counts.sum())
-        idx = (np.int32 if max(nnz, n) <= np.iinfo(np.int32).max
-               else np.int64)
-        indptr = np.zeros(n + 1, dtype=idx)
-        indptr[1:] = np.cumsum(counts)
-        indices = (np.arange(n, dtype=idx)[:, None]
-                   + np.array(matrix.flats, dtype=idx))[kept]
-        for array in (kept, indices, indptr):
-            array.flags.writeable = False
-        matrix._layout["csr"] = kept, indices, indptr
-    return matrix._layout["csr"]
+        return factor_matrix(self.matrix)
 
 
 def _stencil_csr(matrix: Stencil) -> sp.csr_matrix:
     """Canonical CSR of a stencil matrix, the one CSR layout.
 
-    Its pattern is the layout's (``_csr_pattern``), copied so that the
-    matrix is the caller's to edit; only ``data`` is gathered from the
-    rows.  Only an LU needs it (``factor_matrix``), so only an LU loads
-    scipy.sparse.
+    The offsets are taken in increasing flat order, one slot of every row
+    each, and a slot is kept where its neighbour lies in the box;
+    compressing the kept slots row by row gives sorted columns, each
+    row's count of them gives ``indptr``, and the column of a slot is its
+    row plus the flat offset.  Indices are int32 where they fit.  Only an
+    LU needs it (``factor_matrix``), so only an LU loads scipy.sparse.
     """
     import scipy.sparse as sp
 
+    shape = matrix.box
     n = matrix.shape[0]
-    kept, indices, indptr = _csr_pattern(matrix)
-    csr = sp.csr_matrix((matrix.rows.T[kept], indices.copy(),
-                         indptr.copy()), shape=(n, n))
+    k = len(matrix.offsets)
+    kept = np.zeros((k,) + shape, dtype=bool)
+    for slot, key in enumerate(matrix.offsets):
+        kept[(slot,) + _valid_box(key, shape)] = True
+    kept = kept.reshape(k, n).T
+    counts = kept.sum(axis=1)
+    nnz = int(counts.sum())
+    idx = np.int32 if max(nnz, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    indptr[1:] = np.cumsum(counts)
+    indices = (np.arange(n, dtype=idx)[:, None]
+               + np.array(matrix.flats, dtype=idx))[kept]
+    csr = sp.csr_matrix((matrix.rows.T[kept], indices, indptr),
+                        shape=(n, n))
     csr.has_canonical_format = True
     return csr
 
 
-def factor_matrix(matrix: Stencil, symmetric: bool) -> spla.SuperLU:
-    """Sparse LU with the ordering chosen by the matrix's symmetry.
-
-    A symmetric matrix of an elliptic table is positive definite, so it
-    is factored in SuperLU's symmetric mode: minimum-degree ordering of
-    ``A + A^T`` and diagonal pivots, the standard choice for SPD systems
-    (about a third less fill than COLAMD on the 2-D operators).  Other
-    matrices keep the COLAMD column ordering with partial pivoting.  Both
-    orderings are pinned, so factorizations are reproducible.
-    """
+def factor_matrix(matrix: Stencil) -> spla.SuperLU:
+    """Sparse LU of a stencil matrix, COLAMD column ordering and partial
+    pivoting.  The ordering is pinned, so factorizations are
+    reproducible."""
     import scipy.sparse.linalg as spla
 
-    csc = _stencil_csr(matrix).tocsc()
-    if symmetric:
-        return spla.splu(csc, permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-    return spla.splu(csc, permc_spec="COLAMD")
+    return spla.splu(_stencil_csr(matrix).tocsc(), permc_spec="COLAMD")
 
 
 def _flux_terms(spacings: Sequence[float], entries: np.ndarray,

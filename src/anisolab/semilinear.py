@@ -10,9 +10,9 @@ assumption on f.
 ``picard_solve(op, f, a)`` solves it on the unknowns of any
 ``fd_ops.SparseOperator`` by ``solver.newton_solve``: Newton from u = 0
 with Armijo backtracking, each block stopping once |F| / |f + a(u)| is
-at most ``tol``, each step by CG to an Eisenstat-Walker forcing term or
-by one LU of J, as the route ``solver.resolve_method`` picks.  A sweep
-row is the one-block case, a full grid; the limit problem
+at most ``tol``, each step by CG to an Eisenstat-Walker forcing term
+where J is symmetric, else by one LU of J (``solver.resolve_method``).
+A sweep row is the one-block case, a full grid; the limit problem
 (``limit.semilinear_limit``) is ``picard_solve`` on the limit operator,
 one block per X1 slice.  ``picard_solve`` and ``PicardResult`` keep the
 names of the damped fixed-point iteration this replaced.

@@ -16,23 +16,23 @@ carrying the residual.  A linear solve's first step is the solve to
 ``tol`` itself, and a step that misses it is followed by another step
 from the iterate.
 
-The route is picked once per solve.  ``method = "auto"`` (the default
-everywhere) chooses by ``symmetric``, the exact symmetry of the assembled
-matrix (``resolve_method``).  Symmetric matrices run by preconditioned
-conjugate gradients, one batched ``pcg`` per step over every block, with
-a hard cap of ``maxiter_factor * sqrt(unknowns per block)`` iterations
-(default 20); a block the cap leaves short of its test raises
-SolverError.  A block's CG stops at the forcing term ``tol / rel``,
-``rel`` its relative residual, where a' vanishes, so that a linear step
-lands within ``tol``, and elsewhere at the Eisenstat-Walker term
-``min(1e-2, rel)`` floored at ``0.5 tol / rel`` (Kelley 1995, sec. 6.3),
-so that the last step solves no further below the gate than it needs.
-Other matrices get a sparse direct factorization with COLAMD ordering
-and partial pivoting.
-``method = "direct"`` factors symmetric matrices too, in symmetric mode
-with minimum-degree ordering of ``A + A^T`` and diagonal pivots (see
-``fd_ops.factor_matrix``).  Where a' vanishes J is the matrix itself,
-factored once on first need; elsewhere each step factors its own J.
+The route is picked once per solve, by ``symmetric``, the exact
+symmetry of the assembled matrix (``resolve_method``).  Symmetric
+matrices run by preconditioned conjugate gradients, one batched ``pcg``
+per step over every block, with a hard cap of ``maxiter_factor *
+sqrt(unknowns per block)`` iterations (default 20); a block the cap
+leaves short of its test raises SolverError.  A block's CG stops at the
+forcing term ``tol / rel``, ``rel`` its relative residual, where a'
+vanishes, so that a linear step lands within ``tol``, and elsewhere at
+the Eisenstat-Walker term ``min(1e-2, rel)`` floored at ``0.5 tol /
+rel`` (Kelley 1995, sec. 6.3), so that the last step solves no further
+below the gate than it needs.  Other matrices take the direct route:
+each step factors its J by sparse LU with COLAMD ordering and partial
+pivoting (``fd_ops.factor_matrix``), and a linear solve meets ``tol``
+on its first step.  ``method`` is ``auto``, the default everywhere, or
+``cg``, which raises ConfigError on a matrix that is not symmetric; the
+removed ``direct``, which factored symmetric matrices too, raises
+ConfigError (``check_method``).
 
 ``pcg`` is one numpy conjugate-gradient loop over ``B`` independent equal
 blocks of a block-diagonal system, each block with its own step lengths
@@ -326,22 +326,32 @@ def iteration_cap(n: int, maxiter_factor: float) -> int:
     return int(np.ceil(maxiter_factor * np.sqrt(n)))
 
 
-def _route(symmetric: bool, method: str) -> str:
-    """``cg`` or ``direct``: ``auto`` is CG on a symmetric matrix and
-    direct otherwise; CG on a matrix that is not symmetric, and any
-    other method, raise ConfigError."""
-    if method == "auto":
-        return "cg" if symmetric else "direct"
-    if method not in ("cg", "direct"):
+def check_method(method: str) -> None:
+    """ConfigError unless ``method`` is ``auto`` or ``cg``, naming the
+    removal of ``direct``."""
+    if method == "direct":
+        raise ConfigError("solver method 'direct' was removed: symmetric "
+                          "matrices solve by CG, others are factored "
+                          "under auto")
+    if method not in ("auto", "cg"):
         raise ConfigError(f"unknown solver method '{method}'")
-    if method == "cg" and not symmetric:
+
+
+def _route(symmetric: bool, method: str) -> str:
+    """``cg`` on a symmetric matrix, else ``direct``, the LU; ``method``
+    ``cg`` on a matrix that is not symmetric raises ConfigError, and so
+    does any method ``check_method`` rejects."""
+    check_method(method)
+    if symmetric:
+        return "cg"
+    if method == "cg":
         raise ConfigError("cg path requires a symmetric operator")
-    return method
+    return "direct"
 
 
 def resolve_method(op: SparseOperator, method: str) -> str:
-    """The route ``solve_dirichlet`` runs for ``method`` on ``op``:
-    ``auto`` is CG on a symmetric operator and direct otherwise."""
+    """The route ``solve_dirichlet`` runs for ``method`` on ``op``: CG
+    on a symmetric operator and direct otherwise."""
     return _route(op.symmetric, method)
 
 
@@ -393,8 +403,8 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    matrix, symmetric, batch = op.matrix, op.symmetric, op.batch
-    route = _route(symmetric, method)
+    matrix, batch = op.matrix, op.batch
+    route = _route(op.symmetric, method)
     blocks = len(op.means)
     # the matvec's scratch row is also the step's, the norms' and the
     # preconditioner's scratch
@@ -405,7 +415,7 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
             op.grid.cells[batch:], op.grid.spacing[batch:], op.means, op.fit,
             work=scratch)
         cap = iteration_cap(rhs.size // blocks, maxiter_factor)
-    lu = jac = None
+    jac = None
 
     def where(k):
         if not batch:
@@ -472,12 +482,8 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
                         / norm_F[k] * rel[k])
                 raise SolverError(f"{where(k)}cg exhausted {cap} iterations",
                                   residual=float(left))
-        elif J is not matrix:
-            du = factor_matrix(J, symmetric).solve(step_rhs)
         else:
-            if lu is None:
-                lu = factor_matrix(matrix, symmetric)
-            du = lu.solve(step_rhs)
+            du = factor_matrix(J).solve(step_rhs)
         du = du.reshape(blocks, -1)
         t = active.astype(float)
         for _ in range(MAX_HALVINGS):
@@ -510,7 +516,8 @@ def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
     """Solve ``L u = f`` over interior unknowns, boundary held at zero.
 
     ``semilinear.picard_solve`` with the zero term: ``method`` is
-    ``auto``, ``cg`` or ``direct`` (see ``resolve_method``).  The
+    ``auto`` or ``cg`` (see ``resolve_method``); either runs CG on a
+    symmetric operator, and ``auto`` factors any other.  The
     returned field carries exact zeros on the boundary.  The relative
     residual is always checked against ``tol``; a solve that cannot meet
     it raises SolverError carrying the achieved residual.

@@ -179,8 +179,9 @@ def run_sweep(config: StudyConfig) -> SweepReport:
     the limit solves on their X2 block, and each epsilon's operator is
     formed from them.  Rows run one after another on the calling thread,
     in the configured (decreasing) epsilon order; ``config.workers`` is
-    ignored.  Under ``auto`` the rows and the limit solve by CG when
-    their assembled matrices are exactly symmetric, and by LU otherwise.
+    ignored.  The rows and the limit solve by CG when their assembled
+    matrices are exactly symmetric, as every table a config file names
+    assembles, and by LU otherwise.
     A failed solve stops the sweep: later rows are never solved, and the
     report is returned with the finished prefix and flagged incomplete.
     """

@@ -33,6 +33,20 @@ def pytest_runtest_makereport(item, call):
 
 
 @pytest.fixture
+def lu_route(monkeypatch):
+    """Calling it sends every later solve that ``cg`` does not name to
+    the LU, symmetric or not: the reference the CG route is checked
+    against."""
+    import anisolab.solver
+
+    def install():
+        monkeypatch.setattr(anisolab.solver, "_route",
+                            lambda symmetric, method: (
+                                "cg" if method == "cg" else "direct"))
+    return install
+
+
+@pytest.fixture
 def unit_square():
     def build(n: int, q: int = 1):
         return make_grid([(0.0, 1.0), (0.0, 1.0)], (n, n), q)

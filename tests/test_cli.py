@@ -7,13 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anisolab import (ScalarField, check_laplacian_bounds, load_field,
-                      make_grid, operator_blocks, random_zero_mean_forcing,
-                      save_field, solve_limit, coefficient_family,
-                      forcing_field)
+from anisolab import (ScalarField, StudyConfig, check_laplacian_bounds,
+                      load_field, make_grid, operator_blocks,
+                      random_zero_mean_forcing, save_field, solve_limit,
+                      coefficient_family, forcing_field)
 from anisolab.cli import main
 from anisolab.limit import iter_slice_systems
 from anisolab.solver import relative_residual
+
+from test_fd_ops import varying_asymmetric
+from test_limit import NONSYMMETRIC
 
 BASE_CFG = """
 [grid]
@@ -53,7 +56,6 @@ class TestSolve:
         ("variable", "cg"),
         # a constant table assembles symmetric whatever its symmetry
         ("constant\nmatrix = 2.0 0.3 ; 0.0 1.0", "cg"),
-        ("variable\n[solver]\nmethod = direct", "direct"),
     ])
     def test_report_names_the_method_that_ran(self, tmp_path, family, ran):
         # the default method is auto; the report records what it became
@@ -62,6 +64,19 @@ class TestSolve:
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((out / "solve.json").read_text())["method"] == ran
+
+    def test_nonsymmetric_table_runs_direct(self, tmp_path, monkeypatch):
+        # no config family builds a table whose matrix is not symmetric;
+        # one with a varying skew part is factored, and the record says so
+        monkeypatch.setattr(
+            StudyConfig, "build_coefficients",
+            lambda self, grid: varying_asymmetric(
+                grid, [[2.0, 0.5], [0.3, 1.0]], lam=0.5))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_cfg(tmp_path), "--out",
+                     str(out)]) == 0
+        meta = json.loads((out / "solve.json").read_text())
+        assert meta["method"] == "direct" and meta["residual"] <= 1e-10
 
     def test_default_epsilon_is_first_configured(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -105,6 +120,13 @@ class TestInputErrors:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    def test_removed_direct_method_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[solver]\nmethod = direct\n")
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "solver method 'direct' was removed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_lam_above_table_ellipticity_exits_2(self, tmp_path, capsys):
         # the quickstart table's smallest eigenvalue is about 0.79
         cfg = write_cfg(tmp_path, BASE_CFG + "\n[coefficients]\n"
@@ -130,7 +152,6 @@ class TestLimit:
 
     @pytest.mark.parametrize("solver, ran", [
         ("", "cg"),
-        ("\n[solver]\nmethod = direct\n", "direct"),
     ])
     def test_records_its_route_and_worst_slice(self, tmp_path, solver, ran):
         cfg = write_cfg(tmp_path, BASE_CFG + "\n[coefficients]\n"
@@ -146,6 +167,33 @@ class TestLimit:
         assert np.array_equal(u0.values, solve_limit(
             operator_blocks(g, coeffs), f, method=ran).values)
         worst = max(relative_residual(matrix, u0.values[x1][1:-1], rhs)
+                    for x1, matrix, rhs, _ in iter_slice_systems(g, coeffs,
+                                                                 f))
+        assert 0.0 < meta["residual"] <= 1e-10
+        assert meta["residual"] == pytest.approx(worst, rel=1e-9)
+
+
+    def test_nonsymmetric_limit_runs_direct(self, tmp_path, monkeypatch):
+        # a varying skew part in the X2 block of a 3-D table: the limit
+        # matrix is not symmetric, so the limit is factored
+        monkeypatch.setattr(
+            StudyConfig, "build_coefficients",
+            lambda self, grid: varying_asymmetric(grid, NONSYMMETRIC,
+                                                  lam=0.5))
+        cfg = write_cfg(tmp_path, BASE_CFG.replace(
+            "cells = 12, 12", "lo = 0, 0, 0\nhi = 1, 1, 1\ncells = 6, 6, 6"))
+        out = tmp_path / "out"
+        assert main(["limit", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "limit.json").read_text())
+        assert meta["method"] == "direct"
+        g = make_grid([(0, 1)] * 3, (6, 6, 6), q=1)
+        coeffs = varying_asymmetric(g, NONSYMMETRIC, lam=0.5)
+        f = forcing_field("sine_product", g)
+        u0 = load_field(out / "u_limit.field")
+        assert np.array_equal(u0.values, solve_limit(
+            operator_blocks(g, coeffs), f).values)
+        worst = max(relative_residual(matrix, u0.values[x1][1:-1, 1:-1]
+                                      .reshape(-1), rhs)
                     for x1, matrix, rhs, _ in iter_slice_systems(g, coeffs,
                                                                  f))
         assert 0.0 < meta["residual"] <= 1e-10

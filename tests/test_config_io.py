@@ -325,12 +325,25 @@ class TestConfigFile:
         assert cfg.epsilons == [1.0, 0.5, 0.25, 0.125]
         assert cfg.solver_method == "auto"
 
-    @pytest.mark.parametrize("method", ["auto", "direct", "cg"])
+    @pytest.mark.parametrize("method", ["auto", "cg"])
     def test_solver_methods_parse(self, tmp_path, method):
         path = tmp_path / "solver.cfg"
         path.write_text(f"[grid]\ncells = 8, 8\n"
                         f"[solver]\nmethod = {method}\n")
         assert load_config(path).solver_method == method
+
+    def test_removed_direct_method_rejected(self, tmp_path):
+        # a file and an old report's config fail alike, naming the change
+        path = tmp_path / "solver.cfg"
+        path.write_text("[grid]\ncells = 8, 8\n[solver]\nmethod = direct\n")
+        data = StudyConfig().to_dict()
+        data["solver_method"] = "direct"
+        for load in (lambda: load_config(path),
+                     lambda: StudyConfig.from_dict(data)):
+            with pytest.raises(ConfigError,
+                               match="solver method 'direct' was removed: "
+                                     "symmetric matrices solve by CG"):
+                load()
 
     def test_unknown_solver_method_rejected(self, tmp_path):
         path = tmp_path / "solver.cfg"

@@ -470,25 +470,6 @@ class TestStencilAssembly:
             with pytest.raises(ValueError):
                 matrix @ x
 
-    def test_csr_pattern_laid_out_once_per_layout(self, unit_square):
-        # a stencil and every with_rows copy share one read-only CSR
-        # pattern; each CSR gets its own copy of it, free to edit
-        g = unit_square(6)
-        op = operator_blocks(g, coefficient_family("variable", g)).at(0.5)
-        jac = op.matrix.with_rows(2.0 * op.matrix.rows)
-        first, second = csr(op.matrix), csr(jac)
-        kept, indices, indptr = op.matrix._layout["csr"]
-        assert jac._layout["csr"][1] is indices
-        assert not (kept.flags.writeable or indices.flags.writeable
-                    or indptr.flags.writeable)
-        for layout in (first, second):
-            assert not np.shares_memory(layout.indices, indices)
-            assert not np.shares_memory(layout.indptr, indptr)
-        assert np.array_equal(second.data, 2.0 * first.data)
-        first.data[:] = 0.0
-        first.eliminate_zeros()
-        assert np.array_equal(csr(op.matrix).indices, second.indices)
-
     def test_rows_and_limit_share_one_set_of_buffers(self, unit_square):
         # every eps-operator, its Jacobians and the limit take their
         # solve buffers from one set, each a view of its own length;

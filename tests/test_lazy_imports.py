@@ -1,9 +1,9 @@
 """The sparse stack loads for an LU only: not on import, not for CG.
 
 The operators are stencils with a numpy matvec, so assembly and every CG
-solve run without ``scipy.sparse``; only ``method = direct`` or a matrix
-that is not symmetric lays out a CSR and factors it.  The test process
-itself has scipy loaded, so each check runs in a fresh interpreter.
+solve run without ``scipy.sparse``; only a matrix that is not symmetric
+lays out a CSR and factors it.  The test process itself has scipy
+loaded, so each check runs in a fresh interpreter.
 """
 
 import json
@@ -79,6 +79,33 @@ res = [relative_residual(matrix, 1.0 + rhs, rhs) for _, matrix, rhs, _ in
 print(json.dumps([len(res), all(0 < r < float("inf") for r in res)]
                  + [name in sys.modules
                     for name in ("scipy.sparse", "scipy.sparse.linalg")]))
+"""
+
+LU_PROBE = """
+import json, sys
+import numpy as np
+from anisolab import (CoefficientField, forcing_field, make_grid,
+                      operator_blocks, solve_dirichlet, solve_limit)
+from anisolab.solver import resolve_method
+
+g = make_grid([(0, 1)] * 3, (6, 6, 6), q=1)
+# a skew part that varies in space, X2 block included: neither the rows
+# nor the limit assemble symmetric
+x, y, z = g.meshgrid()
+entries = np.zeros((3, 3) + g.node_shape)
+for d, a in enumerate((2.0, 1.5, 1.2)):
+    entries[d, d] = a
+entries[1, 2] = 0.4 * (1.0 + (x + y + z) / 2)
+entries[2, 1] = 0.1
+blocks = operator_blocks(g, CoefficientField(g, entries, lam=0.5))
+row = blocks.at(0.5)
+f = forcing_field("sine_product", g)
+steps = [[resolve_method(op, "auto") for op in (row, blocks.limit)],
+         "scipy.sparse.linalg" in sys.modules]
+solve_dirichlet(row, f)
+steps.append("scipy.sparse.linalg" in sys.modules)
+solve_limit(blocks, f)
+print(json.dumps(steps + ["scipy.sparse.linalg" in sys.modules]))
 """
 
 MODULES_PROBE = """
@@ -166,12 +193,10 @@ def test_stand_in_set_before_first_solve_runs_cg():
 
 def test_symmetric_sweep_never_loads_the_lu(saved_sweep, tmp_path):
     # the quickstart table assembles symmetric, so under ``auto`` nothing
-    # loads the sparse stack; ``direct`` lays every matrix out as CSR and
-    # factors it, which loads scipy.sparse and scipy.sparse.linalg
+    # loads the sparse stack; a row and a limit whose matrices are not
+    # symmetric are laid out as CSR and factored, which loads
+    # scipy.sparse.linalg
     cfg, _ = saved_sweep
-    direct = tmp_path / "direct.cfg"
-    direct.write_text(Path(cfg).read_text()
-                      + "\n[solver]\nmethod = direct\n")
     # a variable table builds its preconditioner's pencils, by numpy's
     # eigh: no scipy.linalg either
     variable = tmp_path / "variable.cfg"
@@ -181,9 +206,8 @@ def test_symmetric_sweep_never_loads_the_lu(saved_sweep, tmp_path):
     assert variable.read_text() != text
     got = [fresh_python(MODULES_PROBE, json.dumps(
                ["sweep", "--config", path, "--out", str(tmp_path / name)]))
-           for path, name in ((cfg, "auto"), (str(direct), "direct"),
-                              (str(variable), "variable"))]
+           for path, name in ((cfg, "auto"), (str(variable), "variable"))]
     assert got[0] == [0, False, False, False]
-    # scipy.sparse.linalg brings scipy.linalg with it
-    assert got[1] == [0, True, True, True]
-    assert got[2] == [0, False, False, False]
+    assert got[1] == [0, False, False, False]
+    assert fresh_python(LU_PROBE) == [["direct", "direct"], False, True,
+                                      True]

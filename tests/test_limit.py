@@ -7,9 +7,10 @@ from anisolab import (ConfigError, ScalarField, SolverError,
                       coefficient_family, forcing_field, make_grid,
                       operator_blocks, solve_limit)
 from anisolab.fd_ops import X2_BLOCK, _block_of, factor_matrix
+from anisolab.solver import resolve_method
 from anisolab.limit import iter_slice_systems
 
-from conftest import coo_flux_matrix, csr
+from conftest import coo_flux_matrix, csr, is_symmetric
 from test_fd_ops import varying_asymmetric
 
 NONSYMMETRIC = [[2.0, 0.3, 0.1], [0.1, 1.5, 0.4], [0.2, -0.2, 1.2]]
@@ -35,6 +36,29 @@ def block_cases():
 
 def limit_of(grid, coeffs, f, **kwargs):
     return solve_limit(operator_blocks(grid, coeffs), f, **kwargs)
+
+
+def lu_limit(blocks, f):
+    """The limit field by one LU of the limit matrix."""
+    limit = blocks.limit
+    out = np.zeros(limit.grid.node_shape)
+    out[limit.unknowns] = limit.factor().solve(
+        f.values[limit.unknowns].reshape(-1)).reshape(limit.matrix.box)
+    return out
+
+
+def nonsymmetric_q2_case():
+    """A 4-D q = 2 grid whose varying skew part reaches the 2-D X2
+    slices, so that its limit matrix, batched over two X1 axes, is not
+    symmetric and runs by LU: the 3-D q = 2 limit has 1-D slices, always
+    symmetric."""
+    g = make_grid([(0, 1)] * 4, (3, 4, 5, 6), q=2)
+    table = [[2.0, 0.3, 0.1, 0.0], [0.1, 1.5, 0.4, 0.1],
+             [0.2, -0.2, 1.2, 0.2], [0.0, 0.1, 0.1, 1.3]]
+    coeffs = varying_asymmetric(g, table, lam=0.3)
+    assert resolve_method(operator_blocks(g, coeffs).limit, "auto") \
+        == "direct"
+    return g, coeffs, forcing_field("constant", g, value=1.0)
 
 
 def per_slice_limit(grid, coeffs, f):
@@ -84,8 +108,8 @@ class TestBlockOperator:
     def test_matches_per_slice_solves(self, case):
         g, coeffs, f = block_cases()[case]
         ref = per_slice_limit(g, coeffs, f)
-        for method in ("direct", "auto"):
-            got = limit_of(g, coeffs, f, method=method).values
+        blocks = operator_blocks(g, coeffs)
+        for got in (lu_limit(blocks, f), solve_limit(blocks, f).values):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("case", range(4))
@@ -144,32 +168,15 @@ class TestBlockOperator:
                     assert np.array_equal(getattr(part, name),
                                           getattr(ref, name))
 
-    def test_ordering_follows_a22_symmetry(self, monkeypatch):
-        # the flag, hence the ordering, follows the assembled matrix: the
-        # constant asymmetric A22 assembles symmetric, the varying one not
-        seen = []
-
-        def factor(matrix, symmetric):
-            seen.append(symmetric)
-            return factor_matrix(matrix, symmetric)
-        monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
-        flags = []
-        for g, c, f in block_cases():
-            limit = csr(operator_blocks(g, c).limit.matrix).toarray()
-            flags.append(np.array_equal(limit, limit.T))
-            limit_of(g, c, f, method="direct")
-        assert flags == [True, True, True, False]
-        assert seen == flags
-
     def test_cg_route_factors_only_the_nonsymmetric_limit(self,
                                                           monkeypatch):
         # under auto the symmetric limits run by batched CG; the varying
         # asymmetric one is factored exactly once
         seen = []
 
-        def factor(matrix, symmetric):
-            seen.append(symmetric)
-            return factor_matrix(matrix, symmetric)
+        def factor(matrix):
+            seen.append(is_symmetric(csr(matrix)))
+            return factor_matrix(matrix)
         monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
         for g, c, f in block_cases():
             limit_of(g, c, f, method="auto")
@@ -179,24 +186,10 @@ class TestBlockOperator:
         assert seen == [False]
 
     def test_slice_residual_gate_names_slice(self):
-        g, coeffs, f = block_cases()[1]
+        g, coeffs, f = nonsymmetric_q2_case()
         with pytest.raises(SolverError, match=r"slice \(\d+, \d+\)") as err:
-            limit_of(g, coeffs, f, tol=0.0, method="direct")
+            limit_of(g, coeffs, f, tol=0.0)
         assert err.value.residual > 0.0
-
-    def test_refinement_reuses_the_factorization(self, monkeypatch):
-        # tol = 0 sends every slice into refinement steps; with the zero
-        # term the Jacobian is the limit matrix, already factored
-        calls = []
-
-        def factor(matrix, symmetric):
-            calls.append(matrix)
-            return factor_matrix(matrix, symmetric)
-        monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
-        g, coeffs, f = block_cases()[1]
-        with pytest.raises(SolverError):
-            limit_of(g, coeffs, f, tol=0.0, method="direct")
-        assert len(calls) == 1
 
     def test_cg_refinement_factors_nothing(self, monkeypatch):
         # tol = 0: the batched CG step runs to its cap and the solve
@@ -228,7 +221,7 @@ class TestBlockOperator:
         assert len(steps) == 1
         cap, taken = steps[0]
         assert cap == 1 and np.all(taken == 1)
-        lu = solve_limit(blocks, f, method="direct").values
+        lu = lu_limit(blocks, f)
         assert np.abs(cg - lu).max() <= 1e-9 * np.abs(lu).max()
 
     def test_cg_slice_exhausting_its_cap_named(self):
@@ -248,7 +241,7 @@ class TestBlockOperator:
         # to well within what that residual allows
         g, coeffs, f = block_cases()[case]
         blocks = operator_blocks(g, coeffs)
-        lu = solve_limit(blocks, f, method="direct").values
+        lu = lu_limit(blocks, f)
         cg = solve_limit(blocks, f, method="auto").values
         assert np.abs(cg - lu).max() <= 1e-9 * np.abs(lu).max()
         interior = tuple(slice(1, g.cells[a]) for a in g.x2_axes)

@@ -12,15 +12,18 @@ from anisolab import (ConfigError, ScalarField, SolverError,
                       solve_dirichlet, solve_limit)
 from anisolab.fd_ops import Stencil
 from anisolab.limit import iter_slice_systems
-from anisolab.solver import ARMIJO, jacobian, pcg
+from anisolab.solver import ARMIJO, jacobian, pcg, resolve_method
 
 from conftest import csr, is_symmetric
 
 from test_fd_ops import varying_asymmetric
-from test_limit import block_cases
+from test_limit import block_cases, nonsymmetric_q2_case
 
 MID_VALUE = 1.0 - 1.0 / np.cosh(0.5)  # 0.11318111602992609
 FAMILIES = ("zero", "linear", "tanh", "rational")
+# scaled above the diagonal by varying_asymmetric, a table whose matrix
+# is not symmetric
+SKEW = [[2.0, 0.5], [0.3, 1.0]]
 
 
 def per_slice_newton(matrix, rhs, a, tol=1e-10, max_iter=200):
@@ -141,12 +144,13 @@ class TestNonlinearityFamily:
 
 
 class TestPicard:
-    def test_zero_term_is_one_linear_step(self):
+    def test_zero_term_is_one_linear_step(self, lu_route):
         _, _, op, f = setup(16, family="variable")
         zero = nonlinearity_family("zero")
-        linear = solve_dirichlet(op, f, method="direct")
+        lu_route()
+        linear = solve_dirichlet(op, f)
         # an exact step: the first Newton step is the linear solve
-        res = picard_solve(op, f, zero, method="direct")
+        res = picard_solve(op, f, zero)
         assert res.iterations == 1
         assert np.array_equal(res.field.values, linear.values)
         assert res.residual < 1e-12
@@ -171,10 +175,13 @@ class TestPicard:
         assert np.allclose(res.field.interior_vector(), direct, atol=1e-10)
 
     def test_bounded_terms_converge_with_small_residual(self):
-        _, _, op, f = setup(16)
+        g, _, symmetric, f = setup(16)
+        # a varying skew part: the matrix is not symmetric, and auto
+        # factors it
+        skew = assemble_operator(g, varying_asymmetric(g, SKEW, lam=0.5))
         for name in ("tanh", "rational"):
             a = nonlinearity_family(name)
-            for method in ("cg", "direct"):
+            for op, method in ((symmetric, "cg"), (skew, "auto")):
                 res = picard_solve(op, f, a, method=method)
                 assert res.residual <= 1e-10
                 assert res.iterations < 10
@@ -238,11 +245,16 @@ class TestPicard:
         with pytest.raises(ConfigError, match="max_iter"):
             semilinear_limit(operator_blocks(g, coeffs), f, a, max_iter=-1)
 
-    @pytest.mark.parametrize("method", ["cg", "direct"])
-    def test_unreachable_tol_raises_with_residual(self, method):
+    @pytest.mark.parametrize("route", ["cg", "direct"])
+    def test_unreachable_tol_raises_with_residual(self, route):
         # below roundoff no step can decrease |F|: the line search gives
-        # up and reports the residual reached instead of looping on
-        _, _, op, f = setup(16, family="variable")
+        # up and reports the residual reached instead of looping on; the
+        # LU runs on a table whose matrix is not symmetric
+        g, _, op, f = setup(16, family="variable")
+        method = route
+        if route == "direct":
+            op = assemble_operator(g, varying_asymmetric(g, SKEW, lam=0.5))
+            method = "auto"
         with pytest.raises(SolverError, match="line search") as err:
             picard_solve(op, f, nonlinearity_family("tanh"), tol=1e-20,
                          method=method)
@@ -250,14 +262,13 @@ class TestPicard:
 
     def test_cg_route_needs_symmetric_operator(self):
         g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
-        matrix = [[2.0, 0.5], [0.3, 1.0]]
         f = forcing_field("constant", g, value=1.0)
         a = nonlinearity_family("tanh")
         # a constant asymmetric table assembles symmetric: CG takes it
         op = assemble_operator(g, coefficient_family(
-            "constant", g, matrix=matrix, lam=0.5))
+            "constant", g, matrix=SKEW, lam=0.5))
         assert picard_solve(op, f, a, method="cg").residual <= 1e-10
-        op = assemble_operator(g, varying_asymmetric(g, matrix, lam=0.5))
+        op = assemble_operator(g, varying_asymmetric(g, SKEW, lam=0.5))
         with pytest.raises(ConfigError, match="symmetric"):
             picard_solve(op, f, a, method="cg")
         assert picard_solve(op, f, a).residual <= 1e-10  # auto: direct
@@ -282,15 +293,23 @@ class TestSemilinearLimit:
             assert res.iterations == 1
 
     @pytest.mark.parametrize("case", [0, 1])
-    @pytest.mark.parametrize("method", ["auto", "direct"])
-    def test_is_picard_on_the_limit_operator(self, case, method):
+    @pytest.mark.parametrize("route", ["auto", "direct"])
+    def test_is_picard_on_the_limit_operator(self, case, route):
         # the limit is a solve on the batched limit operator, as a row is
-        # on its own: a 2-D q = 1 and a 3-D q = 2 grid, to the bit
-        g, coeffs, f = block_cases()[case]
+        # on its own, to the bit: by CG a 2-D q = 1 and a 3-D q = 2 grid,
+        # by LU a 3-D q = 1 and a 4-D q = 2 grid whose limit matrix is
+        # not symmetric
+        if route == "auto":
+            g, coeffs, f = block_cases()[case]
+        else:
+            g, coeffs, f = (block_cases()[3] if case == 0
+                            else nonsymmetric_q2_case())
         blocks = operator_blocks(g, coeffs)
+        assert resolve_method(blocks.limit, "auto") == (
+            "cg" if route == "auto" else "direct")
         a = nonlinearity_family("tanh")
-        got = semilinear_limit(blocks, f, a, method=method)
-        ref = picard_solve(blocks.limit, f, a, method=method)
+        got = semilinear_limit(blocks, f, a)
+        ref = picard_solve(blocks.limit, f, a)
         assert np.array_equal(got.field.values.view(np.int64),
                               ref.field.values.view(np.int64))
         assert (got.iterations, got.residual) == (ref.iterations,
@@ -345,10 +364,12 @@ class TestSemilinearLimit:
                                method=method)
         return res, out, iters, halvings
 
-    def test_matches_per_slice_iterations(self):
+    def test_matches_per_slice_iterations(self, lu_route):
+        # exact Newton steps: the limit's LU against each slice's
+        lu_route()
         for extent, forcing, backtracks in self.CASES:
             res, out, iters, halvings = self.per_slice_reference(
-                extent, forcing, "direct")
+                extent, forcing, "auto")
             assert (halvings > 0) == backtracks
             assert len(set(iters)) > 1  # slices stop at different steps
             assert res.iterations == max(iters)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import anisolab.solver
 from anisolab import (CoefficientField, ConfigError, ScalarField,
                       SolverError, assemble_operator, coefficient_family,
                       forcing_field, make_grid, nonlinearity_family,
-                      picard_solve, scale_coefficients, solve_dirichlet)
+                      operator_blocks, picard_solve, scale_coefficients,
+                      solve_dirichlet, solve_limit)
 from anisolab.fd_ops import Stencil, _flux_operator, assemble_flux_matrix
 from anisolab.solver import (fast_diagonal_preconditioner, pcg,
                              relative_residual, resolve_method,
@@ -27,27 +27,47 @@ def laplace_setup(n):
     return g, op
 
 
+# interior solutions by the solver, and by one LU of the operator
+SOLVES = (lambda op, f: solve_dirichlet(op, f).interior_vector(),
+          lambda op, f: op.factor().solve(f.interior_vector()))
+
+
+def route_case(route, n):
+    """An n^2 operator and the method that solves it on ``route``: the
+    symmetric variable table under ``cg``, or under ``auto`` a table
+    whose varying skew part makes its matrix non-symmetric, the one kind
+    that runs by LU."""
+    g = make_grid([(0, 1), (0, 1)], (n, n), q=1)
+    if route == "cg":
+        return assemble_operator(g, coefficient_family("variable", g)), "cg"
+    op = assemble_operator(g, varying_asymmetric(g, [[2.0, 0.5], [0.3, 1.0]],
+                                                 lam=0.5))
+    assert resolve_method(op, "auto") == route
+    return op, "auto"
+
+
 class TestDirect:
     def test_eigenvector_rhs_recovered_exactly(self):
         g, op = laplace_setup(8)
         u, lam = sine_eigenvector(g, 2, 1)
         f = ScalarField(g, lam * u.values)
-        for method in ("direct", "auto"):
-            got = solve_dirichlet(op, f, method=method)
-            assert np.allclose(got.values, u.values, atol=1e-12)
-            assert np.all(got.values[0] == 0.0)
-            assert np.all(got.values[:, -1] == 0.0)
+        got = solve_dirichlet(op, f)
+        assert np.allclose(got.values, u.values, atol=1e-12)
+        assert np.all(got.values[0] == 0.0)
+        assert np.all(got.values[:, -1] == 0.0)
+        lu = op.factor().solve(f.interior_vector())
+        assert np.allclose(lu, u.interior_vector(), atol=1e-12)
 
     def test_mms_second_order(self):
-        for method in ("direct", "auto"):
+        for solve in SOLVES:
             errs = []
             for n in (16, 32, 64):
                 g, op = laplace_setup(n)
                 u_exact = ScalarField.from_function(
                     g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
                 f = ScalarField(g, 2 * np.pi ** 2 * u_exact.values)
-                got = solve_dirichlet(op, f, method=method)
-                errs.append(np.abs(got.values - u_exact.values).max())
+                got = solve(op, f)
+                errs.append(np.abs(got - u_exact.interior_vector()).max())
             slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
             assert np.all(np.abs(slopes - 2.0) < 0.1)
 
@@ -58,28 +78,14 @@ class TestDirect:
             coeffs = scale_coefficients(coefficient_family("variable", g),
                                         eps)
             op = assemble_operator(g, coeffs)
-            for method in ("direct", "auto"):
-                u = solve_dirichlet(op, f, method=method)
-                assert np.isfinite(u.values).all()
+            for solve in SOLVES:
+                assert np.isfinite(solve(op, f)).all()
 
     def test_wrong_grid_rejected(self):
         _, op = laplace_setup(4)
         g8 = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
         with pytest.raises(ConfigError):
             solve_dirichlet(op, ScalarField.zeros(g8))
-
-    def test_symmetric_ordering_matches_colamd(self):
-        g = make_grid([(0, 1), (0, 1)], (24, 24), q=1)
-        f = forcing_field("sine_product", g)
-        op = assemble_operator(
-            g, scale_coefficients(coefficient_family("variable", g), 0.1))
-        assert op.symmetric
-        got = solve_dirichlet(op, f, method="direct").interior_vector()
-        colamd = spla.splu(csr(op.matrix).tocsc(), permc_spec="COLAMD")
-        ref = colamd.solve(f.interior_vector())
-        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-        lu = op.factor()
-        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
     def test_unknown_method_rejected(self):
         g, op = laplace_setup(4)
@@ -106,9 +112,9 @@ class TestCG:
     def test_matches_direct(self):
         g, op = laplace_setup(16)
         f = forcing_field("sine_product", g)
-        direct = solve_dirichlet(op, f, method="direct")
+        direct = op.factor().solve(f.interior_vector())
         cg = solve_dirichlet(op, f, tol=1e-12, method="cg")
-        assert np.allclose(cg.values, direct.values, atol=1e-9)
+        assert np.allclose(cg.interior_vector(), direct, atol=1e-9)
 
     def test_iteration_cap_raises_with_residual(self):
         # the preconditioner is exact for the Laplacian, so the variable
@@ -184,13 +190,13 @@ class _DriftingPCG:
 
 
 def count_factor(monkeypatch):
-    """Record the ``(matrix, symmetric)`` of every LU the driver makes."""
+    """Record the matrix of every LU the driver makes."""
     calls = []
     real = anisolab.solver.factor_matrix
 
-    def factor(matrix, symmetric):
-        calls.append((matrix, symmetric))
-        return real(matrix, symmetric)
+    def factor(matrix):
+        calls.append(matrix)
+        return real(matrix)
     monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
     return calls
 
@@ -302,13 +308,12 @@ class TestWorkingSet:
         assert res.iterations > 1 and len(rises) >= 5
         assert max(rises) < vector // 2
 
-    @pytest.mark.parametrize("method", ["cg", "direct"])
-    def test_jacobian_rows_copied_once_per_solve(self, method,
-                                                 monkeypatch):
+    @pytest.mark.parametrize("route", ["cg", "direct"])
+    def test_jacobian_rows_copied_once_per_solve(self, route, monkeypatch):
         # the first step copies the rows, every later one rewrites the
         # centre row of that copy: each step's J holds the one array
-        g = make_grid([(0, 1), (0, 1)], (24, 24), q=1)
-        op = assemble_operator(g, coefficient_family("variable", g))
+        op, method = route_case(route, 24)
+        g = op.grid
         copies, jacobians = [], []
         with_rows = Stencil.with_rows
 
@@ -404,35 +409,38 @@ class TestAuto:
         calls = count_factor(monkeypatch)
         f = forcing_field("sine_product", g)
         u = solve_dirichlet(op, f, method="auto")
-        assert [(m is op.matrix, sym) for m, sym in calls] == [(True, False)]
-        direct = solve_dirichlet(op, f, method="direct")
-        assert np.array_equal(u.values, direct.values)
+        assert [m is op.matrix for m in calls] == [True]
+        direct = op.factor().solve(f.interior_vector())
+        assert np.array_equal(u.interior_vector(), direct)
+
+    def test_removed_direct_method_rejected(self):
+        # every solve names the removal, as a config file does
+        g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
+        coeffs = coefficient_family("variable", g)
+        f = forcing_field("sine_product", g)
+        blocks = operator_blocks(g, coeffs)
+        for solve in (lambda: solve_dirichlet(blocks.at(0.5), f,
+                                              method="direct"),
+                      lambda: solve_limit(blocks, f, method="direct")):
+            with pytest.raises(ConfigError,
+                               match="'direct' was removed: symmetric "
+                                     "matrices solve by CG"):
+                solve()
 
 
 class TestNewtonDriver:
-    @pytest.mark.parametrize("method", ["cg", "direct"])
-    def test_solve_dirichlet_is_the_zero_term_newton(self, method):
+    @pytest.mark.parametrize("route", ["cg", "direct"])
+    def test_solve_dirichlet_is_the_zero_term_newton(self, route):
         # a linear solve is the first Newton step of the zero term, to the
         # bit on either route
-        g = make_grid([(0, 1), (0, 1)], (24, 24), q=1)
-        op = assemble_operator(g, coefficient_family("variable", g))
-        f = forcing_field("sine_product", g)
+        op, method = route_case(route, 24)
+        f = forcing_field("sine_product", op.grid)
         res = picard_solve(op, f, nonlinearity_family("zero"), method=method)
         u = solve_dirichlet(op, f, method=method)
         assert res.iterations == 1
         assert np.array_equal(u.values, res.field.values)
         assert res.residual == relative_residual(
             op.matrix, u.interior_vector(), f.interior_vector())
-
-    def test_direct_linear_steps_share_one_lu(self, monkeypatch):
-        # tol = 0 sends the solve into refinement steps, all on the one
-        # LU of the matrix, until the line search finds no decrease
-        calls = count_factor(monkeypatch)
-        g, op = laplace_setup(8)
-        with pytest.raises(SolverError, match="line search"):
-            solve_dirichlet(op, forcing_field("sine_product", g), tol=0.0,
-                            method="direct")
-        assert len(calls) == 1 and calls[0][0] is op.matrix
 
 
 class TestFastDiagonalization:

@@ -14,8 +14,12 @@ from anisolab import (ScalarField, StudyConfig, assemble_operator,
                       v12_norm)
 from anisolab.norms import (grad_x1_seminorm, hess_x1_seminorm,
                             hess_x1x2_seminorm, hess_x2_seminorm)
+from anisolab.limit import iter_slice_systems
+from anisolab.solver import relative_residual
 from anisolab.study import CSV_COLUMNS, discretization_floor
 
+from test_fd_ops import varying_asymmetric
+from test_limit import NONSYMMETRIC
 from test_solver import count_factor
 
 
@@ -44,13 +48,14 @@ class TestFloor:
         ratios = np.array(floors[:-1]) / np.array(floors[1:])
         assert np.all(np.abs(ratios - 4.0) < 0.5)
 
-    def test_cg_probe_matches_direct_solve(self):
+    def test_cg_probe_matches_direct_solve(self, lu_route):
         g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
         exact = forcing_field("sine_product", g)
         f = ScalarField(g, 2 * np.pi ** 2 * exact.values)
         op = assemble_operator(g, coefficient_family("identity", g))
-        direct = 10.0 * l2_norm(solve_dirichlet(op, f, method="direct")
-                                - exact)
+        # the probe names cg, so it keeps CG while the reference is an LU
+        lu_route()
+        direct = 10.0 * l2_norm(solve_dirichlet(op, f) - exact)
         assert discretization_floor(g) == pytest.approx(direct, rel=1e-12)
 
 
@@ -146,15 +151,16 @@ class TestRunSweep:
                          "_stencil_rows": 3, "_stencil_csr": 0}
 
     @staticmethod
-    def check_auto_matches_direct(monkeypatch, cfg):
-        """Sweep ``cfg`` under auto and direct: auto factors nothing,
-        direct the limit once and one operator per row, and every row and
-        rate agrees to 1e-8."""
+    def check_auto_matches_direct(monkeypatch, lu_route, cfg):
+        """Sweep ``cfg`` under auto and on the LU route: auto factors
+        nothing, the LU the limit once and one operator per row, and
+        every row and rate agrees to 1e-8."""
         calls = count_factor(monkeypatch)
         assert cfg.solver_method == "auto"
         auto = run_sweep(cfg)
         assert calls == []
-        direct = run_sweep(dataclasses.replace(cfg, solver_method="direct"))
+        lu_route()
+        direct = run_sweep(cfg)
         assert len(calls) == 1 + len(cfg.epsilons)
         assert auto.complete and direct.complete
         for a, d in zip(auto.rows, direct.rows):
@@ -165,21 +171,52 @@ class TestRunSweep:
             assert auto.rates[col] == pytest.approx(rate, rel=1e-8), col
         assert auto.floor_warnings() == direct.floor_warnings()
 
-    def test_default_method_solves_rows_without_factoring(self,
-                                                          monkeypatch):
+    def test_default_method_solves_rows_without_factoring(self, monkeypatch,
+                                                          lu_route):
         # the default method is auto: the symmetric variable table runs
         # CG on every row and in the limit
-        self.check_auto_matches_direct(monkeypatch, small_config(
+        self.check_auto_matches_direct(monkeypatch, lu_route, small_config(
             cells=[32, 32], coefficient_family="variable",
             epsilons=[1.0, 0.5, 0.25, 0.125, 0.0625]))
 
-    def test_constant_asymmetric_table_runs_cg(self, monkeypatch):
+    def test_constant_asymmetric_table_runs_cg(self, monkeypatch, lu_route):
         # only a12 + a21 reaches the assembled matrix, so under auto this
         # table's rows run by CG too
-        self.check_auto_matches_direct(monkeypatch, small_config(
+        self.check_auto_matches_direct(monkeypatch, lu_route, small_config(
             cells=[32, 32], coefficient_family="constant",
             coefficient_params={"matrix": [[2.0, 0.7], [0.3, 1.0]]},
             epsilons=[1.0, 0.5, 0.25, 0.125, 0.0625]))
+
+    def test_nonsymmetric_table_sweeps_by_lu(self, monkeypatch):
+        # no config family builds a table whose matrix is not symmetric;
+        # one with a varying skew part, X2 block included, runs the LU
+        # route end to end: the limit and every row factor once
+        monkeypatch.setattr(
+            StudyConfig, "build_coefficients",
+            lambda self, grid: varying_asymmetric(grid, NONSYMMETRIC,
+                                                  lam=0.5))
+        cfg = small_config(lo=[0.0] * 3, hi=[1.0] * 3, cells=[6, 6, 7],
+                           nested=2)
+        calls = count_factor(monkeypatch)
+        rep = run_sweep(cfg)
+        assert rep.complete and len(rep.rows) == len(cfg.epsilons)
+        g = cfg.build_grid()
+        blocks = operator_blocks(g, cfg.build_coefficients(g))
+        assert [m.box for m in calls] == (
+            [blocks.limit.matrix.box]
+            + [blocks.unscaled.matrix.box] * len(cfg.epsilons))
+        f = cfg.build_forcing(g)
+        for eps, u in zip(cfg.epsilons, rep.u_eps):
+            op = blocks.at(eps)
+            assert relative_residual(
+                op.matrix, u.interior_vector(),
+                f.interior_vector()) <= cfg.solver_tol
+        interior = (slice(1, -1),) * 2
+        for x1, matrix, rhs, _ in iter_slice_systems(
+                g, cfg.build_coefficients(g), f):
+            assert relative_residual(
+                matrix, rep.u_limit.values[x1][interior].reshape(-1),
+                rhs) <= cfg.solver_tol
 
     def test_workers_steers_nothing(self):
         reps = [run_sweep(small_config(workers=w)) for w in (1, 3)]
@@ -196,15 +233,18 @@ class TestRunSweep:
         assert rep.complete
         assert all(np.isfinite(r.l2_diff) for r in rep.rows)
 
-    def test_semilinear_rows_follow_solver_method(self, monkeypatch):
-        # auto runs every Newton step of the symmetric table by CG; direct
-        # factors each step's Jacobian once, in the limit and every row
+    def test_semilinear_rows_follow_solver_method(self, monkeypatch,
+                                                  lu_route):
+        # auto runs every Newton step of the symmetric table by CG; the
+        # LU route factors each step's Jacobian once, in the limit and
+        # every row
         calls = count_factor(monkeypatch)
         cfg = small_config(nonlinearity="tanh",
                            coefficient_family="variable")
         auto = run_sweep(cfg)
         assert calls == []
-        direct = run_sweep(dataclasses.replace(cfg, solver_method="direct"))
+        lu_route()
+        direct = run_sweep(cfg)
         assert len(calls) >= 1 + len(cfg.epsilons)
         assert auto.complete and direct.complete
         for a, d in zip(auto.rows, direct.rows):
