@@ -64,9 +64,10 @@ class CoefficientField:
         return self.grid.ndim
 
     def x2_block(self) -> np.ndarray:
-        """The retained A22 block, entries a_ij for i, j > q."""
-        x2 = self.grid.x2_axes
-        return self.entries[np.ix_(x2, x2)]
+        """The retained A22 block, entries a_ij for i, j > q: a view of
+        the table, the X2 axes being the last ones."""
+        q = self.grid.q
+        return self.entries[q:, q:]
 
 
 def scaling_factors(ndim: int, q: int, epsilon: float) -> np.ndarray:

@@ -11,23 +11,30 @@ averages of a_ii on half-integer faces, mixed terms use the composition of
 centered first differences.  The operator is a fixed stencil of at most
 3^N offsets, and the assembled matrix is that stencil itself, a
 ``Stencil``: the box of unknowns, the offsets in increasing flat order,
-and one coefficient row per offset over the box, zero where the
-neighbour lies outside it.  Terms that meet at one offset are summed in
-assembly order.  Its ``@`` is one contiguous window of the padded vector
-per offset, summed in the order a CSR matvec sums a sorted row, so it
-equals the product with the canonical CSR bit for bit.
+and coefficient rows over the box, zero where the neighbour lies outside
+it.  Terms that meet at one offset are summed in assembly order, each
+written straight into its row.
 
 For a symmetric entry table the assembled matrix is symmetric by
 construction, and so is it for any constant table: only a_ij + a_ji
 reaches each corner coupling.  So an operator's ``symmetric`` flag is the
 exact symmetry of its matrix, read off the stencil (the entry at offset o
 from node i against the one at -o from i + o), not off the table; the
-flag picks the route, CG or an LU.
+flag picks the route, CG or an LU.  It also picks the storage: a
+symmetric stencil keeps rows only for the offsets of flat offset >= 0,
+about half, and reads the row at -o as the row at o moved by its flat
+offset f.  Assembly writes the upper rows and checks each mirror pair as
+it goes, so it never holds the lower rows; a pair that differs sends it
+back to store every row.  The matvec sums one product per offset, the
+mirrored ones included, in increasing flat order: the order a CSR matvec
+sums a sorted row, and the same products as the full rows give, so it
+equals the product with the canonical CSR bit for bit.  ``nnz`` counts
+the matrix's entries, mirrored or stored.
 
 The operator is linear in its table, and the limit problem is its X2
 block: ``operator_blocks`` lays the full grid's stencil out once, and
 every offset other than the centre lies in one of the X1 x X1, mixed and
-X2 x X2 blocks.  ``OperatorBlocks.at(eps)`` scales each offset's row by
+X2 x X2 blocks.  ``OperatorBlocks.at(eps)`` scales each stored row by
 its block's power of eps, the centre row's X1 and X2 parts kept apart.
 The limit operator is the X2 stencil over every X1 node: a
 ``SparseOperator`` like every row's, whose first q axes are batch axes,
@@ -184,38 +191,78 @@ def _valid_box(offset: Sequence[int], shape: Sequence[int]
                  for o, n in zip(offset, shape))
 
 
+def _negated(key: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-o for o in key)
+
+
+def _mirrored(offsets: Sequence[tuple[int, ...]],
+              flats: Sequence[int]) -> list[bool]:
+    """Per offset, whether a symmetric stencil reads it from its twin:
+    whether it is the lower of a mirror pair o, -o of offsets, the one of
+    flat offset < 0 (at flat 0, the smaller tuple)."""
+    present = set(offsets)
+    return [(f, key) < (-f, _negated(key)) and _negated(key) in present
+            for key, f in zip(offsets, flats)]
+
+
 class Stencil:
     """A fixed-stencil matrix over a row-major box of unknowns.
 
     ``offsets`` are the stencil's offsets over the axes of ``box``, in
-    increasing flat (C-order) offset ``flats``, and row k of ``rows``
-    (shape ``(len(offsets), unknowns)``) is offset k's coefficient over
-    the flattened box: matrix row i holds ``rows[k, i]`` in column
-    i + ``flats[k]``.  A coefficient whose neighbour lies outside the box
-    is zero and not an entry of the matrix; ``nnz`` counts the others, the
-    entries its canonical CSR stores (``_stencil_csr``), zeros included.
+    increasing flat (C-order) offset ``flats``: matrix row i holds offset
+    k's coefficient in column i + ``flats[k]``.  A coefficient whose
+    neighbour lies outside the box is zero and not an entry of the
+    matrix; ``nnz`` counts the others, the entries its canonical CSR
+    stores (``_stencil_csr``), zeros included, whether stored or
+    mirrored.
 
-    ``A @ x`` reads one contiguous window of a zero-padded copy of ``x``
-    per offset, in increasing flat order: the order in which a CSR matvec
-    sums a row of sorted columns.  An out-of-box slot adds an exact zero,
-    so for finite ``x`` the product equals the CSR one bit for bit.
-    ``matvec`` writes the same product into the caller's array, through
-    the caller's ``workspace``.  Every stencil ``with_rows`` derives from
-    this one shares its held solve buffers (``buffer``,
-    ``held_workspace``), which ``share_buffers`` extends to a stencil of
-    another layout.
+    ``rows`` holds one coefficient row over the flattened box per offset
+    of ``stored``.  A stencil that is not ``symmetric`` stores every
+    offset.  A ``symmetric`` one, whose matrix assembly found exactly
+    symmetric, stores only the upper twin of each mirror pair o, -o, the
+    one of flat offset f >= 0 (at f = 0, the larger tuple), and reads the
+    entry at -o from node i as the one at o from node i - f: its row at
+    -o is its row at o moved f places on, zero over the first f nodes.
+    An offset whose negation is not an offset keeps its row.
+
+    ``A @ x`` sums one product per offset in increasing flat order, the
+    order in which a CSR matvec sums a row of sorted columns: a stored
+    row times a window of a zero-padded copy of ``x``, a mirrored one as
+    its twin's row times ``x``, both moved f places on.  Both are the
+    products of the full rows entry for entry, and an out-of-box slot
+    adds an exact zero, so for finite ``x`` the product equals the CSR
+    one bit for bit.  ``matvec`` writes the same product into the
+    caller's array, through the caller's ``workspace``; the views of its
+    rows and workspace that each product reads are laid out once per
+    workspace.  Every stencil ``with_rows`` derives from this one shares
+    its held solve buffers (``buffer``, ``held_workspace``), which
+    ``share_buffers`` extends to a stencil of another layout.
     """
 
     def __init__(self, box: Sequence[int],
-                 offsets: Sequence[tuple[int, ...]], rows: np.ndarray):
+                 offsets: Sequence[tuple[int, ...]], rows: np.ndarray,
+                 symmetric: bool = False):
         self.box = tuple(int(n) for n in box)
         self.offsets = tuple(tuple(int(o) for o in key) for key in offsets)
         self.rows = rows
+        self.symmetric = bool(symmetric)
         strides = _strides(self.box)
         self.flats = tuple(_flat(key, strides) for key in self.offsets)
         self._pad = max(map(abs, self.flats), default=0)
+        mirrored = (_mirrored(self.offsets, self.flats) if symmetric
+                    else [False] * len(self.offsets))
+        self.stored = tuple(key for key, m in zip(self.offsets, mirrored)
+                            if not m)
+        row = {key: k for k, key in enumerate(self.stored)}
+        # per offset: the row it reads and whether it reads it mirrored
+        self._reads = tuple((row[_negated(key)], True) if m
+                            else (row[key], False)
+                            for key, m in zip(self.offsets, mirrored))
         # the solve buffers (``buffer``), made on first use
         self._buffers: dict[str, np.ndarray] = {}
+        self._held = None
+        # the matvec's views of the rows and of one workspace
+        self._laid_out = (None, None)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -230,19 +277,21 @@ class Stencil:
 
     @property
     def centre(self) -> int | None:
-        """Index of the zero offset, the diagonal, or None."""
+        """Index in ``rows`` of the zero offset, the diagonal, or None."""
         zero = (0,) * len(self.box)
-        return self.offsets.index(zero) if zero in self.offsets else None
+        return self.stored.index(zero) if zero in self.stored else None
 
     def with_rows(self, rows: np.ndarray) -> Stencil:
-        """The same stencil with other coefficients, sharing this one's
-        buffers."""
-        other = Stencil(self.box, self.offsets, rows)
+        """The same stencil with other coefficients, rows of ``stored``,
+        sharing this one's buffers."""
+        other = Stencil(self.box, self.offsets, rows, self.symmetric)
         other._buffers = self._buffers
         return other
 
     def __matmul__(self, x) -> np.ndarray:
-        return self.matvec(x, np.empty(self.shape[0]), self.workspace())
+        work = self.workspace()
+        return self._product(x, np.empty(self.shape[0]), *work,
+                             self._layout(*work))
 
     def workspace(self) -> tuple[np.ndarray, np.ndarray]:
         """The buffers of ``matvec``: a zero-padded vector and a scratch
@@ -252,12 +301,19 @@ class Stencil:
 
     def held_workspace(self) -> tuple[np.ndarray, np.ndarray]:
         """A ``workspace`` of held buffers: the padded vector, its ends
-        zeroed on every call, and the scratch row, ``buffer("scratch")``."""
+        zeroed on every call, and the scratch row, ``buffer("scratch")``.
+        The same pair is returned for as long as the held arrays are the
+        same, so ``matvec`` lays out its views of it once."""
         n, pad = self.shape[0], self._pad
         padded = self.buffer("padded", n + 2 * pad)
-        padded[:pad] = 0.0
-        padded[pad + n:] = 0.0
-        return padded, self.buffer("scratch")
+        scratch = self.buffer("scratch")
+        held = self._held
+        if (held is None or held[0].base is not padded.base
+                or held[1].base is not scratch.base):
+            held = self._held = (padded, scratch)
+        held[0][:pad] = 0.0
+        held[0][pad + n:] = 0.0
+        return held
 
     def buffer(self, name: str, size: int | None = None) -> np.ndarray:
         """The held array of ``size`` floats (default ``shape[0]``) named
@@ -283,28 +339,57 @@ class Stencil:
         from this stencil's ``buffer``."""
         other._buffers = self._buffers
 
+    def _layout(self, padded: np.ndarray, scratch: np.ndarray) -> list:
+        """Per offset, in ``offsets`` order, the views of one product:
+        ``(row, window, into, head, shift)``, the product ``row * window``
+        going into ``into``, the last ``n - shift`` places of ``scratch``,
+        and ``head``, its first ``shift``, zeroed (None when empty)."""
+        n, pad = self.shape[0], self._pad
+        terms = []
+        for (k, mirrored), f in zip(self._reads, self.flats):
+            row = self.rows[k]
+            if mirrored:
+                # row -o at node i is row o at node i - f, f = -flat,
+                # and zero for i < f
+                f = min(-f, n)
+                terms.append((row[:n - f], padded[pad:pad + n - f],
+                              scratch[f:], scratch[:f] if f else None, f))
+            else:
+                terms.append((row, padded[pad + f:pad + f + n], scratch,
+                              None, 0))
+        return terms
+
     def matvec(self, x, out: np.ndarray,
                work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """``self @ x`` written into ``out``, which is returned.
 
-        Allocates nothing: ``x`` is copied into the padded vector of
-        ``work`` (``workspace``), whose ends stay zero, and every offset's
-        product goes through its scratch row.
+        Allocates nothing once ``work`` (``workspace``) is laid out:
+        ``x`` is copied into its padded vector, whose ends stay zero, and
+        every offset's product but the first goes through its scratch
+        row.
         """
+        if self._laid_out[0] is not work:
+            self._laid_out = (work, self._layout(*work))
+        return self._product(x, out, *work, self._laid_out[1])
+
+    def _product(self, x, out: np.ndarray, padded: np.ndarray,
+                 scratch: np.ndarray, terms: list) -> np.ndarray:
         n, pad = self.shape[0], self._pad
         x = np.asarray(x)
         if x.shape != (n,):
             raise ValueError(f"matvec of a {self.shape} stencil with a "
                              f"vector of shape {x.shape}")
-        if not self.offsets:
+        if not terms:
             out[:] = 0.0
             return out
-        padded, scratch = work
         padded[pad:pad + n] = x
-        windows = [padded[pad + f:pad + f + n] for f in self.flats]
-        np.multiply(self.rows[0], windows[0], out=out)
-        for row, window in zip(self.rows[1:], windows[1:]):
-            np.multiply(row, window, out=scratch)
+        row, window, _, _, f = terms[0]
+        np.multiply(row, window, out=out[f:])
+        out[:f] = 0.0
+        for row, window, into, head, _ in terms[1:]:
+            np.multiply(row, window, out=into)
+            if head is not None:
+                head[...] = 0.0
             out += scratch
         return out
 
@@ -420,10 +505,13 @@ class SparseOperator:
 
     matrix: Stencil
     grid: Grid
-    symmetric: bool
     means: np.ndarray
     fit: SeparableFit | None = None
     batch: int = 0
+
+    @property
+    def symmetric(self) -> bool:
+        return self.matrix.symmetric
 
     @property
     def n_unknowns(self) -> int:
@@ -451,11 +539,12 @@ def _stencil_csr(matrix: Stencil) -> sp.csr_matrix:
     """Canonical CSR of a stencil matrix, the one CSR layout.
 
     The offsets are taken in increasing flat order, one slot of every row
-    each, and a slot is kept where its neighbour lies in the box;
-    compressing the kept slots row by row gives sorted columns, each
-    row's count of them gives ``indptr``, and the column of a slot is its
-    row plus the flat offset.  Indices are int32 where they fit.  Only an
-    LU needs it (``factor_matrix``), so only an LU loads scipy.sparse.
+    each, a mirrored offset's row expanded from its twin's, and a slot is
+    kept where its neighbour lies in the box; compressing the kept slots
+    row by row gives sorted columns, each row's count of them gives
+    ``indptr``, and the column of a slot is its row plus the flat offset.
+    Indices are int32 where they fit.  Only an LU needs it
+    (``factor_matrix``), so only an LU loads scipy.sparse.
     """
     import scipy.sparse as sp
 
@@ -463,8 +552,15 @@ def _stencil_csr(matrix: Stencil) -> sp.csr_matrix:
     n = matrix.shape[0]
     k = len(matrix.offsets)
     kept = np.zeros((k,) + shape, dtype=bool)
-    for slot, key in enumerate(matrix.offsets):
+    rows = np.zeros((k, n))
+    for slot, (key, f, (row, mirrored)) in enumerate(zip(
+            matrix.offsets, matrix.flats, matrix._reads)):
         kept[(slot,) + _valid_box(key, shape)] = True
+        if mirrored:
+            f = min(-f, n)
+            rows[slot, f:] = matrix.rows[row, :n - f]
+        else:
+            rows[slot] = matrix.rows[row]
     kept = kept.reshape(k, n).T
     counts = kept.sum(axis=1)
     nnz = int(counts.sum())
@@ -473,8 +569,7 @@ def _stencil_csr(matrix: Stencil) -> sp.csr_matrix:
     indptr[1:] = np.cumsum(counts)
     indices = (np.arange(n, dtype=idx)[:, None]
                + np.array(matrix.flats, dtype=idx))[kept]
-    csr = sp.csr_matrix((matrix.rows.T[kept], indices, indptr),
-                        shape=(n, n))
+    csr = sp.csr_matrix((rows.T[kept], indices, indptr), shape=(n, n))
     csr.has_canonical_format = True
     return csr
 
@@ -495,10 +590,13 @@ def _flux_terms(spacings: Sequence[float], entries: np.ndarray,
     ``entries`` has shape (m, m, *nodes).  The last m node axes carry the
     stencil and their interior nodes are unknowns; the first ``batch``
     only stack independent problems, every node an unknown.  Yields
-    ``(offset, d1, coeff)``: the offset over all node axes as a tuple,
-    the row d1 of the table entry the term comes from, and its
-    coefficient over the box of unknowns.  All-zero entry tables yield
-    nothing.
+    ``(offset, d1, term)``: the offset over all node axes as a tuple,
+    the row d1 of the table entry the term comes from, and
+    ``term(out, work)``, which writes its coefficient over the box of
+    unknowns into ``out``, ``work`` being a scratch array of that shape.
+    A term is computed only when called, so that assembly writes it
+    straight into its row (``_stencil_rows``).  All-zero entry tables
+    yield nothing.
     """
     m = entries.shape[0]
     nodes = entries.shape[2:]
@@ -512,18 +610,37 @@ def _flux_terms(spacings: Sequence[float], entries: np.ndarray,
     def key(offset):
         return tuple(offset.tolist())
 
+    # a quotient by -w is exactly minus the quotient by w
+    def face(a_c, a_n, div):
+        # (a_c + a_n) / div: a face weight of a diagonal term, and its
+        # neighbour's coefficient when div < 0
+        def term(out, work):
+            np.add(a_c, a_n, out=out)
+            out /= div
+        return term
+
+    def centre(a_c, a_p, a_m, div):
+        plus, minus = face(a_c, a_p, div), face(a_c, a_m, div)
+
+        def term(out, work):
+            plus(out, None)
+            minus(work, None)
+            out += work
+        return term
+
+    def corner(a_n, w):
+        return lambda out, work: np.divide(a_n, w, out=out)
+
     for d in range(m):
         a = entries[d, d]
         if not np.any(a):
             continue
         e = eye[d]
-        a_c = shifted(a, zero)
-        h2 = spacings[d] ** 2
-        w_p = (a_c + shifted(a, e)) / (2 * h2)
-        w_m = (a_c + shifted(a, -e)) / (2 * h2)
-        yield key(zero), d, w_p + w_m
-        yield key(e), d, -w_p
-        yield key(-e), d, -w_m
+        a_c, a_p, a_m = shifted(a, zero), shifted(a, e), shifted(a, -e)
+        div = 2 * spacings[d] ** 2
+        yield key(zero), d, centre(a_c, a_p, a_m, div)
+        yield key(e), d, face(a_c, a_p, -div)
+        yield key(-e), d, face(a_c, a_m, -div)
 
     for d1 in range(m):
         for d2 in range(m):
@@ -534,64 +651,96 @@ def _flux_terms(spacings: Sequence[float], entries: np.ndarray,
                 continue
             e1, e2 = eye[d1], eye[d2]
             w = 4 * spacings[d1] * spacings[d2]
-            c_p = shifted(a, e1) / w
-            c_m = shifted(a, -e1) / w
-            yield key(e1 + e2), d1, -c_p
-            yield key(e1 - e2), d1, c_p
-            yield key(-e1 + e2), d1, c_m
-            yield key(-e1 - e2), d1, -c_m
+            a_p, a_m = shifted(a, e1), shifted(a, -e1)
+            yield key(e1 + e2), d1, corner(a_p, -w)
+            yield key(e1 - e2), d1, corner(a_p, w)
+            yield key(-e1 + e2), d1, corner(a_m, w)
+            yield key(-e1 - e2), d1, corner(a_m, -w)
 
 
-def _add_term(stencil: dict, key: tuple[int, ...], coeff: np.ndarray):
-    """Sum ``coeff`` into the coefficient of ``key``, in arrival order."""
-    stencil[key] = stencil[key] + coeff if key in stencil else coeff
+def _term_sum(shape: tuple[int, ...]):
+    """``total(terms, out)``: the sum of ``_flux_terms`` terms written
+    into ``out``, of ``shape``, in arrival order, as ``(t1 + t2) + t3``;
+    returns ``out``.  Its two scratch arrays are made here, once."""
+    part, work = np.empty(shape), np.empty(shape)
+
+    def total(terms, out):
+        terms[0](out, work)
+        for term in terms[1:]:
+            term(part, work)
+            out += part
+        return out
+    return total
 
 
-def _stencil_rows(shape: Sequence[int], stencil: dict) -> Stencil:
-    """The ``Stencil`` of a stencil over a row-major box of unknowns.
+def _clear_outside(row: np.ndarray, offset: Sequence[int]) -> None:
+    """Zero the nodes of ``row``, over its box, whose neighbour at
+    ``offset`` leaves the box."""
+    for a, o in enumerate(offset):
+        if o:
+            end = [slice(None)] * row.ndim
+            end[a] = slice(row.shape[a] - o, None) if o > 0 else slice(0, -o)
+            row[tuple(end)] = 0.0
 
-    ``stencil`` maps each offset to its coefficient over the box.  The
-    offsets are taken in increasing flat order, and each coefficient is
-    copied into its row where the neighbour lies in the box, the rest of
-    the row left zero.  ``stencil`` is emptied as its arrays are copied,
-    so no coefficient is held twice.
+
+def _stencil_rows(shape: Sequence[int], stencil: dict,
+                  total=None) -> Stencil:
+    """The ``Stencil`` of a stencil over a row-major box of unknowns,
+    every row assembled in place.
+
+    ``stencil`` maps each offset to its ``_flux_terms`` terms in arrival
+    order; ``total`` (``_term_sum``) sums them.  The offsets are taken in
+    increasing flat order, and each row is the sum of its offset's terms
+    over the box, then zeroed where the neighbour leaves it.  The matrix
+    is exactly symmetric when for every mirror pair the entry at offset
+    o from node i equals the one at -o from i + o (a missing offset
+    reads as zero).  The upper twins (``Stencil.stored``) are laid out
+    first, each pair checked as its row is written, the lower twin
+    summed into one scratch array, so that a symmetric stencil never
+    holds its lower rows.  At the first pair that differs the layout
+    starts again, storing every offset.
     """
     shape = tuple(shape)
+    n = math.prod(shape)
     strides = _strides(shape)
     keys = sorted(stencil, key=lambda key: _flat(key, strides))
-    rows = np.zeros((len(keys),) + shape)
-    for row, key in zip(rows, keys):
-        box = _valid_box(key, shape)
-        row[box] = stencil.pop(key)[box]
-    return Stencil(shape, keys, rows.reshape(len(keys), math.prod(shape)))
+    total = total or _term_sum(shape)
+    spare = np.empty(shape)
 
-
-def _stencil_symmetric(shape: Sequence[int], stencil: dict) -> bool:
-    """Exact symmetry of ``_stencil_rows(shape, stencil)``, read off the
-    stencil: the entry at offset o from node i equals the one at -o from
-    i + o (a missing offset reads as zero)."""
-    for key, coeff in stencil.items():
-        back = tuple(-o for o in key)
-        if back in stencil and back < key:
-            continue  # the pair was checked from its other side
-        mirror = (stencil[back][_valid_box(back, shape)]
+    def pair_holds(key, row):
+        back = _negated(key)
+        if back == key:
+            return True
+        mirror = (total(stencil[back], spare)[_valid_box(back, shape)]
                   if back in stencil else 0.0)
-        if not np.all(coeff[_valid_box(key, shape)] == mirror):
-            return False
-    return True
+        return np.all(row[_valid_box(key, shape)] == mirror)
+
+    def layout(keys, check):
+        rows = np.zeros((len(keys), n))
+        for row, key in zip(rows, keys):
+            row = total(stencil[key], row.reshape(shape))
+            if check and not pair_holds(key, row):
+                return None
+            _clear_outside(row, key)
+        return rows
+
+    mirrored = _mirrored(keys, [_flat(key, strides) for key in keys])
+    rows = layout([key for key, m in zip(keys, mirrored) if not m], True)
+    if rows is not None:
+        return Stencil(shape, keys, rows, symmetric=True)
+    return Stencil(shape, keys, layout(keys, False))
 
 
 def _flux_operator(spacings: Sequence[float], entries: np.ndarray,
-                   batch: int = 0) -> tuple[Stencil, bool]:
-    """The flux-form matrix of ``_flux_terms`` and its exact symmetry."""
+                   batch: int = 0) -> Stencil:
+    """The flux-form matrix of ``_flux_terms``."""
     stencil: dict = {}
-    for offset, _, coeff in _flux_terms(
+    for offset, _, term in _flux_terms(
             tuple(float(h) for h in spacings), entries, batch):
-        _add_term(stencil, offset, coeff)
+        stencil.setdefault(offset, []).append(term)
     nodes = entries.shape[2:]
-    shape = nodes[:batch] + tuple(n - 2 for n in nodes[batch:])
-    symmetric = _stencil_symmetric(shape, stencil)
-    return _stencil_rows(shape, stencil), symmetric
+    return _stencil_rows(
+        nodes[:batch] + tuple(n - 2 for n in nodes[batch:]), stencil)
 
 
 def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
@@ -608,7 +757,7 @@ def assemble_flux_matrix(cells: Sequence[int], spacings: Sequence[float],
     if entries.shape != (len(nodes),) * 2 + nodes:
         raise ConfigError(f"entry table shape {entries.shape} does not "
                           f"match cells {tuple(cells)}")
-    return _flux_operator(spacings, entries)[0]
+    return _flux_operator(spacings, entries)
 
 
 def _diagonal_means(entries: np.ndarray, batch: int = 0) -> np.ndarray:
@@ -624,9 +773,8 @@ def assemble_operator(grid: Grid, coeffs: CoefficientField) -> SparseOperator:
     if coeffs.grid != grid:
         raise ConfigError("coefficients live on a different grid")
     entries = coeffs.entries
-    matrix, symmetric = _flux_operator(grid.spacing, entries)
-    return SparseOperator(matrix=matrix, grid=grid, symmetric=symmetric,
-                          means=_diagonal_means(entries),
+    return SparseOperator(matrix=_flux_operator(grid.spacing, entries),
+                          grid=grid, means=_diagonal_means(entries),
                           fit=_separable_fit(grid.spacing, entries))
 
 
@@ -672,12 +820,13 @@ class OperatorBlocks:
 
     def at(self, epsilon: float) -> SparseOperator:
         """``eps^2 L11 + eps L12 + L22``, the operator of the scaled table:
-        each offset's row times eps to the power of its block, and the
-        centre row ``eps^2 d11 + d22``."""
+        each stored row times eps to the power of its block, and the
+        centre row ``eps^2 d11 + d22``.  A mirrored offset lies in its
+        twin's block, so the rows it reads scale alike."""
         fac = scaling_factors(self.grid.ndim, self.grid.q, epsilon)
         pattern = self.unscaled.matrix
         powers = np.array([1.0, epsilon, epsilon ** 2, 0.0])[
-            [_block_of(key, self.grid.q) for key in pattern.offsets]]
+            [_block_of(key, self.grid.q) for key in pattern.stored]]
         rows = pattern.rows * powers[:, None]
         centre = pattern.centre
         if centre is not None:
@@ -694,37 +843,41 @@ def operator_blocks(grid: Grid, coeffs: CoefficientField) -> OperatorBlocks:
     ``unscaled``, the X1 and X2 terms of its diagonal summed apart as
     ``d11`` and ``d22``; every other offset lies in one block.
     ``limit`` is the stencil of the A22 table over every X1 node, each X1
-    node one slice.
+    node one slice.  Both are assembled in place (``_stencil_rows``), one
+    after the other.
     """
     if coeffs.grid != grid:
         raise ConfigError("coefficients live on a different grid")
     entries = coeffs.entries
-    q, n = grid.q, grid.ndim
-    shape = grid.interior_shape
+    q = grid.q
+    shape = tuple(grid.interior_shape)
     spacings = tuple(float(h) for h in grid.spacing)
     stencil: dict = {}
-    parts: list[dict] = [{}, {}]
-    zero = (0,) * n
+    parts: tuple[list, list] = ([], [])
     # the diagonal sums its X1 and its X2 terms apart; every other offset
     # lies in one block, so all its terms scale alike
-    for offset, d1, coeff in _flux_terms(spacings, entries):
-        _add_term(stencil if any(offset) else parts[d1 >= q], offset, coeff)
-    d11, d22 = (p.get(zero, np.zeros(shape)) for p in parts)
+    for offset, d1, term in _flux_terms(spacings, entries):
+        if any(offset):
+            stencil.setdefault(offset, []).append(term)
+        else:
+            parts[d1 >= q].append(term)
+    total = _term_sum(shape)
+    d11 = d22 = np.zeros(0)
     if parts[0] or parts[1]:
-        stencil[zero] = d11 + d22
-    else:
-        d11 = d22 = np.zeros(0)
-    symmetric = _stencil_symmetric(shape, stencil)
+        d11, d22 = (total(p, np.empty(shape)) if p else np.zeros(shape)
+                    for p in parts)
+        stencil[(0,) * grid.ndim] = [
+            lambda out, work: np.add(d11, d22, out=out)]
     unscaled = SparseOperator(
-        matrix=_stencil_rows(shape, stencil), grid=grid,
-        symmetric=symmetric, means=_diagonal_means(entries),
-        fit=_separable_fit(spacings, entries))
+        matrix=_stencil_rows(shape, stencil, total), grid=grid,
+        means=_diagonal_means(entries), fit=_separable_fit(spacings, entries))
+    # the full grid's scratch is not held while the limit is laid out
+    del stencil, total
     a22 = coeffs.x2_block()
-    matrix, limit_symmetric = _flux_operator(
-        [spacings[a] for a in grid.x2_axes], a22, batch=q)
-    limit = SparseOperator(matrix=matrix, grid=grid,
-                           symmetric=limit_symmetric,
-                           means=_diagonal_means(a22, q), batch=q)
+    limit = SparseOperator(
+        matrix=_flux_operator([spacings[a] for a in grid.x2_axes], a22,
+                              batch=q),
+        grid=grid, means=_diagonal_means(a22, q), batch=q)
     # every row and the limit solve share these: an in-place edit of one
     # would reach them all, so it raises instead
     for op in (unscaled, limit):

@@ -39,7 +39,6 @@ from .grid import (NestedFamily, ScalarField, SubdomainMask,
 
 __all__ = [
     "l2_norm",
-    "inner_product",
     "block_seminorm",
     "grad_x1_seminorm",
     "grad_x2_seminorm",
@@ -64,14 +63,6 @@ def _masked(u: ScalarField, mask: SubdomainMask | None) -> np.ndarray:
 def l2_norm(u: ScalarField, mask: SubdomainMask | None = None) -> float:
     vals = _masked(u, mask)
     return float(np.sqrt(np.sum(vals ** 2) * u.grid.cell_volume))
-
-
-def inner_product(u: ScalarField, v: ScalarField,
-                  mask: SubdomainMask | None = None) -> float:
-    if v.grid != u.grid:
-        raise ConfigError("fields live on different grids")
-    return float(np.sum(_masked(u, mask) * _masked(v, mask))
-                 * u.grid.cell_volume)
 
 
 def _components(u: ScalarField, rows: Sequence[int],

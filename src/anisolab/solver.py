@@ -7,9 +7,9 @@ grid being B = 1 and the limit, batched over its X1 axes, one block per
 X1 node (``limit.semilinear_limit``); a linear solve is the zero term.
 ``newton_solve`` runs it (Kelley, *Iterative Methods for Linear and
 Nonlinear Equations*, SIAM 1995, ch. 6).  From u = 0 every step solves
-``J du = -F`` with ``J = L + diag(-a'(u))`` (one copy of the rows of L's
-stencil, ``fd_ops.Stencil``, per solve, each step taking a'(u) off its
-centre row), then halves the step of each block until its |F|
+``J du = -F`` with ``J = L + diag(-a'(u))`` (one copy of the stored rows
+of L's stencil, ``fd_ops.Stencil``, per solve, each step taking a'(u) off
+its centre row), then halves the step of each block until its |F|
 decreases by the Armijo rule (c = 1e-4).  A block stops once |F| / |f + a(u)| is at most ``tol``; a
 solve that has not met it after ``max_iter`` steps raises SolverError
 carrying the residual.  A linear solve's first step is the solve to
@@ -97,8 +97,7 @@ from .grid import ScalarField
 if TYPE_CHECKING:
     from .semilinear import Nonlinearity
 
-__all__ = ["solve_dirichlet", "newton_solve", "resolve_method",
-           "relative_residual", "sine_transform", "pcg",
+__all__ = ["solve_dirichlet", "newton_solve", "resolve_method", "pcg",
            "fast_diagonal_preconditioner"]
 
 # Armijo sufficient-decrease constant and the most halvings of one step
@@ -121,14 +120,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def relative_residual(matrix, x: np.ndarray, b: np.ndarray) -> float:
-    """``|A x - b| / |b|``, or the absolute ``|A x|`` when ``b`` is exactly
-    zero: there is nothing to be relative to."""
-    res = float(np.linalg.norm(matrix @ x - b))
-    scale = float(np.linalg.norm(b))
-    return res / scale if scale > 0 else res
-
-
 @lru_cache(maxsize=8)
 def _sine_matrix(m: int) -> np.ndarray:
     """Orthonormal DST-I matrix of size m, sqrt(2/(m+1)) sin(pi j k / (m+1)).
@@ -140,10 +131,6 @@ def _sine_matrix(m: int) -> np.ndarray:
     mat = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
     mat.flags.writeable = False
     return mat
-
-
-def _sine_matrices(shape) -> list[np.ndarray]:
-    return [_sine_matrix(int(m)) for m in shape]
 
 
 def _apply_axes(x: np.ndarray, mats, targets=None) -> np.ndarray:
@@ -174,12 +161,6 @@ def _apply_axes(x: np.ndarray, mats, targets=None) -> np.ndarray:
             x = np.matmul(left, x.reshape(box),
                           out=None if out is None else out.reshape(box))
     return x.reshape(shape)
-
-
-def sine_transform(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along every axis of ``x``; its own inverse."""
-    x = np.asarray(x, dtype=float)
-    return _apply_axes(x[None], [(s, s) for s in _sine_matrices(x.shape)])[0]
 
 
 def fast_diagonal_preconditioner(cells: Sequence[int],
@@ -360,7 +341,8 @@ def jacobian(matrix: Stencil, deriv: np.ndarray,
     """``L + diag(-a'(u))`` from ``deriv = a'(u)``: symmetric when ``L``
     is.
 
-    A copy of ``L``'s rows with ``deriv`` subtracted from the centre row,
+    A copy of ``L``'s stored rows (half the offsets of a symmetric ``L``,
+    ``Stencil.stored``) with ``deriv`` subtracted from the centre row,
     the diagonal; a stencil without a centre row raises ConfigError.
     ``into``, a Jacobian of ``matrix`` made here before, is reused: only
     its centre row is rewritten, its other rows being ``L``'s still.
@@ -424,7 +406,7 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
         return f"slice {tuple(int(i) for i in index)}: "
 
     def norms(v):
-        # one block takes the whole vector's norm, as relative_residual;
+        # one block takes the whole vector's norm, np.linalg.norm(v);
         # more take np.linalg.norm(axis=1), through the scratch row
         if blocks == 1:
             return np.array([np.linalg.norm(v)])
@@ -444,7 +426,8 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
     iters = np.zeros(blocks, dtype=int)
     m = 0
     while True:
-        # relative to |b| as relative_residual: absolute where b = 0
+        # |F| / |b|, and the absolute |F| where b = 0: there is nothing
+        # to be relative to
         rel = np.divide(norm_F, norm_b, out=norm_F.copy(),
                         where=norm_b > 0)
         active = ~(rel <= tol)

@@ -207,6 +207,37 @@ def csr(matrix):
     return _stencil_csr(matrix)
 
 
+def relative_residual(matrix, x: np.ndarray, b: np.ndarray) -> float:
+    """``|A x - b| / |b|``, or the absolute ``|A x|`` when ``b`` is exactly
+    zero: there is nothing to be relative to.  The gate every solve's
+    recorded residual is checked against."""
+    res = float(np.linalg.norm(matrix @ x - b))
+    scale = float(np.linalg.norm(b))
+    return res / scale if scale > 0 else res
+
+
+def sine_transform(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along every axis of ``x``; its own inverse.  The
+    transform of the preconditioner's flat axes, through the solver's own
+    sine matrices and axis products."""
+    from anisolab.solver import _apply_axes, _sine_matrix
+
+    x = np.asarray(x, dtype=float)
+    return _apply_axes(x[None], [(s, s) for s in map(_sine_matrix,
+                                                      x.shape)])[0]
+
+
+def inner_product(u: ScalarField, v: ScalarField, mask=None) -> float:
+    """The discrete L2 inner product of two fields over the grid interior
+    or ``mask``, the quadrature of ``norms.l2_norm``."""
+    from anisolab.norms import _masked
+
+    if v.grid != u.grid:
+        raise ConfigError("fields live on different grids")
+    return float(np.sum(_masked(u, mask) * _masked(v, mask))
+                 * u.grid.cell_volume)
+
+
 def is_symmetric(matrix) -> bool:
     """Exact symmetry of a sparse matrix: no entry differs from its
     transpose.  The reference the stencil symmetry flags are pinned to."""

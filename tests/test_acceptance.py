@@ -21,10 +21,10 @@ from anisolab import (ScalarField, StudyConfig, assemble_operator,
                       solve_dirichlet, solve_limit, translation_modulus,
                       v12_norm)
 from anisolab.fd_ops import apply_nondivergence, hess_component
-from anisolab.norms import grad_x1_seminorm, grad_x2_seminorm, inner_product
+from anisolab.norms import grad_x1_seminorm, grad_x2_seminorm
 from anisolab.limit import semilinear_limit
 
-from conftest import csr
+from conftest import csr, inner_product
 
 
 def gate(num, label):

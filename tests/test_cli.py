@@ -13,8 +13,8 @@ from anisolab import (ScalarField, StudyConfig, check_laplacian_bounds,
                       coefficient_family, forcing_field)
 from anisolab.cli import main
 from anisolab.limit import iter_slice_systems
-from anisolab.solver import relative_residual
 
+from conftest import relative_residual
 from test_fd_ops import varying_asymmetric
 from test_limit import NONSYMMETRIC
 

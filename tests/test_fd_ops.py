@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from anisolab import (CoefficientField, ConfigError, ScalarField,
                       assemble_operator, coefficient_family, make_grid,
@@ -498,6 +500,140 @@ class TestStencilAssembly:
         blocks = operator_blocks(g, CoefficientField(g, zero, lam=1.0))
         assert blocks.at(0.5).matrix.nnz == 0
         assert blocks.limit.matrix.nnz == 0
+
+
+def traced_rise(call):
+    """``call()`` and the peak of its traced allocations above the start,
+    in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def upper_half(matrix):
+    """The offsets of flat offset >= 0, in order: what a symmetric stencil
+    without flat ties stores."""
+    return tuple(key for key, f in zip(matrix.offsets, matrix.flats)
+                 if f >= 0)
+
+
+class TestHalfStorage:
+    """A symmetric stencil stores the upper twin of each mirror pair and
+    reads the lower from it; any other stores every offset."""
+
+    @pytest.mark.parametrize("ndim, offsets, stored", [(2, 9, 5),
+                                                       (3, 19, 10)])
+    def test_symmetric_stencils_store_their_upper_half(self, ndim, offsets,
+                                                       stored):
+        g = make_grid([(0, 1)] * ndim, (6, 7, 5)[:ndim], q=1)
+        blocks = operator_blocks(g, coefficient_family("variable", g))
+        for matrix in (blocks.unscaled.matrix, blocks.at(0.3).matrix):
+            assert matrix.symmetric
+            assert len(matrix.offsets) == offsets
+            assert matrix.stored == upper_half(matrix)
+            assert matrix.rows.shape == (stored, matrix.shape[0])
+            assert matrix.stored[matrix.centre] == (0,) * ndim
+        limit = blocks.limit.matrix
+        assert limit.symmetric and limit.stored == upper_half(limit)
+        assert len(limit.stored) == (len(limit.offsets) + 1) // 2
+        assert limit.rows.shape == (len(limit.stored), limit.shape[0])
+
+    def test_asymmetric_stencil_stores_every_offset(self):
+        g = make_grid([(0, 1)] * 3, (6, 7, 5), q=1)
+        table = [[2.0, 0.3, 0.1], [0.1, 1.5, 0.4], [0.2, -0.2, 1.2]]
+        blocks = operator_blocks(g, varying_asymmetric(g, table, lam=0.5))
+        for op in (blocks.unscaled, blocks.at(0.5), blocks.limit):
+            matrix = op.matrix
+            assert not op.symmetric and not matrix.symmetric
+            assert matrix.stored == matrix.offsets
+            assert matrix.rows.shape == (len(matrix.offsets),
+                                         matrix.shape[0])
+
+    # a box with a 1-node axis gives distinct offsets one flat offset:
+    # mirrors pair by offset, not by flat offset
+    @given(st.sampled_from(["row", "limit", "identity", "asymmetric"]),
+           st.sampled_from([(2, 1), (3, 1), (3, 2)]),
+           st.lists(st.integers(2, 6), min_size=3, max_size=3),
+           st.floats(1e-3, 1.0), st.integers(0, 2 ** 32 - 1))
+    @example("row", (3, 1), [2, 2, 2], 0.5, 0)
+    @example("limit", (3, 2), [2, 2, 2], 0.5, 0)
+    @example("identity", (3, 1), [2, 4, 2], 0.5, 0)
+    def test_matvec_is_the_csr_product(self, kind, dims, cells, eps, seed):
+        ndim, q = dims
+        g = make_grid([(0, 1)] * ndim, cells[:ndim], q=q)
+        if kind == "asymmetric":
+            table = np.array([[2.0, 0.3, 0.1], [0.1, 1.5, 0.4],
+                              [0.2, -0.2, 1.2]])[:ndim, :ndim]
+            coeffs = varying_asymmetric(g, table, lam=0.3)
+        else:
+            coeffs = coefficient_family("variable", g)
+        blocks = operator_blocks(g, coeffs)
+        op = {"row": blocks.at(eps), "asymmetric": blocks.at(eps),
+              "limit": blocks.limit,
+              "identity": assemble_operator(
+                  g, coefficient_family("identity", g))}[kind]
+        matrix = op.matrix
+        ref = csr(matrix)
+        # the mirrors read the right twins: the CSR they expand to is
+        # exactly symmetric
+        assert matrix.symmetric == is_symmetric(ref) == op.symmetric
+        flats = dict(zip(matrix.offsets, matrix.flats))
+        if matrix.symmetric:
+            assert all(flats[key] >= 0 for key in matrix.stored)
+            assert all((key in matrix.stored)
+                       != (tuple(-o for o in key) in matrix.stored)
+                       for key in matrix.offsets if any(key))
+        else:
+            assert matrix.stored == matrix.offsets
+        rng = np.random.default_rng(seed)
+        work = matrix.held_workspace()
+        out = np.empty(matrix.shape[0])
+        for _ in range(2):
+            x = rng.standard_normal(matrix.shape[0])
+            want = (ref @ x).view(np.int64)
+            assert np.array_equal((matrix @ x).view(np.int64), want)
+            assert np.array_equal(matrix.matvec(x, out, work).view(np.int64),
+                                  want)
+
+    def test_held_workspace_laid_out_once(self):
+        # the same held pair on every call, and a matvec through it
+        # allocates nothing of a row's size
+        g = make_grid([(0, 1)] * 3, (10, 11, 9), q=1)
+        matrix = operator_blocks(g, coefficient_family("variable",
+                                                       g)).at(0.5).matrix
+        work = matrix.held_workspace()
+        assert matrix.held_workspace() is work
+        x = np.ones(matrix.shape[0])
+        out = np.empty_like(x)
+        matrix.matvec(x, out, work)
+        _, rise = traced_rise(lambda: matrix.matvec(x, out, work))
+        assert rise < x.nbytes // 8
+
+    def test_operator_blocks_holds_no_lower_rows(self):
+        # assembly writes each term into its stored row and checks one
+        # mirror pair at a time: above what it keeps, the stored rows and
+        # the limit's, it holds a few vectors at most, where a layout of
+        # every offset's coefficient would hold one vector per offset
+        g = make_grid([(0, 1)] * 3, (24, 24, 24), q=1)
+        coeffs = coefficient_family("variable", g)
+        blocks, rise = traced_rise(lambda: operator_blocks(g, coeffs))
+        vector = 8 * max(blocks.unscaled.n_unknowns, blocks.limit.n_unknowns)
+        kept = (blocks.unscaled.matrix.rows.nbytes
+                + blocks.limit.matrix.rows.nbytes)
+        assert len(blocks.unscaled.matrix.offsets) == 19
+        assert rise < kept + 8 * vector
+
+    def test_at_copies_only_the_stored_rows(self):
+        g = make_grid([(0, 1)] * 3, (24, 24, 24), q=1)
+        blocks = operator_blocks(g, coefficient_family("variable", g))
+        rows = blocks.unscaled.matrix.rows
+        op, rise = traced_rise(lambda: blocks.at(0.5))
+        assert op.matrix.rows.shape == rows.shape
+        assert rows.nbytes <= rise < rows.nbytes + rows.shape[1] * 8
 
 
 class TestScaledTable:

@@ -35,10 +35,10 @@ print(json.dumps(steps))
 
 STAND_IN_PROBE = """
 import json, sys
+import numpy as np
 import anisolab.solver
 from anisolab import (coefficient_family, forcing_field, make_grid,
                       operator_blocks, solve_dirichlet)
-from anisolab.solver import relative_residual
 
 real = anisolab.solver.pcg
 calls = []
@@ -62,15 +62,22 @@ print(json.dumps({
     "kept": anisolab.solver.pcg is stand_in,
     "linalg_after_solve": linalg_after_solve,
     "spla": anisolab.solver.spla.__name__,
-    "residual": relative_residual(op.matrix, u.interior_vector(),
-                                  f.interior_vector())}))
+    "residual": float(np.linalg.norm(op.matrix @ u.interior_vector()
+                                     - f.interior_vector())
+                      / np.linalg.norm(f.interior_vector()))}))
 """
 
 SLICES_PROBE = """
 import json, sys
+import numpy as np
 from anisolab import coefficient_family, forcing_field, make_grid
 from anisolab.limit import iter_slice_systems
-from anisolab.solver import relative_residual
+
+def relative_residual(matrix, x, b):
+    # as the tests' conftest.relative_residual: absolute where b = 0
+    res = float(np.linalg.norm(matrix @ x - b))
+    scale = float(np.linalg.norm(b))
+    return res / scale if scale > 0 else res
 
 g = make_grid([(0, 1)] * 3, (6, 5, 4), q=1)
 res = [relative_residual(matrix, 1.0 + rhs, rhs) for _, matrix, rhs, _ in

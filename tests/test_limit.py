@@ -140,7 +140,9 @@ class TestBlockOperator:
         # slice-major unknowns: the X1-interior slices of the limit are
         # the full grid's unknowns in the full grid's order, and they hold
         # exactly the X2 part of every at(eps), entry by entry: its X2 x X2
-        # offsets and the X2 part d22 of its centre row
+        # offsets and the X2 part d22 of its centre row.  The rows are the
+        # stored ones, each mirrored offset reading its twin's, which lies
+        # in the same block
         g, coeffs, _ = block_cases()[case]
         blocks = operator_blocks(g, coeffs)
         nodes = tuple(g.cells[a] + 1 for a in g.x1_axes)
@@ -153,7 +155,7 @@ class TestBlockOperator:
         a22[:, :g.q] = 0.0
         full = coo_flux_matrix(g.cells, g.spacing, a22)
         x2 = np.array([_block_of(key, g.q) == X2_BLOCK
-                       for key in blocks.unscaled.matrix.offsets])
+                       for key in blocks.unscaled.matrix.stored])
         for eps in (1.0, 0.3, 1e-4):
             at = blocks.at(eps).matrix
             centre = at.centre

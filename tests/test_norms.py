@@ -9,10 +9,9 @@ from anisolab import (ConfigError, NestedFamily, ScalarField, ShiftError,
 from anisolab.grid import SubdomainMask
 from anisolab.norms import (block_seminorm, grad_x1_seminorm,
                             grad_x2_seminorm, hess_x1_seminorm,
-                            hess_x1x2_seminorm, hess_x2_seminorm,
-                            inner_product)
+                            hess_x1x2_seminorm, hess_x2_seminorm)
 
-from conftest import random_field, shift_field
+from conftest import inner_product, random_field, shift_field
 
 
 def seeded_field(grid, seed, boundary_zero=True):

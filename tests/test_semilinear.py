@@ -16,7 +16,7 @@ from anisolab.solver import ARMIJO, jacobian, pcg, resolve_method
 
 from conftest import csr, is_symmetric
 
-from test_fd_ops import varying_asymmetric
+from test_fd_ops import traced_rise, varying_asymmetric
 from test_limit import block_cases, nonsymmetric_q2_case
 
 MID_VALUE = 1.0 - 1.0 / np.cosh(0.5)  # 0.11318111602992609
@@ -134,6 +134,21 @@ class TestNonlinearityFamily:
         assert np.array_equal(J.rows,
                               jacobian(op.matrix, tanh.deriv(v)).rows)
         assert np.array_equal(op.matrix.rows, before)
+
+    def test_jacobian_copies_only_the_stored_rows(self):
+        # a symmetric matrix stores half its offsets, and its Jacobian
+        # copies those rows; one reused for another iterate copies none
+        g = make_grid([(0, 1)] * 3, (16, 16, 16), q=1)
+        matrix = operator_blocks(
+            g, coefficient_family("variable", g)).at(0.5).matrix
+        assert matrix.rows.shape[0] == 10 < len(matrix.offsets)
+        deriv = nonlinearity_family("tanh").deriv(
+            np.linspace(-1.0, 1.0, matrix.shape[0]))
+        J, rise = traced_rise(lambda: jacobian(matrix, deriv))
+        assert J.stored == matrix.stored
+        assert matrix.rows.nbytes <= rise < matrix.rows.nbytes + deriv.nbytes
+        _, rise = traced_rise(lambda: jacobian(matrix, deriv, into=J))
+        assert rise < deriv.nbytes
 
     def test_jacobian_needs_the_stored_diagonal(self):
         # two unknowns coupled by off-diagonal offsets only

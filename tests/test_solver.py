@@ -14,10 +14,9 @@ from anisolab import (CoefficientField, ConfigError, ScalarField,
                       solve_dirichlet, solve_limit)
 from anisolab.fd_ops import Stencil, _flux_operator, assemble_flux_matrix
 from anisolab.solver import (fast_diagonal_preconditioner, pcg,
-                             relative_residual, resolve_method,
-                             sine_transform)
+                             resolve_method)
 
-from conftest import csr
+from conftest import csr, relative_residual, sine_transform
 from test_fd_ops import BLOCK_CASES, sine_eigenvector, varying_asymmetric
 
 
@@ -206,7 +205,7 @@ def slice_blocks(tables, cells=16):
     node table, as one batch stencil (the limit's layout), and its
     fast-diagonalization preconditioner."""
     h = (1.0 / cells,)
-    matrix, _ = _flux_operator(h, np.stack(tables)[None, None], batch=1)
+    matrix = _flux_operator(h, np.stack(tables)[None, None], batch=1)
     # the batch stencil is the block diagonal of the slices' own matrices
     ref = sp.block_diag(
         [csr(assemble_flux_matrix((cells,), h, t.reshape(1, 1, -1)))
@@ -456,9 +455,9 @@ class TestFastDiagonalization:
 
     def test_sine_matrices_shared_and_read_only(self):
         # a square grid's two axes share one matrix, built by the formula
-        a, b = anisolab.solver._sine_matrices((9, 9))
+        a, b = map(anisolab.solver._sine_matrix, (9, 9))
         assert a is b
-        assert a is anisolab.solver._sine_matrices((9, 4))[0]
+        assert a is anisolab.solver._sine_matrix(9)
         assert not a.flags.writeable
         k = np.arange(1, 10)
         assert np.array_equal(

@@ -15,9 +15,9 @@ from anisolab import (ScalarField, StudyConfig, assemble_operator,
 from anisolab.norms import (grad_x1_seminorm, hess_x1_seminorm,
                             hess_x1x2_seminorm, hess_x2_seminorm)
 from anisolab.limit import iter_slice_systems
-from anisolab.solver import relative_residual
 from anisolab.study import CSV_COLUMNS, discretization_floor
 
+from conftest import relative_residual
 from test_fd_ops import varying_asymmetric
 from test_limit import NONSYMMETRIC
 from test_solver import count_factor
