@@ -36,7 +36,6 @@ from .fieldio import atomic_write, load_field, save_field
 from .grid import nested_family
 from .norms import l2_norm, norm_bundle, translation_modulus, v12_norm
 from .semilinear import nonlinearity_family, picard_solve
-from .solver import resolve_method
 from .spectral import check_constant_bounds, random_zero_mean_forcing
 from .study import FLOOR_NOTE, emit_report, run_sweep
 
@@ -79,15 +78,14 @@ def _solve_and_save(config: StudyConfig, build, f, field_name: str,
     start = time.perf_counter()
     op = build()
     solved = picard_solve(op, f, nonlinearity_family("zero"),
-                          tol=config.solver_tol, method=config.solver_method,
-                          maxiter_factor=config.maxiter_factor)
+                          tol=config.solver_tol)
     wall_ms = 1000.0 * (time.perf_counter() - start)
     u = solved.field
     out = _out_dir(config)
     field_path = save_field(out / field_name, u)
     _write_json(out / json_name, {
         **record,
-        "method": resolve_method(op, config.solver_method),
+        "method": "cg" if op.symmetric else "direct",
         "residual": solved.residual,
         "l2": l2_norm(u),
         "v12": v12_norm(u),

@@ -21,7 +21,6 @@ from .forcing import forcing_field
 from .grid import (Grid, NestedFamily, ScalarField, SubdomainMask,
                    interior_subdomain, make_grid, nested_family)
 from .semilinear import Nonlinearity, nonlinearity_family
-from .solver import check_method
 
 __all__ = ["StudyConfig", "load_config"]
 
@@ -60,6 +59,51 @@ def _matrix(text: str) -> list[list[float]]:
     return [_floats(row) for row in text.split(";") if row.strip()]
 
 
+# [section] key of a config file: the field it sets, and its parser; a
+# dotted field is one key of a parameter dict
+FILE_KEYS = {
+    ("grid", "lo"): ("lo", _floats),
+    ("grid", "hi"): ("hi", _floats),
+    ("grid", "cells"): ("cells", _ints),
+    ("grid", "q"): ("q", _int),
+    ("coefficients", "family"): ("coefficient_family", str.strip),
+    ("coefficients", "matrix"): ("coefficient_params.matrix", _matrix),
+    ("coefficients", "lam"): ("coefficient_params.lam", _float),
+    ("forcing", "family"): ("forcing_family", str.strip),
+    ("forcing", "value"): ("forcing_params.value", _float),
+    ("forcing", "modes"): ("forcing_params.modes", _ints),
+    ("sweep", "epsilons"): ("epsilons", _floats),
+    ("sweep", "margin"): ("margin", _int),
+    ("sweep", "nested"): ("nested", _int),
+    ("sweep", "workers"): ("workers", _int),
+    ("solver", "tol"): ("solver_tol", _float),
+    ("nonlinearity", "family"): ("nonlinearity", str.strip),
+    ("nonlinearity", "kappa"): ("nonlinearity_params.kappa", _float),
+    ("fourier", "lattice"): ("fourier_lattice", _int),
+    ("fourier", "samples"): ("fourier_samples", _int),
+    ("fourier", "epsilons"): ("fourier_epsilons", _floats),
+    ("translation", "levels"): ("translation_levels", _int),
+    ("output", "dir"): ("out_dir", str.strip),
+    ("output", "format"): ("out_format", str.strip),
+    ("random", "seed"): ("seed", _int),
+}
+
+# removed settings: the field an old report's config carries, and the
+# [section] key of a file, with why it steers nothing.  Either loads
+# with a warning and is dropped
+REMOVED = {
+    "damping": ("nonlinearity", "damping",
+                "the semilinear solves run Newton with a line search"),
+    "solver_method": ("solver", "method",
+                      "a symmetric matrix is solved by CG, any other by "
+                      "its LU"),
+    "maxiter_factor": ("solver", "maxiter_factor",
+                       "CG's iteration cap is fixed"),
+    "picard_max_iter": ("nonlinearity", "max_iter",
+                        "Newton's step cap is fixed"),
+}
+
+
 @dataclass
 class StudyConfig:
     """Everything a study run needs, JSON-representable throughout."""
@@ -84,13 +128,10 @@ class StudyConfig:
     # sweep runs its rows one after another and ignores it
     workers: int = 1
     # solver
-    solver_method: str = "auto"
     solver_tol: float = 1e-10
-    maxiter_factor: float = 20.0
     # optional nonlinearity
     nonlinearity: str | None = None
     nonlinearity_params: dict = field(default_factory=dict)
-    picard_max_iter: int = 200
     # fourier-check settings
     fourier_lattice: int = 64
     fourier_samples: int = 20
@@ -132,14 +173,6 @@ class StudyConfig:
         if not 0.0 < self.solver_tol < 1.0:
             raise ConfigError(
                 f"solver tol must lie in (0, 1), got {self.solver_tol}")
-        if not (math.isfinite(self.maxiter_factor)
-                and self.maxiter_factor > 0.0):
-            raise ConfigError(f"maxiter factor must be finite and > 0, "
-                              f"got {self.maxiter_factor}")
-        if self.picard_max_iter < 1:
-            raise ConfigError(f"picard max iter must be >= 1, "
-                              f"got {self.picard_max_iter}")
-        check_method(self.solver_method)
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, "
                               f"got '{self.out_format}'")
@@ -187,9 +220,12 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
-        if "damping" in data:  # reports older than its removal embed it
-            log.warning("config key damping is deprecated and ignored")
-            data = {k: v for k, v in data.items() if k != "damping"}
+        # reports older than a setting's removal embed it
+        for name, (_, _, why) in REMOVED.items():
+            if name in data:
+                log.warning("config key %s is deprecated and ignored; %s",
+                            name, why)
+        data = {k: v for k, v in data.items() if k not in REMOVED}
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -205,86 +241,36 @@ class StudyConfig:
             parser.read_string(text, source=str(path))
         except configparser.Error as err:
             raise ConfigError(f"cannot parse {path}: {err}") from err
+        extra = set(parser.sections()) - {s for s, _ in FILE_KEYS}
+        if extra:
+            raise ConfigError(f"unknown config sections {sorted(extra)}")
+        removed = {(s, k): why for s, k, why in REMOVED.values()}
+        for section in parser.sections():
+            for key in parser.options(section):
+                if (section, key) in removed:
+                    log.warning("%s: [%s] %s is deprecated and ignored; %s",
+                                path, section, key, removed[section, key])
+                elif (section, key) not in FILE_KEYS:
+                    raise ConfigError(
+                        f"{path}: unknown config key [{section}] {key}")
         data: dict = {}
-
-        def read(section, key, conv):
+        for (section, key), (name, conv) in FILE_KEYS.items():
+            if not parser.has_option(section, key):
+                continue
             try:
-                return conv(parser.get(section, key))
+                value = conv(parser.get(section, key))
             except ValueError as err:
                 raise ConfigError(f"[{section}] {key}: {err}") from err
-
-        def take(section, key, conv, dest=None):
-            if parser.has_option(section, key):
-                data[dest or key] = read(section, key, conv)
-
-        take("grid", "lo", _floats)
-        take("grid", "hi", _floats)
-        take("grid", "cells", _ints)
-        take("grid", "q", _int)
-
-        if parser.has_section("coefficients"):
-            take("coefficients", "family", str.strip,
-                 "coefficient_family")
-            params: dict = {}
-            if parser.has_option("coefficients", "matrix"):
-                params["matrix"] = read("coefficients", "matrix", _matrix)
-            if parser.has_option("coefficients", "lam"):
-                params["lam"] = read("coefficients", "lam", _float)
-            if params:
-                data["coefficient_params"] = params
-
-        if parser.has_section("forcing"):
-            take("forcing", "family", str.strip, "forcing_family")
-            params = {}
-            if parser.has_option("forcing", "value"):
-                params["value"] = read("forcing", "value", _float)
-            if parser.has_option("forcing", "modes"):
-                params["modes"] = read("forcing", "modes", _ints)
-            if params:
-                data["forcing_params"] = params
-
-        take("sweep", "epsilons", _floats)
-        take("sweep", "margin", _int)
-        take("sweep", "nested", _int)
-        take("sweep", "workers", _int)
+            # a dotted name is a key of a parameter dict
+            name, _, param = name.partition(".")
+            if param:
+                data.setdefault(name, {})[param] = value
+            else:
+                data[name] = value
         if data.get("workers", 1) > 1:
             log.warning("%s: [sweep] workers = %d is ignored; the sweep "
                         "runs its rows one after another", path,
                         data["workers"])
-
-        take("solver", "method", str.strip, "solver_method")
-        take("solver", "tol", _float, "solver_tol")
-        take("solver", "maxiter_factor", _float)
-
-        if parser.has_section("nonlinearity"):
-            take("nonlinearity", "family", str.strip, "nonlinearity")
-            params = {}
-            if parser.has_option("nonlinearity", "kappa"):
-                params["kappa"] = read("nonlinearity", "kappa", _float)
-            if params:
-                data["nonlinearity_params"] = params
-            if parser.has_option("nonlinearity", "damping"):
-                log.warning("%s: [nonlinearity] damping is deprecated and "
-                            "ignored; the semilinear solves run Newton "
-                            "with a line search", path)
-            take("nonlinearity", "max_iter", _int, "picard_max_iter")
-
-        take("fourier", "lattice", _int, "fourier_lattice")
-        take("fourier", "samples", _int, "fourier_samples")
-        take("fourier", "epsilons", _floats, "fourier_epsilons")
-
-        take("translation", "levels", _int, "translation_levels")
-
-        take("output", "dir", str.strip, "out_dir")
-        take("output", "format", str.strip, "out_format")
-        take("random", "seed", _int, "seed")
-
-        known_sections = {"grid", "coefficients", "forcing", "sweep",
-                          "solver", "nonlinearity", "fourier",
-                          "translation", "output", "random"}
-        extra = set(parser.sections()) - known_sections
-        if extra:
-            raise ConfigError(f"unknown config sections {sorted(extra)}")
         return cls.from_dict(data)
 
 

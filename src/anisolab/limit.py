@@ -18,10 +18,11 @@ on all slices at once: it is ``semilinear.picard_solve`` on
 keeps its own gate |M x - b| / |b| <= tol, its own line search and, on
 the CG route, its own forcing term and preconditioner (the slice's a_dd
 means, its row of ``blocks.limit.means``).  The route follows the exact
-symmetry of the limit matrix, ``blocks.limit.symmetric``, as on the full
-grid.  ``solve_limit`` is the zero-term case: its first Newton step is
-the solve to ``tol``, and a slice that misses it takes further steps
-before SolverError names the slice.
+symmetry of the limit matrix, ``blocks.limit.symmetric``, and the caps
+on CG and Newton are those of the full grid.  ``solve_limit`` is the
+zero-term case: its first Newton step is the solve to ``tol``, and a
+slice that misses it takes further steps before SolverError names the
+slice.
 
 ``iter_slice_systems`` yields the same systems one slice at a time, each
 matrix a stencil of its own; it is the reference the block operator is
@@ -75,29 +76,23 @@ def iter_slice_systems(grid: Grid, coeffs: CoefficientField,
 
 
 def semilinear_limit(blocks: OperatorBlocks, f: ScalarField,
-                     a: Nonlinearity, tol: float = 1e-10,
-                     max_iter: int = 200, method: str = "auto",
-                     maxiter_factor: float = 20.0) -> PicardResult:
+                     a: Nonlinearity, tol: float = 1e-10) -> PicardResult:
     """Limit field of the semilinear problem, every slice gated on its own:
     ``semilinear.picard_solve`` on ``blocks.limit``.
 
-    ``method`` picks the route (see ``solver.newton_solve``);
-    ``maxiter_factor`` caps each batched CG solve at
-    ``solver.iteration_cap`` of one slice's unknowns.  Reported
-    iterations and residual are the worst over all slices.
+    Each batched CG solve is capped by one slice's unknowns (see
+    ``solver.newton_solve``).  Reported iterations and residual are the
+    worst over all slices.
     """
-    return picard_solve(blocks.limit, f, a, tol, max_iter, method,
-                        maxiter_factor)
+    return picard_solve(blocks.limit, f, a, tol)
 
 
 def solve_limit(blocks: OperatorBlocks, f: ScalarField,
-                tol: float = 1e-10, method: str = "auto",
-                maxiter_factor: float = 20.0) -> ScalarField:
+                tol: float = 1e-10) -> ScalarField:
     """Linear limit field u0: ``semilinear_limit`` with the zero term.
 
     The result vanishes on the retained-axes faces (slice Dirichlet data)
     but not, in general, on the X1 faces.
     """
-    return semilinear_limit(blocks, f, nonlinearity_family("zero"), tol,
-                            method=method,
-                            maxiter_factor=maxiter_factor).field
+    return semilinear_limit(blocks, f, nonlinearity_family("zero"),
+                            tol).field

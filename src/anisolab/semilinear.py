@@ -11,7 +11,8 @@ assumption on f.
 ``fd_ops.SparseOperator`` by ``solver.newton_solve``: Newton from u = 0
 with Armijo backtracking, each block stopping once |F| / |f + a(u)| is
 at most ``tol``, each step by CG to an Eisenstat-Walker forcing term
-where J is symmetric, else by one LU of J (``solver.resolve_method``).
+where J is symmetric, else by one LU of J: ``op.symmetric`` picks the
+route, and the solver's constants cap CG and Newton.
 A sweep row is the one-block case, a full grid; the limit problem
 (``limit.semilinear_limit``) is ``picard_solve`` on the limit operator,
 one block per X1 slice.  ``picard_solve`` and ``PicardResult`` keep the
@@ -92,21 +93,17 @@ class PicardResult:
 
 
 def picard_solve(op: SparseOperator, f: ScalarField, a: Nonlinearity,
-                 tol: float = 1e-10, max_iter: int = 200,
-                 method: str = "auto",
-                 maxiter_factor: float = 20.0) -> PicardResult:
+                 tol: float = 1e-10) -> PicardResult:
     """Solve the semilinear Dirichlet problem on ``op``'s unknowns by Newton.
 
     The field holds the solution at ``op.unknowns`` and zero elsewhere.
-    ``method`` and ``maxiter_factor`` choose and cap each step's linear
-    solve as in ``solver.newton_solve``.  Reported iterations and
-    residual are the worst over ``op``'s blocks.
+    Each step's linear solve runs as in ``solver.newton_solve``.
+    Reported iterations and residual are the worst over ``op``'s blocks.
     """
     if f.grid != op.grid:
         raise ConfigError("forcing lives on a different grid")
     unknowns = op.unknowns
-    u, iters, rel = newton_solve(op, f.values[unknowns].reshape(-1), a, tol,
-                                 max_iter, method, maxiter_factor)
+    u, iters, rel = newton_solve(op, f.values[unknowns].reshape(-1), a, tol)
     out = np.zeros(op.grid.node_shape)
     out[unknowns] = u.reshape(op.matrix.box)
     return PicardResult(field=ScalarField(op.grid, out),

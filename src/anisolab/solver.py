@@ -10,18 +10,18 @@ Nonlinear Equations*, SIAM 1995, ch. 6).  From u = 0 every step solves
 ``J du = -F`` with ``J = L + diag(-a'(u))`` (one copy of the stored rows
 of L's stencil, ``fd_ops.Stencil``, per solve, each step taking a'(u) off
 its centre row), then halves the step of each block until its |F|
-decreases by the Armijo rule (c = 1e-4).  A block stops once |F| / |f + a(u)| is at most ``tol``; a
-solve that has not met it after ``max_iter`` steps raises SolverError
-carrying the residual.  A linear solve's first step is the solve to
-``tol`` itself, and a step that misses it is followed by another step
-from the iterate.
+decreases by the Armijo rule (c = 1e-4).  A block stops once
+|F| / |f + a(u)| is at most ``tol``; a solve that has not met it after
+``MAX_NEWTON_STEPS`` (200) steps raises SolverError carrying the
+residual.  A linear solve's first step is the solve to ``tol`` itself,
+and a step that misses it is followed by another step from the iterate.
 
-The route is picked once per solve, by ``symmetric``, the exact
-symmetry of the assembled matrix (``resolve_method``).  Symmetric
-matrices run by preconditioned conjugate gradients, one batched ``pcg``
-per step over every block, with a hard cap of ``maxiter_factor *
-sqrt(unknowns per block)`` iterations (default 20); a block the cap
-leaves short of its test raises SolverError.  A block's CG stops at the
+The route is picked once per solve, by ``op.symmetric``, the exact
+symmetry of the assembled matrix.  Symmetric matrices run by
+preconditioned conjugate gradients, one batched ``pcg`` per step over
+every block, with a hard cap of ``ceil(CG_CAP_FACTOR * sqrt(unknowns
+per block))`` iterations (CG_CAP_FACTOR = 20); a block the cap leaves
+short of its test raises SolverError.  A block's CG stops at the
 forcing term ``tol / rel``, ``rel`` its relative residual, where a'
 vanishes, so that a linear step lands within ``tol``, and elsewhere at
 the Eisenstat-Walker term ``min(1e-2, rel)`` floored at ``0.5 tol /
@@ -29,10 +29,7 @@ rel`` (Kelley 1995, sec. 6.3), so that the last step solves no further
 below the gate than it needs.  Other matrices take the direct route:
 each step factors its J by sparse LU with COLAMD ordering and partial
 pivoting (``fd_ops.factor_matrix``), and a linear solve meets ``tol``
-on its first step.  ``method`` is ``auto``, the default everywhere, or
-``cg``, which raises ConfigError on a matrix that is not symmetric; the
-removed ``direct``, which factored symmetric matrices too, raises
-ConfigError (``check_method``).
+on its first step.  Reports record the route as ``cg`` or ``direct``.
 
 ``pcg`` is one numpy conjugate-gradient loop over ``B`` independent equal
 blocks of a block-diagonal system, each block with its own step lengths
@@ -97,7 +94,7 @@ from .grid import ScalarField
 if TYPE_CHECKING:
     from .semilinear import Nonlinearity
 
-__all__ = ["solve_dirichlet", "newton_solve", "resolve_method", "pcg",
+__all__ = ["solve_dirichlet", "newton_solve", "pcg",
            "fast_diagonal_preconditioner"]
 
 # Armijo sufficient-decrease constant and the most halvings of one step
@@ -107,6 +104,11 @@ MAX_HALVINGS = 30
 # nonlinear one, FORCING_FLOOR * tol / rel
 MAX_FORCING = 1e-2
 FORCING_FLOOR = 0.5
+# the most Newton steps of a solve, and the factor of CG's cap: one CG
+# solve runs at most ceil(CG_CAP_FACTOR * sqrt(n)) steps on blocks of n
+# unknowns
+MAX_NEWTON_STEPS = 200
+CG_CAP_FACTOR = 20.0
 
 
 def __getattr__(name: str):
@@ -301,41 +303,6 @@ def pcg(matrix, b: np.ndarray, precond: Callable[..., np.ndarray],
     return x.copy(), steps, active
 
 
-def iteration_cap(n: int, maxiter_factor: float) -> int:
-    """CG's hard cap on a system of ``n`` unknowns:
-    ``ceil(maxiter_factor * sqrt(n))``."""
-    return int(np.ceil(maxiter_factor * np.sqrt(n)))
-
-
-def check_method(method: str) -> None:
-    """ConfigError unless ``method`` is ``auto`` or ``cg``, naming the
-    removal of ``direct``."""
-    if method == "direct":
-        raise ConfigError("solver method 'direct' was removed: symmetric "
-                          "matrices solve by CG, others are factored "
-                          "under auto")
-    if method not in ("auto", "cg"):
-        raise ConfigError(f"unknown solver method '{method}'")
-
-
-def _route(symmetric: bool, method: str) -> str:
-    """``cg`` on a symmetric matrix, else ``direct``, the LU; ``method``
-    ``cg`` on a matrix that is not symmetric raises ConfigError, and so
-    does any method ``check_method`` rejects."""
-    check_method(method)
-    if symmetric:
-        return "cg"
-    if method == "cg":
-        raise ConfigError("cg path requires a symmetric operator")
-    return "direct"
-
-
-def resolve_method(op: SparseOperator, method: str) -> str:
-    """The route ``solve_dirichlet`` runs for ``method`` on ``op``: CG
-    on a symmetric operator and direct otherwise."""
-    return _route(op.symmetric, method)
-
-
 def jacobian(matrix: Stencil, deriv: np.ndarray,
              into: Stencil | None = None) -> Stencil:
     """``L + diag(-a'(u))`` from ``deriv = a'(u)``: symmetric when ``L``
@@ -358,8 +325,7 @@ def jacobian(matrix: Stencil, deriv: np.ndarray,
 
 
 def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
-                 tol: float = 1e-10, max_iter: int = 200,
-                 method: str = "auto", maxiter_factor: float = 20.0
+                 tol: float = 1e-10
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual-gated Newton for ``L u = a(u) + rhs`` from u = 0.
 
@@ -368,14 +334,14 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
     interior of the box of ``op.grid``'s axes after its ``op.batch``
     batch axes; row b of ``op.means`` holds block b's a_dd means, which
     with ``op.fit`` form the table its CG preconditioner inverts
-    (``fast_diagonal_preconditioner``).  ``op.symmetric`` picks the route
-    with ``method`` (see the module docstring); ``maxiter_factor`` caps
-    each CG solve at ``iteration_cap`` of one block's unknowns.  Each
-    block has its own residual gate, forcing term and line search, and
-    is frozen once it meets its gate; an error that names a block of a
-    batched operator names it by its batch-axes node, ``slice (i, j)``.
+    (``fast_diagonal_preconditioner``).  ``op.symmetric`` picks CG or
+    the LU, and CG and Newton run under the module's caps (see the
+    module docstring).  Each block has its own residual gate, forcing
+    term and line search, and is frozen once it meets its gate; an error
+    that names a block of a batched operator names it by its batch-axes
+    node, ``slice (i, j)``.
     Returns a copy of the iterate, the steps taken per block and the
-    final relative residuals.  ``max_iter`` must be at least 1.
+    final relative residuals.
 
     The iterate, its trial value, the residual and the step's right-hand
     side are buffers of ``op.matrix``, and so is the preconditioner's
@@ -383,20 +349,18 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
     on the first step where a' is nonzero, is a copy of the rows whose
     centre row every later step rewrites.
     """
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     matrix, batch = op.matrix, op.batch
-    route = _route(op.symmetric, method)
+    cg = op.symmetric
     blocks = len(op.means)
     # the matvec's scratch row is also the step's, the norms' and the
     # preconditioner's scratch
     work = matrix.held_workspace()
     scratch = work[1]
-    if route == "cg":
+    if cg:
         precond = fast_diagonal_preconditioner(
             op.grid.cells[batch:], op.grid.spacing[batch:], op.means, op.fit,
             work=scratch)
-        cap = iteration_cap(rhs.size // blocks, maxiter_factor)
+        cap = int(np.ceil(CG_CAP_FACTOR * np.sqrt(rhs.size // blocks)))
     jac = None
 
     def where(k):
@@ -433,10 +397,10 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
         active = ~(rel <= tol)
         if not active.any():
             return u.copy(), iters, rel
-        if m == max_iter:
+        if m == MAX_NEWTON_STEPS:
             k = int(np.flatnonzero(active)[0])
             raise SolverError(
-                f"{where(k)}Newton exhausted {max_iter} steps at residual "
+                f"{where(k)}Newton exhausted {m} steps at residual "
                 f"{rel[k]:.3e}", residual=float(rel[k]))
         deriv = a.deriv(u)
         # where a' vanishes the Jacobian is the matrix itself
@@ -445,7 +409,7 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
             J = jac = jacobian(matrix, deriv, jac)
         # the step's right-hand side -F, in b until the line search
         step_rhs = np.negative(F, out=b)
-        if route == "cg":
+        if cg:
             floor = np.divide(FORCING_FLOOR * tol, rel,
                               out=np.zeros(blocks), where=active)
             forcing = np.maximum(np.minimum(MAX_FORCING, rel), floor)
@@ -493,20 +457,16 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
         iters[active] = m
 
 
-def solve_dirichlet(op: SparseOperator, f: ScalarField, tol: float = 1e-10,
-                    method: str = "auto",
-                    maxiter_factor: float = 20.0) -> ScalarField:
+def solve_dirichlet(op: SparseOperator, f: ScalarField,
+                    tol: float = 1e-10) -> ScalarField:
     """Solve ``L u = f`` over interior unknowns, boundary held at zero.
 
-    ``semilinear.picard_solve`` with the zero term: ``method`` is
-    ``auto`` or ``cg`` (see ``resolve_method``); either runs CG on a
-    symmetric operator, and ``auto`` factors any other.  The
-    returned field carries exact zeros on the boundary.  The relative
+    ``semilinear.picard_solve`` with the zero term: CG on a symmetric
+    operator, one LU of any other.  The returned field carries exact zeros on the boundary.  The relative
     residual is always checked against ``tol``; a solve that cannot meet
     it raises SolverError carrying the achieved residual.
     """
     # semilinear imports this module, so its names are looked up here
     from .semilinear import nonlinearity_family, picard_solve
 
-    return picard_solve(op, f, nonlinearity_family("zero"), tol,
-                        method=method, maxiter_factor=maxiter_factor).field
+    return picard_solve(op, f, nonlinearity_family("zero"), tol).field

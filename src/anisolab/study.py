@@ -30,6 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
+# scale_coefficients, frechet_distance, hess_x2_seminorm and v12_norm
+# are no longer called here; they stay importable from here because
+# perfbench's span table wraps the study's functions by these names
 from .coefficients import scale_coefficients, verify_ellipticity
 from .config import StudyConfig
 from .errors import ConfigError, SolverError
@@ -38,9 +41,6 @@ from .fieldio import atomic_write, save_field
 from .forcing import forcing_field
 from .grid import Grid, ScalarField
 from .limit import semilinear_limit, solve_limit
-# frechet_distance, hess_x2_seminorm and v12_norm no longer compute a
-# row column; they stay importable from here because perfbench's span
-# table wraps the study's norm functions by these names
 from .norms import (frechet_distance, grad_x1_seminorm, hess_x1_seminorm,
                     hess_x1x2_seminorm, hess_x2_seminorm, l2_norm,
                     norm_bundle, v12_norm)
@@ -115,15 +115,16 @@ class SweepReport:
 def discretization_floor(grid: Grid, tol: float = 1e-10) -> float:
     """Ten times the l2 error of a manufactured solve on this grid.
 
-    Probe: identity coefficients at epsilon = 1 with the product-sine
-    exact solution, the standard second-order reference case.  The probe
-    operator is the Laplacian, symmetric positive definite by
-    construction, so it is always solved by conjugate gradients whatever
-    the study's solver method.  The Laplacian is the constant diagonal
-    table that CG's fast-diagonalization preconditioner inverts exactly,
-    so CG converges in one step, where a direct factorization of a 3-D
-    grid costs seconds and most of the study's memory.  The discrete
-    solution is also known in closed form (the sine forcing is a discrete
+    Probe: identity coefficients, which epsilon = 1 leaves as they are,
+    with the product-sine exact solution, the standard second-order
+    reference case.  The probe operator is the Laplacian, symmetric
+    positive definite by construction, so it is always solved by
+    conjugate gradients, whatever route the study's own table takes.
+    The Laplacian is the constant diagonal table that CG's
+    fast-diagonalization preconditioner inverts exactly, so CG converges
+    in one step, where a direct factorization of a 3-D grid costs
+    seconds and most of the study's memory.  The discrete solution is
+    also known in closed form (the sine forcing is a discrete
     eigenvector), but the probe is kept as a real solve on purpose: the
     floor is then what the solver achieves on this grid, and it passes
     the residual gate of ``solve_dirichlet`` like every other solve of
@@ -135,9 +136,8 @@ def discretization_floor(grid: Grid, tol: float = 1e-10) -> float:
     lengths = [hi - lo for lo, hi in zip(grid.lo, grid.hi)]
     factor = sum((np.pi / L) ** 2 for L in lengths)
     f = ScalarField(grid, factor * exact.values)
-    op = assemble_operator(grid, scale_coefficients(
-        coefficient_family("identity", grid), 1.0))
-    u = solve_dirichlet(op, f, tol=tol, method="cg")
+    op = assemble_operator(grid, coefficient_family("identity", grid))
+    u = solve_dirichlet(op, f, tol=tol)
     return 10.0 * l2_norm(u - exact)
 
 
@@ -147,14 +147,9 @@ def _sweep_row(config: StudyConfig, blocks: OperatorBlocks, f, u_limit,
     start = time.perf_counter()
     op = blocks.at(epsilon)
     if nonlinearity is None:
-        u = solve_dirichlet(op, f, tol=config.solver_tol,
-                            method=config.solver_method,
-                            maxiter_factor=config.maxiter_factor)
+        u = solve_dirichlet(op, f, tol=config.solver_tol)
     else:
-        u = picard_solve(op, f, nonlinearity, tol=config.solver_tol,
-                         max_iter=config.picard_max_iter,
-                         method=config.solver_method,
-                         maxiter_factor=config.maxiter_factor).field
+        u = picard_solve(op, f, nonlinearity, tol=config.solver_tol).field
     # one bundle of the difference over the family and the row's mask
     # gives every difference column, the metric included
     diff = norm_bundle(u - u_limit, (*family, mask))
@@ -198,14 +193,10 @@ def run_sweep(config: StudyConfig) -> SweepReport:
     del coeffs
 
     if nonlinearity is None:
-        u_limit = solve_limit(blocks, f, tol=config.solver_tol,
-                              method=config.solver_method,
-                              maxiter_factor=config.maxiter_factor)
+        u_limit = solve_limit(blocks, f, tol=config.solver_tol)
     else:
-        u_limit = semilinear_limit(
-            blocks, f, nonlinearity, tol=config.solver_tol,
-            max_iter=config.picard_max_iter, method=config.solver_method,
-            maxiter_factor=config.maxiter_factor).field
+        u_limit = semilinear_limit(blocks, f, nonlinearity,
+                                   tol=config.solver_tol).field
 
     floor = discretization_floor(grid, tol=config.solver_tol)
 

@@ -34,15 +34,13 @@ def pytest_runtest_makereport(item, call):
 
 @pytest.fixture
 def lu_route(monkeypatch):
-    """Calling it sends every later solve that ``cg`` does not name to
-    the LU, symmetric or not: the reference the CG route is checked
-    against."""
-    import anisolab.solver
+    """Calling it sends every later solve to the LU, symmetric or not, by
+    reading every operator as non-symmetric: the reference the CG route
+    is checked against."""
+    from anisolab.fd_ops import SparseOperator
 
     def install():
-        monkeypatch.setattr(anisolab.solver, "_route",
-                            lambda symmetric, method: (
-                                "cg" if method == "cg" else "direct"))
+        monkeypatch.setattr(SparseOperator, "symmetric", False)
     return install
 
 

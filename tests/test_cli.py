@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import logging
 import struct
 from pathlib import Path
 
@@ -58,7 +59,7 @@ class TestSolve:
         ("constant\nmatrix = 2.0 0.3 ; 0.0 1.0", "cg"),
     ])
     def test_report_names_the_method_that_ran(self, tmp_path, family, ran):
-        # the default method is auto; the report records what it became
+        # the matrix's symmetry picks the route; the report records it
         cfg = write_cfg(tmp_path, BASE_CFG + "\n[coefficients]\n"
                         f"family = {family}\n")
         out = tmp_path / "out"
@@ -120,12 +121,23 @@ class TestInputErrors:
         assert rc == 2
         assert key in capsys.readouterr().err
 
-    def test_removed_direct_method_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, BASE_CFG + "\n[solver]\nmethod = direct\n")
+    def test_misspelled_key_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[solver]\ntolerance = 1e-3\n")
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "solver method 'direct' was removed" in capsys.readouterr().err
+        assert "unknown config key [solver] tolerance" in \
+            capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_removed_method_key_warns_and_runs(self, tmp_path, caplog):
+        # the route follows the matrix: the removed key steers nothing
+        cfg = write_cfg(tmp_path, BASE_CFG + "\n[solver]\nmethod = direct\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert ["[solver] method is deprecated" in r.getMessage()
+                for r in caplog.records] == [True]
+        assert json.loads((out / "solve.json").read_text())["method"] == "cg"
 
     def test_lam_above_table_ellipticity_exits_2(self, tmp_path, capsys):
         # the quickstart table's smallest eigenvalue is about 0.79
@@ -165,7 +177,7 @@ class TestLimit:
         f = forcing_field("sine_product", g)
         u0 = load_field(out / "u_limit.field")
         assert np.array_equal(u0.values, solve_limit(
-            operator_blocks(g, coeffs), f, method=ran).values)
+            operator_blocks(g, coeffs), f).values)
         worst = max(relative_residual(matrix, u0.values[x1][1:-1], rhs)
                     for x1, matrix, rhs, _ in iter_slice_systems(g, coeffs,
                                                                  f))

@@ -1,5 +1,7 @@
 import logging
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,7 +169,7 @@ class TestStudyConfig:
         {"margin": 0},
         {"nested": 0},
         {"workers": 0},
-        {"solver_method": "multigrid"},
+        {"workers": -1},
         {"out_format": "xml"},
         {"seed": -1},
         {"seed": 2 ** 64},
@@ -178,11 +180,11 @@ class TestStudyConfig:
         {"solver_tol": -1.0},
         {"solver_tol": 1.0},
         {"solver_tol": float("nan")},
-        {"maxiter_factor": 0.0},
-        {"maxiter_factor": float("nan")},
-        {"maxiter_factor": float("inf")},
-        {"picard_max_iter": 0},
-        {"picard_max_iter": -1},
+        {"epsilons": [1.0, 0.0]},
+        {"fourier_epsilons": [0.0]},
+        {"margin": -1},
+        {"nested": -1},
+        {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "cells": [8]},
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -236,14 +238,12 @@ nested = 5
 workers = 2
 
 [solver]
-method = cg
 tol = 1e-9
 
 [nonlinearity]
 family = linear
 kappa = 1.0
 damping = 0.8
-max_iter = 120
 
 [fourier]
 lattice = 32
@@ -275,10 +275,9 @@ class TestConfigFile:
         assert cfg.forcing_params["modes"] == [1, 1]
         assert cfg.epsilons == [1.0, 0.5, 0.25]
         assert cfg.margin == 4 and cfg.nested == 5 and cfg.workers == 2
-        assert cfg.solver_method == "cg" and cfg.solver_tol == 1e-9
+        assert cfg.solver_tol == 1e-9
         assert cfg.nonlinearity == "linear"
         assert cfg.nonlinearity_params == {"kappa": 1.0}
-        assert cfg.picard_max_iter == 120
         assert cfg.fourier_lattice == 32 and cfg.fourier_samples == 5
         assert cfg.fourier_epsilons == [1.0, 0.1]
         assert cfg.translation_levels == 2
@@ -323,34 +322,76 @@ class TestConfigFile:
         cfg = load_config(path)
         assert cfg.cells == [16, 16]
         assert cfg.epsilons == [1.0, 0.5, 0.25, 0.125]
-        assert cfg.solver_method == "auto"
+        assert cfg.solver_tol == 1e-10
 
     @pytest.mark.parametrize("method", ["auto", "cg"])
-    def test_solver_methods_parse(self, tmp_path, method):
+    def test_solver_methods_parse(self, tmp_path, method, caplog):
+        # the removed key loads with one notice and steers nothing: the
+        # matrix's symmetry picks the route
         path = tmp_path / "solver.cfg"
         path.write_text(f"[grid]\ncells = 8, 8\n"
                         f"[solver]\nmethod = {method}\n")
-        assert load_config(path).solver_method == method
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            assert load_config(path) == StudyConfig(cells=[8, 8])
+        assert len(caplog.records) == 1
+        assert "[solver] method is deprecated and ignored" in \
+            caplog.records[0].getMessage()
 
-    def test_removed_direct_method_rejected(self, tmp_path):
-        # a file and an old report's config fail alike, naming the change
-        path = tmp_path / "solver.cfg"
-        path.write_text("[grid]\ncells = 8, 8\n[solver]\nmethod = direct\n")
-        data = StudyConfig().to_dict()
-        data["solver_method"] = "direct"
-        for load in (lambda: load_config(path),
-                     lambda: StudyConfig.from_dict(data)):
-            with pytest.raises(ConfigError,
-                               match="solver method 'direct' was removed: "
-                                     "symmetric matrices solve by CG"):
-                load()
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "maxiter_factor", "0.05"),
+        ("nonlinearity", "max_iter", "1"),
+    ])
+    def test_removed_keys_warn_and_load(self, tmp_path, caplog, section,
+                                        key, value):
+        path = tmp_path / "removed.cfg"
+        path.write_text(f"[grid]\ncells = 8, 8\n[{section}]\n"
+                        f"{key} = {value}\n")
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            assert load_config(path) == StudyConfig(cells=[8, 8])
+        assert len(caplog.records) == 1
+        assert f"[{section}] {key} is deprecated and ignored" in \
+            caplog.records[0].getMessage()
 
-    def test_unknown_solver_method_rejected(self, tmp_path):
-        path = tmp_path / "solver.cfg"
-        path.write_text("[grid]\ncells = 8, 8\n"
-                        "[solver]\nmethod = multigrid\n")
-        with pytest.raises(ConfigError):
+    def test_removed_fields_of_old_reports_dropped(self, caplog):
+        # a report written before the solve knobs' removal embeds them
+        old = dict(StudyConfig(seed=3).to_dict(), solver_method="direct",
+                   maxiter_factor=20.0, picard_max_iter=200)
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            assert StudyConfig.from_dict(old) == StudyConfig(seed=3)
+        assert [r.getMessage().split(" is ")[0] for r in caplog.records] \
+            == ["config key solver_method", "config key maxiter_factor",
+                "config key picard_max_iter"]
+
+    @pytest.mark.parametrize("text, named", [
+        ("[sweep]\nepsilon = 1.0 0.5 0.25\n", "[sweep] epsilon"),
+        ("[solver]\ntolerance = 1e-3\n", "[solver] tolerance"),
+        ("[coefficients]\nfamily = constant\nmatrx = 1 0 ; 0 1\n",
+         "[coefficients] matrx"),
+        ("[grid]\ncell = 8, 8\n", "[grid] cell"),
+    ])
+    def test_misspelled_key_rejected(self, tmp_path, text, named):
+        # a key the format does not read is an error, not a silent default
+        path = tmp_path / "typo.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown config key {named}")):
             load_config(path)
+
+    def test_shipped_configs_load_without_warnings(self, caplog):
+        # the benchmark's 3-D config still sets the removed method = cg:
+        # it loads with that one notice
+        root = Path(__file__).resolve().parents[1]
+        shipped = sorted((root / "configs").glob("*.cfg"))
+        assert len(shipped) >= 3
+        for path in shipped:
+            with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+                load_config(path)
+            assert caplog.records == [], path.name
+        with caplog.at_level(logging.WARNING, logger="anisolab.config"):
+            load_config(root / "perfbench" / "configs" / "sweep-3d-cg.cfg")
+        assert len(caplog.records) == 1
+        assert "[solver] method is deprecated" in \
+            caplog.records[0].getMessage()
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

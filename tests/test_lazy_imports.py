@@ -52,7 +52,7 @@ anisolab.solver.pcg = stand_in
 g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
 op = operator_blocks(g, coefficient_family("variable", g)).at(0.1)
 f = forcing_field("sine_product", g)
-u = solve_dirichlet(op, f, method="cg")
+u = solve_dirichlet(op, f)
 sparse_after_solve = "scipy.sparse" in sys.modules
 linalg_after_solve = "scipy.sparse.linalg" in sys.modules
 print(json.dumps({
@@ -93,7 +93,6 @@ import json, sys
 import numpy as np
 from anisolab import (CoefficientField, forcing_field, make_grid,
                       operator_blocks, solve_dirichlet, solve_limit)
-from anisolab.solver import resolve_method
 
 g = make_grid([(0, 1)] * 3, (6, 6, 6), q=1)
 # a skew part that varies in space, X2 block included: neither the rows
@@ -107,7 +106,7 @@ entries[2, 1] = 0.1
 blocks = operator_blocks(g, CoefficientField(g, entries, lam=0.5))
 row = blocks.at(0.5)
 f = forcing_field("sine_product", g)
-steps = [[resolve_method(op, "auto") for op in (row, blocks.limit)],
+steps = [[op.symmetric for op in (row, blocks.limit)],
          "scipy.sparse.linalg" in sys.modules]
 solve_dirichlet(row, f)
 steps.append("scipy.sparse.linalg" in sys.modules)
@@ -166,9 +165,9 @@ def test_post_processing_never_loads_sparse(saved_sweep, tmp_path):
 
 
 def test_auto_commands_never_load_sparse(saved_sweep, tmp_path):
-    # the quickstart table assembles symmetric, so under ``auto`` the
-    # sweep's rows, limit and floor probe, and the solve and limit
-    # commands, all run by CG on stencils
+    # the quickstart table assembles symmetric, so the sweep's rows,
+    # limit and floor probe, and the solve and limit commands, all run
+    # by CG on stencils
     cfg, _ = saved_sweep
     steps = fresh_python(CLI_PROBE, json.dumps(
         [[command, "--config", cfg, "--out", str(tmp_path / command)]
@@ -199,8 +198,8 @@ def test_stand_in_set_before_first_solve_runs_cg():
 
 
 def test_symmetric_sweep_never_loads_the_lu(saved_sweep, tmp_path):
-    # the quickstart table assembles symmetric, so under ``auto`` nothing
-    # loads the sparse stack; a row and a limit whose matrices are not
+    # the quickstart table assembles symmetric, so nothing loads the
+    # sparse stack; a row and a limit whose matrices are not
     # symmetric are laid out as CSR and factored, which loads
     # scipy.sparse.linalg
     cfg, _ = saved_sweep
@@ -216,5 +215,4 @@ def test_symmetric_sweep_never_loads_the_lu(saved_sweep, tmp_path):
            for path, name in ((cfg, "auto"), (str(variable), "variable"))]
     assert got[0] == [0, False, False, False]
     assert got[1] == [0, False, False, False]
-    assert fresh_python(LU_PROBE) == [["direct", "direct"], False, True,
-                                      True]
+    assert fresh_python(LU_PROBE) == [[False, False], False, True, True]

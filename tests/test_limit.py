@@ -7,7 +7,6 @@ from anisolab import (ConfigError, ScalarField, SolverError,
                       coefficient_family, forcing_field, make_grid,
                       operator_blocks, solve_limit)
 from anisolab.fd_ops import X2_BLOCK, _block_of, factor_matrix
-from anisolab.solver import resolve_method
 from anisolab.limit import iter_slice_systems
 
 from conftest import coo_flux_matrix, csr, is_symmetric
@@ -56,8 +55,7 @@ def nonsymmetric_q2_case():
     table = [[2.0, 0.3, 0.1, 0.0], [0.1, 1.5, 0.4, 0.1],
              [0.2, -0.2, 1.2, 0.2], [0.0, 0.1, 0.1, 1.3]]
     coeffs = varying_asymmetric(g, table, lam=0.3)
-    assert resolve_method(operator_blocks(g, coeffs).limit, "auto") \
-        == "direct"
+    assert not operator_blocks(g, coeffs).limit.symmetric
     return g, coeffs, forcing_field("constant", g, value=1.0)
 
 
@@ -172,8 +170,8 @@ class TestBlockOperator:
 
     def test_cg_route_factors_only_the_nonsymmetric_limit(self,
                                                           monkeypatch):
-        # under auto the symmetric limits run by batched CG; the varying
-        # asymmetric one is factored exactly once
+        # the symmetric limits run by batched CG; the varying asymmetric
+        # one is factored exactly once
         seen = []
 
         def factor(matrix):
@@ -181,10 +179,7 @@ class TestBlockOperator:
             return factor_matrix(matrix)
         monkeypatch.setattr(anisolab.solver, "factor_matrix", factor)
         for g, c, f in block_cases():
-            limit_of(g, c, f, method="auto")
-        assert seen == [False]
-        for g, c, f in block_cases()[:3]:
-            limit_of(g, c, f, method="cg")
+            limit_of(g, c, f)
         assert seen == [False]
 
     def test_slice_residual_gate_names_slice(self):
@@ -201,7 +196,7 @@ class TestBlockOperator:
                             lambda *args: calls.append(args))
         g, coeffs, f = block_cases()[1]
         with pytest.raises(SolverError, match=r"slice \(\d+, \d+\)"):
-            limit_of(g, coeffs, f, tol=0.0, method="auto")
+            limit_of(g, coeffs, f, tol=0.0)
         assert calls == []
 
     def test_slice_converging_at_its_cap_is_not_exhausted(self, monkeypatch):
@@ -219,22 +214,24 @@ class TestBlockOperator:
             steps.append((args[4], out[1].copy()))
             return out
         monkeypatch.setattr(anisolab.solver, "pcg", counting)
-        cg = solve_limit(blocks, f, method="cg", maxiter_factor=0.05).values
+        monkeypatch.setattr(anisolab.solver, "CG_CAP_FACTOR", 0.05)
+        cg = solve_limit(blocks, f).values
         assert len(steps) == 1
         cap, taken = steps[0]
         assert cap == 1 and np.all(taken == 1)
         lu = lu_limit(blocks, f)
         assert np.abs(cg - lu).max() <= 1e-9 * np.abs(lu).max()
 
-    def test_cg_slice_exhausting_its_cap_named(self):
+    def test_cg_slice_exhausting_its_cap_named(self, monkeypatch):
         # 2-D slices of the variable table need several CG steps; a cap
         # of ceil(0.2 sqrt(30)) = 2 stops them short of tol
         g = make_grid([(0, 1)] * 3, (5, 6, 7), q=1)
         blocks = operator_blocks(g, coefficient_family("variable", g))
         f = forcing_field("sine_product", g)
+        monkeypatch.setattr(anisolab.solver, "CG_CAP_FACTOR", 0.2)
         with pytest.raises(SolverError, match=r"^slice \(\d+,\): cg exhausted "
                            r"2 iterations") as err:
-            solve_limit(blocks, f, method="cg", maxiter_factor=0.2)
+            solve_limit(blocks, f)
         assert err.value.residual > 1e-10
 
     @pytest.mark.parametrize("case", range(4))
@@ -244,24 +241,13 @@ class TestBlockOperator:
         g, coeffs, f = block_cases()[case]
         blocks = operator_blocks(g, coeffs)
         lu = lu_limit(blocks, f)
-        cg = solve_limit(blocks, f, method="auto").values
+        cg = solve_limit(blocks, f).values
         assert np.abs(cg - lu).max() <= 1e-9 * np.abs(lu).max()
         interior = tuple(slice(1, g.cells[a]) for a in g.x2_axes)
         for x1_index, matrix, rhs, _ in iter_slice_systems(g, coeffs, f):
             x = cg[x1_index][interior].reshape(-1)
             assert np.linalg.norm(matrix @ x - rhs) <= (
                 1e-10 * np.linalg.norm(rhs))
-
-    def test_cg_on_nonsymmetric_limit_rejected(self):
-        g, coeffs, f = block_cases()[3]
-        with pytest.raises(ConfigError, match="symmetric"):
-            limit_of(g, coeffs, f, method="cg")
-
-    def test_unknown_method_rejected(self, unit_square):
-        g = unit_square(4)
-        blocks = operator_blocks(g, coefficient_family("identity", g))
-        with pytest.raises(ConfigError, match="gmres"):
-            solve_limit(blocks, forcing_field("constant", g), method="gmres")
 
     def test_forcing_grid_mismatch_rejected(self, unit_square):
         g = unit_square(4)

@@ -12,7 +12,7 @@ from anisolab import (ConfigError, ScalarField, SolverError,
                       solve_dirichlet, solve_limit)
 from anisolab.fd_ops import Stencil
 from anisolab.limit import iter_slice_systems
-from anisolab.solver import ARMIJO, jacobian, pcg, resolve_method
+from anisolab.solver import ARMIJO, jacobian, pcg
 
 from conftest import csr, is_symmetric
 
@@ -162,6 +162,9 @@ class TestPicard:
     def test_zero_term_is_one_linear_step(self, lu_route):
         _, _, op, f = setup(16, family="variable")
         zero = nonlinearity_family("zero")
+        # a CG step where a' = 0 stops at the forcing term tol / residual,
+        # so the first one lands within tol too
+        cg = picard_solve(op, f, zero, tol=1e-10)
         lu_route()
         linear = solve_dirichlet(op, f)
         # an exact step: the first Newton step is the linear solve
@@ -169,11 +172,8 @@ class TestPicard:
         assert res.iterations == 1
         assert np.array_equal(res.field.values, linear.values)
         assert res.residual < 1e-12
-        # a CG step where a' = 0 stops at the forcing term tol / residual,
-        # so the first one lands within tol too
-        res = picard_solve(op, f, zero, method="cg", tol=1e-10)
-        assert res.iterations == 1 and res.residual <= 1e-10
-        assert np.abs(res.field.values - linear.values).max() <= (
+        assert cg.iterations == 1 and cg.residual <= 1e-10
+        assert np.abs(cg.field.values - linear.values).max() <= (
             1e-10 * np.abs(linear.values).max())
 
     def test_linear_term_matches_shifted_system(self):
@@ -191,13 +191,13 @@ class TestPicard:
 
     def test_bounded_terms_converge_with_small_residual(self):
         g, _, symmetric, f = setup(16)
-        # a varying skew part: the matrix is not symmetric, and auto
-        # factors it
+        # a varying skew part: the matrix is not symmetric, and is
+        # factored
         skew = assemble_operator(g, varying_asymmetric(g, SKEW, lam=0.5))
         for name in ("tanh", "rational"):
             a = nonlinearity_family(name)
-            for op, method in ((symmetric, "cg"), (skew, "auto")):
-                res = picard_solve(op, f, a, method=method)
+            for op in (symmetric, skew):
+                res = picard_solve(op, f, a)
                 assert res.residual <= 1e-10
                 assert res.iterations < 10
                 # the reported residual is the true one
@@ -207,16 +207,17 @@ class TestPicard:
                     np.linalg.norm(op.matrix @ u - rhs)
                     / np.linalg.norm(rhs), rel=1e-12)
 
-    def test_max_iter_too_small_raises_with_residual(self):
+    def test_max_iter_too_small_raises_with_residual(self, monkeypatch):
         _, _, op, f = setup(16, family="variable")
         a = nonlinearity_family("tanh")
-        with pytest.raises(SolverError, match="Newton exhausted 1 steps") \
-                as err:
-            picard_solve(op, f, a, max_iter=1)
-        assert err.value.residual is not None
-        assert err.value.residual > 1e-10
         res = picard_solve(op, f, a)
         assert res.residual <= 1e-10 and res.iterations > 1
+        monkeypatch.setattr(anisolab.solver, "MAX_NEWTON_STEPS", 1)
+        with pytest.raises(SolverError, match="Newton exhausted 1 steps") \
+                as err:
+            picard_solve(op, f, a)
+        assert err.value.residual is not None
+        assert err.value.residual > 1e-10
 
     def test_forcing_floor_cuts_cg_steps(self, monkeypatch):
         # semilinear.cfg on 32^2: with the forcing term floored at half
@@ -250,43 +251,37 @@ class TestPicard:
         assert floored[0] < unfloored[0]
         assert floored[1] <= unfloored[1]
 
-    def test_negative_max_iter_rejected(self):
-        # a negative cap never equals the step count, so Newton would run
-        # without one
-        g, coeffs, op, f = setup(16, family="variable")
-        a = nonlinearity_family("tanh")
-        with pytest.raises(ConfigError, match="max_iter"):
-            picard_solve(op, f, a, max_iter=-1)
-        with pytest.raises(ConfigError, match="max_iter"):
-            semilinear_limit(operator_blocks(g, coeffs), f, a, max_iter=-1)
-
     @pytest.mark.parametrize("route", ["cg", "direct"])
     def test_unreachable_tol_raises_with_residual(self, route):
         # below roundoff no step can decrease |F|: the line search gives
         # up and reports the residual reached instead of looping on; the
         # LU runs on a table whose matrix is not symmetric
         g, _, op, f = setup(16, family="variable")
-        method = route
         if route == "direct":
             op = assemble_operator(g, varying_asymmetric(g, SKEW, lam=0.5))
-            method = "auto"
+        assert op.symmetric == (route == "cg")
         with pytest.raises(SolverError, match="line search") as err:
-            picard_solve(op, f, nonlinearity_family("tanh"), tol=1e-20,
-                         method=method)
+            picard_solve(op, f, nonlinearity_family("tanh"), tol=1e-20)
         assert 0 < err.value.residual < 1e-13
 
-    def test_cg_route_needs_symmetric_operator(self):
+    def test_cg_route_needs_symmetric_operator(self, monkeypatch):
         g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
         f = forcing_field("constant", g, value=1.0)
         a = nonlinearity_family("tanh")
+        factored = []
+        real = anisolab.solver.factor_matrix
+        monkeypatch.setattr(anisolab.solver, "factor_matrix",
+                            lambda J: factored.append(J) or real(J))
         # a constant asymmetric table assembles symmetric: CG takes it
         op = assemble_operator(g, coefficient_family(
             "constant", g, matrix=SKEW, lam=0.5))
-        assert picard_solve(op, f, a, method="cg").residual <= 1e-10
+        assert picard_solve(op, f, a).residual <= 1e-10
+        assert factored == []
+        # a varying skew part does not: every step is an LU
         op = assemble_operator(g, varying_asymmetric(g, SKEW, lam=0.5))
-        with pytest.raises(ConfigError, match="symmetric"):
-            picard_solve(op, f, a, method="cg")
-        assert picard_solve(op, f, a).residual <= 1e-10  # auto: direct
+        res = picard_solve(op, f, a)
+        assert res.residual <= 1e-10
+        assert len(factored) == res.iterations > 0
 
     def test_wrong_grid_rejected(self):
         _, _, op, _ = setup(8)
@@ -320,8 +315,7 @@ class TestSemilinearLimit:
             g, coeffs, f = (block_cases()[3] if case == 0
                             else nonsymmetric_q2_case())
         blocks = operator_blocks(g, coeffs)
-        assert resolve_method(blocks.limit, "auto") == (
-            "cg" if route == "auto" else "direct")
+        assert blocks.limit.symmetric == (route == "auto")
         a = nonlinearity_family("tanh")
         got = semilinear_limit(blocks, f, a)
         ref = picard_solve(blocks.limit, f, a)
@@ -363,7 +357,7 @@ class TestSemilinearLimit:
     ]
 
     @staticmethod
-    def per_slice_reference(extent, forcing, method):
+    def per_slice_reference(extent, forcing):
         g = make_grid([(0, 1), (0, 1), (0, extent)], (4, 5, 10), q=2)
         coeffs = coefficient_family("variable", g)
         f = ScalarField.from_function(g, forcing)
@@ -375,8 +369,7 @@ class TestSemilinearLimit:
             scatter(u, out)
             iters.append(m)
             halvings += h
-        res = semilinear_limit(operator_blocks(g, coeffs), f, a,
-                               method=method)
+        res = semilinear_limit(operator_blocks(g, coeffs), f, a)
         return res, out, iters, halvings
 
     def test_matches_per_slice_iterations(self, lu_route):
@@ -384,7 +377,7 @@ class TestSemilinearLimit:
         lu_route()
         for extent, forcing, backtracks in self.CASES:
             res, out, iters, halvings = self.per_slice_reference(
-                extent, forcing, "auto")
+                extent, forcing)
             assert (halvings > 0) == backtracks
             assert len(set(iters)) > 1  # slices stop at different steps
             assert res.iterations == max(iters)
@@ -397,20 +390,20 @@ class TestSemilinearLimit:
         # but every slice meets the same gate (the reported residual is
         # the worst slice's) and lands on the same field
         for extent, forcing, _ in self.CASES:
-            res, out, _, _ = self.per_slice_reference(extent, forcing,
-                                                      "auto")
+            res, out, _, _ = self.per_slice_reference(extent, forcing)
             assert res.iterations >= 1
             assert res.residual <= 1e-10
             assert np.abs(res.field.values - out).max() <= 1e-9 * np.abs(
                 out).max()
 
-    def test_exhausted_slice_named(self):
+    def test_exhausted_slice_named(self, monkeypatch):
         g, coeffs, _, f = setup(8)
         f = ScalarField(g, 20 * f.values)
         a = nonlinearity_family("tanh")
+        monkeypatch.setattr(anisolab.solver, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(SolverError,
                            match=r"^slice \(\d+,\): Newton exhausted") as err:
-            semilinear_limit(operator_blocks(g, coeffs), f, a, max_iter=1)
+            semilinear_limit(operator_blocks(g, coeffs), f, a)
         assert err.value.residual > 1e-10
 
     def test_worst_slice_reporting(self):

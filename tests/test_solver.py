@@ -10,11 +10,9 @@ import anisolab.solver
 from anisolab import (CoefficientField, ConfigError, ScalarField,
                       SolverError, assemble_operator, coefficient_family,
                       forcing_field, make_grid, nonlinearity_family,
-                      operator_blocks, picard_solve, scale_coefficients,
-                      solve_dirichlet, solve_limit)
+                      picard_solve, scale_coefficients, solve_dirichlet)
 from anisolab.fd_ops import Stencil, _flux_operator, assemble_flux_matrix
-from anisolab.solver import (fast_diagonal_preconditioner, pcg,
-                             resolve_method)
+from anisolab.solver import fast_diagonal_preconditioner, pcg
 
 from conftest import csr, relative_residual, sine_transform
 from test_fd_ops import BLOCK_CASES, sine_eigenvector, varying_asymmetric
@@ -32,17 +30,16 @@ SOLVES = (lambda op, f: solve_dirichlet(op, f).interior_vector(),
 
 
 def route_case(route, n):
-    """An n^2 operator and the method that solves it on ``route``: the
-    symmetric variable table under ``cg``, or under ``auto`` a table
-    whose varying skew part makes its matrix non-symmetric, the one kind
-    that runs by LU."""
+    """An n^2 operator that solves on ``route``: the symmetric variable
+    table for ``cg``, or for ``direct`` a table whose varying skew part
+    makes its matrix non-symmetric, the one kind that runs by LU."""
     g = make_grid([(0, 1), (0, 1)], (n, n), q=1)
     if route == "cg":
-        return assemble_operator(g, coefficient_family("variable", g)), "cg"
+        return assemble_operator(g, coefficient_family("variable", g))
     op = assemble_operator(g, varying_asymmetric(g, [[2.0, 0.5], [0.3, 1.0]],
                                                  lam=0.5))
-    assert resolve_method(op, "auto") == route
-    return op, "auto"
+    assert not op.symmetric
+    return op
 
 
 class TestDirect:
@@ -86,11 +83,6 @@ class TestDirect:
         with pytest.raises(ConfigError):
             solve_dirichlet(op, ScalarField.zeros(g8))
 
-    def test_unknown_method_rejected(self):
-        g, op = laplace_setup(4)
-        with pytest.raises(ConfigError):
-            solve_dirichlet(op, ScalarField.zeros(g), method="gmres")
-
 
 class TestRelativeResidual:
     def test_zero_rhs_block_is_absolute(self, rng):
@@ -112,34 +104,22 @@ class TestCG:
         g, op = laplace_setup(16)
         f = forcing_field("sine_product", g)
         direct = op.factor().solve(f.interior_vector())
-        cg = solve_dirichlet(op, f, tol=1e-12, method="cg")
+        cg = solve_dirichlet(op, f, tol=1e-12)
         assert np.allclose(cg.interior_vector(), direct, atol=1e-9)
 
-    def test_iteration_cap_raises_with_residual(self):
+    def test_iteration_cap_raises_with_residual(self, monkeypatch):
         # the preconditioner is exact for the Laplacian, so the variable
         # table (about ten iterations) is needed for the cap of
         # ceil(0.1 * 15) = 2 iterations to bind
         g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
         op = assemble_operator(g, coefficient_family("variable", g))
         f = forcing_field("constant", g, value=1.0)
+        monkeypatch.setattr(anisolab.solver, "CG_CAP_FACTOR", 0.1)
         with pytest.raises(SolverError, match="cg exhausted 2 iterations") \
                 as err:
-            solve_dirichlet(op, f, tol=1e-14, method="cg",
-                            maxiter_factor=0.1)
+            solve_dirichlet(op, f, tol=1e-14)
         assert err.value.residual is not None
         assert err.value.residual > 1e-14
-
-    def test_asymmetric_operator_rejected(self):
-        g = make_grid([(0, 1), (0, 1)], (4, 4), q=1)
-        x, y = g.meshgrid()
-        entries = np.zeros((2, 2) + g.node_shape)
-        entries[0, 0] = 2.0
-        entries[1, 1] = 2.0
-        entries[0, 1] = 0.3 * x
-        from anisolab import CoefficientField
-        op = assemble_operator(g, CoefficientField(g, entries, lam=0.5))
-        with pytest.raises(ConfigError):
-            solve_dirichlet(op, ScalarField.zeros(g), method="cg")
 
 
 class _CountingPCG:
@@ -301,7 +281,7 @@ class TestWorkingSet:
         tracemalloc.start()
         try:
             res = picard_solve(op, forcing_field("sine_product", g),
-                               nonlinearity_family("tanh"), method="cg")
+                               nonlinearity_family("tanh"))
         finally:
             tracemalloc.stop()
         assert res.iterations > 1 and len(rises) >= 5
@@ -311,7 +291,7 @@ class TestWorkingSet:
     def test_jacobian_rows_copied_once_per_solve(self, route, monkeypatch):
         # the first step copies the rows, every later one rewrites the
         # centre row of that copy: each step's J holds the one array
-        op, method = route_case(route, 24)
+        op = route_case(route, 24)
         g = op.grid
         copies, jacobians = [], []
         with_rows = Stencil.with_rows
@@ -328,13 +308,13 @@ class TestWorkingSet:
             monkeypatch.setattr(anisolab.solver, name, recording)
         f = forcing_field("sine_product", g)
         tanh = nonlinearity_family("tanh")
-        res = picard_solve(op, f, tanh, method=method)
+        res = picard_solve(op, f, tanh)
         assert res.iterations >= 2 and len(jacobians) == res.iterations
         assert len(copies) == 1
         assert not np.shares_memory(copies[0], op.matrix.rows)
         assert all(J.rows is copies[0] for J in jacobians)
         # the next solve makes its own copy
-        picard_solve(op, f, tanh, method=method)
+        picard_solve(op, f, tanh)
         assert len(copies) == 2 and copies[1] is not copies[0]
 
 
@@ -350,7 +330,7 @@ class TestCGRestart:
         op, f = self.variable_setup(32)
         fake = _DriftingPCG(drifting=1)
         monkeypatch.setattr(anisolab.solver, "pcg", fake)
-        u = solve_dirichlet(op, f, tol=1e-10, method="cg")
+        u = solve_dirichlet(op, f, tol=1e-10)
         assert len(fake.xs) == 2
         b = f.interior_vector()
         assert relative_residual(op.matrix, fake.xs[0], b) > 1e-10
@@ -366,7 +346,7 @@ class TestCGRestart:
         fake = _DriftingPCG(drifting=np.inf)
         monkeypatch.setattr(anisolab.solver, "pcg", fake)
         with pytest.raises(SolverError) as err:
-            solve_dirichlet(op, f, tol=1e-10, method="cg")
+            solve_dirichlet(op, f, tol=1e-10)
         assert len(fake.xs) > 2
         assert err.value.residual > 1e-10
 
@@ -376,7 +356,7 @@ class TestCGRestart:
         fake = _DriftingPCG(drifting=np.inf, stall=True)
         monkeypatch.setattr(anisolab.solver, "pcg", fake)
         with pytest.raises(SolverError, match="line search") as err:
-            solve_dirichlet(op, f, tol=1e-10, method="cg")
+            solve_dirichlet(op, f, tol=1e-10)
         assert len(fake.xs) == 2
         assert err.value.residual > 1e-10
 
@@ -390,41 +370,24 @@ class TestAuto:
         g = make_grid([(0, 1), (0, 1)], (16, 16), q=1)
         op = assemble_operator(
             g, scale_coefficients(coefficient_family("variable", g), 0.1))
-        assert op.symmetric and resolve_method(op, "auto") == "cg"
-        f = forcing_field("sine_product", g)
-        u = solve_dirichlet(op, f, method="auto")
+        assert op.symmetric
+        solve_dirichlet(op, forcing_field("sine_product", g))
         assert counter.iterations > 0 and calls == []
-        cg = solve_dirichlet(op, f, method="cg")
-        assert np.array_equal(u.values, cg.values)
 
     def test_nonsymmetric_operator_factors(self, monkeypatch):
         ndim, q, (family, params) = BLOCK_CASES[-1]
         g = make_grid([(0, 1)] * ndim, (5, 6, 4), q=q)
         # the constant asymmetric table assembles symmetric and runs by CG
         op = assemble_operator(g, coefficient_family(family, g, **params))
-        assert op.symmetric and resolve_method(op, "auto") == "cg"
+        assert op.symmetric
         op = assemble_operator(g, varying_asymmetric(g, **params))
-        assert not op.symmetric and resolve_method(op, "auto") == "direct"
+        assert not op.symmetric
         calls = count_factor(monkeypatch)
         f = forcing_field("sine_product", g)
-        u = solve_dirichlet(op, f, method="auto")
+        u = solve_dirichlet(op, f)
         assert [m is op.matrix for m in calls] == [True]
         direct = op.factor().solve(f.interior_vector())
         assert np.array_equal(u.interior_vector(), direct)
-
-    def test_removed_direct_method_rejected(self):
-        # every solve names the removal, as a config file does
-        g = make_grid([(0, 1), (0, 1)], (8, 8), q=1)
-        coeffs = coefficient_family("variable", g)
-        f = forcing_field("sine_product", g)
-        blocks = operator_blocks(g, coeffs)
-        for solve in (lambda: solve_dirichlet(blocks.at(0.5), f,
-                                              method="direct"),
-                      lambda: solve_limit(blocks, f, method="direct")):
-            with pytest.raises(ConfigError,
-                               match="'direct' was removed: symmetric "
-                                     "matrices solve by CG"):
-                solve()
 
 
 class TestNewtonDriver:
@@ -432,10 +395,10 @@ class TestNewtonDriver:
     def test_solve_dirichlet_is_the_zero_term_newton(self, route):
         # a linear solve is the first Newton step of the zero term, to the
         # bit on either route
-        op, method = route_case(route, 24)
+        op = route_case(route, 24)
         f = forcing_field("sine_product", op.grid)
-        res = picard_solve(op, f, nonlinearity_family("zero"), method=method)
-        u = solve_dirichlet(op, f, method=method)
+        res = picard_solve(op, f, nonlinearity_family("zero"))
+        u = solve_dirichlet(op, f)
         assert res.iterations == 1
         assert np.array_equal(u.values, res.field.values)
         assert res.residual == relative_residual(
@@ -506,7 +469,7 @@ class TestFastDiagonalization:
             ).reshape(along_d)
         want = sine_transform(sine_transform(r.reshape(lam.shape)) / lam)
         assert np.array_equal(got[0], want.ravel())
-        solve_dirichlet(op, forcing_field("sine_product", g), method="cg")
+        solve_dirichlet(op, forcing_field("sine_product", g))
 
     @pytest.mark.parametrize("cells", [(9,), (9, 12), (5, 6, 7)])
     def test_written_into_out_bit_for_bit(self, cells, rng):
@@ -604,7 +567,7 @@ class TestFastDiagonalization:
             counter = _CountingPCG()
             monkeypatch.setattr(anisolab.solver, "pcg", counter)
             solve_dirichlet(assemble_operator(
-                g, scale_coefficients(coeffs, eps)), f, method="cg")
+                g, scale_coefficients(coeffs, eps)), f)
             assert counter.iterations == 1, eps
 
     def test_nonpositive_means_rejected(self, unit_square):
@@ -612,8 +575,7 @@ class TestFastDiagonalization:
         op = assemble_operator(g, coefficient_family("identity", g))
         bad = dataclasses.replace(op, means=np.array([[1.0, -1.0]]))
         with pytest.raises(SolverError, match="preconditioner"):
-            solve_dirichlet(bad, forcing_field("sine_product", g),
-                            method="cg")
+            solve_dirichlet(bad, forcing_field("sine_product", g))
 
     def test_iterations_flat_in_epsilon(self, monkeypatch):
         g = make_grid([(0, 1), (0, 1)], (64, 64), q=1)
@@ -624,7 +586,7 @@ class TestFastDiagonalization:
             counter = _CountingPCG()
             monkeypatch.setattr(anisolab.solver, "pcg", counter)
             op = assemble_operator(g, scale_coefficients(coeffs, eps))
-            solve_dirichlet(op, f, method="cg")
+            solve_dirichlet(op, f)
             assert 0 < counter.iterations <= 20, eps
             total += counter.iterations
         # the axis profiles of the fit take 24 steps in all, where the

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import anisolab.solver
 from anisolab import (ScalarField, StudyConfig, assemble_operator,
                       coefficient_family, emit_report, estimate_rate,
                       forcing_field, frechet_distance, l2_norm, load_field,
@@ -53,10 +54,12 @@ class TestFloor:
         exact = forcing_field("sine_product", g)
         f = ScalarField(g, 2 * np.pi ** 2 * exact.values)
         op = assemble_operator(g, coefficient_family("identity", g))
-        # the probe names cg, so it keeps CG while the reference is an LU
+        # the probe's Laplacian is symmetric: it runs by CG, and the
+        # reference by an LU
+        floor = discretization_floor(g)
         lu_route()
         direct = 10.0 * l2_norm(solve_dirichlet(op, f) - exact)
-        assert discretization_floor(g) == pytest.approx(direct, rel=1e-12)
+        assert floor == pytest.approx(direct, rel=1e-12)
 
 
 class TestRunSweep:
@@ -141,27 +144,25 @@ class TestRunSweep:
         counted(fd_ops, "_stencil_rows")
         counted(fd_ops, "_stencil_csr")
         cfg = small_config(epsilons=[1.0, 0.5, 0.25, 0.125])
-        assert cfg.solver_method == "auto"
         rep = run_sweep(cfg)
         assert rep.complete
         # the one operator assembly left is the floor probe's; the blocks
-        # lay out two stencils, the full grid's and the limit's.  Under
-        # auto every solve runs by CG on the stencils: no CSR is laid out
+        # lay out two stencils, the full grid's and the limit's.  Every
+        # solve runs by CG on the stencils: no CSR is laid out
         assert calls == {"assemble_operator": 1, "operator_blocks": 1,
                          "_stencil_rows": 3, "_stencil_csr": 0}
 
     @staticmethod
     def check_auto_matches_direct(monkeypatch, lu_route, cfg):
-        """Sweep ``cfg`` under auto and on the LU route: auto factors
-        nothing, the LU the limit once and one operator per row, and
-        every row and rate agrees to 1e-8."""
+        """Sweep ``cfg`` as it runs and on the LU route: as it runs it
+        factors nothing, the LU the limit, the floor probe and each row's
+        operator once, and every row and rate agrees to 1e-8."""
         calls = count_factor(monkeypatch)
-        assert cfg.solver_method == "auto"
         auto = run_sweep(cfg)
         assert calls == []
         lu_route()
         direct = run_sweep(cfg)
-        assert len(calls) == 1 + len(cfg.epsilons)
+        assert len(calls) == 2 + len(cfg.epsilons)
         assert auto.complete and direct.complete
         for a, d in zip(auto.rows, direct.rows):
             for col in CSV_COLUMNS[1:-1]:
@@ -173,15 +174,15 @@ class TestRunSweep:
 
     def test_default_method_solves_rows_without_factoring(self, monkeypatch,
                                                           lu_route):
-        # the default method is auto: the symmetric variable table runs
-        # CG on every row and in the limit
+        # the symmetric variable table runs CG on every row and in the
+        # limit
         self.check_auto_matches_direct(monkeypatch, lu_route, small_config(
             cells=[32, 32], coefficient_family="variable",
             epsilons=[1.0, 0.5, 0.25, 0.125, 0.0625]))
 
     def test_constant_asymmetric_table_runs_cg(self, monkeypatch, lu_route):
-        # only a12 + a21 reaches the assembled matrix, so under auto this
-        # table's rows run by CG too
+        # only a12 + a21 reaches the assembled matrix, so this table's
+        # rows run by CG too
         self.check_auto_matches_direct(monkeypatch, lu_route, small_config(
             cells=[32, 32], coefficient_family="constant",
             coefficient_params={"matrix": [[2.0, 0.7], [0.3, 1.0]]},
@@ -235,8 +236,8 @@ class TestRunSweep:
 
     def test_semilinear_rows_follow_solver_method(self, monkeypatch,
                                                   lu_route):
-        # auto runs every Newton step of the symmetric table by CG; the
-        # LU route factors each step's Jacobian once, in the limit and
+        # every Newton step of the symmetric table runs by CG; the LU
+        # route factors each step's Jacobian once, in the limit and
         # every row
         calls = count_factor(monkeypatch)
         cfg = small_config(nonlinearity="tanh",
@@ -273,12 +274,12 @@ class TestRunSweep:
         assert run_sweep(cfg).complete
         assert len(calls) == bent
 
-    def test_failed_solve_flags_incomplete(self):
+    def test_failed_solve_flags_incomplete(self, monkeypatch):
         # variable table: the CG preconditioner is exact for the identity
         # one, so CG would converge in its one allowed step and the
         # failure would rest on how scipy reports that step
-        cfg = small_config(solver_method="cg", solver_tol=1e-13,
-                           maxiter_factor=0.05,
+        monkeypatch.setattr(anisolab.solver, "CG_CAP_FACTOR", 0.05)
+        cfg = small_config(solver_tol=1e-13,
                            coefficient_family="variable",
                            forcing_family="constant",
                            forcing_params={"value": 1.0})
