@@ -288,6 +288,12 @@ class Stencil:
         other._buffers = self._buffers
         return other
 
+    def abs_row_sums(self) -> np.ndarray:
+        """Per matrix row i, sum_j |a_ij| over its entries, mirrored ones
+        included: ``|A|`` applied to ones.  The largest is the matrix's
+        infinity norm."""
+        return self.with_rows(np.abs(self.rows)) @ np.ones(self.shape[0])
+
     def __matmul__(self, x) -> np.ndarray:
         work = self.workspace()
         return self._product(x, np.empty(self.shape[0]), *work,

@@ -65,36 +65,42 @@ def save_field(path, field: ScalarField) -> Path:
     values = np.ascontiguousarray(field.values, dtype="<f8")
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        fh.write(values.tobytes(order="C"))
+        # the array's own bytes, C order: no copy of the payload
+        fh.write(memoryview(values).cast("B"))
     return path
 
 
 def load_field(path) -> ScalarField:
+    """Read a field file; the header and the file size are checked before
+    the payload is read straight into the returned (writable) values."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:8] != MAGIC:
-        raise ConfigError(f"{path}: not a field file (bad magic)")
-    if len(raw) < 16:
-        raise ConfigError(f"{path}: header is {len(raw)} bytes, "
-                          f"expected at least 16")
-    n, q = struct.unpack_from("<II", raw, 8)
-    off = 16
-    if len(raw) < off + 24 * n:
-        raise ConfigError(f"{path}: header is {len(raw)} bytes, "
-                          f"expected {off + 24 * n} for {n} axes")
-    cells = struct.unpack_from(f"<{n}Q", raw, off)
-    off += 8 * n
-    lo = struct.unpack_from(f"<{n}d", raw, off)
-    off += 8 * n
-    hi = struct.unpack_from(f"<{n}d", raw, off)
-    off += 8 * n
-    grid = Grid(lo=tuple(lo), hi=tuple(hi),
-                cells=tuple(int(c) for c in cells), q=int(q))
-    count = int(np.prod(grid.node_shape))
-    expected = off + 8 * count
-    if len(raw) != expected:
-        raise ConfigError(
-            f"{path}: payload is {len(raw) - off} bytes, "
-            f"expected {8 * count}")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-    return ScalarField(grid, values.reshape(grid.node_shape).copy())
+    with open(path, "rb") as fh:
+        size = fh.seek(0, 2)  # the file's size, from its end
+        fh.seek(0)
+        head = fh.read(16)
+        if head[:8] != MAGIC:
+            raise ConfigError(f"{path}: not a field file (bad magic)")
+        if size < 16:
+            raise ConfigError(f"{path}: header is {size} bytes, "
+                              f"expected at least 16")
+        n, q = struct.unpack_from("<II", head, 8)
+        off = 16 + 24 * n
+        if size < off:
+            raise ConfigError(f"{path}: header is {size} bytes, "
+                              f"expected {off} for {n} axes")
+        axes = fh.read(24 * n)
+        cells = struct.unpack_from(f"<{n}Q", axes, 0)
+        lo = struct.unpack_from(f"<{n}d", axes, 8 * n)
+        hi = struct.unpack_from(f"<{n}d", axes, 16 * n)
+        grid = Grid(lo=tuple(lo), hi=tuple(hi),
+                    cells=tuple(int(c) for c in cells), q=int(q))
+        nbytes = 8 * int(np.prod(grid.node_shape))
+        if size - off != nbytes:
+            raise ConfigError(f"{path}: payload is {size - off} bytes, "
+                              f"expected {nbytes}")
+        values = np.empty(grid.node_shape, dtype="<f8")
+        read = fh.readinto(memoryview(values).cast("B"))
+    if read != nbytes:
+        raise ConfigError(f"{path}: payload is {read} bytes, "
+                          f"expected {nbytes}")
+    return ScalarField(grid, values)

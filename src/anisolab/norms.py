@@ -17,7 +17,9 @@ squared l2 norms of a block's components, one quadrature per component.
 ``norm_bundle`` differences a field once: it takes l2 and the retained
 gradient once, squares the retained Hessian components in place and sums
 them node by node into one array, and reads the Hessian and v22 values
-of each distinct mask as one view sum of that array.  The metric sums
+of every distinct mask off that array, each node once for a nested
+family: the innermost mask is summed directly and every larger one is
+the sum before it plus the sums of its frame's slabs.  The metric sums
 2^(-n) t_n / (1 + t_n) with t_n the v22 norm of the difference on mask n,
 read by ``NormBundle.metric`` from the bundle of the difference; with
 the default truncation depth of 20 the dropped tail is below 2^(-19), and
@@ -179,6 +181,24 @@ class NormBundle:
         return sum(2.0 ** (-n) * t_n / (1.0 + t_n) for n, t_n in enumerate(t))
 
 
+def _box_sum(w: np.ndarray, box: tuple[slice, ...]) -> float:
+    """Node sum of ``w`` over one box of slices: every mask and every
+    frame slab ``norm_bundle`` sums."""
+    return float(w[box].sum())
+
+
+def _frame(inner: tuple[slice, ...], outer: tuple[slice, ...]
+           ) -> Iterator[tuple[slice, ...]]:
+    """The nonempty slabs that tile box ``outer`` minus box ``inner``,
+    which it contains: per axis d the two sides of ``inner`` along d,
+    spanning ``inner`` on the axes before d and ``outer`` on those
+    after."""
+    for d, (i, o) in enumerate(zip(inner, outer)):
+        for side in (slice(o.start, i.start), slice(i.stop, o.stop)):
+            if side.start < side.stop:
+                yield inner[:d] + (side,) + outer[d + 1:]
+
+
 def norm_bundle(u: ScalarField, family: Iterable[SubdomainMask]
                 ) -> NormBundle:
     """l2, v12 and the per-mask retained Hessian and v22 values of ``u``.
@@ -187,21 +207,39 @@ def norm_bundle(u: ScalarField, family: Iterable[SubdomainMask]
     ``NestedFamily`` or a family plus further masks.  l2 and the retained
     gradient are taken once over the whole interior.  The retained
     Hessian components are differenced once and their squares summed
-    into one array, so each distinct mask costs one view sum of it; a
-    family that repeats its largest mask adds no further quadrature.
+    into one array.  Each distinct mask's sum of it is the previous
+    distinct mask's sum plus the sums of its frame (``_frame``) when the
+    mask contains that one, and its own box's sum otherwise, so a nested
+    family reads each node of its largest mask once; a family that
+    repeats its largest mask adds no further quadrature.  Every term is
+    a square, so a sum grown by frames loses nothing to cancellation,
+    where a difference of prefix sums would lose a small interior mask
+    to the layer outside it.
     """
     l2 = l2_norm(u)
     axes = u.grid.x2_axes
+    volume = u.grid.cell_volume
     v12_sq = l2 ** 2 + _quadrature(
         _summed_squares(_components(u, axes, None)), None)
-    hess_sq = _summed_squares(_components(u, axes, axes))
+    hess_sq = _summed_squares(_components(u, axes, axes)).values
     hess: dict[tuple[int, ...], float] = {}
     v22: dict[tuple[int, ...], float] = {}
+    # the last distinct mask and its node sum
+    last, total = None, 0.0
     for mask in family:
-        if mask.margins not in v22:
-            h2 = _quadrature(hess_sq, mask)
-            hess[mask.margins] = float(np.sqrt(h2))
-            v22[mask.margins] = float(np.sqrt(v12_sq + h2))
+        if mask.margins in v22:
+            continue
+        if mask.grid != u.grid:
+            raise ConfigError("field and mask live on different grids")
+        if last is not None and mask.contains(last):
+            total += sum(_box_sum(hess_sq, slab)
+                         for slab in _frame(last.slices, mask.slices))
+        else:
+            total = _box_sum(hess_sq, mask.slices)
+        last = mask
+        h2 = total * volume
+        hess[mask.margins] = float(np.sqrt(h2))
+        v22[mask.margins] = float(np.sqrt(v12_sq + h2))
     return NormBundle(l2=l2, v12=float(np.sqrt(v12_sq)), v22_by_margin=v22,
                       hess_x2_by_margin=hess)
 

@@ -15,6 +15,12 @@ decreases by the Armijo rule (c = 1e-4).  A block stops once
 ``MAX_NEWTON_STEPS`` (200) steps raises SolverError carrying the
 residual.  A linear solve's first step is the solve to ``tol`` itself,
 and a step that misses it is followed by another step from the iterate.
+A block whose line search finds no decrease in ``MAX_HALVINGS`` (30)
+halvings raises SolverError too; when its normwise backward error
+(``backward_errors``) is within ``ROUNDOFF_MULTIPLE`` (32) unit
+roundoffs, the iterate is as good as floating point allows, and the
+message says that ``tol`` is below the attainable residual, which it
+gives.  The gate itself stays at ``tol``.
 
 The route is picked once per solve, by ``op.symmetric``, the exact
 symmetry of the assembled matrix.  Symmetric matrices run by
@@ -94,7 +100,7 @@ from .grid import ScalarField
 if TYPE_CHECKING:
     from .semilinear import Nonlinearity
 
-__all__ = ["solve_dirichlet", "newton_solve", "pcg",
+__all__ = ["solve_dirichlet", "newton_solve", "pcg", "backward_errors",
            "fast_diagonal_preconditioner"]
 
 # Armijo sufficient-decrease constant and the most halvings of one step
@@ -109,6 +115,11 @@ FORCING_FLOOR = 0.5
 # unknowns
 MAX_NEWTON_STEPS = 200
 CG_CAP_FACTOR = 20.0
+# a block whose line search fails at a normwise backward error within
+# ROUNDOFF_MULTIPLE unit roundoffs is as accurate as floating point
+# allows: its residual is the attainable one
+UNIT_ROUNDOFF = 2.0 ** -53
+ROUNDOFF_MULTIPLE = 32
 
 
 def __getattr__(name: str):
@@ -303,6 +314,25 @@ def pcg(matrix, b: np.ndarray, precond: Callable[..., np.ndarray],
     return x.copy(), steps, active
 
 
+def backward_errors(matrix: Stencil, u: np.ndarray, b: np.ndarray,
+                    blocks: int) -> np.ndarray:
+    """Per block of ``A u = b``, ``A`` being ``matrix``, the normwise
+    backward error |b - A u|_inf / (|A|_inf |u|_inf + |b|_inf) of ``u``:
+    the smallest relative change to the block's matrix and right-hand
+    side that makes ``u`` exact (Rigal & Gaches, J. ACM 14, 1967;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    sec. 7.1).  Each norm is the block's own; |A|_inf counts the
+    mirrored entries of a half-stored stencil."""
+    def inf_norms(v):
+        return np.abs(v).reshape(blocks, -1).max(axis=1)
+
+    r = matrix @ u
+    r -= b
+    scale = inf_norms(matrix.abs_row_sums()) * inf_norms(u) + inf_norms(b)
+    return np.divide(inf_norms(r), scale, out=np.zeros(blocks),
+                     where=scale > 0)
+
+
 def jacobian(matrix: Stencil, deriv: np.ndarray,
              into: Stencil | None = None) -> Stencil:
     """``L + diag(-a'(u))`` from ``deriv = a'(u)``: symmetric when ``L``
@@ -447,10 +477,19 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
             t[short] /= 2.0
         else:
             k = int(np.flatnonzero(short)[0])
-            raise SolverError(
-                f"{where(k)}Newton line search found no decrease in "
-                f"{MAX_HALVINGS} halvings at residual {rel[k]:.3e}",
-                residual=float(rel[k]))
+            failed = (f"Newton line search found no decrease in "
+                      f"{MAX_HALVINGS} halvings")
+            # b is spent: it takes the right-hand side at u
+            np.add(rhs, a(u), out=b)
+            eta = backward_errors(matrix, u, b, blocks)[k]
+            if eta <= ROUNDOFF_MULTIPLE * UNIT_ROUNDOFF:
+                failed = (f"tol {tol:.1e} is below the attainable residual "
+                          f"{rel[k]:.3e}: the {failed}, at a normwise "
+                          f"backward error of {eta:.1e}, within "
+                          f"{ROUNDOFF_MULTIPLE} unit roundoffs")
+            else:
+                failed += f" at residual {rel[k]:.3e}"
+            raise SolverError(f"{where(k)}{failed}", residual=float(rel[k]))
         u[...] = trial_u
         norm_F, norm_b = trial_norm_F, trial_norm_b
         m += 1

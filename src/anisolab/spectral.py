@@ -6,8 +6,11 @@ and coefficients agree exactly and every reported quantity is a clean
 norm ratio.  Each axis's frequencies stay 1-D, shaped to broadcast.  For
 the constant-coefficient operator with the anisotropic scaling the symbol
 s(xi) = sum_ij a_ij^eps xi_i xi_j is summed over those axes (the identity
-table is the diagonal case) and the solve divides by it, with s = +inf at
-the origin; the three weighted ratios
+table is the diagonal case), with s = +inf at the origin, and inverted
+once: ``torus_solve`` multiplies the forcing by 1 / s, while a bound
+check forms no complex solution at all and reads the solution's power
+spectrum |u|^2 = (|f| / s)^2 in one real array; the three weighted
+ratios
 
     r_x2    = lam * |xi2|^2-weighted Hessian norm / forcing norm
     r_x1    = lam * eps^2 * |xi1|^2-weighted Hessian norm / forcing norm
@@ -16,7 +19,8 @@ the origin; the three weighted ratios
 must each stay below one (lam = 1 for the pure Laplacian case).  Their
 squared Hessian norms weight |u|^2 by w2^2, w1^2 and w1 w2 (w1 = |xi1|^2,
 w2 = |xi2|^2); with |u|^2 as a matrix P over (X1 modes, X2 modes) they are
-colsum(P) . w2^2, w1^2 . rowsum(P) and w1 . P w2.
+colsum(P) . w2^2, w1^2 . rowsum(P) and w1 . P w2, all three read off the
+one product P [1, w2, w2^2].
 """
 
 from __future__ import annotations
@@ -126,27 +130,33 @@ def _symbol(field: SpectralField, matrix: np.ndarray | None,
     if not np.isfinite(mat).all():
         raise ConfigError("coefficient table is not finite")
     scaled = mat * scaling_factors(ndim, field.q, epsilon)
-    # row d = a_dd xi_d + sum_{j<d} (a_jd + a_dj) xi_j spans axes 0..d, so
-    # only the last is full size; it is scaled and summed in place
+    # over the last axis l the symbol is h + c xi_l + a_ll xi_l^2, where h,
+    # the symbol of the other axes, and c = sum_{j<l} (a_jl + a_lj) xi_j
+    # span only those, so the full array is one matrix product
     k = _frequencies(field.shape)
-    sym = 0.0
-    for d in range(ndim):
+    last = ndim - 1
+    head = cross = np.zeros(field.shape[:last] + (1,))
+    for d in range(last):
         row = scaled[d, d] * k[d]
         for j in range(d):
             row = row + (scaled[j, d] + scaled[d, j]) * k[j]
-        row *= k[d]
-        row += sym
-        sym = row
-    return sym
+        head = head + row * k[d]
+        cross = cross + (scaled[d, last] + scaled[last, d]) * k[d]
+    kl = k[last].ravel()
+    factors = np.stack((head.ravel(), cross.ravel(), np.ones(head.size)),
+                       axis=1)
+    terms = np.stack((np.ones_like(kl), kl, scaled[last, last] * kl ** 2))
+    return (factors @ terms).reshape(field.shape)
 
 
-def torus_solve(f: SpectralField, epsilon: float,
-                matrix: np.ndarray | None = None) -> SpectralField:
-    """Divide by the symbol; zero-mean forcing required, mean mode stays 0."""
+def _inverse_symbol(f: SpectralField, epsilon: float,
+                    matrix: np.ndarray | None, f_norm: float) -> np.ndarray:
+    """1 / s over the lattice, 0 at the origin, once epsilon, the zero
+    mean of ``f`` (whose norm is ``f_norm``) and the symbol pass the
+    checks every solve and every bound check makes."""
     if not 0.0 < epsilon <= 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1], got {epsilon}")
-    scale = max(f.norm(), 1e-300)
-    if abs(f.mean_mode()) > 1e-13 * scale:
+    if abs(f.mean_mode()) > 1e-13 * max(f_norm, 1e-300):
         raise ConfigError(
             "forcing has a nonzero mean mode; the periodic problem is "
             "only solvable with zero mean")
@@ -156,7 +166,14 @@ def torus_solve(f: SpectralField, epsilon: float,
     sym[(0,) * f.ndim] = np.inf
     if not sym.min() > 0:
         raise ConfigError("operator symbol is not positive off the origin")
-    return SpectralField(f.coeffs * np.reciprocal(sym, out=sym), f.q)
+    return np.reciprocal(sym, out=sym)
+
+
+def torus_solve(f: SpectralField, epsilon: float,
+                matrix: np.ndarray | None = None) -> SpectralField:
+    """Divide by the symbol; zero-mean forcing required, mean mode stays 0."""
+    return SpectralField(
+        f.coeffs * _inverse_symbol(f, epsilon, matrix, f.norm()), f.q)
 
 
 @dataclass
@@ -192,16 +209,23 @@ class BoundReport:
 def _bound_report(f: SpectralField, epsilon: float, matrix: np.ndarray | None,
                   lam: float, tol: float, strict: bool,
                   label: str) -> BoundReport:
-    """Solve, then the ratio triple; ``strict`` raises on a failed bound."""
-    u = torus_solve(f, epsilon, matrix=matrix)
+    """The ratio triple from the power spectrum of the solution, read off
+    the forcing; ``strict`` raises on a failed bound."""
     f_norm = f.norm()
+    inv = _inverse_symbol(f, epsilon, matrix, f_norm)
     if f_norm == 0.0:
         raise ConfigError("zero forcing has no bound ratio")
+    # |u|^2 = (|f| / s)^2, formed in place in one real array
+    power = np.abs(f.coeffs)
+    power *= inv
+    np.square(power, out=power)
+    # one pass over P: its row sums, P w2 and P w2^2
     w1, w2 = (w.ravel() for w in _split_weights(f.shape, f.q))
-    power = (np.abs(u.coeffs) ** 2).reshape(w1.size, -1)
-    hess_x2 = float(np.sqrt(power.sum(axis=0) @ w2 ** 2))
-    hess_x1 = float(np.sqrt(w1 ** 2 @ power.sum(axis=1)))
-    hess_cr = float(np.sqrt(w1 @ power @ w2))
+    rows = power.reshape(w1.size, -1) @ np.stack(
+        (np.ones_like(w2), w2, w2 ** 2), axis=1)
+    hess_x2 = float(np.sqrt(rows[:, 2].sum()))
+    hess_x1 = float(np.sqrt(w1 ** 2 @ rows[:, 0]))
+    hess_cr = float(np.sqrt(w1 @ rows[:, 1]))
     report = BoundReport(
         epsilon=epsilon,
         r_x2=lam * hess_x2 / f_norm,

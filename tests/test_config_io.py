@@ -82,6 +82,40 @@ class TestFieldIO:
         with pytest.raises(ConfigError):
             load_field(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path, unit_square, rng):
+        u = random_field(unit_square(4), rng)
+        path = tmp_path / "u.field"
+        save_field(path, u)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ConfigError, match=r"u\.field: payload is 208 "
+                           r"bytes, expected 200"):
+            load_field(path)
+
+    def test_loaded_values_are_an_owned_writable_array(self, tmp_path, rng):
+        # read straight into the returned array: 3-D, q = 2, bit-exact
+        g = make_grid([(0.0, 1.0), (0.0, 3.0), (-1.0, 1.0)], (5, 3, 7),
+                      q=2)
+        u = ScalarField(g, rng.standard_normal(g.node_shape))
+        path = tmp_path / "u3.field"
+        save_field(path, u)
+        v = load_field(path)
+        assert v.grid == g
+        assert v.values.view(np.int64).tolist() == \
+            u.values.view(np.int64).tolist()
+        flags = v.values.flags
+        assert flags.writeable and flags.c_contiguous and flags.owndata
+        v.values[0, 0, 0] += 1.0
+
+    def test_strided_values_save_their_c_order_bytes(self, tmp_path, rng):
+        # a field whose values are a transposed view writes the bytes of
+        # its C-order copy
+        g = make_grid([(0.0, 1.0), (0.0, 1.0)], (6, 6), q=1)
+        values = rng.standard_normal(g.node_shape)
+        save_field(tmp_path / "c.field", ScalarField(g, values.T.copy()))
+        save_field(tmp_path / "t.field", ScalarField(g, values.T))
+        assert ((tmp_path / "c.field").read_bytes()
+                == (tmp_path / "t.field").read_bytes())
+
     def test_save_leaves_no_temp_files(self, tmp_path, unit_square, rng):
         u = random_field(unit_square(4), rng)
         save_field(tmp_path / "u.field", u)

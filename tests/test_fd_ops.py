@@ -599,6 +599,19 @@ class TestHalfStorage:
             assert np.array_equal(matrix.matvec(x, out, work).view(np.int64),
                                   want)
 
+    @pytest.mark.parametrize("kind", ["row", "limit", "asymmetric"])
+    def test_abs_row_sums_count_every_entry(self, kind):
+        # a half-stored stencil's mirrored entries count in its rows' sums
+        g = make_grid([(0, 1)] * 3, (5, 6, 7), q=1)
+        table = [[2.0, 0.3, 0.1], [0.1, 1.5, 0.4], [0.2, -0.2, 1.2]]
+        coeffs = (varying_asymmetric(g, table, lam=0.3) if kind == "asymmetric"
+                  else coefficient_family("variable", g))
+        blocks = operator_blocks(g, coeffs)
+        matrix = (blocks.limit if kind == "limit" else blocks.at(0.3)).matrix
+        assert matrix.symmetric == (kind != "asymmetric")
+        want = np.asarray(abs(csr(matrix)).sum(axis=1)).ravel()
+        assert np.allclose(matrix.abs_row_sums(), want, rtol=1e-14, atol=0)
+
     def test_held_workspace_laid_out_once(self):
         # the same held pair on every call, and a matvec through it
         # allocates nothing of a row's size

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import anisolab.solver
-from anisolab import (ConfigError, ScalarField, SolverError,
-                      coefficient_family, forcing_field, make_grid,
+from anisolab import (CoefficientField, ConfigError, ScalarField,
+                      SolverError, coefficient_family, forcing_field, make_grid,
                       operator_blocks, solve_limit)
 from anisolab.fd_ops import X2_BLOCK, _block_of, factor_matrix
 from anisolab.limit import iter_slice_systems
@@ -57,6 +59,19 @@ def nonsymmetric_q2_case():
     coeffs = varying_asymmetric(g, table, lam=0.3)
     assert not operator_blocks(g, coeffs).limit.symmetric
     return g, coeffs, forcing_field("constant", g, value=1.0)
+
+
+def checkerboard_case():
+    """32^2, q = 1, a11 = a22 = 1 or 1000 on a 4 x 4 board, no mixed
+    entry, ``sine_product`` forcing: limit slices whose relative residual
+    has a roundoff floor between 1e-12 and 1e-11."""
+    g = make_grid([(0, 1), (0, 1)], (32, 32), q=1)
+    x, y = g.meshgrid()
+    a = np.where((np.floor(4 * x) + np.floor(4 * y)) % 2 == 0, 1.0, 1000.0)
+    entries = np.zeros((2, 2) + g.node_shape)
+    entries[0, 0] = entries[1, 1] = a
+    return (g, CoefficientField(g, entries, lam=1.0),
+            forcing_field("sine_product", g))
 
 
 def per_slice_limit(grid, coeffs, f):
@@ -311,3 +326,40 @@ class TestLimitField:
         u0 = limit_of(g, coefficient_family("identity", g), f)
         x, y = g.meshgrid()
         assert np.abs(u0.values - (1 + x) * y * (1 - y) / 2).max() < 1e-13
+
+
+class TestAttainableResidual:
+    """A slice whose line search stalls at roundoff names the attainable
+    residual instead of the line search alone."""
+
+    @pytest.mark.parametrize("route", ["cg", "lu"])
+    def test_tol_below_roundoff_floor_named(self, route, lu_route):
+        g, coeffs, f = checkerboard_case()
+        if route == "lu":
+            lu_route()
+        blocks = operator_blocks(g, coeffs)
+        assert blocks.limit.symmetric == (route == "cg")
+        solve_limit(blocks, f, tol=1e-11)
+        with pytest.raises(SolverError) as err:
+            solve_limit(blocks, f, tol=1e-12)
+        residual = err.value.residual
+        assert 1e-12 < residual < 1e-11
+        assert re.fullmatch(
+            r"slice \(\d+,\): tol 1\.0e-12 is below the attainable "
+            rf"residual {residual:.3e}: the Newton line search found no "
+            r"decrease in 30 halvings, at a normwise backward error of "
+            r"(\S+), within 32 unit roundoffs", str(err.value))
+        eta = float(re.search(r"error of (\S+),", str(err.value)).group(1))
+        assert 0.0 < eta <= 32 * np.finfo(float).eps / 2
+
+    def test_gate_stays_at_tol(self, monkeypatch):
+        # the diagnosis reads the backward error only: with no multiple
+        # of the roundoff counting as attainable the same stall keeps the
+        # line search's message, and no tol is loosened either way
+        g, coeffs, f = checkerboard_case()
+        monkeypatch.setattr(anisolab.solver, "ROUNDOFF_MULTIPLE", 0)
+        with pytest.raises(SolverError, match=r"^slice \(\d+,\): Newton "
+                           r"line search found no decrease in 30 halvings "
+                           r"at residual \S+$") as err:
+            solve_limit(operator_blocks(g, coeffs), f, tol=1e-12)
+        assert err.value.residual > 1e-12

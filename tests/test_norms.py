@@ -203,23 +203,62 @@ class TestCompositeNorms:
     def test_bundle_sums_each_distinct_mask_once(self, monkeypatch):
         # a 32-cell grid clamps the 20-mask family at margin 1 after
         # three halvings: four distinct masks.  X2 has two axes, so four
-        # Hessian components, but each mask is read once, from their
-        # summed square
+        # Hessian components, but their summed square is read once per
+        # node: the innermost mask, then each larger one's frame, so
+        # the nodes summed are the largest mask's
+        import anisolab.norms as norms
         g = make_grid([(0, 1)] * 3, (32, 32, 32), q=1)
         assert len(g.x2_axes) == 2
         fam = nested_family(g, 20)
         assert len(fam) == 20 and len(set(fam.margins)) == 4
-        reads: dict = {}
-        extract = SubdomainMask.extract
+        boxes = []
+        box_sum = norms._box_sum
 
-        def counting(mask, u):
-            reads[mask.margins] = reads.get(mask.margins, 0) + 1
-            return extract(mask, u)
+        def counting(w, box):
+            boxes.append(w[box].size)
+            return box_sum(w, box)
 
-        monkeypatch.setattr(SubdomainMask, "extract", counting)
+        monkeypatch.setattr(norms, "_box_sum", counting)
         b = norm_bundle(seeded_field(g, 8), fam)
         assert len(b.v22_by_margin) == 4
-        assert reads == {m.margins: 1 for m in fam}
+        assert sum(boxes) == fam[-1].node_count
+        # the innermost box, then three frames of six slabs
+        assert len(boxes) == 1 + 3 * 6
+
+    def test_bundle_sums_a_mask_outside_the_nesting_directly(self,
+                                                             unit_square):
+        # on 32^2 the mask (3, 9) does not contain (4, 4) before it, so
+        # it is summed on its own; (2, 5) after it grows from its frame,
+        # and so does the family's (2, 2).  Every value matches the
+        # seminorm taken on its own
+        g = unit_square(32)
+        u = seeded_field(g, 17)
+        fam = nested_family(g, 4)
+        assert fam.margins == (8, 4, 2, 1)
+        extra = interior_subdomain(g, (3, 9))
+        wider = interior_subdomain(g, (2, 5))
+        masks = (*fam[:2], extra, wider, *fam[2:])
+        assert not extra.contains(fam[1]) and wider.contains(extra)
+        b = norm_bundle(u, masks)
+        assert set(b.v22_by_margin) == {m.margins for m in masks}
+        for m in masks:
+            assert b.hess_x2_by_margin[m.margins] == pytest.approx(
+                hess_x2_seminorm(u, m), rel=1e-13)
+            assert b.v22_by_margin[m.margins] == pytest.approx(
+                v22_norm(u, m), rel=1e-13)
+
+    def test_bundle_matches_direct_calls_3d_family(self):
+        # a 3-D q = 1 family, every mask summed from its frame
+        g = make_grid([(0, 1), (0, 1.5), (0, 0.8)], (24, 20, 28), q=1)
+        u = seeded_field(g, 41)
+        fam = nested_family(g, 6)
+        assert len(set(fam.margins)) == 3
+        b = norm_bundle(u, fam)
+        for m in fam:
+            assert b.hess_x2_by_margin[m.margins] == pytest.approx(
+                hess_x2_seminorm(u, m), rel=1e-13)
+            assert b.v22_by_margin[m.margins] == pytest.approx(
+                v22_norm(u, m), rel=1e-13)
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_bundle_matches_direct_calls_3d(self, q):

@@ -11,8 +11,10 @@ from anisolab import (CoefficientField, ConfigError, ScalarField,
                       SolverError, assemble_operator, coefficient_family,
                       forcing_field, make_grid, nonlinearity_family,
                       picard_solve, scale_coefficients, solve_dirichlet)
-from anisolab.fd_ops import Stencil, _flux_operator, assemble_flux_matrix
-from anisolab.solver import fast_diagonal_preconditioner, pcg
+from anisolab.fd_ops import (Stencil, _flux_operator, assemble_flux_matrix,
+                             operator_blocks)
+from anisolab.solver import (backward_errors, fast_diagonal_preconditioner,
+                             pcg)
 
 from conftest import csr, relative_residual, sine_transform
 from test_fd_ops import BLOCK_CASES, sine_eigenvector, varying_asymmetric
@@ -97,6 +99,30 @@ class TestRelativeResidual:
         zero = relative_residual(op.matrix, x, np.zeros_like(b))
         assert zero == pytest.approx(np.linalg.norm(op.matrix @ x),
                                      rel=1e-14)
+
+    def test_backward_errors_are_per_block(self, rng):
+        # each block's |r|_inf / (|A_k|_inf |u_k|_inf + |b_k|_inf), read
+        # off its own dense block of the half-stored limit matrix
+        g = make_grid([(0, 1)] * 3, (5, 6, 7), q=1)
+        op = operator_blocks(g, coefficient_family("variable", g)).limit
+        blocks = len(op.means)
+        n = op.n_unknowns // blocks
+        u = rng.standard_normal(op.n_unknowns)
+        b = rng.standard_normal(op.n_unknowns)
+        b[:n] = 0.0
+        u[n:2 * n] = 0.0
+        got = backward_errors(op.matrix, u, b, blocks)
+        dense = csr(op.matrix).toarray()
+        for k in range(blocks):
+            rows = slice(k * n, (k + 1) * n)
+            a_k, u_k, b_k = dense[rows, rows], u[rows], b[rows]
+            want = np.abs(b_k - a_k @ u_k).max() / (
+                np.abs(a_k).sum(axis=1).max() * np.abs(u_k).max()
+                + np.abs(b_k).max())
+            assert got[k] == pytest.approx(want, rel=1e-13)
+        assert np.array_equal(backward_errors(op.matrix, np.zeros_like(u),
+                                              np.zeros_like(b), blocks),
+                              np.zeros(blocks))
 
 
 class TestCG:
