@@ -45,7 +45,8 @@ CG's preconditioner inverts a separable fit of the table's diagonal,
 normalized axis means of the table.  ``assemble_operator`` and
 ``operator_blocks`` compute it from the table with the means; its axis
 pencils, one dense numpy ``eigh`` per non-flat axis, are built when a CG
-solve first asks for them.
+solve first asks for them, and so are their float32 copies
+(``transforms32``) when a float32 preconditioner first does.
 
 scipy is imported only for an LU: ``factor_matrix`` lays a stencil out as
 canonical CSR (``_stencil_csr``, which loads ``scipy.sparse``) and
@@ -461,6 +462,23 @@ class SeparableFit:
                 vt = np.ascontiguousarray(pencil[0].T)
                 vt.flags.writeable = False
             out.append(vt)
+        return tuple(out)
+
+    @cached_property
+    def transforms32(self) -> tuple[tuple[np.ndarray, np.ndarray] | None,
+                                    ...]:
+        """Per axis, ``(V, V^T)`` of ``pencils`` and ``transposes`` cast
+        to float32, read-only, None where ``pencils`` has None: the
+        transforms of the preconditioner's float32 path.  Built on first
+        use, then kept."""
+        out = []
+        for pencil, vt in zip(self.pencils, self.transposes):
+            pair = None
+            if pencil is not None:
+                pair = (pencil[0].astype(np.float32), vt.astype(np.float32))
+                for mat in pair:
+                    mat.flags.writeable = False
+            out.append(pair)
         return tuple(out)
 
 

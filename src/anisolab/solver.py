@@ -76,6 +76,21 @@ scaling needs hundreds of iterations.  J keeps the matrix's symmetry
 and block means, hence one preconditioner serves every step of a
 solve.
 
+The preconditioner's transforms and division run in float32 exactly
+when the stencil has an offset along two or more axes, which is a
+nonzero off-diagonal entry of the table.  The diagonal fit never
+represents one, so that CG takes several steps with any precision of
+the preconditioner, and the same steps in float32 as in float64
+(Higham & Mary, *Mixed precision algorithms in numerical linear
+algebra*, Acta Numerica 31, 2022).  Each block of the residual is
+scaled by a power of two before the cast and the result unscaled into
+float64, so that float32's range never matters.  A diagonal table,
+such as the floor probe's Laplacian, a separable jump or a limit of
+one-dimensional slices, keeps float64: there the fit can be exact and
+CG take one step, which a float32 inverse would turn into two.  The
+matvec, CG's recurrences and norms and Newton's residual gate are
+float64 on every path.
+
 No CG solve loads ``scipy.sparse``, ``scipy.sparse.linalg`` or
 ``scipy.linalg``: the matrices are stencils, their matvec is numpy, and
 so is the pencils' ``eigh``.  Only an LU loads them, laying the
@@ -146,6 +161,15 @@ def _sine_matrix(m: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=8)
+def _sine_matrix32(m: int) -> np.ndarray:
+    """``_sine_matrix(m)`` cast to float32, built once per size and
+    read-only: the preconditioner's float32 path shares it."""
+    mat = _sine_matrix(m).astype(np.float32)
+    mat.flags.writeable = False
+    return mat
+
+
 def _apply_axes(x: np.ndarray, mats, targets=None) -> np.ndarray:
     """One matrix along every axis of ``x`` but the first, which indexes
     blocks.
@@ -155,9 +179,9 @@ def _apply_axes(x: np.ndarray, mats, targets=None) -> np.ndarray:
     symmetric, is passed as itself twice.  Each box axis is one stack of
     matrix products over the axes around it, so every product is a BLAS
     matrix multiply whatever the layout.  With ``targets``, a pair of
-    arrays of ``x``'s size that ``x`` is neither of, the products are
-    written into them in turn, the first into ``targets[0]``, and
-    nothing is allocated.
+    arrays of ``x``'s size and dtype, ``x`` being at most the second,
+    the products are written into them in turn, the first into
+    ``targets[0]``, and nothing is allocated.
     """
     shape = x.shape
     for d, (right, left) in enumerate(mats, start=1):
@@ -179,7 +203,8 @@ def _apply_axes(x: np.ndarray, mats, targets=None) -> np.ndarray:
 def fast_diagonal_preconditioner(cells: Sequence[int],
                                  spacing: Sequence[float],
                                  means, fit: SeparableFit | None = None,
-                                 work: np.ndarray | None = None
+                                 work: np.ndarray | None = None,
+                                 precision=np.float64
                                  ) -> Callable[..., np.ndarray]:
     """Exact inverses of separable diagonal tables, one per block.
 
@@ -198,8 +223,25 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
     the sum over axes of ``means[b, d]`` times axis d's; a nonpositive
     one raises SolverError, since the preconditioner must be positive
     definite for CG.
+
+    ``precision`` is ``np.float64`` or ``np.float32``, the dtype of the
+    transforms and the division; ``z`` is float64 either way.  In
+    float32 (Higham & Mary, Acta Numerica 31, 2022) each block of ``r``
+    is first scaled by 2^-e, e the exponent of its largest |r|
+    (``np.frexp``), in ``z``, and its eigenvalues likewise by the power
+    of two of their largest, so that every value the transforms meet
+    lies well inside float32's range whatever the scale of the block's
+    residual and table; the scaling is exact, hence the preconditioner
+    stays linear in ``r``.  The scaled block is cast into one float32
+    array, the transforms (the float32 copies of the sine matrices and
+    of the pencils, ``SeparableFit.transforms32``) alternate between it
+    and a second, the two halves of ``work``'s memory, and the result is
+    cast back into ``z`` and unscaled.  The float32 inverse agrees with
+    the float64 one to about 1e-6 normwise: a preconditioner that is
+    exact, CG then taking one step, needs float64 to stay so.
     """
     means = np.asarray(means, dtype=float)
+    single = np.dtype(precision) == np.float32
     shape = tuple(int(n) - 1 for n in cells)
     pencils = (None,) * len(shape) if fit is None else fit.pencils
     lam = np.zeros((len(means),) + shape)
@@ -210,12 +252,12 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
         if pencil is None:
             k = np.arange(1, n)
             lam_d = (4.0 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2
-            s = _sine_matrix(int(n) - 1)
+            s = (_sine_matrix32 if single else _sine_matrix)(int(n) - 1)
             forward.append((s, s))
             inverse.append((s, s))
         else:
             v, lam_d = pencil
-            vt = fit.transposes[d]
+            v, vt = fit.transforms32[d] if single else (v, fit.transposes[d])
             forward.append((v, vt))
             inverse.append((vt, v))
         lam += (means[:, d].reshape((-1,) + (1,) * len(shape))
@@ -225,6 +267,9 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
         raise SolverError(
             f"fast-diagonalization preconditioner has eigenvalue "
             f"{lam.min():.3e} <= 0 (axis means {tuple(means[block])})")
+    # forward's last product is in z for an even number of axes; the
+    # inverse starts on the other array, so that its last is too
+    flip = len(shape) % 2
 
     def solve(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         z = np.empty(lam.shape) if out is None else out.reshape(lam.shape)
@@ -233,13 +278,50 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
         targets = (scratch, z)
         y = _apply_axes(np.reshape(r, lam.shape), forward, targets)
         np.divide(y, lam, out=y)
-        # forward's last product is in z for an even number of axes;
-        # the inverse starts on the other array, so that its last is too
-        _apply_axes(y, inverse, targets if len(shape) % 2 == 0
-                    else targets[::-1])
+        _apply_axes(y, inverse, targets[::-1] if flip else targets)
         return z.reshape(len(lam), -1)
 
-    return solve
+    if not single:
+        return solve
+
+    # each block's lam scaled by 2^-k, k the exponent of its largest
+    by_block = lam.reshape(len(lam), -1)
+    k = np.frexp(by_block.max(axis=1))[1][:, None]
+    lam32 = np.ldexp(by_block, -k).astype(np.float32).reshape(lam.shape)
+    held = None if work is None else _float32_pair(work, lam.shape)
+
+    def solve_single(r: np.ndarray, out: np.ndarray | None = None
+                     ) -> np.ndarray:
+        z = np.empty(lam.shape) if out is None else out.reshape(lam.shape)
+        blocks = z.reshape(len(lam), -1)
+        r = np.reshape(r, blocks.shape)
+        # 2^-e per block, its largest |r| then in [1/2, 1); through z, as
+        # a cast in the product would take a buffer of its own
+        e = np.frexp(np.abs(r, out=blocks).max(axis=1))[1][:, None]
+        np.multiply(r, np.ldexp(1.0, -e), out=blocks)
+        x, y = (_float32_pair(np.empty(lam.shape), lam.shape)
+                if held is None else held)
+        np.copyto(x, z)
+        # x, the first product's input, is the second target: each
+        # product reads the array the one before wrote, and the last
+        # inverse product lands in x for any number of axes
+        w = _apply_axes(x, forward, (y, x))
+        np.divide(w, lam32, out=w)
+        _apply_axes(w, inverse, (x, y) if flip else (y, x))
+        np.copyto(z, x)
+        blocks *= np.ldexp(1.0, e - k)
+        return blocks
+
+    return solve_single
+
+
+def _float32_pair(memory: np.ndarray, shape: tuple[int, ...]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Two float32 arrays of ``shape``, the two halves of the bytes of
+    ``memory``, a contiguous float64 array of at least that size."""
+    size = math.prod(shape)
+    both = memory.reshape(-1).view(np.float32)
+    return both[:size].reshape(shape), both[size:2 * size].reshape(shape)
 
 
 def pcg(matrix, b: np.ndarray, precond: Callable[..., np.ndarray],
@@ -387,9 +469,14 @@ def newton_solve(op: SparseOperator, rhs: np.ndarray, a: Nonlinearity,
     work = matrix.held_workspace()
     scratch = work[1]
     if cg:
+        # an offset along two or more axes is a nonzero off-diagonal
+        # entry, which no separable diagonal fit represents: CG runs
+        # several steps whatever the preconditioner's precision, so it
+        # takes float32, and an exact preconditioner keeps float64
+        off_axis = any(np.count_nonzero(key) > 1 for key in matrix.offsets)
         precond = fast_diagonal_preconditioner(
             op.grid.cells[batch:], op.grid.spacing[batch:], op.means, op.fit,
-            work=scratch)
+            work=scratch, precision=np.float32 if off_axis else np.float64)
         cap = int(np.ceil(CG_CAP_FACTOR * np.sqrt(rhs.size // blocks)))
     jac = None
 

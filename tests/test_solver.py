@@ -8,13 +8,15 @@ import scipy.sparse as sp
 
 import anisolab.solver
 from anisolab import (CoefficientField, ConfigError, ScalarField,
-                      SolverError, assemble_operator, coefficient_family,
-                      forcing_field, make_grid, nonlinearity_family,
-                      picard_solve, scale_coefficients, solve_dirichlet)
+                      SolverError, StudyConfig, assemble_operator,
+                      coefficient_family, forcing_field, make_grid,
+                      nonlinearity_family, picard_solve, run_sweep,
+                      scale_coefficients, solve_dirichlet, solve_limit)
 from anisolab.fd_ops import (Stencil, _flux_operator, assemble_flux_matrix,
                              operator_blocks)
 from anisolab.solver import (backward_errors, fast_diagonal_preconditioner,
                              pcg)
+from anisolab.study import discretization_floor
 
 from conftest import csr, relative_residual, sine_transform
 from test_fd_ops import BLOCK_CASES, sine_eigenvector, varying_asymmetric
@@ -161,6 +163,19 @@ class _CountingPCG:
         return x, steps, capped
 
 
+def _spy_precisions(monkeypatch) -> list:
+    """Record the precision of every preconditioner the solver builds,
+    in order, and build it as asked."""
+    precisions = []
+    real = anisolab.solver.fast_diagonal_preconditioner
+
+    def spy(*args, precision=np.float64, **kwargs):
+        precisions.append(precision)
+        return real(*args, precision=precision, **kwargs)
+    monkeypatch.setattr(anisolab.solver, "fast_diagonal_preconditioner", spy)
+    return precisions
+
+
 class _DriftingPCG:
     """Stands in for ``anisolab.solver.pcg``.
 
@@ -285,33 +300,38 @@ class TestWorkingSet:
     def test_cg_steps_allocate_no_vector(self, monkeypatch):
         # from one preconditioner call to the next, a whole CG step, the
         # traced peak rises by less than one vector: every pcg call of
-        # a tanh solve, the Jacobian's included
-        g = make_grid([(0, 1), (0, 1)], (48, 48), q=1)
-        op = assemble_operator(g, coefficient_family("variable", g))
-        vector = 8 * op.n_unknowns
-        rises = []
+        # a tanh solve, the Jacobian's included.  A variable table
+        # preconditions in float32, on two axes or three
         real = anisolab.solver.pcg
+        for cells in ((48, 48), (18, 18, 18)):
+            g = make_grid([(0, 1)] * len(cells), cells, q=1)
+            op = assemble_operator(g, coefficient_family("variable", g))
+            precisions = _spy_precisions(monkeypatch)
+            vector = 8 * op.n_unknowns
+            rises = []
 
-        def traced(matrix, b, precond, tol, maxiter):
-            marks = []
+            def traced(matrix, b, precond, tol, maxiter):
+                marks = []
 
-            def measured(r, out=None):
-                current, peak = tracemalloc.get_traced_memory()
-                if marks:
-                    rises.append(peak - marks[-1])
-                tracemalloc.reset_peak()
-                marks.append(current)
-                return precond(r, out=out)
-            return real(matrix, b, measured, tol, maxiter)
-        monkeypatch.setattr(anisolab.solver, "pcg", traced)
-        tracemalloc.start()
-        try:
-            res = picard_solve(op, forcing_field("sine_product", g),
-                               nonlinearity_family("tanh"))
-        finally:
-            tracemalloc.stop()
-        assert res.iterations > 1 and len(rises) >= 5
-        assert max(rises) < vector // 2
+                def measured(r, out=None):
+                    current, peak = tracemalloc.get_traced_memory()
+                    if marks:
+                        rises.append(peak - marks[-1])
+                    tracemalloc.reset_peak()
+                    marks.append(current)
+                    return precond(r, out=out)
+                return real(matrix, b, measured, tol, maxiter)
+            monkeypatch.setattr(anisolab.solver, "pcg", traced)
+            tracemalloc.start()
+            try:
+                res = picard_solve(op, forcing_field("sine_product", g),
+                                   nonlinearity_family("tanh"))
+            finally:
+                tracemalloc.stop()
+            assert res.iterations > 1 and len(rises) >= 5, cells
+            assert max(rises) < vector // 2, cells
+            assert set(precisions) == {np.float32}, cells
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("route", ["cg", "direct"])
     def test_jacobian_rows_copied_once_per_solve(self, route, monkeypatch):
@@ -453,6 +473,11 @@ class TestFastDiagonalization:
             a, np.sqrt(2.0 / 10) * np.sin(np.pi * np.outer(k, k) / 10))
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
+        # its float32 copy, for the float32 path, is built once too
+        single = anisolab.solver._sine_matrix32(9)
+        assert single is anisolab.solver._sine_matrix32(9)
+        assert single.dtype == np.float32 and not single.flags.writeable
+        assert np.array_equal(single, a.astype(np.float32))
 
     @pytest.mark.parametrize("cells, q, diag, eps", [
         ((9, 12), 1, [2.0, 0.5], 1.0),
@@ -532,6 +557,14 @@ class TestFastDiagonalization:
             assert pencil is not None
             assert vt.flags.c_contiguous and not vt.flags.writeable
             assert np.array_equal(vt, pencil[0].T)
+        # and so are their float32 copies, (V, V^T) per axis
+        singles = fit.transforms32
+        assert fit.transforms32 is singles
+        for pencil, vt, pair in zip(fit.pencils, transposes, singles):
+            for single, double in zip(pair, (pencil[0], vt)):
+                assert single.dtype == np.float32
+                assert not single.flags.writeable
+                assert np.array_equal(single, double.astype(np.float32))
 
     def test_exact_inverse_for_separable_2d_table(self, rng):
         # each a_dd a product of one function per axis, no mixed entry:
@@ -583,11 +616,7 @@ class TestFastDiagonalization:
         # exact, so every solve is one CG step at every epsilon, where the
         # means alone took 162, 38 and 12 steps
         g = make_grid([(0, 1), (0, 1)], (32, 32), q=1)
-        x, y = g.meshgrid()
-        entries = np.zeros((2, 2) + g.node_shape)
-        entries[0, 0] = 1.0 + 0.5 * np.sin(np.pi * y) ** 2
-        entries[1, 1] = np.where(x < 0.5, 1.0, 1000.0)
-        coeffs = CoefficientField(g, entries, lam=1.0)
+        coeffs = _separable_jump(g)
         f = forcing_field("sine_product", g)
         for eps in (1.0, 0.1, 0.01):
             counter = _CountingPCG()
@@ -618,3 +647,153 @@ class TestFastDiagonalization:
         # the axis profiles of the fit take 24 steps in all, where the
         # means alone took 44
         assert total <= 30
+
+
+def _separable_jump(g):
+    """a_11 varying in x2 only, a_22 jumping by 1000 in x1: a diagonal
+    table whose separable fit is exact."""
+    x, y = g.meshgrid()
+    entries = np.zeros((2, 2) + g.node_shape)
+    entries[0, 0] = 1.0 + 0.5 * np.sin(np.pi * y) ** 2
+    entries[1, 1] = np.where(x < 0.5, 1.0, 1000.0)
+    return CoefficientField(g, entries, lam=1.0)
+
+
+def _row(name, **params):
+    def solve(g):
+        table = (_separable_jump(g) if name == "jump"
+                 else coefficient_family(name, g, **params))
+        solve_dirichlet(assemble_operator(g, table),
+                        forcing_field("sine_product", g))
+    return solve
+
+
+def _limit(ndim, q):
+    def solve(_):
+        g = make_grid([(0, 1)] * ndim, (8,) * ndim, q=q)
+        solve_limit(operator_blocks(g, coefficient_family("variable", g)),
+                    forcing_field("sine_product", g))
+    return solve
+
+
+class TestSinglePrecision:
+    """CG's preconditioner runs in float32 exactly where its separable fit
+    cannot be exact, and CG takes the steps it takes in float64."""
+
+    # the sweep columns that are linear in the forcing: frechet_d sums
+    # t / (1 + t)
+    LINEAR = ("l2_diff", "v12_diff", "eps_grad_x1", "hess_x2_diff_omega",
+              "eps2_hess_x1_omega", "eps_hess_x1x2_omega")
+
+    @pytest.mark.parametrize("solve, precision", [
+        (_row("variable"), np.float32),
+        # quickstart's table
+        (_row("constant", matrix=[[2.0, 0.5], [0.5, 1.0]]), np.float32),
+        (_limit(3, 1), np.float32),
+        (_row("identity"), np.float64),
+        (_row("constant", matrix=[[2.0, 0.0], [0.0, 0.5]]), np.float64),
+        (_row("jump"), np.float64),
+        (discretization_floor, np.float64),
+        (_limit(2, 1), np.float64),
+        (_limit(3, 2), np.float64),
+    ], ids=["variable", "quickstart", "limit-3d-q1", "identity",
+            "diagonal", "separable-jump", "floor", "limit-2d",
+            "limit-3d-q2"])
+    def test_precision_follows_the_stencil(self, solve, precision,
+                                           monkeypatch):
+        precisions = _spy_precisions(monkeypatch)
+        solve(make_grid([(0, 1), (0, 1)], (16, 16), q=1))
+        assert precisions and set(precisions) == {precision}
+
+    @staticmethod
+    def sweep_steps(config, monkeypatch, precision=None):
+        """The report of ``config``'s sweep and the CG steps of each of
+        its solves, every preconditioner in ``precision`` where given."""
+        steps = []
+
+        def counted(*args, **kwargs):
+            x, taken, capped = pcg(*args, **kwargs)
+            steps.append(taken.tolist())
+            return x, taken, capped
+        monkeypatch.setattr(anisolab.solver, "pcg", counted)
+        real = fast_diagonal_preconditioner
+        if precision is not None:
+            monkeypatch.setattr(
+                anisolab.solver, "fast_diagonal_preconditioner",
+                lambda *args, precision=None, **kwargs: real(
+                    *args, precision=np.float64, **kwargs))
+        report = run_sweep(config)
+        assert report.complete
+        monkeypatch.setattr(anisolab.solver, "fast_diagonal_preconditioner",
+                            real)
+        return report, steps
+
+    @pytest.mark.parametrize("cells, q", [((32, 32), 1), ((8, 8, 8), 2)])
+    def test_sweep_steps_match_float64(self, cells, q, monkeypatch):
+        config = StudyConfig(
+            lo=[0.0] * len(cells), hi=[1.0] * len(cells), cells=list(cells),
+            q=q, coefficient_family="variable",
+            forcing_family="sine_product", epsilons=[1.0, 0.25, 0.0625],
+            nested=4)
+        precisions = _spy_precisions(monkeypatch)
+        report, steps = self.sweep_steps(config, monkeypatch)
+        # the rows ran in float32, the limit and the floor probe in
+        # float64
+        assert np.float32 in precisions and np.float64 in precisions
+        want, want_steps = self.sweep_steps(config, monkeypatch, np.float64)
+        assert steps == want_steps
+        for row, ref in zip(report.rows, want.rows, strict=True):
+            for column in self.LINEAR + ("frechet_d",):
+                assert getattr(row, column) == pytest.approx(
+                    getattr(ref, column), rel=1e-10, abs=0.0), column
+
+    @pytest.mark.parametrize("cells", [(9,), (9, 12), (5, 6, 7)])
+    def test_application_agrees_with_float64(self, cells, rng):
+        # per block, to 1e-5 normwise, whatever the scales of the block's
+        # residual and table: each is scaled by its own power of two
+        # before the cast
+        spacing = tuple(1.0 / n for n in cells)
+        fit = None
+        if len(cells) > 1:
+            grid = make_grid([(0, 1)] * len(cells), cells, q=1)
+            fit = assemble_operator(grid, coefficient_family(
+                "variable", grid)).fit
+        means = rng.uniform(1.0, 2.0, (4, len(cells)))
+        means *= np.array([[1.0], [1e-40], [1.0], [1e40]])
+        r = rng.standard_normal((4, int(np.prod(np.array(cells) - 1))))
+        r *= np.array([[1e-40], [1.0], [1e40], [1.0]])
+        kept = r.copy()
+        want = fast_diagonal_preconditioner(cells, spacing, means, fit)(r)
+        for work in (None, np.full(r.size, np.nan)):
+            precond = fast_diagonal_preconditioner(
+                cells, spacing, means, fit, work=work, precision=np.float32)
+            z = np.full_like(r, np.nan)
+            got = precond(r, out=z)
+            assert got.dtype == np.float64 and np.shares_memory(got, z)
+            assert np.array_equal(r, kept)
+            error = (np.linalg.norm(got - want, axis=1)
+                     / np.linalg.norm(want, axis=1))
+            assert np.all(error <= 1e-5), error
+
+    def test_forcing_scale_is_immaterial(self, tmp_path, monkeypatch):
+        # a constant forcing of 1e-40 or 1e40 takes the steps of 1, and
+        # its linear columns scale by it: without the power-of-two
+        # scaling, float32 underflows (CG exhausts its cap) or overflows
+        # (Newton ends at a nan residual)
+        def sweep(value):
+            path = tmp_path / f"{value}.cfg"
+            path.write_text(
+                "[grid]\ncells = 32, 32\n"
+                "[coefficients]\nfamily = variable\n"
+                f"[forcing]\nfamily = constant\nvalue = {value}\n"
+                "[sweep]\nepsilons = 1.0 0.25 0.0625\nnested = 4\n")
+            return self.sweep_steps(StudyConfig.from_file(path),
+                                    monkeypatch)
+        report, steps = sweep(1.0)
+        for value in (1e-40, 1e40):
+            scaled, scaled_steps = sweep(value)
+            assert scaled_steps == steps, value
+            for row, ref in zip(scaled.rows, report.rows, strict=True):
+                for column in self.LINEAR:
+                    assert getattr(row, column) / value == pytest.approx(
+                        getattr(ref, column), rel=1e-10, abs=0.0), column
