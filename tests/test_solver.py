@@ -717,11 +717,12 @@ class TestSinglePrecision:
             return x, taken, capped
         monkeypatch.setattr(anisolab.solver, "pcg", counted)
         real = fast_diagonal_preconditioner
-        if precision is not None:
+        forced = precision
+        if forced is not None:
             monkeypatch.setattr(
                 anisolab.solver, "fast_diagonal_preconditioner",
                 lambda *args, precision=None, **kwargs: real(
-                    *args, precision=np.float64, **kwargs))
+                    *args, precision=forced, **kwargs))
         report = run_sweep(config)
         assert report.complete
         monkeypatch.setattr(anisolab.solver, "fast_diagonal_preconditioner",
