@@ -57,7 +57,8 @@ class CoefficientField:
             raise ConfigError(
                 f"entry table shape {self.entries.shape}, expected {shape}")
         if self.lam <= 0:
-            raise ConfigError(f"ellipticity constant must be > 0, got {self.lam}")
+            raise ConfigError(
+                f"ellipticity constant must be > 0, got {self.lam}")
 
     @property
     def ndim(self) -> int:

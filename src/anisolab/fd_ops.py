@@ -45,8 +45,9 @@ CG's preconditioner inverts a separable fit of the table's diagonal,
 normalized axis means of the table.  ``assemble_operator`` and
 ``operator_blocks`` compute it from the table with the means; its axis
 pencils, one dense numpy ``eigh`` per non-flat axis, are built when a CG
-solve first asks for them, and so are their float32 copies
-(``transforms32``) when a float32 preconditioner first does.
+solve first asks for them, and their transforms in a dtype
+(``SeparableFit.transforms``) when a preconditioner in that dtype first
+does.
 
 scipy is imported only for an LU: ``factor_matrix`` lays a stencil out as
 canonical CSR (``_stencil_csr``, which loads ``scipy.sparse``) and
@@ -59,7 +60,7 @@ the difference kernels and the post-processing that uses only them
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -421,6 +422,8 @@ class SeparableFit:
     spacing: tuple[float, ...]
     profile: tuple[np.ndarray | None, ...]
     weight: tuple[np.ndarray | None, ...]
+    # ``transforms`` per dtype
+    _transforms: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def pencils(self) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
@@ -450,36 +453,26 @@ class SeparableFit:
             out.append((v, lam))
         return tuple(out)
 
-    @cached_property
-    def transposes(self) -> tuple[np.ndarray | None, ...]:
-        """Per axis, ``V^T`` of its pencil laid out C-contiguous, None
-        where ``pencils`` has None: a transposed right factor is slow in
-        BLAS at some sizes.  Built on first use, then kept."""
-        out = []
-        for pencil in self.pencils:
-            vt = None
-            if pencil is not None:
-                vt = np.ascontiguousarray(pencil[0].T)
-                vt.flags.writeable = False
-            out.append(vt)
-        return tuple(out)
-
-    @cached_property
-    def transforms32(self) -> tuple[tuple[np.ndarray, np.ndarray] | None,
-                                    ...]:
-        """Per axis, ``(V, V^T)`` of ``pencils`` and ``transposes`` cast
-        to float32, read-only, None where ``pencils`` has None: the
-        transforms of the preconditioner's float32 path.  Built on first
-        use, then kept."""
-        out = []
-        for pencil, vt in zip(self.pencils, self.transposes):
-            pair = None
-            if pencil is not None:
-                pair = (pencil[0].astype(np.float32), vt.astype(np.float32))
-                for mat in pair:
-                    mat.flags.writeable = False
-            out.append(pair)
-        return tuple(out)
+    def transforms(self, dtype=np.float64
+                   ) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
+        """Per axis, ``(V, V^T)`` of ``pencils`` in ``dtype``, None where
+        ``pencils`` has None: the preconditioner's transforms.  Each is
+        laid out C-contiguous, since a transposed right factor is slow in
+        BLAS at some sizes, and read-only.  Built on first use per dtype,
+        then kept."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._transforms:
+            out = []
+            for pencil in self.pencils:
+                pair = None
+                if pencil is not None:
+                    pair = tuple(np.ascontiguousarray(mat, dtype=dtype)
+                                 for mat in (pencil[0], pencil[0].T))
+                    for mat in pair:
+                        mat.flags.writeable = False
+                out.append(pair)
+            self._transforms[dtype] = tuple(out)
+        return self._transforms[dtype]
 
 
 def _separable_fit(spacing: Sequence[float],

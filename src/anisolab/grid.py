@@ -1,4 +1,5 @@
-"""Tensor-product grids on axis-aligned boxes with a degenerate/retained axis split.
+"""Tensor-product grids on axis-aligned boxes with a degenerate/retained
+axis split.
 
 The first ``q`` axes form the X1 group (the directions whose diffusion is
 scaled down), the remaining ``N - q`` axes form the X2 group.  Nodes along
@@ -150,7 +151,8 @@ class ScalarField:
     def from_interior(cls, grid: Grid, interior: np.ndarray) -> "ScalarField":
         """Embed interior node values into a full field with zero boundary."""
         vals = np.zeros(grid.node_shape)
-        vals[grid_interior_slices(grid)] = interior.reshape(grid.interior_shape)
+        vals[grid_interior_slices(grid)] = interior.reshape(
+            grid.interior_shape)
         return cls(grid, vals)
 
     @property
@@ -189,7 +191,8 @@ def grid_interior_slices(grid: Grid) -> tuple[slice, ...]:
 
 @dataclass(frozen=True)
 class SubdomainMask:
-    """Axis-aligned interior box of nodes, ``margin_a`` whole cells off each face.
+    """Axis-aligned interior box of nodes, ``margin_a`` whole cells off each
+    face.
 
     Node indices run over ``[margin_a, cells_a - margin_a]`` per axis
     (inclusive).  A margin of at least one cell keeps the mask strictly

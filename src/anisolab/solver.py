@@ -65,9 +65,9 @@ Kronecker products, which one generalized eigendecomposition per axis
 diagonalizes: on a flat axis the orthonormal DST-I, whose sine matrices
 are built once per size and shared; on any other the axis pencil, one
 dense ``eigh`` per ``operator_blocks`` (``SeparableFit.pencils``, and
-each V^T laid out once, ``SeparableFit.transposes``), built on the
-first CG solve and shared by every epsilon, whose scaling only moves
-c_d.  Either way the inverse costs one transform per axis each
+its V and V^T laid out once per dtype, ``SeparableFit.transforms``),
+built on the first CG solve and shared by every epsilon, whose scaling
+only moves c_d.  Either way the inverse costs one transform per axis each
 way and a division.  The fit is exact in 2-D for a_dd that are products
 of one function per axis, such as a coefficient that jumps in X1 only,
 and it carries the epsilon scaling of the operator, so the iteration
@@ -76,20 +76,22 @@ scaling needs hundreds of iterations.  J keeps the matrix's symmetry
 and block means, hence one preconditioner serves every step of a
 solve.
 
-The preconditioner's transforms and division run in float32 exactly
-when the stencil has an offset along two or more axes, which is a
-nonzero off-diagonal entry of the table.  The diagonal fit never
-represents one, so that CG takes several steps with any precision of
-the preconditioner, and the same steps in float32 as in float64
-(Higham & Mary, *Mixed precision algorithms in numerical linear
-algebra*, Acta Numerica 31, 2022).  Each block of the residual is
-scaled by a power of two before the cast and the result unscaled into
-float64, so that float32's range never matters.  A diagonal table,
-such as the floor probe's Laplacian, a separable jump or a limit of
-one-dimensional slices, keeps float64: there the fit can be exact and
-CG take one step, which a float32 inverse would turn into two.  The
-matvec, CG's recurrences and norms and Newton's residual gate are
-float64 on every path.
+The preconditioner takes one path in either precision.  Each block of
+the residual is scaled by a power of two, and so are its eigenvalues,
+before the transforms, and the result is unscaled into float64: the
+scaling is exact, so that float32's range never matters and a float64
+result is the unscaled one to the bit.  The transforms and division run
+in float32 exactly when the stencil has an offset along two or more
+axes, which is a nonzero off-diagonal entry of the table.  The diagonal
+fit never represents one, so that CG takes several steps with any
+precision of the preconditioner, and the same steps in float32 as in
+float64 (Higham & Mary, *Mixed precision algorithms in numerical linear
+algebra*, Acta Numerica 31, 2022).  A diagonal table, such as the floor
+probe's Laplacian, a separable jump or a limit of one-dimensional
+slices, keeps float64: there the fit can be exact and CG take one step,
+which a float32 inverse would turn into two.  The matvec, CG's
+recurrences and norms and Newton's residual gate are float64 on every
+path.
 
 No CG solve loads ``scipy.sparse``, ``scipy.sparse.linalg`` or
 ``scipy.linalg``: the matrices are stencils, their matvec is numpy, and
@@ -148,24 +150,17 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@lru_cache(maxsize=8)
-def _sine_matrix(m: int) -> np.ndarray:
-    """Orthonormal DST-I matrix of size m, sqrt(2/(m+1)) sin(pi j k / (m+1)).
+@lru_cache(maxsize=16)
+def _sine_matrix(m: int, dtype=np.float64) -> np.ndarray:
+    """Orthonormal DST-I matrix of size m, sqrt(2/(m+1)) sin(pi j k / (m+1)),
+    in ``dtype`` (cast from float64).
 
-    Built once per size and read-only, so every row's CG solves share one
-    cached matrix.
+    Built once per size and dtype and read-only, so every row's CG solves
+    share one cached matrix.
     """
     k = np.arange(1, m + 1)
     mat = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
-    mat.flags.writeable = False
-    return mat
-
-
-@lru_cache(maxsize=8)
-def _sine_matrix32(m: int) -> np.ndarray:
-    """``_sine_matrix(m)`` cast to float32, built once per size and
-    read-only: the preconditioner's float32 path shares it."""
-    mat = _sine_matrix(m).astype(np.float32)
+    mat = mat.astype(dtype, copy=False)
     mat.flags.writeable = False
     return mat
 
@@ -214,34 +209,36 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
     as for the limit slices) is block b's table.  The returned callable
     maps residuals of shape ``(B, n)`` to preconditioned ones of the same
     shape: ``precond(r)`` returns a new array, ``precond(r, out=z)``
-    writes into ``z`` and returns it.  Its transforms alternate between
-    ``z`` and one scratch array of ``r``'s size, ``work`` where given
-    (neither ``r`` nor ``z``), else one of its own per call.  An axis
-    whose fit is flat has the DST-I modes as eigenvectors and the
-    eigenvalues ``(4 / h_d^2) sin^2(pi k_d / (2 n_d))``; any other axis
-    has its pencil's (``SeparableFit.pencils``).  Block b's eigenvalue is
-    the sum over axes of ``means[b, d]`` times axis d's; a nonpositive
-    one raises SolverError, since the preconditioner must be positive
+    writes into ``z`` and returns it.  An axis whose fit is flat has the
+    DST-I modes as eigenvectors and the eigenvalues
+    ``(4 / h_d^2) sin^2(pi k_d / (2 n_d))``; any other axis has its
+    pencil's (``SeparableFit.pencils``).  Block b's eigenvalue is the
+    sum over axes of ``means[b, d]`` times axis d's; a nonpositive one
+    raises SolverError, since the preconditioner must be positive
     definite for CG.
 
     ``precision`` is ``np.float64`` or ``np.float32``, the dtype of the
-    transforms and the division; ``z`` is float64 either way.  In
-    float32 (Higham & Mary, Acta Numerica 31, 2022) each block of ``r``
-    is first scaled by 2^-e, e the exponent of its largest |r|
-    (``np.frexp``), in ``z``, and its eigenvalues likewise by the power
-    of two of their largest, so that every value the transforms meet
-    lies well inside float32's range whatever the scale of the block's
-    residual and table; the scaling is exact, hence the preconditioner
-    stays linear in ``r``.  The scaled block is cast into one float32
-    array, the transforms (the float32 copies of the sine matrices and
-    of the pencils, ``SeparableFit.transforms32``) alternate between it
-    and a second, the two halves of ``work``'s memory, and the result is
-    cast back into ``z`` and unscaled.  The float32 inverse agrees with
-    the float64 one to about 1e-6 normwise: a preconditioner that is
-    exact, CG then taking one step, needs float64 to stay so.
+    transforms and the division; ``z`` is float64 either way.  Each
+    block of ``r`` is scaled by 2^-e into ``z``, e the exponent of its
+    largest |r| (``np.frexp``), and its eigenvalues by 2^-k, k the
+    exponent of their largest; the result is unscaled by 2^(e - k).  So
+    every value the transforms meet lies well inside float32's range
+    whatever the scale of the block's residual and table (Higham & Mary,
+    Acta Numerica 31, 2022), and since a power of two scales exactly,
+    the preconditioner stays linear in ``r`` and its float64 result is
+    the unscaled inverse's, bit for bit.  The transforms (the sine
+    matrices and the pencils' ``SeparableFit.transforms``, in
+    ``precision``) take two arrays of ``r``'s size in turn: in float64
+    ``z`` and one scratch array, ``work`` where given (neither ``r`` nor
+    ``z``), else one of their own per call; in float32 the two halves of
+    that scratch array's bytes, the first taking the cast of ``z`` and
+    the last product, which is cast back into ``z``.  The float32
+    inverse agrees with the float64 one to about 1e-6 normwise: a
+    preconditioner that is exact, CG then taking one step, needs float64
+    to stay so.
     """
     means = np.asarray(means, dtype=float)
-    single = np.dtype(precision) == np.float32
+    dtype = np.dtype(precision)
     shape = tuple(int(n) - 1 for n in cells)
     pencils = (None,) * len(shape) if fit is None else fit.pencils
     lam = np.zeros((len(means),) + shape)
@@ -252,12 +249,12 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
         if pencil is None:
             k = np.arange(1, n)
             lam_d = (4.0 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2
-            s = (_sine_matrix32 if single else _sine_matrix)(int(n) - 1)
+            s = _sine_matrix(int(n) - 1, dtype)
             forward.append((s, s))
             inverse.append((s, s))
         else:
-            v, lam_d = pencil
-            v, vt = fit.transforms32[d] if single else (v, fit.transposes[d])
+            lam_d = pencil[1]
+            v, vt = fit.transforms(dtype)[d]
             forward.append((v, vt))
             inverse.append((vt, v))
         lam += (means[:, d].reshape((-1,) + (1,) * len(shape))
@@ -267,31 +264,25 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
         raise SolverError(
             f"fast-diagonalization preconditioner has eigenvalue "
             f"{lam.min():.3e} <= 0 (axis means {tuple(means[block])})")
-    # forward's last product is in z for an even number of axes; the
-    # inverse starts on the other array, so that its last is too
-    flip = len(shape) % 2
-
-    def solve(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        z = np.empty(lam.shape) if out is None else out.reshape(lam.shape)
-        scratch = (np.empty(lam.shape) if work is None
-                   else work.reshape(lam.shape))
-        targets = (scratch, z)
-        y = _apply_axes(np.reshape(r, lam.shape), forward, targets)
-        np.divide(y, lam, out=y)
-        _apply_axes(y, inverse, targets[::-1] if flip else targets)
-        return z.reshape(len(lam), -1)
-
-    if not single:
-        return solve
-
     # each block's lam scaled by 2^-k, k the exponent of its largest
     by_block = lam.reshape(len(lam), -1)
     k = np.frexp(by_block.max(axis=1))[1][:, None]
-    lam32 = np.ldexp(by_block, -k).astype(np.float32).reshape(lam.shape)
-    held = None if work is None else _float32_pair(work, lam.shape)
+    lam = np.ldexp(by_block, -k).astype(dtype).reshape(lam.shape)
+    # an odd number of axes ends forward's products in the first target,
+    # so that the inverse starts on the second
+    flip = len(shape) % 2
 
-    def solve_single(r: np.ndarray, out: np.ndarray | None = None
-                     ) -> np.ndarray:
+    def scratch(memory: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        # the transforms' input and other array: in float64 z (None here)
+        # and memory, in float32 the two halves of memory's bytes
+        if dtype == np.float64:
+            return None, memory.reshape(lam.shape)
+        halves = memory.reshape(-1).view(dtype).reshape((2,) + lam.shape)
+        return halves[0], halves[1]
+
+    held = None if work is None else scratch(work)
+
+    def solve(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         z = np.empty(lam.shape) if out is None else out.reshape(lam.shape)
         blocks = z.reshape(len(lam), -1)
         r = np.reshape(r, blocks.shape)
@@ -299,29 +290,23 @@ def fast_diagonal_preconditioner(cells: Sequence[int],
         # a cast in the product would take a buffer of its own
         e = np.frexp(np.abs(r, out=blocks).max(axis=1))[1][:, None]
         np.multiply(r, np.ldexp(1.0, -e), out=blocks)
-        x, y = (_float32_pair(np.empty(lam.shape), lam.shape)
-                if held is None else held)
-        np.copyto(x, z)
+        x, y = scratch(np.empty(lam.shape)) if held is None else held
+        if x is None:
+            x = z
+        else:
+            np.copyto(x, z)
         # x, the first product's input, is the second target: each
         # product reads the array the one before wrote, and the last
         # inverse product lands in x for any number of axes
         w = _apply_axes(x, forward, (y, x))
-        np.divide(w, lam32, out=w)
+        np.divide(w, lam, out=w)
         _apply_axes(w, inverse, (x, y) if flip else (y, x))
-        np.copyto(z, x)
+        if x is not z:
+            np.copyto(z, x)
         blocks *= np.ldexp(1.0, e - k)
         return blocks
 
-    return solve_single
-
-
-def _float32_pair(memory: np.ndarray, shape: tuple[int, ...]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Two float32 arrays of ``shape``, the two halves of the bytes of
-    ``memory``, a contiguous float64 array of at least that size."""
-    size = math.prod(shape)
-    both = memory.reshape(-1).view(np.float32)
-    return both[:size].reshape(shape), both[size:2 * size].reshape(shape)
+    return solve
 
 
 def pcg(matrix, b: np.ndarray, precond: Callable[..., np.ndarray],
@@ -588,9 +573,10 @@ def solve_dirichlet(op: SparseOperator, f: ScalarField,
     """Solve ``L u = f`` over interior unknowns, boundary held at zero.
 
     ``semilinear.picard_solve`` with the zero term: CG on a symmetric
-    operator, one LU of any other.  The returned field carries exact zeros on the boundary.  The relative
-    residual is always checked against ``tol``; a solve that cannot meet
-    it raises SolverError carrying the achieved residual.
+    operator, one LU of any other.  The returned field carries exact
+    zeros on the boundary.  The relative residual is always checked
+    against ``tol``; a solve that cannot meet it raises SolverError
+    carrying the achieved residual.
     """
     # semilinear imports this module, so its names are looked up here
     from .semilinear import nonlinearity_family, picard_solve

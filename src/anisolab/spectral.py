@@ -271,7 +271,8 @@ def random_zero_mean_forcing(shape: tuple[int, ...], q: int,
 
 
 def restrict_to_zero_x1(f: SpectralField) -> SpectralField:
-    """Keep only modes with xi1 = 0 (tight case for the retained-axes bound)."""
+    """Keep only modes with xi1 = 0 (tight case for the retained-axes
+    bound)."""
     w1, _ = _split_weights(f.shape, f.q)
     coeffs = np.where(w1 == 0, f.coeffs, 0.0)
     out = SpectralField(coeffs, f.q)

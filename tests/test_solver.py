@@ -301,11 +301,26 @@ class TestWorkingSet:
         # from one preconditioner call to the next, a whole CG step, the
         # traced peak rises by less than one vector: every pcg call of
         # a tanh solve, the Jacobian's included.  A variable table
-        # preconditions in float32, on two axes or three
+        # preconditions in float32, on two axes or three; a diagonal
+        # table a11 = a22 = 1 + x y, which the separable fit cannot make
+        # exact, in float64 over several CG steps
         real = anisolab.solver.pcg
-        for cells in ((48, 48), (18, 18, 18)):
+
+        def variable(g):
+            return coefficient_family("variable", g)
+
+        def diagonal(g):
+            x, y = g.meshgrid()
+            entries = np.zeros((2, 2) + g.node_shape)
+            entries[0, 0] = entries[1, 1] = 1.0 + x * y
+            return scale_coefficients(CoefficientField(g, entries, lam=1.0),
+                                      0.25)
+        for cells, table, precision in (
+                ((48, 48), variable, np.float32),
+                ((18, 18, 18), variable, np.float32),
+                ((48, 48), diagonal, np.float64)):
             g = make_grid([(0, 1)] * len(cells), cells, q=1)
-            op = assemble_operator(g, coefficient_family("variable", g))
+            op = assemble_operator(g, table(g))
             precisions = _spy_precisions(monkeypatch)
             vector = 8 * op.n_unknowns
             rises = []
@@ -330,7 +345,7 @@ class TestWorkingSet:
                 tracemalloc.stop()
             assert res.iterations > 1 and len(rises) >= 5, cells
             assert max(rises) < vector // 2, cells
-            assert set(precisions) == {np.float32}, cells
+            assert set(precisions) == {precision}, cells
             monkeypatch.undo()
 
     @pytest.mark.parametrize("route", ["cg", "direct"])
@@ -463,21 +478,20 @@ class TestFastDiagonalization:
         assert np.allclose(sine_transform(y), x, rtol=0.0, atol=1e-13)
 
     def test_sine_matrices_shared_and_read_only(self):
-        # a square grid's two axes share one matrix, built by the formula
-        a, b = map(anisolab.solver._sine_matrix, (9, 9))
-        assert a is b
-        assert a is anisolab.solver._sine_matrix(9)
-        assert not a.flags.writeable
+        # a square grid's two axes share one matrix per dtype, built by
+        # the formula in float64 and cast
+        sine = anisolab.solver._sine_matrix
         k = np.arange(1, 10)
-        assert np.array_equal(
-            a, np.sqrt(2.0 / 10) * np.sin(np.pi * np.outer(k, k) / 10))
-        with pytest.raises(ValueError):
-            a[0, 0] = 0.0
-        # its float32 copy, for the float32 path, is built once too
-        single = anisolab.solver._sine_matrix32(9)
-        assert single is anisolab.solver._sine_matrix32(9)
-        assert single.dtype == np.float32 and not single.flags.writeable
-        assert np.array_equal(single, a.astype(np.float32))
+        want = np.sqrt(2.0 / 10) * np.sin(np.pi * np.outer(k, k) / 10)
+        assert np.array_equal(sine(9), want)
+        for dtype in (np.float64, np.float32):
+            a, b = (sine(9, np.dtype(dtype)) for _ in range(2))
+            assert a is b
+            assert a.dtype == dtype and a.flags.c_contiguous
+            assert not a.flags.writeable
+            assert np.array_equal(a, want.astype(dtype))
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
 
     @pytest.mark.parametrize("cells, q, diag, eps", [
         ((9, 12), 1, [2.0, 0.5], 1.0),
@@ -547,24 +561,53 @@ class TestFastDiagonalization:
             assert np.array_equal(r, kept)
 
     def test_pencil_transposes_built_once(self):
-        # V^T of each pencil, C-contiguous and read-only, is the fit's:
-        # every preconditioner built from it shares the one array
+        # (V, V^T) of each pencil per dtype, C-contiguous and read-only,
+        # is the fit's: every preconditioner built from it shares the
+        # one pair
         g = make_grid([(0, 1), (0, 2)], (9, 12), q=1)
         fit = assemble_operator(g, coefficient_family("variable", g)).fit
-        transposes = fit.transposes
-        assert fit.transposes is transposes
-        for pencil, vt in zip(fit.pencils, transposes):
+        doubles = fit.transforms(np.float64)
+        assert fit.transforms() is doubles
+        assert fit.transforms(np.dtype(np.float64)) is doubles
+        singles = fit.transforms(np.float32)
+        assert fit.transforms(np.float32) is singles
+        for pencil, double, single in zip(fit.pencils, doubles, singles):
             assert pencil is not None
-            assert vt.flags.c_contiguous and not vt.flags.writeable
-            assert np.array_equal(vt, pencil[0].T)
-        # and so are their float32 copies, (V, V^T) per axis
-        singles = fit.transforms32
-        assert fit.transforms32 is singles
-        for pencil, vt, pair in zip(fit.pencils, transposes, singles):
-            for single, double in zip(pair, (pencil[0], vt)):
-                assert single.dtype == np.float32
-                assert not single.flags.writeable
-                assert np.array_equal(single, double.astype(np.float32))
+            for pair, dtype in ((double, np.float64), (single, np.float32)):
+                for mat in pair:
+                    assert mat.dtype == dtype and mat.flags.c_contiguous
+                    assert not mat.flags.writeable
+            assert np.array_equal(double[0], pencil[0])
+            assert np.array_equal(double[1], pencil[0].T)
+            for mat32, mat64 in zip(single, double):
+                assert np.array_equal(mat32, mat64.astype(np.float32))
+
+    @pytest.mark.parametrize("precision", [np.float64, np.float32])
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["full-grid", "limit"])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("power", [300, -300])
+    def test_power_of_two_scales_one_block_exactly(self, precision, batched,
+                                                   ndim, power, rng):
+        # one block of r times 2^power: that block's output times
+        # 2^power, bit for bit, and every other block's output as it was
+        g = make_grid([(0, 1)] * ndim, (8, 9, 10)[:ndim], q=1)
+        table = coefficient_family("variable", g)
+        op = (operator_blocks(g, table).limit if batched
+              else assemble_operator(g, table))
+        batch = op.batch
+        precond = fast_diagonal_preconditioner(
+            g.cells[batch:], g.spacing[batch:], op.means, op.fit,
+            precision=precision)
+        blocks = len(op.means)
+        r = rng.standard_normal((blocks, op.n_unknowns // blocks))
+        want = precond(r)
+        b = blocks // 2
+        r[b] *= 2.0 ** power
+        got = precond(r)
+        assert np.array_equal(got[b], want[b] * 2.0 ** power)
+        others = np.arange(blocks) != b
+        assert np.array_equal(got[others], want[others])
 
     def test_exact_inverse_for_separable_2d_table(self, rng):
         # each a_dd a product of one function per axis, no mixed entry:
